@@ -51,9 +51,6 @@ class Ch2System:
     uv_system: PdeSystem  # the same flow written in u, v jets
     constraints: dict
 
-    def as_pde_system(self) -> PdeSystem:
-        return self.uv_system
-
 
 def _build_system() -> Ch2System:
     mh, nh = parse("u - u2"), parse("v - v2")

@@ -15,7 +15,7 @@ from . import kernel as K
 from .forms import AssociatedForms, check_lemma31
 from .jetcalc import PdeSystem, total_dx
 from .kernel import Expr, KernelError, parse
-from .laxzoo import MatrixForm, from_forms, mat, mat_scale, zero_curvature_residual
+from .laxzoo import MatrixForm, from_forms, zero_curvature_residual
 
 
 class HypothesisViolationError(KernelError):
@@ -110,7 +110,7 @@ def _solve_fg(f, delta: int, const_row: int) -> tuple[Expr, Expr]:
     a, b = rows
     fa1 = {1: f11, 2: f21, 3: f31}[a]
     fb1 = {1: f11, 2: f21, 3: f31}[b]
-    W = fa1.diff(K.u(0)) * fb1.diff(K.v(0)) - fa1.diff(K.v(0)) * fb1.diff(K.u(0))
+    W = wronskian(fa1, fb1)
     _require_nonzero(W, "frame wronskian nonzero")
     F = (fb1.diff(K.v(0)) * rhs[a] - fa1.diff(K.v(0)) * rhs[b]) / W
     G = (-fb1.diff(K.u(0)) * rhs[a] + fa1.diff(K.u(0)) * rhs[b]) / W
@@ -221,7 +221,7 @@ def build_theorem36(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     sys = _package_system(F, G, (3, 3), inp.delta)
     forms = AssociatedForms(f, inp.delta, eta_row=2, eta_value=inp.eta)
     _self_check(sys, forms)
-    lax = from_forms(forms, "sl2" if inp.delta == 1 else "su2")
+    lax = _pack(forms)
     _lax_self_check(lax, sys)
     return sys, forms, lax
 
@@ -240,9 +240,14 @@ def build_theorem37(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     sys = _package_system(F, G, (3, 3), inp.delta)
     forms = AssociatedForms(f, inp.delta, eta_row=3, eta_value=inp.eta)
     _self_check(sys, forms)
-    lax = from_forms(forms, "sl2" if inp.delta == 1 else "su2")
+    lax = _pack(forms)
     _lax_self_check(lax, sys)
     return sys, forms, lax
+
+
+def _pack(forms: AssociatedForms) -> MatrixForm:
+    """The Lax pair of the forms: sl2 for pseudospherical, su2 for spherical."""
+    return from_forms(forms, "sl2" if forms.delta == 1 else "su2")
 
 
 def _lax_self_check(lax: MatrixForm, sys: PdeSystem):
@@ -273,8 +278,11 @@ class CatalogEntry:
     description: str
     system: PdeSystem
     forms: AssociatedForms
-    lax: MatrixForm | None = None
-    theorem_eta: tuple[int, Expr] | None = None  # (row of the constant slot, value)
+    lax: MatrixForm
+
+
+def _entry(name: str, description: str, system: PdeSystem, forms: AssociatedForms) -> CatalogEntry:
+    return CatalogEntry(name, description, system, forms, _pack(forms))
 
 
 def _P(s: str) -> Expr:
@@ -297,25 +305,7 @@ def _entry_song_qu_qiao() -> CatalogEntry:
     f31 = -eta * (mh * Ep - nh * Em)
     f32 = -eta * Q * (mh * Ep - nh * Em) - (_P("u + u1") * Ep - _P("v - v1") * Em) / (2 * eta)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, eta)
-    half = K.ONE / 2
-    X = mat_scale(half, mat(eta, 2 * eta * mh * Ep, 2 * eta * nh * Em, -eta))
-    T = mat_scale(
-        half,
-        mat(
-            1 / (2 * eta**2) + Q,
-            (2 * eta * Q * mh + _P("u + u1") / eta) * Ep,
-            (2 * eta * Q * nh + _P("v - v1") / eta) * Em,
-            -(1 / (2 * eta**2)) - Q,
-        ),
-    )
-    return CatalogEntry(
-        "song-qu-qiao",
-        "coupled cubic flow with conserved exponential frame",
-        sys,
-        forms,
-        MatrixForm(X, T, "sl2"),
-        (2, eta),
-    )
+    return _entry("song-qu-qiao", "coupled cubic flow with conserved exponential frame", sys, forms)
 
 
 def _entry_cubic_ch2() -> CatalogEntry:
@@ -334,24 +324,7 @@ def _entry_cubic_ch2() -> CatalogEntry:
     f31 = -half * eta * (mh + nh)
     f32 = -eta / 4 * B * (mh + nh) - (_P("u - u1") + _P("v + v1")) / (2 * eta)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, Expr.const(-1))
-    X = mat_scale(half, mat(-1, eta * mh, -eta * nh, 1))
-    T = mat_scale(
-        half,
-        mat(
-            -1 / eta**2 - half * (B + C),
-            half * eta * B * mh + _P("u - u1") / eta,
-            -half * eta * B * nh - _P("v + v1") / eta,
-            1 / eta**2 + half * (B + C),
-        ),
-    )
-    return CatalogEntry(
-        "cubic-ch2",
-        "two-component cubic Camassa-Holm flow",
-        sys,
-        forms,
-        MatrixForm(X, T, "sl2"),
-        (2, Expr.const(-1)),
-    )
+    return _entry("cubic-ch2", "two-component cubic Camassa-Holm flow", sys, forms)
 
 
 def _entry_factored_ch2() -> CatalogEntry:
@@ -369,24 +342,7 @@ def _entry_factored_ch2() -> CatalogEntry:
     f31 = -half * eta * (mh + nh)
     f32 = -(_P("u - u1") + _P("v + v1")) / (2 * eta)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, K.ONE)
-    X = mat_scale(half, mat(1, eta * nh, -eta * mh, -1))
-    T = mat_scale(
-        half,
-        mat(
-            1 / eta**2 + half * prod,
-            _P("v + v1") / eta,
-            -_P("u - u1") / eta,
-            -1 / eta**2 - half * prod,
-        ),
-    )
-    return CatalogEntry(
-        "factored-ch2",
-        "second-order flow with factored right-hand side",
-        sys,
-        forms,
-        MatrixForm(X, T, "sl2"),
-        (2, K.ONE),
-    )
+    return _entry("factored-ch2", "second-order flow with factored right-hand side", sys, forms)
 
 
 def _entry_mch_type() -> CatalogEntry:
@@ -402,26 +358,7 @@ def _entry_mch_type() -> CatalogEntry:
     f31 = mh
     f32 = R * mh - _P("u - v1")
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), -1, 2, K.ONE)
-    i = Expr.atom(K.iunit)
-    half = K.ONE / 2
-    X = mat_scale(half, mat(i, -nh + i * mh, nh + i * mh, -i))
-    T = mat_scale(
-        half,
-        mat(
-            i * (R - 1),
-            -R * (nh - i * mh) + _P("v + u1") + i * (_P("v1 - u")),
-            R * (nh + i * mh) - _P("v + u1") + i * (_P("v1 - u")),
-            -i * (R - 1),
-        ),
-    )
-    return CatalogEntry(
-        "mch-type",
-        "modified Camassa-Holm-type flow on spherical surfaces",
-        sys,
-        forms,
-        MatrixForm(X, T, "su2"),
-        (2, K.ONE),
-    )
+    return _entry("mch-type", "modified Camassa-Holm-type flow on spherical surfaces", sys, forms)
 
 
 def _entry_skew_ch2() -> CatalogEntry:
@@ -440,24 +377,7 @@ def _entry_skew_ch2() -> CatalogEntry:
     f31 = -half * eta * (mh + nh)
     f32 = -eta / 4 * Pfx * (mh + nh) - (_P("u - u1") + _P("v + v1")) / (2 * eta)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, K.ONE)
-    X = mat_scale(half, mat(1, eta * nh, -eta * mh, -1))
-    T = mat_scale(
-        half,
-        mat(
-            1 / eta**2 + half * _P("(u - u1)*(v + v1)"),
-            half * eta * Pfx * nh + _P("v + v1") / eta,
-            -half * eta * Pfx * mh - _P("u - u1") / eta,
-            -1 / eta**2 - half * _P("(u - u1)*(v + v1)"),
-        ),
-    )
-    return CatalogEntry(
-        "skew-ch2",
-        "two-component flow with antisymmetric flux",
-        sys,
-        forms,
-        MatrixForm(X, T, "sl2"),
-        (2, K.ONE),
-    )
+    return _entry("skew-ch2", "two-component flow with antisymmetric flux", sys, forms)
 
 
 _CATALOG_BUILDERS = (

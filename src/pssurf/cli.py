@@ -108,6 +108,16 @@ def _expr_param(config: dict, name: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def _config_forms(config: dict) -> tuple[PdeSystem, AssociatedForms]:
+    """The system (F, G) and forms (f11 .. f32) of an explicit-forms config."""
+    e = _config_exprs(config, ["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"])
+    delta = _int_param(config, "delta", 1)
+    orders = (_int_param(config, "m", 2), _int_param(config, "n", 2))
+    sys_ = PdeSystem(orders, e["F"], e["G"], Expr.const(delta))
+    f = ((e["f11"], e["f12"]), (e["f21"], e["f22"]), (e["f31"], e["f32"]))
+    return sys_, AssociatedForms(f, delta)
+
+
 def _forms_payload(forms: AssociatedForms) -> list[list[str]]:
     return [[str(a), str(b)] for a, b in forms.f]
 
@@ -128,7 +138,7 @@ def cmd_verify_example(args) -> int:
         "passed": report.passed,
         "conditions": [c.as_dict() for c in report.conditions],
     }
-    if entry.lax is not None and args.delta is None:
+    if args.delta is None:
         res = zero_curvature_residual(entry.lax, entry.system)
         zc_ok = mat_is_zero(res)
         payload["zero_curvature"] = "pass" if zc_ok else "fail"
@@ -141,16 +151,7 @@ def cmd_verify_example(args) -> int:
 
 def cmd_verify_lemma31(args) -> int:
     config = _load_config(args.config)
-    exprs = _config_exprs(
-        config, ["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"]
-    )
-    delta = _int_param(config, "delta", 1)
-    orders = (_int_param(config, "m", 2), _int_param(config, "n", 2))
-    sys_ = PdeSystem(orders, exprs["F"], exprs["G"], Expr.const(delta))
-    forms = AssociatedForms(
-        ((exprs["f11"], exprs["f12"]), (exprs["f21"], exprs["f22"]), (exprs["f31"], exprs["f32"])),
-        delta,
-    )
+    sys_, forms = _config_forms(config)
     report = check_lemma31(forms, sys_)
     payload = {
         "passed": report.passed,
@@ -224,21 +225,8 @@ def cmd_lax_check(args) -> int:
     if "example" in config:
         entry = catalog_entry(config["example"])
         mf, sys_ = entry.lax, entry.system
-        if mf is None:
-            sys.stderr.write("error: entry has no stored linear problem\n")
-            return USAGE_ERROR
     else:
-        exprs = _config_exprs(
-            config, ["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"]
-        )
-        delta = _int_param(config, "delta", 1)
-        orders = (_int_param(config, "m", 2), _int_param(config, "n", 2))
-        sys_ = PdeSystem(orders, exprs["F"], exprs["G"], Expr.const(delta))
-        forms = AssociatedForms(
-            ((exprs["f11"], exprs["f12"]), (exprs["f21"], exprs["f22"]),
-             (exprs["f31"], exprs["f32"])),
-            delta,
-        )
+        sys_, forms = _config_forms(config)
         mf = from_forms(forms, config.get("algebra", "sl2"))
     res = zero_curvature_residual(mf, sys_)
     ok = mat_is_zero(res)
@@ -356,7 +344,7 @@ def _parse_grid(text: str):
         x_min, x_max, hx = (float(s) for s in x_part.split(":"))
         t_min, t_max, ht = (float(s) for s in t_part.split(":"))
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad grid '{text}': {err}") from err
+        raise ValueError(f"bad grid '{text}': {err}") from err
     return Grid(x_min, x_max, t_min, t_max, hx, ht)
 
 

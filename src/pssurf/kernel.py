@@ -727,69 +727,12 @@ def _exp_ratio(items_a: ExpItems, items_b: ExpItems) -> Fraction | None:
     return q
 
 
-def _exp_shift(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Shift exponential content per base coordinate so the minimum exponent
-    multiple over numerator and denominator is zero."""
-    bases: dict[Coord, list] = {}
-    has_exp = False
-    for p in (num, den):
-        for mono in p.terms:
-            for a, _ in mono:
-                if isinstance(a, ExpAtom):
-                    has_exp = True
-                    bases.setdefault(a.base, [])
-    if not has_exp:
-        return num, den
-
-    def exp_multiples(p: Poly, base: Coord, gen: ExpItems) -> list | None:
-        qs = []
-        for mono in p.terms:
-            q = Fraction(0)
-            for a, _ in mono:
-                if isinstance(a, ExpAtom) and a.base == base:
-                    r = _exp_ratio(a.items, gen)
-                    if r is None:
-                        return None
-                    q = r
-            qs.append(q)
-        return qs
-
-    for base in bases:
-        gen = None
-        for p in (num, den):
-            for mono in p.terms:
-                for a, _ in mono:
-                    if isinstance(a, ExpAtom) and a.base == base:
-                        gen = a.items
-                        break
-                if gen:
-                    break
-            if gen:
-                break
-        # orient the generator so its leading coefficient is positive; this
-        # pins down a unique shift independent of construction history
-        lead_mono = max((m for m, _ in gen), key=_MONO_KEY)
-        if dict(gen)[lead_mono] < 0:
-            gen = tuple((m, -c) for m, c in gen)
-        qn = exp_multiples(num, base, gen)
-        qd = exp_multiples(den, base, gen)
-        if qn is None or qd is None:
-            continue  # incommensurate exponents; leave as is
-        qmin = min(qn + qd)
-        if qmin == 0:
-            continue
-        shift = {m: -qmin * c for m, c in gen}
-        shift_items = tuple(sorted(shift.items(), key=lambda kv: _mono_sort_key(kv[0])))
-        shift_atom = ExpAtom(shift_items, base)
-        num = num.mul(Poly.atom(shift_atom))
-        den = den.mul(Poly.atom(shift_atom))
-    return num, den
-
-
 @dataclass(frozen=True)
 class _ExpVar:
     """Stand-in polynomial variable for integer powers of one exponential
-    generator; used only inside fraction reduction (its powers do not fold)."""
+    generator; used only inside fraction reduction (its powers do not fold).
+    Its exponent generates the exponents of its base after the shift, so a
+    reduced fraction delocalizes to the same atoms whatever its history."""
 
     base: Coord
     items: ExpItems
@@ -799,67 +742,75 @@ class _ExpVar:
         return (5, self.base.key, tuple((_mono_sort_key(m), c) for m, c in self.items))
 
 
-def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, dict] | None:
-    """Rewrite commensurate exponentials as integer powers of one generator
-    variable per base coordinate, so fraction reduction can treat them as
-    ordinary polynomial atoms.  Returns None when exponents in some base are
-    not rational multiples of each other."""
+def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
+    """Shift exponential content per base coordinate and rewrite it as integer
+    powers of one _ExpVar, so fraction reduction can treat it as ordinary
+    polynomial atoms.
+
+    A base is commensurate when its exponents are rational multiples of one
+    generator, oriented so its leading coefficient is positive.  Each such base
+    is shifted by its least power over numerator and denominator (a term
+    without the base has power 0), which pins down a shift independent of
+    construction history.  Returns (num, den, localized).  When some base is
+    incommensurate, the shifted polynomials are delocalized at once and reduce
+    on ExpAtoms.  When nothing needs a shift and either some base is
+    incommensurate or the denominator is a single term, the localized form
+    would not change the reduction, so the polynomials come back unconverted.
+    """
     gens: dict[Coord, ExpItems] = {}
-    ratios: dict[tuple, Fraction] = {}
+    ratios: dict[ExpAtom, Fraction | None] = {}
     for p in (num, den):
         for mono in p.terms:
             for a, _ in mono:
-                if not isinstance(a, ExpAtom):
-                    continue
-                gen = gens.get(a.base)
-                if gen is None:
-                    lead = max((m for m, _ in a.items), key=_MONO_KEY)
-                    items = a.items
-                    if dict(items)[lead] < 0:
-                        items = tuple((m, -c) for m, c in items)
-                    gens[a.base] = items
-                    ratios[a.key] = _exp_ratio(a.items, items)
-                elif a.key not in ratios:
-                    q = _exp_ratio(a.items, gen)
-                    if q is None:
-                        return None
-                    ratios[a.key] = q
+                if isinstance(a, ExpAtom) and a not in ratios:
+                    gen = gens.get(a.base)
+                    if gen is None:
+                        gen = a.items
+                        lead = max((m for m, _ in gen), key=_MONO_KEY)
+                        if dict(gen)[lead] < 0:
+                            gen = tuple((m, -c) for m, c in gen)
+                        gens[a.base] = gen
+                    ratios[a] = _exp_ratio(a.items, gen)
     if not gens:
-        return None
-    scale: dict[Coord, int] = {}
-    for p in (num, den):
-        for mono in p.terms:
-            for a, _ in mono:
-                if isinstance(a, ExpAtom):
-                    q = ratios[a.key]
-                    lcm = scale.get(a.base, 1)
-                    scale[a.base] = lcm * q.denominator // math.gcd(lcm, q.denominator)
+        return num, den, False
+    skew = {a.base for a, q in ratios.items() if q is None}
+    scale = {base: 1 for base in gens if base not in skew}
+    for a, q in ratios.items():
+        if a.base in scale:
+            scale[a.base] = math.lcm(scale[a.base], q.denominator)
+    power = {a: int(q * scale[a.base]) for a, q in ratios.items() if a.base in scale}
+
+    def powers(mono: tuple) -> dict:
+        return {a.base: power[a] for a, _ in mono if isinstance(a, ExpAtom) and a in power}
+
+    rows = [[(mono, c, powers(mono)) for mono, c in p.terms.items()] for p in (num, den)]
+    low = {base: min(pw.get(base, 0) for rs in rows for _, _, pw in rs) for base in scale}
+    if not any(low.values()) and (skew or len(den.terms) == 1):
+        return num, den, False
+    step = {
+        base: math.gcd(*(pw.get(base, 0) - k for rs in rows for _, _, pw in rs)) or 1
+        for base, k in low.items()
+    }
     variables = {
-        base: _ExpVar(base, tuple((m, c / scale[base]) for m, c in gen))
-        for base, gen in gens.items()
+        base: _ExpVar(base, tuple((m, c * step[base] / scale[base]) for m, c in gens[base]))
+        for base in low
     }
 
-    def convert(p: Poly) -> Poly:
+    def convert(rs: list) -> Poly:
         out: dict = {}
-        for mono, coeff in p.terms.items():
-            pairs = []
-            for a, pw in mono:
-                if isinstance(a, ExpAtom):
-                    k = ratios[a.key] * scale[a.base]
-                    if k < 0:
-                        return None  # shifted fractions never reach here
-                    if k:
-                        pairs.append((variables[a.base], int(k)))
-                else:
-                    pairs.append((a, pw))
-            factor, nm = _normalize_monomial(pairs)
-            out[nm] = out.get(nm, Fraction(0)) + coeff * factor
-        return Poly({m: c for m, c in out.items() if c})
+        for mono, coeff, pw in rs:
+            pairs = [(a, e) for a, e in mono if not (isinstance(a, ExpAtom) and a in power)]
+            for base, var in variables.items():
+                k = (pw.get(base, 0) - low[base]) // step[base]
+                if k:
+                    pairs.append((var, k))
+            out[tuple(sorted(pairs, key=lambda ap: ap[0].key))] = coeff
+        return Poly(out)
 
-    cnum, cden = convert(num), convert(den)
-    if cnum is None or cden is None:
-        return None
-    return cnum, cden, variables
+    num, den = convert(rows[0]), convert(rows[1])
+    if skew:
+        return _delocalize_exps(num), _delocalize_exps(den), False
+    return num, den, True
 
 
 def _delocalize_exps(p: Poly) -> Poly:
@@ -909,7 +860,7 @@ class Expr:
             self.num = Poly.zero()
             self.den = Poly.const(1)
             return
-        num, den = _exp_shift(num, den)
+        num, den, localized = _localize_exps(num, den)
         if not den.is_const():
             if len(den.terms) == 1:
                 # monomial denominator: cancel the common monomial directly
@@ -923,13 +874,9 @@ class Expr:
                     num = Poly({_mono_div(mo, g): c for mo, c in num.terms.items()})
                     den = Poly({_mono_div(mo, g): c for mo, c in den.terms.items()})
             else:
-                localized = _localize_exps(num, den)
-                if localized is not None:
-                    lnum, lden, _ = localized
-                    lnum, lden = _reduce_fraction(lnum, lden)
-                    num, den = _delocalize_exps(lnum), _delocalize_exps(lden)
-                else:
-                    num, den = _reduce_fraction(num, den)
+                num, den = _reduce_fraction(num, den)
+        if localized:
+            num, den = _delocalize_exps(num), _delocalize_exps(den)
         c = den.content()
         if c != 1:
             num = num.scale(Fraction(1) / c)
@@ -1036,9 +983,6 @@ class Expr:
 
     def coords(self) -> set:
         return self.num.coords() | self.den.coords()
-
-    def jet_orders(self, base: str) -> list[int]:
-        return sorted(c.order for c in self.coords() if c.kind == KIND_JET and c.name == base)
 
     # -- calculus ------------------------------------------------------------
 
@@ -1345,24 +1289,3 @@ def parse(text: str, mn_mode: str = "alias", delta_value: int | None = None) -> 
     if toks.pos != len(toks.text):
         raise ParseError("unexpected trailing input", toks.pos)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Operation-style entry points
-# ---------------------------------------------------------------------------
-
-
-def diff(e: Expr, c: Coord) -> Expr:
-    return e.diff(c)
-
-
-def substitute(e: Expr, bindings: Mapping[Coord, Expr]) -> Expr:
-    return e.substitute(bindings)
-
-
-def eval_numeric(e: Expr, point: Mapping[Coord, float], eps_div: float = EPS_DIV_DEFAULT) -> float:
-    return e.eval(point, eps_div)
-
-
-def is_identically_zero(e: Expr) -> bool:
-    return e.is_zero()

@@ -287,16 +287,9 @@ def write_residual_csv(path: str, sampler, grid: Grid, header: str) -> None:
 
 def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
     """Fields on the grid in transformed coordinates, one row per node."""
-    sampler = SolutionSampler(sol)
+    u, v, X, TT = SolutionSampler(sol).sample(grid, halo_x=0, halo_t=0)
+    m, n = sol.m_tilde(X, TT), sol.n_tilde(X, TT)
     xs, ts = grid.axes()
-    X = invert_grid(sol.x_tilde, xs, ts)
-    TT = np.meshgrid(xs, ts, indexing="ij")[1]
-    fields = {
-        "u": sol.u_tilde(X, TT),
-        "v": sol.v_tilde(X, TT),
-        "m": sol.m_tilde(X, TT),
-        "n": sol.n_tilde(X, TT),
-    }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# u0={sol.u0} eta={sol.eta} eps={sol.eps} k={sol.k} speed={sol.speed} "
@@ -307,7 +300,6 @@ def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
             for j, tv in enumerate(ts):
                 row = ",".join(
                     repr(float(val))
-                    for val in (xv, tv, fields["u"][i, j], fields["v"][i, j],
-                                fields["m"][i, j], fields["n"][i, j])
+                    for val in (xv, tv, u[i, j], v[i, j], m[i, j], n[i, j])
                 )
                 fh.write(row + "\n")

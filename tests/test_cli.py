@@ -218,6 +218,13 @@ class TestCh2:
         report = json.loads(out)
         assert report["k"] == pytest.approx(0.5)
 
+    def test_malformed_grid_is_usage_error(self):
+        code, _, err = run_cli(
+            ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--grid", "bad"]
+        )
+        assert code == 2
+        assert "bad grid 'bad'" in err
+
     def test_solution_domain_error(self):
         code, _, err = run_cli(["ch2", "solution", "--u0", "2", "--eta", "1"])
         assert code == 1

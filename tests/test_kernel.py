@@ -146,6 +146,14 @@ class TestCanonicalForm:
         r2 = (parse("exp((eta-1)*x)") * c) / (parse("u + exp(x)") * c)
         assert (r - r2).is_zero()
 
+    def test_shift_with_commensurate_and_incommensurate_bases(self):
+        # base x mixes eta*x with x (incommensurate, left as is) while base z
+        # is shifted by its least power over both polynomials, which is not 0
+        e = parse("exp(-1/3*z)/eta*i*exp(eta*x) - exp(-x)").diff(K.x)
+        assert str(e) == "(i*exp(x*eta + 2*x) + exp(x)*exp(1/3*z))/(exp(2*x)*exp(1/3*z))"
+        q = parse("exp(eta*x)*exp(2/3*z) + exp(x)*exp(1/3*z)") / parse("u*exp(1/3*z)")
+        assert str(q) == "(exp(x*eta)*exp(1/3*z) + exp(x))/(u)"
+
     def test_jet_identity(self):
         # the bare symbol and the order-zero jet are the same coordinate
         assert K.jet("u", 0) == K.u(0)

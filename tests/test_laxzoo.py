@@ -25,18 +25,42 @@ S = Expr.atom(K.sqrt2)
 
 
 class TestPackings:
-    def test_sl2_packing_matches_stored_pair(self):
-        for name in ("song-qu-qiao", "cubic-ch2", "factored-ch2", "skew-ch2"):
-            entry = catalog_entry(name)
-            built = from_forms(entry.forms, "sl2")
-            assert built.X == entry.lax.X, name
-            assert built.T == entry.lax.T, name
+    def test_sl2_packing_of_cubic_ch2(self):
+        mh, nh = parse("u - u2"), parse("v - v2")
+        B, C = parse("u*v - u1*v1"), parse("u*v1 - u1*v")
+        eta = Expr.atom(K.eta)
+        half = K.ONE / 2
+        X = mat_scale(half, mat(-1, eta * mh, -eta * nh, 1))
+        T = mat_scale(
+            half,
+            mat(
+                -1 / eta**2 - half * (B + C),
+                half * eta * B * mh + parse("u - u1") / eta,
+                -half * eta * B * nh - parse("v + v1") / eta,
+                1 / eta**2 + half * (B + C),
+            ),
+        )
+        built = from_forms(catalog_entry("cubic-ch2").forms, "sl2")
+        assert built.X == X
+        assert built.T == T
 
-    def test_su2_packing_matches_stored_spherical_pair(self):
-        entry = catalog_entry("mch-type")
-        built = from_forms(entry.forms, "su2")
-        assert built.X == entry.lax.X
-        assert built.T == entry.lax.T
+    def test_su2_packing_of_spherical_mch_type(self):
+        mh, nh = parse("u - u2"), parse("v - v2")
+        R = parse("-1/2*(u^2 + v^2 - u1^2 - v1^2) - u*v1 + u1*v")
+        half = K.ONE / 2
+        X = mat_scale(half, mat(I, -nh + I * mh, nh + I * mh, -I))
+        T = mat_scale(
+            half,
+            mat(
+                I * (R - 1),
+                -R * (nh - I * mh) + parse("v + u1") + I * parse("v1 - u"),
+                R * (nh + I * mh) - parse("v + u1") + I * parse("v1 - u"),
+                -I * (R - 1),
+            ),
+        )
+        built = from_forms(catalog_entry("mch-type").forms, "su2")
+        assert built.X == X
+        assert built.T == T
 
     def test_zero_forms_pack_to_zero(self):
         zero = AssociatedForms(((K.ZERO, K.ZERO),) * 3, 1)
