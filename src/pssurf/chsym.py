@@ -180,7 +180,7 @@ def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
     characteristics; the k-th jet moves along the k-th total x-derivative of
     the characteristic.
     """
-    out = K.ZERO
+    images = {}
     for c in sorted(rhs.coords(), key=lambda c: c.key):
         if c.kind != K.KIND_JET:
             continue
@@ -190,8 +190,8 @@ def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
         img = char
         for _ in range(c.order):
             img = total_dx(img, rules)
-        out = out + rhs.diff(c) * img
-    return out
+        images[c] = img
+    return rhs.derive(images)
 
 
 def check_symmetry_residual(s: SymmetryTuple, reduced: bool = True) -> tuple[Expr, Expr]:

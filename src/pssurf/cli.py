@@ -312,8 +312,9 @@ def cmd_ch2(args) -> int:
         xs, ts = grid.axes(halo_x=3, halo_t=1)
         X, T = np.meshgrid(xs, ts, indexing="ij")
         raw = fd_residual_arrays(sol.u_tilde(X, T), sol.v_tilde(X, T), grid)
+        passed = report.converged()
         payload = {
-            "passed": True,
+            "passed": passed,
             "report": report.as_dict(),
             "untransformed_diagnostic": raw.as_dict(),
         }
@@ -325,10 +326,15 @@ def cmd_ch2(args) -> int:
             )
             write_residual_csv(out, sampler, grid, header)
             sys.stdout.write(f"wrote {out}\n")
-            return 0
-        envelope = _report_envelope("ch2 residual", config, payload)
-        _emit(envelope, args.format, args.out)
-        return 0
+        else:
+            envelope = _report_envelope("ch2 residual", config, payload)
+            _emit(envelope, args.format, args.out)
+        if not passed:
+            sys.stderr.write(
+                f"convergence gate failed: order {report.order_estimate}, "
+                f"masked fraction {report.masked_fraction}\n"
+            )
+        return 0 if passed else MATH_FAILURE
     else:  # pragma: no cover
         return USAGE_ERROR
     envelope = _report_envelope(f"ch2 {args.subcommand}", config, payload)

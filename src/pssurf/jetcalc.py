@@ -5,6 +5,10 @@ dependent auxiliaries; D_t is defined modulo an evolution system of the form
 u_t - u_{2,t} = F, v_t - v_{2,t} = G, and only on expressions whose u, v
 dependence factors through u - u2 and v - v2 (or through first-class m, n
 symbols carrying their own t-rules).
+
+D_x and D_t are derivations: each collects the image of every coordinate
+the expression mentions and applies them at once with ``Expr.derive``, so
+the result is reduced as one fraction.
 """
 
 from __future__ import annotations
@@ -102,18 +106,18 @@ EMPTY_RULES = DerivationRules()
 
 def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
     """Total x-derivative: partial in x plus jet promotion plus x-rules."""
-    out = e.diff(K.x)
+    images = {K.x: K.ONE}
     for c in sorted(e.coords(), key=lambda c: c.key):
         if c.kind == K.KIND_JET:
             if c.order + 1 > MAX_ORDER:
                 raise JetCalcError(f"jet order overflow promoting {c}")
-            out = out + Expr.atom(K.jet(c.name, c.order + 1)) * e.diff(c)
+            images[c] = Expr.atom(K.jet(c.name, c.order + 1))
         elif c.kind == K.KIND_DEP:
             rule = rules.x_rules.get(c)
             if rule is None:
                 raise MissingRuleError(c)
-            out = out + rule * e.diff(c)
-    return rules.close(out)
+            images[c] = rule
+    return rules.close(e.derive(images))
 
 
 def _factored_violations(e: Expr, base: str, top: int) -> list[str]:
@@ -157,7 +161,7 @@ def total_dt_mod_system(
     auxiliaries are handled through their t-rules.
     """
     coords = e.coords()
-    out = e.diff(K.t)
+    images = {K.t: K.ONE}
     uv_jets = [c for c in coords if c.kind == K.KIND_JET and c.name in ("u", "v")]
     if uv_jets:
         if sys is None:
@@ -174,16 +178,17 @@ def total_dt_mod_system(
             raise IllFormedDependenceError(
                 "t-derivative not locally expressible: " + "; ".join(problems)
             )
-        out = out + sys.F * e.diff(K.u(0)) + sys.G * e.diff(K.v(0))
+        images[K.u(0)] = sys.F
+        images[K.v(0)] = sys.G
     for c in sorted(coords, key=lambda c: c.key):
         if c.kind == K.KIND_JET and c.name in ("m", "n"):
-            out = out + _dt_of_mn_jet(c, rules) * e.diff(c)
+            images[c] = _dt_of_mn_jet(c, rules)
         elif c.kind == K.KIND_DEP:
             rule = rules.t_rules.get(c)
             if rule is None:
                 raise MissingRuleError(c)
-            out = out + rule * e.diff(c)
-    return rules.close(out)
+            images[c] = rule
+    return rules.close(e.derive(images))
 
 
 def check_rule_compatibility(

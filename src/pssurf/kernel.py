@@ -987,12 +987,36 @@ class Expr:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, c: Coord) -> "Expr":
-        dn = self.num.diff(c)
-        if self.den.is_const():
-            return Expr(dn, self.den)
-        dd = self.den.diff(c)
-        num = dn.mul(self.den).sub(self.num.mul(dd))
-        return Expr(num, self.den.mul(self.den))
+        return self.derive({c: ONE})
+
+    def derive(self, images: Mapping[Coord, "Expr"]) -> "Expr":
+        """Apply the derivation D = sum of images[c] * d/dc, reducing once.
+
+        Every image is brought over B, the product of the distinct
+        non-constant image denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B)
+        is assembled from polynomials and normalized in one construction.
+        """
+        n, d = self.num, self.den
+        parts = []
+        for c, image in images.items():
+            dn, dd = n.diff(c), d.diff(c)
+            if not image.is_zero() and not (dn.is_zero() and dd.is_zero()):
+                parts.append((image, dn, dd))
+        # a canonical constant denominator is 1, so only the others enter B
+        dens: list[Poly] = []
+        for image, _, _ in parts:
+            if not image.den.is_const() and image.den not in dens:
+                dens.append(image.den)
+        Dn = Dd = Poly.zero()
+        for image, dn, dd in parts:
+            others = [q for q in dens if q != image.den]
+            weight = functools.reduce(Poly.mul, others, image.num)
+            Dn = Dn.add(weight.mul(dn))
+            Dd = Dd.add(weight.mul(dd))
+        common = functools.reduce(Poly.mul, dens, Poly.const(1))
+        if d.is_const():
+            return Expr(Dn, d.mul(common))
+        return Expr(Dn.mul(d).sub(n.mul(Dd)), d.mul(d).mul(common))
 
     def substitute(self, bindings: Mapping[Coord, "Expr"]) -> "Expr":
         if not bindings:

@@ -123,6 +123,15 @@ class ResidualReport:
     rungs: tuple["ResidualReport", ...] = ()
     order_estimate: float | None = None
 
+    def converged(self) -> bool:
+        """The ladder gate: observed order within 0.3 of 2 and under 1% of
+        nodes masked.  A ladder too short to estimate the order fails."""
+        return (
+            self.order_estimate is not None
+            and abs(self.order_estimate - 2.0) <= 0.3
+            and self.masked_fraction < 0.01
+        )
+
     def as_dict(self) -> dict:
         data = {
             "hx": self.grid.hx,

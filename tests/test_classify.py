@@ -2,7 +2,7 @@
 
 import pytest
 
-from pssurf import kernel as K
+from pssurf import classify, kernel as K
 from pssurf.classify import (
     HypothesisViolationError,
     Thm34Input,
@@ -128,6 +128,14 @@ class TestTheorem35:
             return sys
 
         assert build(1).F != build(-1).F
+
+
+    def test_generic_condition_decided_term_by_term(self):
+        # L_u2^2 + N_u2^2 = 1 + i^2 = 0, yet both top jets are present
+        L, N = parse("u2 + v2"), parse("i*u2 + i*v2")
+        classify._generic_condition(L, N, 3, 3)
+        with pytest.raises(HypothesisViolationError, match="top-order coefficients"):
+            classify._generic_condition(L, parse("i*u2"), 3, 4)
 
 
 class TestTheorem36:

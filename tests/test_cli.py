@@ -205,6 +205,28 @@ class TestCh2:
         diag = data["untransformed_diagnostic"]
         assert max(diag["l2_norms"]) > 10 * max(data["report"]["l2_norms"])
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_residual_gate_failure_exits_1(self, tmp_path, monkeypatch, fmt):
+        from pssurf import numgrid
+
+        def failing_ladder(sampler, grid, rungs=3):
+            return numgrid.ResidualReport(
+                grid, (1.0, 1.0), (1.0, 1.0), 0.0, order_estimate=0.9
+            )
+
+        monkeypatch.setattr(numgrid, "convergence_ladder", failing_ladder)
+        out_path = tmp_path / f"res.{fmt}"
+        code, _, err = run_cli(
+            [
+                "ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1",
+                "--grid=-2:2:0.125,-1:1:0.125", "--format", fmt, "--out", str(out_path),
+            ]
+        )
+        assert code == 1
+        assert "convergence gate failed" in err
+        if fmt == "json":
+            assert json.loads(out_path.read_text())["passed"] is False
+
     def test_solution_csv_and_header(self, tmp_path):
         path = tmp_path / "sol.csv"
         code, out, _ = run_cli(

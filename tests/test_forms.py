@@ -107,6 +107,34 @@ class TestLemma31:
         assert "f11-free-of-odd-jets" in failed
         assert "structure-residuals" in failed  # gated, not computed
 
+    def test_odd_jet_and_top_order_terms_decided_one_by_one(self):
+        # 1^2 + i^2 = 0: a sum of squared partials would let these pass
+        entry = catalog_entry("cubic-ch2")
+        (f11, f12), rest2, rest3 = entry.forms.f
+        bad = AssociatedForms(
+            ((f11 + parse("u1 + i*u3"), f12 + parse("u3 + i*v3")), rest2, rest3), 1
+        )
+        report = check_lemma31(bad, entry.system)
+        res = {c.condition_id: c for c in report.conditions}
+        assert not res["f11-free-of-odd-jets"].verdict
+        assert res["f11-free-of-odd-jets"].residual_text == "d/du1 = 1; d/du3 = i"
+        assert not res["f12-free-of-top-order"].verdict
+        assert res["f21-free-of-odd-jets"].residual_text == "0"
+
+    def test_frame_jacobian_any_nonzero_minor(self):
+        # rows (u, v, i*u): minor(0, 1) = 1, minor(1, 2) = -i, and the sum of
+        # their squares cancels
+        entry = catalog_entry("cubic-ch2")
+        rows = (parse("u"), parse("v"), parse("i*u"))
+        forms = AssociatedForms(tuple((r, K.ZERO) for r in rows), 1)
+        res = {c.condition_id: c for c in check_lemma31(forms, entry.system).conditions}
+        jac = res["frame-jacobian-nondegenerate"]
+        assert jac.verdict
+        assert jac.residual_text == "minors: 1, -i, 0"
+        flat = AssociatedForms(tuple((r, K.ZERO) for r in (rows[0], rows[0], rows[2])), 1)
+        res = {c.condition_id: c for c in check_lemma31(flat, entry.system).conditions}
+        assert not res["frame-jacobian-nondegenerate"].verdict
+
     def test_swap_invariance(self):
         for name in ("cubic-ch2", "mch-type", "factored-ch2"):
             entry = catalog_entry(name)

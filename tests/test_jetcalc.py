@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from pssurf import kernel as K
+from pssurf import chsym, kernel as K
+from pssurf.classify import catalog
 from pssurf.jetcalc import (
+    EMPTY_RULES,
     DerivationRules,
     IllFormedDependenceError,
     MissingRuleError,
@@ -17,6 +19,41 @@ from pssurf.jetcalc import (
     total_dx,
 )
 from pssurf.kernel import Expr, parse
+
+
+def _partial(e: Expr, c: K.Coord) -> Expr:
+    """Quotient rule on the fraction, one coordinate at a time."""
+    dn = e.num.diff(c)
+    if e.den.is_const():
+        return Expr(dn, e.den)
+    return Expr(dn.mul(e.den).sub(e.num.mul(e.den.diff(c))), e.den.mul(e.den))
+
+
+def _summed_total_dx(e: Expr, rules: DerivationRules) -> Expr:
+    """Reference D_x: one reduced Expr added per coordinate."""
+    out = _partial(e, K.x)
+    for c in sorted(e.coords(), key=lambda c: c.key):
+        if c.kind == K.KIND_JET:
+            out = out + Expr.atom(K.jet(c.name, c.order + 1)) * _partial(e, c)
+        elif c.kind == K.KIND_DEP:
+            out = out + rules.x_rules[c] * _partial(e, c)
+    return rules.close(out)
+
+
+def _summed_total_dt(e: Expr, sys: PdeSystem | None, rules: DerivationRules) -> Expr:
+    """Reference D_t modulo the system, one reduced Expr added per coordinate."""
+    out = _partial(e, K.t)
+    if any(c.kind == K.KIND_JET and c.name in ("u", "v") for c in e.coords()):
+        out = out + sys.F * _partial(e, K.u(0)) + sys.G * _partial(e, K.v(0))
+    for c in sorted(e.coords(), key=lambda c: c.key):
+        if c.kind == K.KIND_JET and c.name in ("m", "n"):
+            image = rules.t_rules[K.jet(c.name, 0)]
+            for _ in range(c.order):
+                image = _summed_total_dx(image, rules)
+            out = out + image * _partial(e, c)
+        elif c.kind == K.KIND_DEP:
+            out = out + rules.t_rules[c] * _partial(e, c)
+    return rules.close(out)
 
 
 def _toy_system() -> PdeSystem:
@@ -76,6 +113,29 @@ class TestTotalDx:
             h = 1e-5
             fd = (e.eval(point(xv + h)) - e.eval(point(xv - h))) / (2 * h)
             assert fd == pytest.approx(de.eval(point(xv)), rel=1e-7, abs=1e-7)
+
+
+class TestDerivationOracle:
+    """The single-reduction derivation against the summed reference."""
+
+    def test_catalog_coefficients(self):
+        for entry in catalog():
+            for f1, f2 in entry.forms.f:
+                for f in (f1, f2):
+                    assert total_dx(f) == _summed_total_dx(f, EMPTY_RULES), entry.name
+                assert total_dt_mod_system(f1, entry.system) == _summed_total_dt(
+                    f1, entry.system, EMPTY_RULES
+                ), entry.name
+
+    def test_linear_problem_rules(self):
+        # rule images over eta next to integer-denominator ones
+        _, _, rules = chsym.linear_problem()
+        images = list(rules.x_rules.values()) + list(rules.t_rules.values())
+        assert any(not e.den.is_const() for e in images)
+        for e in images:
+            assert total_dx(e, rules) == _summed_total_dx(e, rules)
+        for e in rules.x_rules.values():
+            assert total_dt_mod_system(e, None, rules) == _summed_total_dt(e, None, rules)
 
 
 class TestTotalDt:

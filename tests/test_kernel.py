@@ -181,6 +181,25 @@ class TestDiff:
         assert parse("7/3").diff(K.u(0)).is_zero()
 
 
+class TestDerive:
+    def test_integer_image_joins_fractional_image_denominator(self):
+        # the integer image must be brought over eta as well
+        e = parse("u^2*v")
+        images = {K.u(0): parse("1/eta"), K.v(0): Expr.const(3)}
+        assert e.derive(images) == parse("2*u*v/eta + 3*u^2")
+
+    def test_distinct_image_denominators_on_a_fraction(self):
+        e = parse("u/(v + 1) + exp(eta*x)")
+        images = {K.x: K.ONE, K.u(0): parse("1/eta"), K.v(0): parse("1/(eta + 1)")}
+        expected = parse("1/(eta*(v + 1)) - u/((eta + 1)*(v + 1)^2) + eta*exp(eta*x)")
+        assert e.derive(images) == expected
+
+    def test_absent_and_zero_images_contribute_nothing(self):
+        e = parse("u1*v")
+        assert e.derive({K.u(2): parse("1/eta"), K.v(0): K.ZERO}).is_zero()
+        assert e.derive({}).is_zero()
+
+
 class TestSubstitute:
     def test_adjoint_reduction(self):
         e = parse("phih1*phi2")

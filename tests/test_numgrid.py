@@ -140,6 +140,28 @@ class TestConvergence:
         assert "order_estimate" in data
 
 
+class TestConvergenceGate:
+    @pytest.mark.parametrize(
+        "order, masked, passed",
+        [
+            (2.0, 0.0, True),
+            (2.3, 0.009, True),
+            (1.71, 0.0, True),
+            (2.31, 0.0, False),
+            (1.69, 0.0, False),
+            (2.0, 0.01, False),
+            (None, 0.0, False),
+            (float("inf"), 0.0, False),
+            (float("nan"), 0.0, False),
+        ],
+    )
+    def test_gate_on_constructed_reports(self, order, masked, passed):
+        report = numgrid.ResidualReport(
+            _base_grid(), (0.0, 0.0), (0.0, 0.0), masked, order_estimate=order
+        )
+        assert report.converged() is passed
+
+
 class TestCsv:
     def test_header_and_shape(self, tmp_path):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
