@@ -365,22 +365,11 @@ class EnlargedState:
     p: float
     eta: float
 
-    def as_point(self) -> dict:
-        return {
-            K.x: self.x,
-            K.t: self.t,
-            K.u(0): self.u,
-            K.v(0): self.v,
-            K.u(1): self.ux,
-            K.v(1): self.vx,
-            K.m(0): self.m,
-            K.n(0): self.n,
-            K.phi1: self.phi1,
-            K.phi2: self.phi2,
-            K.p: self.p,
-            K.eta: self.eta,
-        }
 
+# the EnlargedState fields in declaration order, as kernel coordinates
+_STATE_COORDS = (
+    K.x, K.t, K.u(0), K.v(0), K.u(1), K.v(1), K.m(0), K.n(0), K.phi1, K.phi2, K.p, K.eta
+)
 
 _FIELD_ORDER = ("x", "u", "v", "ux", "vx", "m", "n", "phi1", "phi2", "p")
 
@@ -454,16 +443,17 @@ def finite_transform(s: EnlargedState, eps: float, eps_div: float = K.EPS_DIV_DE
     )
 
 
-_V_NUMERIC: dict[str, Expr] | None = None
+_FLOW = None  # the generator compiled by kernel.compile_numeric, built on first use
 
 
 def flow_derivative(s: EnlargedState) -> dict[str, float]:
     """Numeric evaluation of the generator at a state."""
-    global _V_NUMERIC
-    if _V_NUMERIC is None:
-        _V_NUMERIC = vector_field_components()
-    point = s.as_point()
-    return {name: _V_NUMERIC[name].eval(point) for name in _FIELD_ORDER}
+    global _FLOW
+    if _FLOW is None:
+        components = vector_field_components()
+        _FLOW = K.compile_numeric([components[name] for name in _FIELD_ORDER], _STATE_COORDS)
+    values = _FLOW(s.x, s.t, s.u, s.v, s.ux, s.vx, s.m, s.n, s.phi1, s.phi2, s.p, s.eta)
+    return dict(zip(_FIELD_ORDER, values))
 
 
 def _state_add(s: EnlargedState, deriv: dict[str, float], h: float) -> EnlargedState:
@@ -528,6 +518,12 @@ class ExactSolution:
     def x_tilde(self, x, t):
         th = self.theta(x, t)
         return x + np.log(abs(1.0 - self.k)) - np.log(np.abs(self._guard(1.0 + self.k * th)))
+
+    def dx_tilde(self, x, t):
+        """Slope of x_tilde in x: 1 - k^2 (1 - theta^2) / (2 (1 + k theta))."""
+        th = self.theta(x, t)
+        k = self.k
+        return 1.0 - k * k * (1.0 - th * th) / (2.0 * self._guard(1.0 + k * th))
 
     def u_tilde(self, x, t):
         th = self.theta(x, t)

@@ -281,11 +281,15 @@ def cmd_ch2(args) -> int:
         except chsym.DomainError as err:
             sys.stderr.write(f"domain error: {err}\n")
             return MATH_FAILURE
-        from .numgrid import write_solution_csv
+        from .numgrid import NonMonotoneError, write_solution_csv
 
         grid = _parse_grid(args.grid)
         out = args.out or "solution.csv"
-        write_solution_csv(out, sol, grid)
+        try:
+            write_solution_csv(out, sol, grid)
+        except NonMonotoneError as err:
+            sys.stderr.write(f"domain error: {err}\n")
+            return MATH_FAILURE
         payload = {"passed": True, "k": sol.k, "speed": sol.speed, "csv": out}
         envelope = _report_envelope("ch2 solution", config, payload)
         sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
@@ -299,6 +303,7 @@ def cmd_ch2(args) -> int:
         import numpy as np
 
         from .numgrid import (
+            NonMonotoneError,
             SolutionSampler,
             convergence_ladder,
             fd_residual_arrays,
@@ -307,7 +312,11 @@ def cmd_ch2(args) -> int:
 
         grid = _parse_grid(args.grid)
         sampler = SolutionSampler(sol)
-        report = convergence_ladder(sampler, grid, rungs=args.rungs)
+        try:
+            report = convergence_ladder(sampler, grid, rungs=args.rungs)
+        except NonMonotoneError as err:
+            sys.stderr.write(f"domain error: {err}\n")
+            return MATH_FAILURE
         # diagnostic: the same profiles read in the untransformed coordinate
         xs, ts = grid.axes(halo_x=3, halo_t=1)
         X, T = np.meshgrid(xs, ts, indexing="ij")

@@ -1075,6 +1075,50 @@ def _subs_poly(p: Poly, bindings: Mapping[Coord, Expr]) -> Expr:
     return total
 
 
+def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[..., tuple]:
+    """Compile expressions into one straight-line function.
+
+    The function takes one float per coordinate, positionally in the order
+    of `coords`, and returns the tuple of expression values.  The code
+    repeats `Expr.eval` operation for operation (terms and factors in
+    `Poly.eval` order, exponentials through `math.exp`, the denominator
+    checked against EPS_DIV_DEFAULT before the division), so each value is
+    bit-identical to `Expr.eval` at the same point.  An atom outside
+    `coords` raises `UnboundCoordinateError` here, not at call time.
+    """
+    names = {c: f"a{i}" for i, c in enumerate(coords)}
+
+    def factor(atom, power: int) -> str:
+        if isinstance(atom, ExpAtom):
+            base = f"_exp({poly(atom.exponent())})"
+        elif atom in names:
+            base = names[atom]
+        else:
+            raise UnboundCoordinateError(atom)
+        return base if power == 1 else f"{base} ** {power}"
+
+    def poly(p: Poly) -> str:
+        terms = ["0.0"]
+        for mono, coeff in p.terms.items():
+            factors = [factor(atom, power) for atom, power in mono]
+            if coeff != 1 or not factors:
+                factors.insert(0, repr(float(coeff)))
+            terms.append(" * ".join(factors))
+        return " + ".join(terms)
+
+    lines = [f"def _compiled({', '.join(names.values())}):"]
+    results = []
+    for i, e in enumerate(exprs):
+        lines.append(f"    d{i} = {poly(e.den)}")
+        lines.append(f"    if abs(d{i}) <= {EPS_DIV_DEFAULT!r}: raise _NearZero(d{i})")
+        lines.append(f"    r{i} = ({poly(e.num)}) / d{i}")
+        results.append(f"r{i}")
+    lines.append(f"    return ({''.join(r + ', ' for r in results)})")
+    namespace = {"_exp": math.exp, "_NearZero": NearZeroDenominatorError}
+    exec("\n".join(lines), namespace)
+    return namespace["_compiled"]
+
+
 ZERO = Expr.const(0)
 ONE = Expr.const(1)
 

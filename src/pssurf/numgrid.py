@@ -58,60 +58,59 @@ class Grid:
         return xs, ts
 
 
-def invert_coordinate(
-    x_tilde_of, t: float, target: float, bracket: tuple[float, float], tol: float = 1e-12
-) -> float:
-    """Solve x_tilde(x, t) = target by bracketed bisection with Newton-style
-    polish; x -> x_tilde must be strictly monotone over the bracket."""
-    lo, hi = bracket
-    samples = np.linspace(lo, hi, 64)
-    values = np.asarray(x_tilde_of(samples, np.full_like(samples, t)), dtype=float)
-    diffs = np.diff(values)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise NonMonotoneError("coordinate map is not monotone over the bracket")
-    increasing = bool(values[-1] > values[0])
-    vmin, vmax = (values[0], values[-1]) if increasing else (values[-1], values[0])
-    if not (vmin <= target <= vmax):
-        raise OutOfRangeError(f"target {target} outside sampled range [{vmin}, {vmax}]")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        val = float(x_tilde_of(np.asarray([mid]), np.asarray([t]))[0])
-        if (val < target) == increasing:
-            a = mid
-        else:
-            b = mid
-        if abs(b - a) < tol:
-            break
-    return 0.5 * (a + b)
+_MAX_STEPS = 100  # bisection alone meets the tolerance within about 50 halvings
 
 
-def invert_grid(x_tilde_of, targets: np.ndarray, ts: np.ndarray, pad: float = 4.0) -> np.ndarray:
-    """Vectorized bisection of x_tilde(x, t) = target over a meshgrid of
-    targets (axis 0) and times (axis 1)."""
-    T, TT = np.meshgrid(targets, ts, indexing="ij")
-    lo = T - pad
-    hi = T + pad
-    flo = x_tilde_of(lo, TT) - T
-    fhi = x_tilde_of(hi, TT) - T
-    grow = 0
-    while np.any(np.sign(flo) == np.sign(fhi)):
-        grow += 1
-        if grow > 12:
-            raise OutOfRangeError("failed to bracket the coordinate inversion")
+def invert_grid(
+    x_tilde_of, dx_tilde_of, targets: np.ndarray, ts: np.ndarray, pad: float = 4.0
+) -> np.ndarray:
+    """Solve x_tilde(x, t) = target over a meshgrid of targets (axis 0) and
+    times (axis 1) by bracketed Newton iteration from x = target.
+
+    dx_tilde_of is the slope of x_tilde in x.  Each iterate tightens its
+    node's sign-change bracket; a Newton step that leaves the bracket or is
+    not finite is replaced by the bracket midpoint.  A node has converged
+    once its step, or its bracket, is within 1e-13 * max(1, |x|).  The map
+    must be strictly monotone over each bracket: a slope at a bracket end or
+    an iterate that is zero or against the bracket's direction raises
+    NonMonotoneError (non-finite slopes, at masked poles, are skipped).
+    """
+    T, TT = np.meshgrid(targets, ts, indexing="ij", sparse=True)
+    x = np.broadcast_to(T, (T.size, TT.size)).copy()
+    lo, hi = x - pad, x + pad
+    for _ in range(13):  # the bracket grows by pad at most 12 times
+        flo, fhi = x_tilde_of(lo, TT) - T, x_tilde_of(hi, TT) - T
         bad = np.sign(flo) == np.sign(fhi)
-        lo = np.where(bad, lo - pad, lo)
-        hi = np.where(bad, hi + pad, hi)
-        flo = x_tilde_of(lo, TT) - T
-        fhi = x_tilde_of(hi, TT) - T
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        fm = x_tilde_of(mid, TT) - T
-        take_lo = np.sign(fm) == np.sign(flo)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    return 0.5 * (lo + hi)
+        if not bad.any():
+            break
+        lo, hi = lo - pad * bad, hi + pad * bad
+    else:
+        raise OutOfRangeError("failed to bracket the coordinate inversion")
+    lo_side = -np.sign(fhi - flo)  # -1 where x_tilde rises through the target, +1 where it falls
+    del flo, fhi
+
+    def check_monotone(slope):
+        if np.any(slope * lo_side >= 0):
+            raise NonMonotoneError("coordinate map is not monotone over the bracket")
+
+    check_monotone(dx_tilde_of(lo, TT))
+    check_monotone(dx_tilde_of(hi, TT))
+    for _ in range(_MAX_STEPS):
+        slope = dx_tilde_of(x, TT)
+        check_monotone(slope)
+        step = x_tilde_of(x, TT) - T  # the residual, divided by the slope below
+        take_lo = np.sign(step) == lo_side
+        np.copyto(lo, x, where=take_lo)
+        np.copyto(hi, x, where=~take_lo)
+        step /= slope
+        del slope  # no more full-grid temporaries than the bisection it replaced
+        tol = 1e-13 * np.maximum(1.0, np.abs(x))
+        small = np.abs(step) <= tol
+        x -= step
+        np.copyto(x, 0.5 * (lo + hi), where=~(small | ((lo <= x) & (x <= hi))))
+        if np.all(small | (hi - lo <= tol)):
+            break
+    return x
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class ResidualReport:
         nodes masked.  A ladder too short to estimate the order fails."""
         return (
             self.order_estimate is not None
-            and abs(self.order_estimate - 2.0) <= 0.3
+            and 1.7 <= self.order_estimate <= 2.3
             and self.masked_fraction < 0.01
         )
 
@@ -182,15 +181,12 @@ def _residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid):
     u0, u1, u2, u3 = jets(u)
     v0, v1, v2, v3 = jets(v)
 
-    def interior_t(F):
-        return F[:, 1:-1]
-
     ut = _stencil_dt(u0, ht)
     vt = _stencil_dt(v0, ht)
     uxxt = _stencil_dt(u2, ht)
     vxxt = _stencil_dt(v2, ht)
-    u0, u1, u2, u3 = map(interior_t, (u0, u1, u2, u3))
-    v0, v1, v2, v3 = map(interior_t, (v0, v1, v2, v3))
+    u0, u1, u2, u3 = (F[:, 1:-1] for F in (u0, u1, u2, u3))
+    v0, v1, v2, v3 = (F[:, 1:-1] for F in (v0, v1, v2, v3))
 
     mm = u0 - u2
     nn = v0 - v2
@@ -214,8 +210,7 @@ def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualRepo
     """
     _, _, res1, res2 = _residual_arrays(u, v, grid)
     mask = np.isfinite(res1) & np.isfinite(res2)
-    total = res1.size
-    masked_fraction = 1.0 - float(np.count_nonzero(mask)) / total
+    masked_fraction = 1.0 - float(np.count_nonzero(mask)) / res1.size
 
     def norms(r):
         vals = r[mask]
@@ -223,8 +218,7 @@ def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualRepo
             return math.inf, math.inf
         return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2)))
 
-    m1, l1 = norms(res1)
-    m2, l2 = norms(res2)
+    (m1, l1), (m2, l2) = norms(res1), norms(res2)
     return ResidualReport(grid, (m1, m2), (l1, l2), masked_fraction)
 
 
@@ -237,42 +231,60 @@ class SolutionSampler:
 
     def sample(self, grid: Grid, halo_x: int = 3, halo_t: int = 1):
         xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
-        X = invert_grid(self.sol.x_tilde, xs, ts)
+        X = invert_grid(self.sol.x_tilde, self.sol.dx_tilde, xs, ts)
         TT = np.meshgrid(xs, ts, indexing="ij")[1]
-        u = self.sol.u_tilde(X, TT)
-        v = self.sol.v_tilde(X, TT)
-        return u, v, X, TT
+        return self.sol.u_tilde(X, TT), self.sol.v_tilde(X, TT), X, TT
 
 
-def convergence_ladder(
-    sampler, base_grid: Grid, rungs: int = 3
-) -> ResidualReport:
+MAX_LADDER_NODES = 2**22  # haloed nodes on the finest rung; 2055 x 259 on the default ladder
+
+
+def _ladder_grids(base_grid: Grid, rungs: int) -> list[Grid]:
+    """The rungs' grids, coarsest first.  A ladder without rungs, or whose
+    finest rung would exceed MAX_LADDER_NODES nodes with the sampler's
+    halo, is rejected before anything is sampled."""
+    if rungs < 1:
+        raise ValueError(f"need at least one rung, got {rungs}")
+    grids = [base_grid]
+    while (nodes := (grids[-1].nx + 6) * (grids[-1].nt + 2)) <= MAX_LADDER_NODES:
+        if len(grids) == rungs:
+            return grids
+        grids.append(grids[-1].refined())
+    raise ValueError(
+        f"rung {len(grids)} of {rungs} needs {nodes} haloed nodes, "
+        f"above the limit of {MAX_LADDER_NODES}"
+    )
+
+
+def convergence_ladder(sampler, base_grid: Grid, rungs: int = 3) -> ResidualReport:
     """Run the residual oracle over a refinement ladder and fit the observed
     order from the l2 norms."""
     reports = []
-    grid = base_grid
-    for _ in range(rungs):
+    for grid in _ladder_grids(base_grid, rungs):
         u, v, _, _ = sampler.sample(grid)
         reports.append(fd_residual_arrays(u, v, grid))
-        grid = grid.refined()
     order = None
     if len(reports) >= 3:
         hs = np.array([r.grid.hx for r in reports])
         norms = np.array([max(r.l2_norms) for r in reports])
         if np.all(norms > 0):
-            slope = np.polyfit(np.log(hs), np.log(norms), 1)[0]
-            order = float(slope)
+            order = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
         else:
             order = math.inf
     top = reports[0]
+    masked = max(r.masked_fraction for r in reports)
     return ResidualReport(
-        top.grid,
-        top.max_norms,
-        top.l2_norms,
-        max(r.masked_fraction for r in reports),
-        rungs=tuple(reports),
-        order_estimate=order,
+        top.grid, top.max_norms, top.l2_norms, masked, rungs=tuple(reports), order_estimate=order
     )
+
+
+def _write_rows(fh, xs: np.ndarray, ts: np.ndarray, fields) -> None:
+    """One row per node, x outer and t inner: x, t and each field, every
+    value written as repr(float); one block per x value bounds the memory."""
+    t_col = list(map(repr, ts.tolist()))
+    for xv, *rows in zip(xs.tolist(), *fields):
+        cols = (map(repr, row.tolist()) for row in rows)
+        fh.write("\n".join(map(",".join, zip([repr(xv)] * len(t_col), t_col, *cols))) + "\n")
 
 
 def write_residual_csv(path: str, sampler, grid: Grid, header: str) -> None:
@@ -283,15 +295,7 @@ def write_residual_csv(path: str, sampler, grid: Grid, header: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
         fh.write("x,t,u,v,residual_1,residual_2\n")
-        for i, xv in enumerate(xs):
-            for j, tv in enumerate(ts):
-                fh.write(
-                    ",".join(
-                        repr(float(val))
-                        for val in (xv, tv, u0[i, j], v0[i, j], res1[i, j], res2[i, j])
-                    )
-                    + "\n"
-                )
+        _write_rows(fh, xs, ts, (u0, v0, res1, res2))
 
 
 def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
@@ -305,10 +309,4 @@ def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
             f"grid={grid.x_min}:{grid.x_max}:{grid.hx},{grid.t_min}:{grid.t_max}:{grid.ht}\n"
         )
         fh.write("x,t,u,v,m,n\n")
-        for i, xv in enumerate(xs):
-            for j, tv in enumerate(ts):
-                row = ",".join(
-                    repr(float(val))
-                    for val in (xv, tv, u[i, j], v[i, j], m[i, j], n[i, j])
-                )
-                fh.write(row + "\n")
+        _write_rows(fh, xs, ts, (u, v, m, n))

@@ -1,6 +1,7 @@
 """Nonlocal-symmetry pipeline tests for the cubic two-component flow."""
 
 import math
+import random
 
 import pytest
 
@@ -237,6 +238,20 @@ class TestEnlargedStates:
         s = chsym.seed_state(0.75, 1.0)
         out = chsym.finite_transform(s, 1.0)
         assert out.m * out.n > 0
+
+    def test_compiled_generator_matches_eval(self):
+        rng = random.Random(5)
+        components = chsym.vector_field_components()
+        exprs = [components[name] for name in chsym._FIELD_ORDER]
+        compiled = K.compile_numeric(exprs, chsym._STATE_COORDS)
+        for _ in range(200):
+            vals = [rng.uniform(-2.0, 2.0) for _ in chsym._STATE_COORDS]
+            point = dict(zip(chsym._STATE_COORDS, vals))
+            assert compiled(*vals) == tuple(e.eval(point) for e in exprs)
+            state = chsym.EnlargedState(*vals)
+            assert chsym.flow_derivative(state) == {
+                name: e.eval(point) for name, e in zip(chsym._FIELD_ORDER, exprs)
+            }
 
     def test_flow_matches_transform(self):
         s = chsym.seed_state(0.75, 1.0, x=0.1, t=0.05)

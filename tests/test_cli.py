@@ -247,6 +247,39 @@ class TestCh2:
         assert code == 2
         assert "bad grid 'bad'" in err
 
+    @pytest.mark.parametrize("rungs", ["0", "-1"])
+    def test_residual_without_rungs_is_usage_error(self, rungs):
+        code, _, err = run_cli(
+            ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--rungs", rungs]
+        )
+        assert code == 2
+        assert "error: need at least one rung" in err
+
+    def test_oversize_ladder_is_usage_error(self, monkeypatch):
+        from pssurf import numgrid
+
+        def never_sample(self, grid, halo_x=3, halo_t=1):
+            raise AssertionError("sampled an oversize ladder")
+
+        monkeypatch.setattr(numgrid.SolutionSampler, "sample", never_sample)
+        code, _, err = run_cli(
+            ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--rungs", "5"]
+        )
+        assert code == 2
+        assert "above the limit" in err
+
+    def test_coth_branch_solution_is_math_failure(self, tmp_path):
+        # for eps < 0 x_tilde turns back between two poles: no single-valued
+        # profile in the transformed coordinate
+        code, _, err = run_cli(
+            [
+                "ch2", "solution", "--u0", "0.75", "--eta", "1", "--eps", "-1",
+                "--out", str(tmp_path / "sol.csv"),
+            ]
+        )
+        assert code == 1
+        assert "not monotone" in err
+
     def test_solution_domain_error(self):
         code, _, err = run_cli(["ch2", "solution", "--u0", "2", "--eta", "1"])
         assert code == 1

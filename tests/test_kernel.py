@@ -252,6 +252,44 @@ class TestEval:
             parse("1/(u - v)").eval({K.u(0): 1.0, K.v(0): 1.0})
 
 
+class TestCompileNumeric:
+    def test_bit_identical_to_eval_with_exp_atoms(self):
+        rng = random.Random(11)
+        coords = [K.u(0), K.u(1), K.v(0), K.eta, K.x]
+        exprs = [
+            parse("exp(eta*x)*u/(1 + v^2) - 3/7*exp(-2*x)*u1^3"),
+            parse("(u - 2*v)^3/(5*exp(x/2) + eta^2) + exp((eta - 1)*x)"),
+        ]
+        for _ in range(20):
+            e = _random_expr(rng) * parse("exp((2*eta + 1)*x)") + _random_expr(rng)
+            exprs.append(e / (parse("1 + x^2 + u^2") + _random_expr(rng) ** 2))
+        compiled = K.compile_numeric(exprs, coords)
+        for _ in range(200):  # every denominator above stays away from zero
+            vals = [rng.uniform(-1.5, 1.5) for _ in coords]
+            point = dict(zip(coords, vals))
+            assert compiled(*vals) == tuple(e.eval(point) for e in exprs)
+
+    def test_near_zero_denominator(self):
+        f = K.compile_numeric([parse("1/(u - v)")], [K.u(0), K.v(0)])
+        assert f(2.0, 1.0) == (1.0,)
+        with pytest.raises(NearZeroDenominatorError):
+            f(1.0, 1.0)
+
+    def test_unbound_coordinate_at_compile_time(self):
+        with pytest.raises(UnboundCoordinateError):
+            K.compile_numeric([parse("u*v")], [K.u(0)])
+        with pytest.raises(UnboundCoordinateError):
+            K.compile_numeric([parse("u*exp(eta*x)")], [K.u(0), K.x])
+
+    def test_generated_names_are_positional(self):
+        coords = [K.kk, K.theta, K.iunit, K.sqrt2]
+        exprs = [parse("kk*theta - 2*i*s"), Expr.const(0), parse("3/4")]
+        f = K.compile_numeric(exprs, coords)
+        assert f.__code__.co_varnames[:4] == ("a0", "a1", "a2", "a3")
+        point = dict(zip(coords, (2.0, 3.0, 0.5, 1.5)))
+        assert f(2.0, 3.0, 0.5, 1.5) == tuple(e.eval(point) for e in exprs)
+
+
 class TestIsZero:
     def test_binomial_identity(self):
         assert parse("(u+v)^2 - u^2 - 2*u*v - v^2").is_zero()
