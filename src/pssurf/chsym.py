@@ -9,26 +9,28 @@ and its verification against the linearized flow, the pseudo-potential
 prolongation, the finite symmetry transformation with its first-order
 expansion checks, and the closed-form solution generated from the constant
 seed.
+
+Each stage is derived from the one before it, starting from the catalog's
+cubic-ch2 entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernel as K
+from .classify import catalog_entry
 from .jetcalc import DerivationRules, PdeSystem, total_dx, total_dt_mod_system
 from .kernel import Expr, parse
+from .laxzoo import mat_map
 
 
 class DomainError(ValueError):
     """Parameter or state outside the validity domain of a closed form."""
-
-
-def _P(s: str) -> Expr:
-    return parse(s, mn_mode="jets")
 
 
 _HALF = K.ONE / 2
@@ -52,49 +54,31 @@ class Ch2System:
     constraints: dict
 
 
-def _build_system() -> Ch2System:
-    mh, nh = parse("u - u2"), parse("v - v2")
-    B = parse("u*v - u1*v1")
-    C = parse("u*v1 - u1*v")
-    F = _HALF * total_dx(mh * B) - _HALF * mh * C
-    G = _HALF * total_dx(nh * B) + _HALF * nh * C
-    uv_system = PdeSystem((3, 3), F, G, K.ONE)
+@functools.cache
+def ch2_system() -> Ch2System:
+    """The catalog's cubic-ch2 system, closed into momentum form."""
+    uv_system = catalog_entry("cubic-ch2").system
     constraints = {}
     for k in range(2, K.MAX_JET_ORDER + 1):
         constraints[K.u(k)] = Expr.atom(K.u(k - 2)) - Expr.atom(K.m(k - 2))
         constraints[K.v(k)] = Expr.atom(K.v(k - 2)) - Expr.atom(K.n(k - 2))
-    closer = DerivationRules(mn_independent=True, constraints=constraints)
-    m_t = closer.close(F)
-    n_t = closer.close(G)
-    return Ch2System(m_t=m_t, n_t=n_t, uv_system=uv_system, constraints=constraints)
+    close = DerivationRules(constraints=constraints).close
+    return Ch2System(close(uv_system.F), close(uv_system.G), uv_system, constraints)
 
 
-_SYSTEM: Ch2System | None = None
+BETA = parse("u*v - u1*v1")
 
 
-def ch2_system() -> Ch2System:
-    global _SYSTEM
-    if _SYSTEM is None:
-        _SYSTEM = _build_system()
-    return _SYSTEM
-
-
-ALPHA = _P("1/(2*eta^2) + 1/4*(u*v - u1*v1 + u*v1 - u1*v)")
-BETA = _P("u*v - u1*v1")
-
-
+@functools.cache
 def linear_problem() -> tuple[tuple, tuple, DerivationRules]:
     """The linear problem, its adjoint, and the pseudo-potential as one rule
-    table.  Returns (M_matrix, N_matrix, rules)."""
+    table.  Returns (M_matrix, N_matrix, rules); the matrices are the closed
+    sl2 Lax pair of the catalog's cubic-ch2 forms."""
     sys = ch2_system()
-    Mmat = (
-        (-_HALF, _HALF * _ETA * _M),
-        (-_HALF * _ETA * _N, _HALF),
-    )
-    Nmat = (
-        (-ALPHA, _ETA / 4 * _M * BETA + (_U - _U1) / (2 * _ETA)),
-        (-_ETA / 4 * _N * BETA - (_V + _V1) / (2 * _ETA), ALPHA),
-    )
+    lax = catalog_entry("cubic-ch2").lax
+    close = DerivationRules(constraints=sys.constraints).close
+    Mmat = mat_map(close, lax.X)
+    Nmat = mat_map(close, lax.T)
     x_rules = {
         K.phi1: Mmat[0][0] * _PHI1 + Mmat[0][1] * _PHI2,
         K.phi2: Mmat[1][0] * _PHI1 + Mmat[1][1] * _PHI2,
@@ -159,18 +143,11 @@ def nonlocal_symmetry(reduced: bool = True) -> SymmetryTuple:
     _, _, rules = linear_problem()
     grad = spectral_gradient()
     w_m, w_n = apply_d1(grad, rules)
-    w_u = _PHI1 * _PHIH2
-    w_v = _PHIH1 * _PHI2
-    tup = SymmetryTuple(w_u, w_v, w_m, w_n)
-    if not reduced:
-        return tup
-    sub = reduction_to_adjoint()
-    return SymmetryTuple(
-        tup.w_u.substitute(sub),
-        tup.w_v.substitute(sub),
-        tup.w_m.substitute(sub),
-        tup.w_n.substitute(sub),
-    )
+    ws = (_PHI1 * _PHIH2, _PHIH1 * _PHI2, w_m, w_n)
+    if reduced:
+        sub = reduction_to_adjoint()
+        ws = tuple(w.substitute(sub) for w in ws)
+    return SymmetryTuple(*ws)
 
 
 def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
@@ -194,7 +171,7 @@ def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
     return rhs.derive(images)
 
 
-def check_symmetry_residual(s: SymmetryTuple, reduced: bool = True) -> tuple[Expr, Expr]:
+def check_symmetry_residual(s: SymmetryTuple) -> tuple[Expr, Expr]:
     """Both components of the linearized flow equations evaluated on the
     characteristic; identically zero certifies the symmetry."""
     sys = ch2_system()
@@ -227,7 +204,6 @@ def prolongation() -> tuple[Expr, Expr, Expr]:
 def prolongation_residuals() -> dict[str, Expr]:
     """Residuals of the linearized eigenfunction and pseudo-potential
     equations (x-parts and t-parts) on the prolonged characteristic."""
-    sys = ch2_system()
     Mmat, Nmat, rules = linear_problem()
     s = nonlocal_symmetry(reduced=True)
     w1, w2, wp = prolongation()
@@ -272,19 +248,27 @@ def prolongation_residuals() -> dict[str, Expr]:
 
 
 def vector_field_components() -> dict[str, Expr]:
-    """The non-evolutionary generator: coefficients of d/dx, d/du, ..."""
-    return {
-        "x": -_ETA * _PHI1 * _PHI2,
-        "u": -(_PHI1**2 + _ETA * _PHI1 * _PHI2 * _U1),
-        "v": _PHI2**2 - _ETA * _PHI1 * _PHI2 * _V1,
-        "ux": _PHI1**2 - _ETA * _U * _PHI1 * _PHI2,
-        "vx": _PHI2**2 - _ETA * _V * _PHI1 * _PHI2,
-        "p": _PP**2,
-        "m": -_ETA * _M * _PHI1 * _PHI2 + _HALF * _ETA**2 * _M * (_M * _PHI2**2 - _N * _PHI1**2),
-        "n": _ETA * _N * _PHI1 * _PHI2 + _HALF * _ETA**2 * _N * (_M * _PHI2**2 - _N * _PHI1**2),
-        "phi1": _PHI1 * _PP + _HALF * _ETA * _PHI1**2 * _PHI2,
-        "phi2": _PHI2 * _PP + _HALF * _ETA * _PHI1 * _PHI2**2,
+    """The non-evolutionary generator: coefficients of d/dx, d/du, ...
+
+    The x-coefficient xi = -eta*phi1*phi2 is the one free choice.  Every
+    other coefficient is the closed characteristic of its coordinate c plus
+    xi * D_x c: the reduced nonlocal symmetry for u, v, m, n, its total
+    x-derivative for ux, vx, and the prolongation for phi1, phi2, p.
+    """
+    _, _, rules = linear_problem()
+    s = nonlocal_symmetry(reduced=True)
+    w1, w2, wp = prolongation()
+    xi = -_ETA * _PHI1 * _PHI2
+    characteristics = {
+        "u": (_U, s.w_u), "v": (_V, s.w_v),
+        "ux": (_U1, total_dx(s.w_u, rules)), "vx": (_V1, total_dx(s.w_v, rules)),
+        "p": (_PP, wp), "m": (_M, s.w_m), "n": (_N, s.w_n),
+        "phi1": (_PHI1, w1), "phi2": (_PHI2, w2),
     }
+    out = {"x": xi}
+    for name, (c, w) in characteristics.items():
+        out[name] = rules.close(w + xi * total_dx(c, rules))
+    return out
 
 
 def finite_transform_symbolic() -> dict[str, Expr]:
@@ -401,13 +385,13 @@ def seed_state(u0: float, eta: float, x: float = 0.0, t: float = 0.0) -> Enlarge
     )
 
 
-def finite_transform(s: EnlargedState, eps: float, eps_div: float = K.EPS_DIV_DEFAULT) -> EnlargedState:
+def finite_transform(s: EnlargedState, eps: float) -> EnlargedState:
     """Numeric application of the finite symmetry transformation."""
     d1 = 1.0 - eps * s.p
     d2 = 1.0 - eps * s.p - eps * s.eta * s.phi1 * s.phi2
-    if abs(d1) <= eps_div:
+    if abs(d1) <= K.EPS_DIV_DEFAULT:
         raise DomainError(f"denominator 1 - eps*p = {d1} vanishes")
-    if abs(d2) <= eps_div:
+    if abs(d2) <= K.EPS_DIV_DEFAULT:
         raise DomainError(f"denominator 1 - eps*p - eps*eta*phi1*phi2 = {d2} vanishes")
     ratio = d2 / d1
     if ratio <= 0.0:
@@ -417,7 +401,7 @@ def finite_transform(s: EnlargedState, eps: float, eps_div: float = K.EPS_DIV_DE
     den = d2 * (2.0 * d1 - eps * s.eta**2 * (s.m * s.phi2**2 - s.n * s.phi1**2)) + (
         eps**2 * s.eta**3 * s.n * s.phi1**3 * s.phi2
     )
-    if abs(den) <= eps_div:
+    if abs(den) <= K.EPS_DIV_DEFAULT:
         raise DomainError("momentum denominator vanishes")
     g = ratio
     up = (s.u + s.ux) * g / 2.0
@@ -443,16 +427,16 @@ def finite_transform(s: EnlargedState, eps: float, eps_div: float = K.EPS_DIV_DE
     )
 
 
-_FLOW = None  # the generator compiled by kernel.compile_numeric, built on first use
+@functools.cache
+def _flow():
+    """The generator compiled by kernel.compile_numeric, built on first use."""
+    components = vector_field_components()
+    return K.compile_numeric([components[name] for name in _FIELD_ORDER], _STATE_COORDS)
 
 
 def flow_derivative(s: EnlargedState) -> dict[str, float]:
     """Numeric evaluation of the generator at a state."""
-    global _FLOW
-    if _FLOW is None:
-        components = vector_field_components()
-        _FLOW = K.compile_numeric([components[name] for name in _FIELD_ORDER], _STATE_COORDS)
-    values = _FLOW(s.x, s.t, s.u, s.v, s.ux, s.vx, s.m, s.n, s.phi1, s.phi2, s.p, s.eta)
+    values = _flow()(s.x, s.t, s.u, s.v, s.ux, s.vx, s.m, s.n, s.phi1, s.phi2, s.p, s.eta)
     return dict(zip(_FIELD_ORDER, values))
 
 
@@ -488,6 +472,9 @@ def flow_transform_richardson(s: EnlargedState, eps: float, steps: int) -> Enlar
 # ---------------------------------------------------------------------------
 
 
+_MASK_TOL = 1e-8  # denominators this small are flagged as NaN
+
+
 @dataclass(frozen=True)
 class ExactSolution:
     """Closed-form fields of the transformed solution, parametrized by the
@@ -498,7 +485,6 @@ class ExactSolution:
     eps: float
     k: float
     speed: float  # z = x + speed * t
-    mask_tol: float = 1e-8
 
     def theta(self, x, t):
         w = self._w(x, t)
@@ -513,7 +499,7 @@ class ExactSolution:
         return k * zz / 2.0 + 0.5 * np.log(mag)
 
     def _guard(self, den):
-        return np.where(np.abs(den) <= self.mask_tol, np.nan, den)
+        return np.where(np.abs(den) <= _MASK_TOL, np.nan, den)
 
     def x_tilde(self, x, t):
         th = self.theta(x, t)
@@ -575,11 +561,14 @@ def exact_solution(u0: float, eta: float, eps: float) -> ExactSolution:
 # ---------------------------------------------------------------------------
 
 
-def euler_operator(density: Expr, base: str, top: int = 6) -> Expr:
+_EULER_TOP = 6  # highest jet order the Euler operator differentiates in
+
+
+def euler_operator(density: Expr, base: str) -> Expr:
     """Variational derivative sum_k (-D_x)^k d(density)/d(base_k)."""
     out = K.ZERO
     sign = 1
-    for k in range(top + 1):
+    for k in range(_EULER_TOP + 1):
         d = density.diff(K.jet(base, k))
         for _ in range(k):
             d = total_dx(d)

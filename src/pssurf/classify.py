@@ -9,11 +9,12 @@ Hypothesis violations raise rich errors instead of producing invalid output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import kernel as K
 from .forms import AssociatedForms, check_lemma31
-from .jetcalc import PdeSystem, total_dx
+from .jetcalc import PdeSystem, check_factored_dependence, total_dx
 from .kernel import Expr, KernelError, parse
 from .laxzoo import MatrixForm, from_forms, zero_curvature_residual
 
@@ -64,15 +65,10 @@ def _require_zero(e: Expr, condition: str):
 
 
 def _require_reduced_dependence(e: Expr, name: str, xt_allowed: bool = True):
-    """e may depend on x, t only through the combinations u - u2, v - v2."""
-    problems = []
-    for base in ("u", "v"):
-        pair = e.diff(K.jet(base, 0)) + e.diff(K.jet(base, 2))
-        if not pair.is_zero():
-            problems.append(f"{base}/{base}2 pairing")
-        for c in e.coords():
-            if c.kind == K.KIND_JET and c.name == base and c.order not in (0, 2):
-                problems.append(f"depends on {c}")
+    """e may depend on u, v only through the combinations u - u2, v - v2
+    (and, unless xt_allowed, not on x, t at all).  Problems are listed in
+    jet order."""
+    problems = check_factored_dependence(e, (2, 2))
     if not xt_allowed:
         for c in (K.x, K.t):
             if not e.diff(c).is_zero():
@@ -382,26 +378,23 @@ def _entry_skew_ch2() -> CatalogEntry:
     return _entry("skew-ch2", "two-component flow with antisymmetric flux", sys, forms)
 
 
-_CATALOG_BUILDERS = (
-    _entry_song_qu_qiao,
-    _entry_cubic_ch2,
-    _entry_factored_ch2,
-    _entry_mch_type,
-    _entry_skew_ch2,
-)
-
-_catalog_cache: list[CatalogEntry] | None = None
+_CATALOG_BUILDERS = {
+    "song-qu-qiao": _entry_song_qu_qiao,
+    "cubic-ch2": _entry_cubic_ch2,
+    "factored-ch2": _entry_factored_ch2,
+    "mch-type": _entry_mch_type,
+    "skew-ch2": _entry_skew_ch2,
+}
 
 
 def catalog() -> list[CatalogEntry]:
-    global _catalog_cache
-    if _catalog_cache is None:
-        _catalog_cache = [b() for b in _CATALOG_BUILDERS]
-    return list(_catalog_cache)
+    return [catalog_entry(name) for name in _CATALOG_BUILDERS]
 
 
+@functools.cache
 def catalog_entry(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"unknown catalog entry '{name}'")
+    """The named entry, built on first use."""
+    builder = _CATALOG_BUILDERS.get(name)
+    if builder is None:
+        raise KeyError(f"unknown catalog entry '{name}'")
+    return builder()

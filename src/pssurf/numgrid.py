@@ -59,11 +59,10 @@ class Grid:
 
 
 _MAX_STEPS = 100  # bisection alone meets the tolerance within about 50 halvings
+_PAD = 4.0  # initial bracket half-width, and its growth per bracketing round
 
 
-def invert_grid(
-    x_tilde_of, dx_tilde_of, targets: np.ndarray, ts: np.ndarray, pad: float = 4.0
-) -> np.ndarray:
+def invert_grid(x_tilde_of, dx_tilde_of, targets: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Solve x_tilde(x, t) = target over a meshgrid of targets (axis 0) and
     times (axis 1) by bracketed Newton iteration from x = target.
 
@@ -77,13 +76,13 @@ def invert_grid(
     """
     T, TT = np.meshgrid(targets, ts, indexing="ij", sparse=True)
     x = np.broadcast_to(T, (T.size, TT.size)).copy()
-    lo, hi = x - pad, x + pad
-    for _ in range(13):  # the bracket grows by pad at most 12 times
+    lo, hi = x - _PAD, x + _PAD
+    for _ in range(13):  # the bracket grows by _PAD at most 12 times
         flo, fhi = x_tilde_of(lo, TT) - T, x_tilde_of(hi, TT) - T
         bad = np.sign(flo) == np.sign(fhi)
         if not bad.any():
             break
-        lo, hi = lo - pad * bad, hi + pad * bad
+        lo, hi = lo - _PAD * bad, hi + _PAD * bad
     else:
         raise OutOfRangeError("failed to bracket the coordinate inversion")
     lo_side = -np.sign(fhi - flo)  # -1 where x_tilde rises through the target, +1 where it falls
@@ -236,24 +235,31 @@ class SolutionSampler:
         return self.sol.u_tilde(X, TT), self.sol.v_tilde(X, TT), X, TT
 
 
-MAX_LADDER_NODES = 2**22  # haloed nodes on the finest rung; 2055 x 259 on the default ladder
+# nodes one sampling may hold, halo included; the default ladder's finest
+# rung holds 2055 x 259
+MAX_LADDER_NODES = 2**22
+
+
+def _check_node_limit(grid: Grid, halo_x: int, halo_t: int, what: str) -> None:
+    """Reject a grid whose sampling, halo included, would exceed
+    MAX_LADDER_NODES nodes; called before anything is sampled."""
+    nodes = (grid.nx + 2 * halo_x) * (grid.nt + 2 * halo_t)
+    if nodes > MAX_LADDER_NODES:
+        raise ValueError(f"{what} needs {nodes} nodes, above the limit of {MAX_LADDER_NODES}")
 
 
 def _ladder_grids(base_grid: Grid, rungs: int) -> list[Grid]:
     """The rungs' grids, coarsest first.  A ladder without rungs, or whose
-    finest rung would exceed MAX_LADDER_NODES nodes with the sampler's
-    halo, is rejected before anything is sampled."""
+    finest rung would exceed the node limit with the sampler's halo, is
+    rejected before anything is sampled."""
     if rungs < 1:
         raise ValueError(f"need at least one rung, got {rungs}")
     grids = [base_grid]
-    while (nodes := (grids[-1].nx + 6) * (grids[-1].nt + 2)) <= MAX_LADDER_NODES:
+    while True:
+        _check_node_limit(grids[-1], 3, 1, f"rung {len(grids)} of {rungs}")
         if len(grids) == rungs:
             return grids
         grids.append(grids[-1].refined())
-    raise ValueError(
-        f"rung {len(grids)} of {rungs} needs {nodes} haloed nodes, "
-        f"above the limit of {MAX_LADDER_NODES}"
-    )
 
 
 def convergence_ladder(sampler, base_grid: Grid, rungs: int = 3) -> ResidualReport:
@@ -299,7 +305,9 @@ def write_residual_csv(path: str, sampler, grid: Grid, header: str) -> None:
 
 
 def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
-    """Fields on the grid in transformed coordinates, one row per node."""
+    """Fields on the grid in transformed coordinates, one row per node.  A
+    grid over the node limit is rejected before anything is sampled."""
+    _check_node_limit(grid, 0, 0, "solution grid")
     u, v, X, TT = SolutionSampler(sol).sample(grid, halo_x=0, halo_t=0)
     m, n = sol.m_tilde(X, TT), sol.n_tilde(X, TT)
     xs, ts = grid.axes()

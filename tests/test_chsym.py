@@ -7,6 +7,7 @@ import pytest
 
 from pssurf import chsym
 from pssurf import kernel as K
+from pssurf.classify import catalog_entry
 from pssurf.jetcalc import check_rule_compatibility, total_dx
 from pssurf.kernel import Expr, parse
 
@@ -17,11 +18,28 @@ def P(s: str) -> Expr:
 
 class TestLinearProblem:
     def test_matrix_entries(self):
+        # literal oracle: the matrices are derived from the catalog's Lax pair
         Mmat, Nmat, _ = chsym.linear_problem()
-        assert Mmat[0][1] == P("1/2*eta*m")
-        assert Mmat[0][0] == P("-1/2")
-        assert Nmat[0][0] == -chsym.ALPHA
-        assert chsym.ALPHA == P("1/(2*eta^2) + 1/4*(u*v - u1*v1 + u*v1 - u1*v)")
+        alpha = P("1/(2*eta^2) + 1/4*(u*v - u1*v1 + u*v1 - u1*v)")
+        beta = P("u*v - u1*v1")
+        assert Mmat == (
+            (P("-1/2"), P("1/2*eta*m")),
+            (P("-1/2*eta*n"), P("1/2")),
+        )
+        assert Nmat == (
+            (-alpha, P("eta/4*m") * beta + P("(u - u1)/(2*eta)")),
+            (-P("eta/4*n") * beta - P("(v + v1)/(2*eta)"), alpha),
+        )
+
+    def test_system_is_the_catalog_entry(self):
+        sys = chsym.ch2_system()
+        assert sys.uv_system == catalog_entry("cubic-ch2").system
+        # literal oracle for the flow the catalog entry carries
+        mh, nh = parse("u - u2"), parse("v - v2")
+        B, C = parse("u*v - u1*v1"), parse("u*v1 - u1*v")
+        assert sys.uv_system.F == total_dx(mh * B) / 2 - mh * C / 2
+        assert sys.uv_system.G == total_dx(nh * B) / 2 + nh * C / 2
+        assert sys.uv_system.orders == (3, 3)
 
     def test_compatibility_residuals_vanish(self):
         _, _, rules = chsym.linear_problem()
@@ -131,7 +149,7 @@ class TestNonlocalSymmetry:
 
     def test_unreduced_residual_vanishes(self):
         s = chsym.nonlocal_symmetry(reduced=False)
-        rm, rn = chsym.check_symmetry_residual(s, reduced=False)
+        rm, rn = chsym.check_symmetry_residual(s)
         assert rm.is_zero() and rn.is_zero()
 
     def test_perturbed_characteristic_fails(self):
@@ -190,11 +208,21 @@ class TestFirstOrderExpansion:
             assert r.is_zero(), name
 
     def test_generator_values(self):
+        # literal oracle: every component but x is derived from the symmetry
         V = chsym.vector_field_components()
-        assert V["x"] == P("-eta*phi1*phi2")
-        assert V["p"] == P("p^2")
-        assert V["phi1"] == P("phi1*p + 1/2*eta*phi1^2*phi2")
-        assert V["u"] == P("-(phi1^2 + eta*phi1*phi2*u1)")
+        assert V == {
+            "x": P("-eta*phi1*phi2"),
+            "u": P("-(phi1^2 + eta*phi1*phi2*u1)"),
+            "v": P("phi2^2 - eta*phi1*phi2*v1"),
+            "ux": P("phi1^2 - eta*u*phi1*phi2"),
+            "vx": P("phi2^2 - eta*v*phi1*phi2"),
+            "p": P("p^2"),
+            "m": P("-eta*m*phi1*phi2 + 1/2*eta^2*m*(m*phi2^2 - n*phi1^2)"),
+            "n": P("eta*n*phi1*phi2 + 1/2*eta^2*n*(m*phi2^2 - n*phi1^2)"),
+            "phi1": P("phi1*p + 1/2*eta*phi1^2*phi2"),
+            "phi2": P("phi2*p + 1/2*eta*phi1*phi2^2"),
+        }
+        assert list(V) == ["x", "u", "v", "ux", "vx", "p", "m", "n", "phi1", "phi2"]
 
 
 class TestBihamiltonian:

@@ -89,6 +89,19 @@ class TestTheorem34:
 
 
 class TestTheorem35:
+    def test_reduced_dependence_problems_in_jet_order(self):
+        with pytest.raises(HypothesisViolationError) as exc:
+            build_theorem35(
+                Thm34Input(
+                    g=parse("u + u2 + u1*v3 + v1"), h=parse("v - v2"), L=parse("u1"),
+                    M=parse("u + v"), eta=K.ONE, orders=(3, 3),
+                )
+            )
+        assert exc.value.condition == "g reduced dependence"
+        assert exc.value.residual == (
+            "u + u2 pairing fails; depends on u1; depends on v1; depends on v3"
+        )
+
     def test_constant_m_rejected(self):
         with pytest.raises(HypothesisViolationError) as exc:
             build_theorem35(

@@ -1,8 +1,12 @@
 """Command-line interface tests: exit codes, reports, determinism."""
 
+import contextlib
 import io
 import json
-import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,30 @@ class TestBuild:
     def test_missing_config_is_usage_error(self):
         code, _, _ = run_cli(["build", "thm34", "--config", "/nonexistent.json"])
         assert code == 2
+
+    def test_hypothesis_text_independent_of_hash_seed(self, tmp_path):
+        # the residual lists problems in jet order, not in set order (which
+        # follows the string hash seed)
+        cfg = {
+            "expressions": {"g": "u1 + u3 + v1 + v3", "h": "v - v2", "L": "u1", "M": "u + v"},
+            "params": {"eta": "eta", "delta": 1, "m": 3, "n": 3},
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "pssurf.cli", "build", "thm35", "--config", str(path)],
+                capture_output=True, env=env, timeout=300,
+            ))
+        assert [r.returncode for r in runs] == [1, 1]
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr.decode().endswith(
+            "residual: depends on u1; depends on u3; depends on v1; depends on v3\n"
+        )
 
 
 class TestLax:
@@ -267,6 +295,26 @@ class TestCh2:
         )
         assert code == 2
         assert "above the limit" in err
+
+    def test_oversize_solution_grid_is_usage_error(self, tmp_path, monkeypatch):
+        from pssurf import numgrid
+
+        def never_sample(self, grid, halo_x=3, halo_t=1):
+            raise AssertionError("sampled an oversize grid")
+
+        monkeypatch.setattr(numgrid.SolutionSampler, "sample", never_sample)
+        out = tmp_path / "sol.csv"
+        code, _, err = run_cli(
+            [
+                "ch2", "solution", "--u0", "0.75", "--eta", "1",
+                "--grid=-8:8:1e-4,-1:1:1e-4", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert err == (
+            "error: solution grid needs 3200180001 nodes, above the limit of 4194304\n"
+        )
+        assert not out.exists()
 
     def test_coth_branch_solution_is_math_failure(self, tmp_path):
         # for eps < 0 x_tilde turns back between two poles: no single-valued

@@ -262,6 +262,23 @@ class TestLadderLimits:
         with pytest.raises(ValueError, match="above the limit"):
             numgrid._ladder_grids(_base_grid(), 10**9)
 
+    def test_solution_grid_limit_is_arithmetic(self, tmp_path, monkeypatch):
+        # 2048 x 2048 nodes is exactly the limit; one more x node is over it
+        at_limit = Grid(0.0, 2047.0, 0.0, 2047.0, 1.0, 1.0)
+        assert at_limit.nx * at_limit.nt == numgrid.MAX_LADDER_NODES
+        numgrid._check_node_limit(at_limit, 0, 0, "solution grid")
+        over = Grid(0.0, 2048.0, 0.0, 2047.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="above the limit"):
+            numgrid._check_node_limit(over, 0, 0, "solution grid")
+
+        def never_sample(self, grid, halo_x=3, halo_t=1):
+            raise AssertionError("sampled an oversize grid")
+
+        monkeypatch.setattr(numgrid.SolutionSampler, "sample", never_sample)
+        sol = chsym.exact_solution(0.75, 1.0, 1.0)
+        with pytest.raises(ValueError, match="solution grid needs 4196352 nodes"):
+            numgrid.write_solution_csv(str(tmp_path / "sol.csv"), sol, over)
+
     def test_oversize_ladder_rejected_before_sampling(self):
         class NeverSample:
             def sample(self, grid, halo_x=3, halo_t=1):
