@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +135,7 @@ class SymmetryTuple:
     w_n: Expr
 
 
+@functools.cache
 def nonlocal_symmetry(reduced: bool = True) -> SymmetryTuple:
     """The characteristic generated by the spectral-parameter gradient.
 
@@ -247,13 +249,15 @@ def prolongation_residuals() -> dict[str, Expr]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def vector_field_components() -> dict[str, Expr]:
     """The non-evolutionary generator: coefficients of d/dx, d/du, ...
 
     The x-coefficient xi = -eta*phi1*phi2 is the one free choice.  Every
     other coefficient is the closed characteristic of its coordinate c plus
     xi * D_x c: the reduced nonlocal symmetry for u, v, m, n, its total
-    x-derivative for ux, vx, and the prolongation for phi1, phi2, p.
+    x-derivative for ux, vx, and the prolongation for phi1, phi2, p.  The
+    table is built once; callers only read it.
     """
     _, _, rules = linear_problem()
     s = nonlocal_symmetry(reduced=True)
@@ -334,8 +338,10 @@ def first_order_expansion_residuals() -> dict[str, Expr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnlargedState:
+class EnlargedState(NamedTuple):
+    """A point of the enlarged space; its fields, in order, are the
+    arguments of the compiled generator."""
+
     x: float
     t: float
     u: float
@@ -355,12 +361,17 @@ _STATE_COORDS = (
     K.x, K.t, K.u(0), K.v(0), K.u(1), K.v(1), K.m(0), K.n(0), K.phi1, K.phi2, K.p, K.eta
 )
 
-_FIELD_ORDER = ("x", "u", "v", "ux", "vx", "m", "n", "phi1", "phi2", "p")
+
+def _require_finite(**params: float) -> None:
+    bad = ", ".join(f"{k} = {v}" for k, v in params.items() if not math.isfinite(v))
+    if bad:
+        raise DomainError(f"parameters must be finite: {bad}")
 
 
 def seed_state(u0: float, eta: float, x: float = 0.0, t: float = 0.0) -> EnlargedState:
     """Eigenfunction and pseudo-potential values over the constant solution
     (u, v) = (u0, 1)."""
+    _require_finite(u0=u0, eta=eta)
     disc = 1.0 - eta**2 * u0
     if disc <= 0.0:
         raise DomainError(f"1 - eta^2*u0 = {disc} must be positive")
@@ -429,42 +440,38 @@ def finite_transform(s: EnlargedState, eps: float) -> EnlargedState:
 
 @functools.cache
 def _flow():
-    """The generator compiled by kernel.compile_numeric, built on first use."""
+    """The generator compiled by kernel.compile_numeric, built on first use:
+    one rate per EnlargedState field, zero for t and eta, which the flow
+    fixes."""
     components = vector_field_components()
-    return K.compile_numeric([components[name] for name in _FIELD_ORDER], _STATE_COORDS)
+    return K.compile_numeric(
+        [components.get(name, K.ZERO) for name in EnlargedState._fields], _STATE_COORDS
+    )
 
 
-def flow_derivative(s: EnlargedState) -> dict[str, float]:
-    """Numeric evaluation of the generator at a state."""
-    values = _flow()(s.x, s.t, s.u, s.v, s.ux, s.vx, s.m, s.n, s.phi1, s.phi2, s.p, s.eta)
-    return dict(zip(_FIELD_ORDER, values))
-
-
-def _state_add(s: EnlargedState, deriv: dict[str, float], h: float) -> EnlargedState:
-    return replace(s, **{name: getattr(s, name) + h * deriv[name] for name in _FIELD_ORDER})
+def flow_derivative(s: EnlargedState) -> tuple[float, ...]:
+    """The generator's rates at a state, in EnlargedState field order."""
+    return _flow()(*s)
 
 
 def flow_transform(s: EnlargedState, eps: float, steps: int) -> EnlargedState:
     """Integrate the generator flow with the explicit midpoint rule."""
     h = eps / steps
-    cur = s
     for _ in range(steps):
-        k1 = flow_derivative(cur)
-        mid = _state_add(cur, k1, h / 2.0)
+        k1 = flow_derivative(s)
+        mid = EnlargedState._make([a + h / 2.0 * r for a, r in zip(s, k1)])
         k2 = flow_derivative(mid)
-        cur = _state_add(cur, k2, h)
-    return cur
+        s = EnlargedState._make([a + h * r for a, r in zip(s, k2)])
+    return s
 
 
 def flow_transform_richardson(s: EnlargedState, eps: float, steps: int) -> EnlargedState:
-    """Richardson-extrapolated midpoint flow (h and h/2)."""
+    """Richardson-extrapolated midpoint flow (h and h/2); t and eta are
+    taken from s."""
     coarse = flow_transform(s, eps, steps)
     fine = flow_transform(s, eps, 2 * steps)
-    vals = {
-        name: (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0
-        for name in _FIELD_ORDER
-    }
-    return replace(s, **vals)
+    out = EnlargedState._make([(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse)])
+    return out._replace(t=s.t, eta=s.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +546,7 @@ class ExactSolution:
 def exact_solution(u0: float, eta: float, eps: float) -> ExactSolution:
     """Closed forms generated by the finite transformation of the constant
     seed; tanh branch for eps > 0, coth branch for eps < 0."""
+    _require_finite(u0=u0, eta=eta, eps=eps)
     if eta == 0.0:
         raise DomainError("eta must be nonzero")
     if eps == 0.0:

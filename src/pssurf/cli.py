@@ -74,12 +74,12 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _config_exprs(config: dict, names: list[str], mn_mode: str = "alias") -> dict[str, Expr]:
+def _config_exprs(config: dict, names: list[str]) -> dict[str, Expr]:
     table = config.get("expressions", {})
     missing = [n for n in names if n not in table]
     if missing:
         raise KeyError(f"config lacks expressions: {', '.join(missing)}")
-    return {n: parse(table[n], mn_mode=mn_mode) for n in names}
+    return {n: parse(table[n]) for n in names}
 
 
 def _int_param(config: dict, name: str, default=None) -> int:
@@ -123,11 +123,7 @@ def _forms_payload(forms: AssociatedForms) -> list[list[str]]:
 
 
 def cmd_verify_example(args) -> int:
-    try:
-        entry = catalog_entry(args.name)
-    except KeyError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return USAGE_ERROR
+    entry = catalog_entry(args.name)
     forms = entry.forms
     if args.delta is not None and args.delta != forms.delta:
         forms = AssociatedForms(forms.f, args.delta, forms.eta_row, forms.eta_value)
@@ -311,9 +307,8 @@ def cmd_ch2(args) -> int:
         )
 
         grid = _parse_grid(args.grid)
-        sampler = SolutionSampler(sol)
         try:
-            report = convergence_ladder(sampler, grid, rungs=args.rungs)
+            report, (u, v) = convergence_ladder(SolutionSampler(sol), grid, rungs=args.rungs)
         except NonMonotoneError as err:
             sys.stderr.write(f"domain error: {err}\n")
             return MATH_FAILURE
@@ -333,7 +328,7 @@ def cmd_ch2(args) -> int:
                 f"u0={sol.u0} eta={sol.eta} eps={sol.eps} k={sol.k} "
                 f"grid={args.grid}"
             )
-            write_residual_csv(out, sampler, grid, header)
+            write_residual_csv(out, u, v, grid, header)
             sys.stdout.write(f"wrote {out}\n")
         else:
             envelope = _report_envelope("ch2 residual", config, payload)

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import kernel as K
-from .jetcalc import (
-    DerivationRules,
-    EMPTY_RULES,
-    IllFormedDependenceError,
-    PdeSystem,
-    total_dt_mod_system,
-    total_dx,
-)
+from .jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system, total_dx
 from .kernel import Expr
 
 
@@ -43,17 +36,13 @@ def wedge(omega: OneForm, theta: OneForm) -> TwoForm:
     return TwoForm(omega.a * theta.b - omega.b * theta.a)
 
 
-def exterior_d_mod_system(
-    omega: OneForm,
-    sys: PdeSystem | None,
-    rules: DerivationRules = EMPTY_RULES,
-) -> TwoForm:
+def exterior_d_mod_system(omega: OneForm, sys: PdeSystem | None) -> TwoForm:
     """d(a dx + b dt) reduced modulo the system: (D_x b - D_t a) dx ^ dt.
 
     Valid once the dx-coefficient dependence conditions hold, so that no
     du_k ^ dx terms survive; callers assert those separately.
     """
-    return TwoForm(total_dx(omega.b, rules) - total_dt_mod_system(omega.a, sys, rules))
+    return TwoForm(total_dx(omega.b) - total_dt_mod_system(omega.a, sys))
 
 
 @dataclass(frozen=True)
@@ -167,25 +156,17 @@ def _frame_jacobian(forms: AssociatedForms) -> ConditionReport:
     return ConditionReport("frame-jacobian-nondegenerate", text, nondegenerate)
 
 
-def structure_residuals(
-    forms: AssociatedForms,
-    sys: PdeSystem,
-    rules: DerivationRules = EMPTY_RULES,
-) -> tuple[Expr, Expr, Expr]:
+def structure_residuals(forms: AssociatedForms, sys: PdeSystem) -> tuple[Expr, Expr, Expr]:
     """Residuals of d(omega1) = omega3 ^ omega2, d(omega2) = omega1 ^ omega3,
     d(omega3) = delta * omega1 ^ omega2 reduced modulo the system."""
     w1, w2, w3 = forms.one_forms()
-    r1 = exterior_d_mod_system(w1, sys, rules).c - wedge(w3, w2).c
-    r2 = exterior_d_mod_system(w2, sys, rules).c - wedge(w1, w3).c
-    r3 = exterior_d_mod_system(w3, sys, rules).c - Expr.const(forms.delta) * wedge(w1, w2).c
+    r1 = exterior_d_mod_system(w1, sys).c - wedge(w3, w2).c
+    r2 = exterior_d_mod_system(w2, sys).c - wedge(w1, w3).c
+    r3 = exterior_d_mod_system(w3, sys).c - Expr.const(forms.delta) * wedge(w1, w2).c
     return r1, r2, r3
 
 
-def check_lemma31(
-    forms: AssociatedForms,
-    sys: PdeSystem,
-    rules: DerivationRules = EMPTY_RULES,
-) -> Lemma31Report:
+def check_lemma31(forms: AssociatedForms, sys: PdeSystem) -> Lemma31Report:
     """Full verification that (sys, forms) describes pseudospherical or
     spherical surfaces.  Failures are reported, never raised."""
     conditions = list(_dx_coefficient_conditions(forms, sys.orders))
@@ -195,7 +176,7 @@ def check_lemma31(
 
     if gate_ok:
         try:
-            r1, r2, r3 = structure_residuals(forms, sys, rules)
+            r1, r2, r3 = structure_residuals(forms, sys)
             conditions.append(ConditionReport("structure-residual-1", str(r1), r1.is_zero()))
             conditions.append(ConditionReport("structure-residual-2", str(r2), r2.is_zero()))
             conditions.append(ConditionReport("structure-residual-3", str(r3), r3.is_zero()))

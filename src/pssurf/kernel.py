@@ -1032,7 +1032,7 @@ class Expr:
             raise DivisionByZeroError("denominator normalizes to zero after substitution")
         return num / den
 
-    def eval(self, point: Mapping[Coord, float], eps_div: float = EPS_DIV_DEFAULT) -> float:
+    def eval(self, point: Mapping[Coord, float]) -> float:
         def value_of(atom):
             if isinstance(atom, ExpAtom):
                 return math.exp(atom.exponent().eval(value_of))
@@ -1041,7 +1041,7 @@ class Expr:
             return float(point[atom])
 
         den = self.den.eval(value_of)
-        if abs(den) <= eps_div:
+        if abs(den) <= EPS_DIV_DEFAULT:
             raise NearZeroDenominatorError(den)
         return self.num.eval(value_of) / den
 
@@ -1159,11 +1159,6 @@ def m(k: int = 0) -> Coord:
 
 def n(k: int = 0) -> Coord:
     return jet("n", k)
-
-
-def E(e: Expr | Coord | int) -> Expr:
-    """exp of an expression (shape-checked)."""
-    return Expr.exp(Expr._coerce(e))
 
 
 # ---------------------------------------------------------------------------

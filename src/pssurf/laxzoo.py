@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import kernel as K
 from .forms import AssociatedForms
-from .jetcalc import DerivationRules, EMPTY_RULES, PdeSystem, total_dt_mod_system, total_dx
+from .jetcalc import PdeSystem, total_dt_mod_system, total_dx
 from .kernel import Expr, KernelError
 
 Matrix = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -116,39 +116,24 @@ def from_forms(forms: AssociatedForms, algebra: str = "sl2") -> MatrixForm:
     return MatrixForm(X, T, algebra)
 
 
-def zero_curvature_residual(
-    mf: MatrixForm,
-    sys: PdeSystem | None,
-    rules: DerivationRules = EMPTY_RULES,
-) -> Matrix:
+def zero_curvature_residual(mf: MatrixForm, sys: PdeSystem | None) -> Matrix:
     """D_t X - D_x T + [X, T] reduced modulo the system; the zero matrix
     certifies the Lax pair."""
-    dtX = mat_map(lambda e: total_dt_mod_system(e, sys, rules), mf.X)
-    dxT = mat_map(lambda e: total_dx(e, rules), mf.T)
+    dtX = mat_map(lambda e: total_dt_mod_system(e, sys), mf.X)
+    dxT = mat_map(total_dx, mf.T)
     comm = mat_sub(mat_mul(mf.X, mf.T), mat_mul(mf.T, mf.X))
     return mat_add(mat_sub(dtX, dxT), comm)
 
 
-def gauge_transform(
-    mf: MatrixForm,
-    A: Matrix,
-    rules: DerivationRules = EMPTY_RULES,
-    sys: PdeSystem | None = None,
-) -> MatrixForm:
-    """Omega' = dA A^-1 + A Omega A^-1, for A with det A = +-1.
-
-    A constant A needs no rules; otherwise its entries must be
-    differentiable under the supplied rules.
-    """
+def gauge_transform(mf: MatrixForm, A: Matrix) -> MatrixForm:
+    """Omega' = dA A^-1 + A Omega A^-1, for A with det A = +-1 whose entries
+    depend on x, t and the parameters only."""
     det = mat_det(A)
     if not (det - 1).is_zero() and not (det + 1).is_zero():
         raise NonUnimodularError(det)
     Ainv = mat_inv(A)
-    dxA = mat_map(lambda e: total_dx(e, rules), A)
-    if any(not e.is_zero() for row in dxA for e in row) or sys is not None:
-        dtA = mat_map(lambda e: total_dt_mod_system(e, sys, rules), A)
-    else:
-        dtA = mat(0, 0, 0, 0)
+    dxA = mat_map(total_dx, A)
+    dtA = mat_map(lambda e: total_dt_mod_system(e, None), A)
     X = mat_add(mat_mul(dxA, Ainv), mat_mul(mat_mul(A, mf.X), Ainv))
     T = mat_add(mat_mul(dtA, Ainv), mat_mul(mat_mul(A, mf.T), Ainv))
     return MatrixForm(X, T, mf.algebra)

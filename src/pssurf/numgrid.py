@@ -262,13 +262,19 @@ def _ladder_grids(base_grid: Grid, rungs: int) -> list[Grid]:
         grids.append(grids[-1].refined())
 
 
-def convergence_ladder(sampler, base_grid: Grid, rungs: int = 3) -> ResidualReport:
+def convergence_ladder(
+    sampler, base_grid: Grid, rungs: int = 3
+) -> tuple[ResidualReport, tuple[np.ndarray, np.ndarray]]:
     """Run the residual oracle over a refinement ladder and fit the observed
-    order from the l2 norms."""
+    order from the l2 norms.  Returns the ResidualReport and rung 1's haloed
+    samples (u, v), the only arrays kept past their rung."""
     reports = []
     for grid in _ladder_grids(base_grid, rungs):
         u, v, _, _ = sampler.sample(grid)
         reports.append(fd_residual_arrays(u, v, grid))
+        if len(reports) == 1:
+            base_samples = u, v
+        del u, v
     order = None
     if len(reports) >= 3:
         hs = np.array([r.grid.hx for r in reports])
@@ -279,9 +285,10 @@ def convergence_ladder(sampler, base_grid: Grid, rungs: int = 3) -> ResidualRepo
             order = math.inf
     top = reports[0]
     masked = max(r.masked_fraction for r in reports)
-    return ResidualReport(
+    report = ResidualReport(
         top.grid, top.max_norms, top.l2_norms, masked, rungs=tuple(reports), order_estimate=order
     )
+    return report, base_samples
 
 
 def _write_rows(fh, xs: np.ndarray, ts: np.ndarray, fields) -> None:
@@ -293,9 +300,9 @@ def _write_rows(fh, xs: np.ndarray, ts: np.ndarray, fields) -> None:
         fh.write("\n".join(map(",".join, zip([repr(xv)] * len(t_col), t_col, *cols))) + "\n")
 
 
-def write_residual_csv(path: str, sampler, grid: Grid, header: str) -> None:
-    """Interior fields and both equation residuals, one row per node."""
-    u, v, _, _ = sampler.sample(grid)
+def write_residual_csv(path: str, u: np.ndarray, v: np.ndarray, grid: Grid, header: str) -> None:
+    """Interior fields and both equation residuals, one row per node, from
+    samples with the ladder's halo."""
     u0, v0, res1, res2 = _residual_arrays(u, v, grid)
     xs, ts = grid.axes()
     with open(path, "w", encoding="utf-8") as fh:

@@ -238,9 +238,11 @@ class TestCh2:
         from pssurf import numgrid
 
         def failing_ladder(sampler, grid, rungs=3):
-            return numgrid.ResidualReport(
+            u, v, _, _ = sampler.sample(grid)
+            report = numgrid.ResidualReport(
                 grid, (1.0, 1.0), (1.0, 1.0), 0.0, order_estimate=0.9
             )
+            return report, (u, v)
 
         monkeypatch.setattr(numgrid, "convergence_ladder", failing_ladder)
         out_path = tmp_path / f"res.{fmt}"
@@ -254,6 +256,47 @@ class TestCh2:
         assert "convergence gate failed" in err
         if fmt == "json":
             assert json.loads(out_path.read_text())["passed"] is False
+
+    def test_residual_csv_inverts_each_rung_once(self, tmp_path, monkeypatch):
+        # the CSV export writes rung 1's samples instead of inverting again
+        from pssurf import numgrid
+
+        nodes = []
+        invert = numgrid.invert_grid
+
+        def counting(*args):
+            x = invert(*args)
+            nodes.append(x.size)
+            return x
+
+        monkeypatch.setattr(numgrid, "invert_grid", counting)
+        code, _, _ = run_cli(
+            [
+                "ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1",
+                "--grid=-4:4:0.125,-1:1:0.125", "--rungs", "3",
+                "--format", "csv", "--out", str(tmp_path / "residual.csv"),
+            ]
+        )
+        assert code == 0
+        assert nodes == [1349, 4725, 17621]
+
+    @pytest.mark.parametrize("param", ["--u0", "--eta", "--eps"])
+    def test_nan_parameter_is_domain_error(self, tmp_path, param):
+        params = {"--u0": "0.75", "--eta": "1", "--eps": "1", param: "nan"}
+        argv = [token for pair in params.items() for token in pair]
+        sol = tmp_path / "sol.csv"
+        code, out, err = run_cli(["ch2", "solution", *argv, "--out", str(sol)])
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: ")
+        assert not sol.exists()
+        res = tmp_path / "res.json"
+        code, out, err = run_cli(
+            ["ch2", "residual", *argv, "--grid=-2:2:0.125,-1:1:0.125",
+             "--format", "json", "--out", str(res)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: ")
+        assert not res.exists()
 
     def test_solution_csv_and_header(self, tmp_path):
         path = tmp_path / "sol.csv"

@@ -1,16 +1,20 @@
-"""Byte-for-byte golden JSON reports from the command line.
+"""Byte-for-byte golden outputs.
 
-The files under tests/golden/ were written by the code before the kernel's
-exponential normalisation was merged into one pass; any refactor must
+The files under tests/golden/ pin the command-line JSON reports, the CSV
+files of ``ch2 residual`` and ``ch2 solution``, and the ``repr`` of the
+numeric finite transformation and of the Richardson-extrapolated generator
+flow.  They were recorded before a refactor and any later change must
 reproduce them exactly.  Run this file as a script to re-record them.
 """
 
 import contextlib
 import io
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from pssurf import chsym
 from pssurf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,6 +28,22 @@ CASES = [
     ("verify_mch-type_delta1", ["verify", "example", "mch-type", "--delta", "1"], 1),
     *[(f"ch2_{sub}", ["ch2", sub], 0) for sub in ("symmetry", "prolong", "taylor")],
     ("build_thm34", ["build", "thm34", "--config", str(GOLDEN / "build_thm34.config.json")], 0),
+    ("ch2_residual", ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1",
+                      "--grid=-4:4:0.125,-1:1:0.125", "--rungs", "3"], 0),
+]
+
+# (golden file name, argv of a command that writes the file named by --out)
+CSV_CASES = [
+    ("ch2_residual.csv", ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1",
+                          "--grid=-4:4:0.125,-1:1:0.125", "--rungs", "3", "--format", "csv"]),
+    ("ch2_solution.csv", ["ch2", "solution", "--u0", "0.75", "--eta", "1", "--eps", "1",
+                          "--grid=-2:2:0.25,-1:1:0.125"]),
+]
+
+# (u0, eta, x, t, eps, steps): the flow checks of test_chsym and test_acceptance
+FLOW_CASES = [
+    *[(0.75, 1.0, 0.1, 0.05, eps, 160) for eps in (0.25, 0.6, 1.0)],
+    *[(0.75, 1.0, 0.0, 0.0, eps, 400) for eps in (0.2, 0.4, 0.6, 0.8, 1.0)],
 ]
 
 
@@ -34,6 +54,24 @@ def run_json(argv):
     return code, out.getvalue()
 
 
+def run_csv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", str(path)])
+        return code, path.read_text(encoding="utf-8")
+
+
+def flow_text():
+    """One line per case: the closed-form transform, then the flowed one."""
+    lines = []
+    for u0, eta, x, t, eps, steps in FLOW_CASES:
+        seed = chsym.seed_state(u0, eta, x=x, t=t)
+        lines.append(repr(chsym.finite_transform(seed, eps)))
+        lines.append(repr(chsym.flow_transform_richardson(seed, eps, steps)))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("stem,argv,expected_code", CASES, ids=[c[0] for c in CASES])
 def test_report_matches_golden(stem, argv, expected_code):
     code, text = run_json(argv)
@@ -41,6 +79,20 @@ def test_report_matches_golden(stem, argv, expected_code):
     assert text == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,argv", CSV_CASES, ids=[c[0] for c in CSV_CASES])
+def test_csv_matches_golden(name, argv):
+    code, text = run_csv(argv)
+    assert code == 0
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_flow_matches_golden():
+    assert flow_text() == (GOLDEN / "ch2_flow.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     for stem, argv, _ in CASES:
         (GOLDEN / f"{stem}.json").write_text(run_json(argv)[1], encoding="utf-8")
+    for name, argv in CSV_CASES:
+        (GOLDEN / name).write_text(run_csv(argv)[1], encoding="utf-8")
+    (GOLDEN / "ch2_flow.txt").write_text(flow_text(), encoding="utf-8")

@@ -138,6 +138,15 @@ class TestGauge:
         expected = mat_mul(mat_mul(A, res_direct), Ainv)
         assert mat_is_zero(mat_sub(res_gauged, expected))
 
+    def test_time_dependent_gauge_is_covariant(self):
+        # dA = A_x dx + A_t dt also where A is free of x
+        entry = catalog_entry("cubic-ch2")
+        A = mat(1, Expr.atom(K.t), 0, 1)
+        rotated = gauge_transform(entry.lax, A)
+        assert rotated.T != mat_mul(mat_mul(A, entry.lax.T), mat_inv(A))
+        res = zero_curvature_residual(rotated, entry.system)
+        assert mat_is_zero(res)
+
 
 class TestCurvatureStructureEquivalence:
     def test_zero_curvature_iff_structure_residuals(self):

@@ -192,7 +192,7 @@ class TestInversion:
 class TestConvergence:
     def test_exact_solution_second_order(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
-        report = convergence_ladder(SolutionSampler(sol), _base_grid(), rungs=3)
+        report, _ = convergence_ladder(SolutionSampler(sol), _base_grid(), rungs=3)
         assert report.order_estimate == pytest.approx(2.0, abs=0.3)
         assert report.masked_fraction < 0.01
         norms = [max(r.l2_norms) for r in report.rungs]
@@ -209,7 +209,7 @@ class TestConvergence:
                 XX = np.meshgrid(xs, ts, indexing="ij")[0]
                 return u + 0.01 * np.sin(XX), v, X, T
 
-        report = convergence_ladder(Perturbed(), _base_grid(), rungs=3)
+        report, _ = convergence_ladder(Perturbed(), _base_grid(), rungs=3)
         assert abs(report.order_estimate) < 0.5
 
     def test_untransformed_coordinates_are_not_a_solution(self):
@@ -223,15 +223,15 @@ class TestConvergence:
                 X, T = np.meshgrid(xs, ts, indexing="ij")
                 return sol.u_tilde(X, T), sol.v_tilde(X, T), X, T
 
-        report = convergence_ladder(Raw(), _base_grid(), rungs=3)
+        report, _ = convergence_ladder(Raw(), _base_grid(), rungs=3)
         assert abs(report.order_estimate) < 0.5
         assert max(report.l2_norms) > 1e-3
 
     @pytest.mark.parametrize("h", [2**-3, 2**-5])
     def test_masked_fraction_matches_bisection_oracle(self, h):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
-        report = convergence_ladder(SolutionSampler(sol), _base_grid(h), rungs=3)
-        oracle = convergence_ladder(BisectionSampler(sol), _base_grid(h), rungs=3)
+        report, _ = convergence_ladder(SolutionSampler(sol), _base_grid(h), rungs=3)
+        oracle, _ = convergence_ladder(BisectionSampler(sol), _base_grid(h), rungs=3)
         assert report.masked_fraction == oracle.masked_fraction
         assert [r.masked_fraction for r in report.rungs] == [
             r.masked_fraction for r in oracle.rungs
@@ -240,7 +240,7 @@ class TestConvergence:
 
     def test_report_serialization(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
-        report = convergence_ladder(SolutionSampler(sol), _base_grid(), rungs=3)
+        report, _ = convergence_ladder(SolutionSampler(sol), _base_grid(), rungs=3)
         data = report.as_dict()
         assert len(data["rungs"]) == 3
         assert "order_estimate" in data
