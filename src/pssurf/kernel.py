@@ -8,22 +8,30 @@ and named parameters (eta, delta, eps, u0, kk, theta, ...).  Exponential
 factors exp(q * c), with q a polynomial in parameters and c a single
 coordinate, are opaque atoms that merge by exponent addition.
 
+Representation: a coefficient is an int when integral and a Fraction
+otherwise.  Coordinates are interned and compare and hash by identity.  A
+monomial is a tuple of (atom, power) sorted by atom key; the product of two
+monomials is one merge of the tuples, adding the powers of equal atoms and
+folding exponentials of one base.  Terms are ordered graded
+lexicographically, atoms with a smaller key most significant.
+
 Canonical form: numerator and denominator are fully expanded, share no
 polynomial factor (gcd-reduced), exponential content is shifted so that the
 minimal exponent multiple over both is zero, and the denominator is scaled to
-a primitive integer polynomial whose leading coefficient (graded lexicographic
-order, earlier atoms most significant) is positive.  Two special parameters
-carry rewrite rules applied during normalization: i*i -> -1 and s*s -> 2.
+a primitive integer polynomial whose leading coefficient is positive.  Two
+special parameters carry rewrite rules applied in every monomial product:
+i*i -> -1 and s*s -> 2.
 
 Expressions are immutable after construction; normalization is pure, so
-values can be shared freely across threads or processes.
+values can be shared freely across threads or processes (unpickling
+re-interns coordinates).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -83,25 +91,26 @@ class UnsupportedExponentError(KernelError):
 _JET_BASES = {"u": 0, "v": 1, "m": 2, "n": 3}
 _DEP_NAMES = {"phi1": 0, "phi2": 1, "phih1": 2, "phih2": 3, "p": 4}
 _INDEP_NAMES = {"x": 0, "t": 1, "z": 2}
+_KINDS = {KIND_INDEP: (0, _INDEP_NAMES), KIND_JET: (1, _JET_BASES),
+          KIND_DEP: (2, _DEP_NAMES), KIND_PARAM: (3, None)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coord:
-    """A coordinate atom, identified by (kind, name, order)."""
+    """A coordinate atom, identified by (kind, name, order); built only by `_coord`."""
 
     kind: str
     name: str
     order: int = 0
 
-    @functools.cached_property
-    def key(self) -> tuple:
-        if self.kind == KIND_INDEP:
-            return (0, _INDEP_NAMES[self.name], 0)
-        if self.kind == KIND_JET:
-            return (1, _JET_BASES[self.name], self.order)
-        if self.kind == KIND_DEP:
-            return (2, _DEP_NAMES[self.name], 0)
-        return (3, self.name, 0)
+    def __post_init__(self):
+        rank, names = _KINDS[self.kind]
+        key = (rank, names[self.name] if names else self.name, self.order)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "slot", key)
+
+    def __reduce__(self):
+        return _coord, (self.kind, self.name, self.order)
 
     def __str__(self) -> str:
         if self.kind == KIND_JET and self.order > 0:
@@ -148,7 +157,20 @@ def dep(name: str) -> Coord:
 
 
 # Parameters with a power rewrite rule: atom**2 -> rational constant.
-_REWRITES = {("param", "i"): Fraction(-1), ("param", "s"): Fraction(2)}
+_REWRITES = {param("i"): -1, param("s"): 2}
+
+
+def _q(c):
+    """The one form of a rational coefficient: an int when it is integral,
+    a Fraction otherwise."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """a / b for rationals, in the form `_q` gives."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    return _q(Fraction(a, b))
 
 
 # exponent polynomials are stored as canonical item tuples:
@@ -158,16 +180,29 @@ _REWRITES = {("param", "i"): Fraction(-1), ("param", "s"): Fraction(2)}
 ExpItems = tuple
 
 
-@dataclass(frozen=True)
 class ExpAtom:
-    """Opaque factor exp(e) with e = (polynomial in parameters) * coordinate."""
+    """Opaque factor exp(e) with e = (polynomial in parameters) * coordinate,
+    equal when the exponents are.  Its `slot` is its base's place in the atom
+    order, so a monomial product merges two exponentials of one base."""
 
-    items: ExpItems
-    base: Coord = field(compare=False, hash=False)
+    def __init__(self, items: ExpItems, base: Coord):
+        self.items = items
+        self.base = base
+        self.slot = (4, base.key)
+        self._hash = hash(items)
 
     @functools.cached_property
     def key(self) -> tuple:
         return (4, self.base.key, tuple((_mono_sort_key(m), c) for m, c in self.items))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, ExpAtom) and self.items == other.items)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ExpAtom, (self.items, self.base)
 
     def exponent(self) -> "Poly":
         return Poly(dict(self.items))
@@ -175,8 +210,7 @@ class ExpAtom:
     def __str__(self) -> str:
         return f"exp({Poly(dict(self.items))})"
 
-    def __repr__(self) -> str:
-        return str(self)
+    __repr__ = __str__
 
 
 def _mono_sort_key(mono) -> tuple:
@@ -194,133 +228,162 @@ def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
     for mono, _ in items_poly.terms.items():
         non_params = [(a, p) for a, p in mono if not (isinstance(a, Coord) and a.kind == KIND_PARAM)]
         if len(non_params) != 1 or non_params[0][1] != 1:
-            raise UnsupportedExponentError(
-                "exponent must be a polynomial in parameters times one coordinate"
-            )
+            msg = "exponent must be a polynomial in parameters times one coordinate"
+            raise UnsupportedExponentError(msg)
         a = non_params[0][0]
         if not isinstance(a, Coord) or a.kind not in (KIND_INDEP, KIND_JET):
-            raise UnsupportedExponentError(
-                "exponent base must be an independent or jet coordinate"
-            )
+            raise UnsupportedExponentError("exponent base must be an independent or jet coordinate")
         if base is None:
             base = a
         elif base != a:
             raise UnsupportedExponentError("exponent mentions more than one coordinate")
-    items = tuple(sorted(items_poly.terms.items(), key=lambda kv: _mono_sort_key(kv[0])))
-    return ExpAtom(items, base)
+    return _exp_of(items_poly.terms, base)
+
+
+def _exp_of(terms: dict, base: Coord) -> ExpAtom | None:
+    """The ExpAtom with exponent terms {monomial: coeff}, None when empty."""
+    if not terms:
+        return None
+    return ExpAtom(tuple(sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))), base)
+
+
+def _exp_fold(a: ExpAtom | None, b: ExpAtom) -> ExpAtom | None:
+    """exp(a) * exp(b) for exponentials of one base; None when it is 1."""
+    if a is None:
+        return b
+    acc = dict(a.items)
+    for m, c in b.items:
+        nc = acc.get(m, 0) + c
+        if nc:
+            acc[m] = _q(nc)
+        else:
+            del acc[m]
+    return _exp_of(acc, a.base)
 
 
 # ---------------------------------------------------------------------------
 # Monomials
 # ---------------------------------------------------------------------------
 
-# A monomial is a sorted tuple of (atom, power), atoms unique, powers >= 1,
-# exponential atoms always at power 1 (their power folds into the exponent).
+# A monomial is a tuple of (atom, power) sorted by atom key, atoms unique,
+# powers >= 1, exponential atoms at power 1 and at most one per base (their
+# powers fold into the exponent).  Within a monomial an atom's `slot` orders
+# as its `key` does; an exponential's slot is its base's place, so the merge
+# meets two exponentials of one base together and folds them.
 
 _ONE_MONO: tuple = ()
 
 
-def _items_scale(items: ExpItems, k: int) -> dict:
-    return {m: c * k for m, c in items}
-
-
-def _normalize_monomial(pairs: Iterable[tuple]) -> tuple[Fraction, tuple]:
-    """Combine repeated atoms, fold exponentials, apply parameter rewrites."""
+def _normalize_monomial(pairs: Iterable[tuple]) -> tuple[int, tuple]:
+    """Build a monomial from unsorted (atom, power) pairs: combine repeated
+    atoms, fold exponentials, apply parameter rewrites."""
     powers: dict = {}
-    exp_accum: dict[Coord, dict] = {}
+    exps: dict[Coord, ExpAtom | None] = {}
     for atom, power in pairs:
-        if power == 0:
-            continue
-        if isinstance(atom, ExpAtom):
-            acc = exp_accum.setdefault(atom.base, {})
-            for m, c in _items_scale(atom.items, power).items():
-                nc = acc.get(m, Fraction(0)) + c
-                if nc:
-                    acc[m] = nc
-                else:
-                    acc.pop(m, None)
+        if isinstance(atom, ExpAtom):  # at power 1, as in a monomial
+            exps[atom.base] = _exp_fold(exps.get(atom.base), atom)
         else:
             powers[atom] = powers.get(atom, 0) + power
-    factor = Fraction(1)
+    factor = 1
     out = []
     for atom, power in powers.items():
         if power == 0:
             continue
         if power < 0:
             raise KernelError("negative coordinate power in monomial")
-        rw = _REWRITES.get((atom.kind, atom.name)) if isinstance(atom, Coord) else None
+        rw = _REWRITES.get(atom)
         if rw is not None and power >= 2:
             factor *= rw ** (power // 2)
             power %= 2
             if power == 0:
                 continue
         out.append((atom, power))
-    for base, acc in exp_accum.items():
-        if not acc:
-            continue
-        items = tuple(sorted(acc.items(), key=lambda kv: _mono_sort_key(kv[0])))
-        out.append((ExpAtom(items, base), 1))
+    out.extend((e, 1) for e in exps.values() if e is not None)
     out.sort(key=lambda ap: ap[0].key)
     return factor, tuple(out)
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> tuple[Fraction, tuple]:
+def _mono_mul(m1: tuple, m2: tuple) -> tuple[int, tuple]:
+    """(rational factor, monomial) of m1 * m2, by one merge on atom slots."""
     if not m1:
-        return Fraction(1), m2
+        return 1, m2
     if not m2:
-        return Fraction(1), m1
-    return _normalize_monomial(list(m1) + list(m2))
-
-
-def _mono_degree(mono: tuple) -> int:
-    return sum(p for _, p in mono)
-
-
-def _mono_cmp(m1: tuple, m2: tuple) -> int:
-    """Graded lexicographic order; atoms earlier in the fixed order are more
-    significant."""
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
+        return 1, m1
+    factor = 1
+    out = []
     i = j = 0
-    while i < len(m1) and j < len(m2):
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
         a1, p1 = m1[i]
         a2, p2 = m2[j]
-        if a1.key == a2.key:
-            if p1 != p2:
-                return 1 if p1 > p2 else -1
+        s1, s2 = a1.slot, a2.slot
+        if s1 < s2:
+            out.append(m1[i])
+            i += 1
+        elif s2 < s1:
+            out.append(m2[j])
+            j += 1
+        else:
             i += 1
             j += 1
-        elif a1.key < a2.key:
-            return 1  # m1 has the more significant atom
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
+            if isinstance(a1, ExpAtom):
+                a1 = _exp_fold(a1, a2)
+                if a1 is not None:
+                    out.append((a1, 1))
+                continue
+            p = p1 + p2
+            rw = _REWRITES.get(a1)
+            if rw is not None:
+                factor *= rw ** (p // 2)
+                p %= 2
+                if not p:
+                    continue
+            out.append((a1, p))
+    return factor, (*out, *m1[i:], *m2[j:])
 
 
-_MONO_KEY = functools.cmp_to_key(_mono_cmp)
+def _mono_order(mono: tuple) -> tuple:
+    """Sort key listing monomials from the greatest down in graded lex order
+    (a smaller atom `key` is more significant): (-degree, key1, -power1, ...,
+    _LAST), where _LAST sorts after every key, so a longer prefix comes first."""
+    degree, out = 0, []
+    for a, p in mono:
+        degree -= p
+        out += (a.key, -p)
+    return (degree, *out, _LAST)
+
+
+_LAST = (9,)
+
+
+def _mono_gcd(m1: tuple, m2: tuple) -> tuple:
+    """Largest monomial dividing both: shared atoms at the lesser power."""
+    out, j, n2 = [], 0, len(m2)
+    for a, p in m1:
+        while j < n2 and m2[j][0].slot < a.slot:
+            j += 1
+        if j < n2 and m2[j][0] == a:
+            out.append((a, min(p, m2[j][1])))
+    return tuple(out)
 
 
 def _mono_divides(m1: tuple, m2: tuple) -> bool:
     """True when m1 divides m2 (exp atoms must match exactly)."""
-    d2 = dict(m2)
-    for a, p in m1:
-        if d2.get(a, 0) < p:
-            return False
-    return True
+    return _mono_gcd(m1, m2) == m1
 
 
 def _mono_div(m2: tuple, m1: tuple) -> tuple:
-    d2 = dict(m2)
-    for a, p in m1:
-        d2[a] -= p
-        if d2[a] == 0:
-            del d2[a]
-    return tuple(sorted(d2.items(), key=lambda ap: ap[0].key))
+    """m2 / m1 for a divisor m1 of m2."""
+    out = []
+    j, n1 = 0, len(m1)
+    for a, p in m2:
+        if j < n1 and m1[j][0] == a:
+            p -= m1[j][1]
+            j += 1
+            if not p:
+                continue
+        out.append((a, p))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +392,8 @@ def _mono_div(m2: tuple, m1: tuple) -> tuple:
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients."""
+    """Multivariate polynomial {monomial: int or Fraction coefficient}; `eval`
+    and `compile_numeric` sum terms in insertion order."""
 
     __slots__ = ("terms",)
 
@@ -342,7 +406,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
+        c = _q(Fraction(c))
         return Poly({_ONE_MONO: c} if c else {})
 
     @staticmethod
@@ -358,9 +422,9 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int | Fraction:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         return self.terms[_ONE_MONO]
 
     def __eq__(self, other) -> bool:
@@ -372,9 +436,9 @@ class Poly:
     def add(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
+            nc = out.get(m, 0) + c
             if nc:
-                out[m] = nc
+                out[m] = _q(nc)
             else:
                 out.pop(m, None)
         return Poly(out)
@@ -392,26 +456,24 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 factor, mono = _mono_mul(m1, m2)
-                nc = out.get(mono, Fraction(0)) + c1 * c2 * factor
+                nc = out.get(mono, 0) + c1 * c2 * factor
                 if nc:
-                    out[mono] = nc
+                    out[mono] = nc if nc.__class__ is int else _q(nc)
                 else:
                     out.pop(mono, None)
         return Poly(out)
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly.zero()
-        return Poly({m: k * c for m, k in self.terms.items()})
+    def divide(self, c) -> "Poly":
+        """self / c for a nonzero rational c."""
+        return Poly({m: _div(k, c) for m, k in self.terms.items()})
 
-    def mul_mono(self, mono: tuple, coeff: Fraction = Fraction(1)) -> "Poly":
+    def mul_mono(self, mono: tuple, coeff=1) -> "Poly":
         out: dict = {}
         for m, c in self.terms.items():
             factor, nm = _mono_mul(m, mono)
-            nc = out.get(nm, Fraction(0)) + c * coeff * factor
+            nc = out.get(nm, 0) + c * coeff * factor
             if nc:
-                out[nm] = nc
+                out[nm] = _q(nc)
             else:
                 out.pop(nm, None)
         return Poly(out)
@@ -433,11 +495,10 @@ class Poly:
         for mono, coeff in self.terms.items():
             for idx, (atom, power) in enumerate(mono):
                 if isinstance(atom, Coord):
-                    if atom != c:
+                    if atom is not c:
                         continue
-                    rest = mono[:idx] + ((atom, power - 1),) + mono[idx + 1 :]
-                    factor, nm = _normalize_monomial(rest)
-                    out = out.add(Poly({nm: coeff * power * factor} if coeff * power * factor else {}))
+                    lower = ((atom, power - 1),) if power > 1 else ()
+                    out = out.add(Poly({mono[:idx] + lower + mono[idx + 1 :]: coeff * power}))
                 else:
                     dexp = atom.exponent().diff(c)
                     if dexp.is_zero():
@@ -463,11 +524,11 @@ class Poly:
                 out |= a.exponent().coords()
         return out
 
-    def leading(self) -> tuple[tuple, Fraction]:
-        mono = max(self.terms, key=_MONO_KEY)
+    def leading(self) -> tuple[tuple, int | Fraction]:
+        mono = min(self.terms, key=_mono_order)
         return mono, self.terms[mono]
 
-    def content(self) -> Fraction:
+    def content(self) -> int | Fraction:
         """Positive rational content (gcd of coefficient numerators over lcm
         of denominators), signed by the leading coefficient."""
         num_gcd = 0
@@ -475,7 +536,7 @@ class Poly:
         for c in self.terms.values():
             num_gcd = math.gcd(num_gcd, abs(c.numerator))
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
+        content = _div(num_gcd, den_lcm)
         _, lead = self.leading()
         return -content if lead < 0 else content
 
@@ -489,7 +550,7 @@ class Poly:
         return total
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: _MONO_KEY(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: _mono_order(kv[0]))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -530,7 +591,7 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return Poly.zero()
     if b.is_const():
-        return a.scale(Fraction(1) / b.const_value())
+        return a.divide(b.const_value())
     b_mono, b_coeff = b.leading()
     quo: dict = {}
     rem = a
@@ -539,19 +600,14 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
         if not _mono_divides(b_mono, r_mono):
             raise KernelError("polynomial division is not exact")
         q_mono = _mono_div(r_mono, b_mono)
-        q_coeff = r_coeff / b_coeff
-        quo[q_mono] = quo.get(q_mono, Fraction(0)) + q_coeff
+        q_coeff = _div(r_coeff, b_coeff)
+        quo[q_mono] = _q(quo.get(q_mono, 0) + q_coeff)
         rem = rem.sub(b.mul(Poly({q_mono: q_coeff})))
     return Poly({m: c for m, c in quo.items() if c})
 
 
 def _degree_in(p: Poly, atom) -> int:
-    deg = 0
-    for mono in p.terms:
-        for a, pw in mono:
-            if a == atom:
-                deg = max(deg, pw)
-    return deg
+    return max((pw for mono in p.terms for a, pw in mono if a == atom), default=0)
 
 
 def _as_univariate(p: Poly, atom) -> dict[int, Poly]:
@@ -583,10 +639,6 @@ def _uni_degree(coeffs: dict[int, Poly]) -> int:
     return max(coeffs) if coeffs else -1
 
 
-def _uni_scale(coeffs: dict[int, Poly], p: Poly) -> dict[int, Poly]:
-    return {d: c.mul(p) for d, c in coeffs.items()}
-
-
 def _uni_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
     out = dict(a)
     for d, c in b.items():
@@ -598,32 +650,24 @@ def _uni_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
     return out
 
 
-def _uni_shift(coeffs: dict[int, Poly], k: int) -> dict[int, Poly]:
-    return {d + k: c for d, c in coeffs.items()}
-
-
 def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    da, db = _uni_degree(a), _uni_degree(b)
-    lead_b = b[db]
+    db = _uni_degree(b)
     r = a
-    while (dr := _uni_degree(r)) >= db and dr >= 0:
-        lead_r = r[dr]
-        r = _uni_sub(_uni_scale(r, lead_b), _uni_shift(_uni_scale(b, lead_r), dr - db))
+    while (dr := _uni_degree(r)) >= db:
+        scaled_r = {d: c.mul(b[db]) for d, c in r.items()}
+        r = _uni_sub(scaled_r, {d + dr - db: c.mul(r[dr]) for d, c in b.items()})
     return r
 
 
 def _mono_content(p: Poly) -> tuple:
     """Largest monomial dividing every term."""
-    common: dict | None = None
-    for mono in p.terms:
-        d = dict(mono)
-        if common is None:
-            common = d
-        else:
-            common = {a: min(pw, d[a]) for a, pw in common.items() if a in d}
+    monos = iter(p.terms)
+    common = next(monos, _ONE_MONO)
+    for mono in monos:
         if not common:
-            return _ONE_MONO
-    return tuple(sorted((common or {}).items(), key=lambda ap: ap[0].key))
+            break
+        common = _mono_gcd(common, mono)
+    return common
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -639,20 +683,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return a
     ma, mb = _mono_content(a), _mono_content(b)
-    common: dict = {}
-    db = dict(mb)
-    for atom, pw in ma:
-        if atom in db:
-            common[atom] = min(pw, db[atom])
-    common_mono = tuple(sorted(common.items(), key=lambda ap: ap[0].key))
+    common_mono = _mono_gcd(ma, mb)
     if len(a.terms) == 1 or len(b.terms) == 1:
-        return Poly({common_mono: Fraction(1)})
+        return Poly({common_mono: 1})
     a = Poly({_mono_div(m, ma): c for m, c in a.terms.items()})
     b = Poly({_mono_div(m, mb): c for m, c in b.terms.items()})
     if any(
         isinstance(atom, ExpAtom) for p in (a, b) for atom in p.atoms()
     ):
-        return Poly({common_mono: Fraction(1)})
+        return Poly({common_mono: 1})
     core = _gcd_primitive(a, b)
     if common_mono:
         core = core.mul_mono(common_mono)
@@ -692,7 +731,7 @@ def _gcd_primitive(a: Poly, b: Poly) -> Poly:
     result = _from_univariate(gp, main)
     cont = poly_gcd(cont_a, cont_b)
     result = result.mul(cont)
-    return result.scale(Fraction(1) / result.content())
+    return result.divide(result.content())
 
 
 def _poly_gcd_list(polys: list[Poly]) -> Poly:
@@ -701,7 +740,7 @@ def _poly_gcd_list(polys: list[Poly]) -> Poly:
         g = poly_gcd(g, p)
         if g.is_const() and not g.is_zero():
             return Poly.const(1)
-    return g.scale(Fraction(1) / g.content()) if not g.is_zero() else g
+    return g.divide(g.content()) if not g.is_zero() else g
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +758,7 @@ def _exp_ratio(items_a: ExpItems, items_b: ExpItems) -> Fraction | None:
         ca = da.get(m)
         if ca is None:
             return None
-        r = ca / cb
+        r = _div(ca, cb)
         if q is None:
             q = r
         elif q != r:
@@ -740,6 +779,10 @@ class _ExpVar:
     @functools.cached_property
     def key(self) -> tuple:
         return (5, self.base.key, tuple((_mono_sort_key(m), c) for m, c in self.items))
+
+    @property
+    def slot(self) -> tuple:
+        return self.key
 
 
 def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
@@ -766,7 +809,7 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
                     gen = gens.get(a.base)
                     if gen is None:
                         gen = a.items
-                        lead = max((m for m, _ in gen), key=_MONO_KEY)
+                        lead = min((m for m, _ in gen), key=_mono_order)
                         if dict(gen)[lead] < 0:
                             gen = tuple((m, -c) for m, c in gen)
                         gens[a.base] = gen
@@ -792,7 +835,7 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
         for base, k in low.items()
     }
     variables = {
-        base: _ExpVar(base, tuple((m, c * step[base] / scale[base]) for m, c in gens[base]))
+        base: _ExpVar(base, tuple((m, _div(c * step[base], scale[base])) for m, c in gens[base]))
         for base in low
     }
 
@@ -824,7 +867,7 @@ def _delocalize_exps(p: Poly) -> Poly:
             else:
                 pairs.append((a, pw))
         factor, nm = _normalize_monomial(pairs)
-        out[nm] = out.get(nm, Fraction(0)) + coeff * factor
+        out[nm] = _q(out.get(nm, 0) + coeff * factor)
     return Poly({m: c for m, c in out.items() if c})
 
 
@@ -864,13 +907,8 @@ class Expr:
         if not den.is_const():
             if len(den.terms) == 1:
                 # monomial denominator: cancel the common monomial directly
-                ma, mb = _mono_content(num), next(iter(den.terms))
-                db = dict(mb)
-                common = {
-                    atom: min(pw, db[atom]) for atom, pw in ma if atom in db
-                }
-                if common:
-                    g = tuple(sorted(common.items(), key=lambda ap: ap[0].key))
+                g = _mono_gcd(_mono_content(num), next(iter(den.terms)))
+                if g:
                     num = Poly({_mono_div(mo, g): c for mo, c in num.terms.items()})
                     den = Poly({_mono_div(mo, g): c for mo, c in den.terms.items()})
             else:
@@ -879,8 +917,8 @@ class Expr:
             num, den = _delocalize_exps(num), _delocalize_exps(den)
         c = den.content()
         if c != 1:
-            num = num.scale(Fraction(1) / c)
-            den = den.scale(Fraction(1) / c)
+            num = num.divide(c)
+            den = den.divide(c)
         self.num = num
         self.den = den
 
@@ -900,7 +938,7 @@ class Expr:
     def exp(arg: "Expr") -> "Expr":
         if not arg.den.is_const():
             raise UnsupportedExponentError("exponent must be polynomial")
-        poly = arg.num.scale(Fraction(1) / arg.den.const_value())
+        poly = arg.num.divide(arg.den.const_value())
         atom = _exp_atom(poly)
         if atom is None:
             return Expr.const(1)
@@ -976,10 +1014,10 @@ class Expr:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int | Fraction:
         if not self.is_const():
             raise KernelError("expression is not constant")
-        return self.num.const_value() / self.den.const_value()
+        return _div(self.num.const_value(), self.den.const_value())
 
     def coords(self) -> set:
         return self.num.coords() | self.den.coords()
@@ -1127,22 +1165,10 @@ ONE = Expr.const(1)
 # Named coordinates
 # ---------------------------------------------------------------------------
 
-x = indep("x")
-t = indep("t")
-z = indep("z")
-eta = param("eta")
-delta = param("delta")
-eps = param("eps")
-u0 = param("u0")
-kk = param("kk")
-theta = param("theta")
-iunit = param("i")
-sqrt2 = param("s")
-phi1 = dep("phi1")
-phi2 = dep("phi2")
-phih1 = dep("phih1")
-phih2 = dep("phih2")
-p = dep("p")
+x, t, z = (indep(name) for name in _INDEP_NAMES)
+eta, delta, eps, u0, kk, theta = (param(name) for name in ("eta", "delta", "eps", "u0", "kk", "theta"))
+iunit, sqrt2 = param("i"), param("s")
+phi1, phi2, phih1, phih2, p = (dep(name) for name in _DEP_NAMES)
 
 
 def u(k: int = 0) -> Coord:
@@ -1166,22 +1192,7 @@ def n(k: int = 0) -> Coord:
 # ---------------------------------------------------------------------------
 
 _BASE_NAMES: dict[str, Coord] = {
-    "x": x,
-    "t": t,
-    "z": z,
-    "eta": eta,
-    "delta": delta,
-    "eps": eps,
-    "u0": u0,
-    "kk": kk,
-    "theta": theta,
-    "i": iunit,
-    "s": sqrt2,
-    "phi1": phi1,
-    "phi2": phi2,
-    "phih1": phih1,
-    "phih2": phih2,
-    "p": p,
+    str(c): c for c in (x, t, z, eta, delta, eps, u0, kk, theta, iunit, sqrt2, phi1, phi2, phih1, phih2, p)
 }
 
 
@@ -1190,22 +1201,12 @@ def _identifier_expr(name: str, mn_mode: str, delta_value: int | None, offset: i
         if name == "delta" and delta_value is not None:
             return Expr.const(delta_value)
         return Expr.atom(_BASE_NAMES[name])
-    if name in ("u", "v") or (
-        len(name) >= 2 and name[0] in "uv" and name[1:].isdigit()
-    ):
+    if name[0] in "uvmn" and (len(name) == 1 or name[1:].isdigit()):
         base = name[0]
         order = int(name[1:]) if len(name) > 1 else 0
         if not 1 <= order <= MAX_JET_ORDER and len(name) > 1:
             raise UnknownIdentifierError(name, offset)
-        return Expr.atom(jet(base, order))
-    if name in ("m", "n") or (
-        len(name) >= 2 and name[0] in "mn" and name[1:].isdigit()
-    ):
-        base = name[0]
-        order = int(name[1:]) if len(name) > 1 else 0
-        if not 1 <= order <= MAX_JET_ORDER and len(name) > 1:
-            raise UnknownIdentifierError(name, offset)
-        if mn_mode == "jets":
+        if base in "uv" or mn_mode == "jets":
             return Expr.atom(jet(base, order))
         if order > 0:
             raise UnknownIdentifierError(name, offset)

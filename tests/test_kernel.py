@@ -1,7 +1,9 @@
 """Kernel unit tests: grammar, canonical form, calculus, numeric evaluation."""
 
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -405,3 +407,62 @@ def test_eval_diff_finite_difference_cross_check():
             assert abs(fd - ex) / scale < 1e-6
             checked += 1
     assert checked > 150
+
+
+class TestProductFolds:
+    """Each rewrite a monomial product performs, and the coefficient rule."""
+
+    def test_rewrite_atoms(self):
+        assert parse("i*i") == -1
+        assert parse("s^3") == 2 * parse("s")
+        assert parse("(1+i)*(1-i)") == 2
+
+    def test_exponentials_of_one_base_fold(self):
+        assert parse("exp(x)*exp(2*x)") == parse("exp(3*x)")
+        assert parse("exp(eta*x)*exp(-eta*x)") == 1
+
+    def test_exponentials_of_two_bases_fold_separately(self):
+        a = parse("u*exp(eta*x)*exp(z)")
+        b = parse("v*exp(x)*exp(-2*z)")
+        prod = a * b
+        assert prod == parse("u*v*exp((eta+1)*x)*exp(-z)")
+        assert prod == Expr.atom(K.u(0)) * K.v(0) * Expr.exp(parse("(eta+1)*x")) * Expr.exp(parse("-z"))
+        assert len(prod.num.terms) == 1
+        assert len(next(iter(prod.num.terms))) == 3  # v, u, one exp per base
+        assert (prod * parse("exp(-eta*x)*exp(z)") - parse("u*v*exp(x)")).is_zero()
+
+    def test_commensurate_exponential_fraction(self):
+        # reduced through integer powers of one stand-in exponential
+        assert parse("(exp(2*x) - 1)/(exp(x) - 1)") == parse("exp(x) + 1")
+        e = parse("(exp(3*eta*x) - u^3)/(exp(eta*x) - u)")
+        assert e == parse("exp(2*eta*x) + u*exp(eta*x) + u^2")
+
+    def test_coefficients_are_int_unless_fractional(self):
+        rng = random.Random(5)
+        exprs = [
+            parse("3/4*u + 2"),
+            parse("(2*u + 4)/(6*v)"),
+            parse("(1/2*u^2 - 1/2)/(1/3*u + 1/3)"),
+            parse("i*s/2 + s*s"),
+            parse("exp(2/3*eta*x)*u/(2*exp(1/3*eta*x) + 4)"),
+            parse("7/3").diff(K.u(0)),
+            parse("u^3/(2*v)").diff(K.u(0)),
+        ]
+        exprs += [_random_expr(rng) / (1 + _random_expr(rng) ** 2) for _ in range(40)]
+        for e in exprs:
+            for c in [*e.num.terms.values(), *e.den.terms.values()]:
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, c)
+            assert all(type(c) is int for c in e.den.terms.values()), e
+
+    def test_pickle_round_trip(self):
+        e = parse("u1*eta*exp(eta*x)/(v + 2) + 1/2")
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e
+        assert hash(back) == hash(e)
+        assert str(back) == str(e)
+        assert back * e == e * e
+
+    def test_unpickled_coordinates_are_the_interned_ones(self):
+        # coordinates compare by identity, so unpickling must re-intern them
+        assert pickle.loads(pickle.dumps(K.u(1))) is K.u(1)
+        assert pickle.loads(pickle.dumps(K.eta)) is K.eta
