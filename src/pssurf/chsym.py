@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -449,20 +450,23 @@ def _flow():
     )
 
 
-def flow_derivative(s: EnlargedState) -> tuple[float, ...]:
-    """The generator's rates at a state, in EnlargedState field order."""
+def flow_derivative(s: Sequence[float]) -> tuple[float, ...]:
+    """The generator's rates at a state given in EnlargedState field order."""
     return _flow()(*s)
 
 
 def flow_transform(s: EnlargedState, eps: float, steps: int) -> EnlargedState:
-    """Integrate the generator flow with the explicit midpoint rule."""
+    """Integrate the generator flow with the explicit midpoint rule; the
+    steps run on plain float lists."""
     h = eps / steps
+    half = h / 2.0
+    y = list(s)
     for _ in range(steps):
-        k1 = flow_derivative(s)
-        mid = EnlargedState._make([a + h / 2.0 * r for a, r in zip(s, k1)])
+        k1 = flow_derivative(y)
+        mid = [a + half * r for a, r in zip(y, k1)]
         k2 = flow_derivative(mid)
-        s = EnlargedState._make([a + h * r for a, r in zip(s, k2)])
-    return s
+        y = [a + h * r for a, r in zip(y, k2)]
+    return EnlargedState._make(y)
 
 
 def flow_transform_richardson(s: EnlargedState, eps: float, steps: int) -> EnlargedState:
@@ -498,59 +502,78 @@ class ExactSolution:
 
     @_NONFINITE_OK
     def theta(self, x, t):
-        w = self._w(x, t)
-        if self.eps > 0:
-            return np.tanh(w)
-        return 1.0 / np.tanh(w)
-
-    def _w(self, x, t):
+        """tanh (eps > 0) or coth (eps < 0) of the wave phase, as a new array
+        (0-d for scalar x and t).  The in-place steps keep the order of
+        k * z / 2 + log(mag) / 2."""
         k = self.k
-        zz = np.asarray(x, dtype=float) + self.speed * np.asarray(t, dtype=float)
         mag = abs(self.eps) * (1.0 - k * k) / (2.0 * k * self.u0)
-        return k * zz / 2.0 + 0.5 * np.log(mag)
+        th = np.empty(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        np.add(x, self.speed * np.asarray(t, dtype=float), out=th)
+        th *= k
+        th /= 2.0
+        th += 0.5 * np.log(mag)
+        np.tanh(th, out=th)
+        if self.eps <= 0:
+            np.divide(1.0, th, out=th)
+        return th
 
     def _guard(self, den):
-        return np.where(np.abs(den) <= _MASK_TOL, np.nan, den)
+        """den with the entries within _MASK_TOL of zero set to NaN, in
+        place when den is an array."""
+        den = np.asarray(den)
+        np.copyto(den, np.nan, where=np.abs(den) <= _MASK_TOL)
+        return den
 
     @_NONFINITE_OK
+    def coordinate_map(self, x, t):
+        """x_tilde at (x, t) and its slope in x,
+        1 - k^2 (1 - theta^2) / (2 (1 + k theta)), from one theta."""
+        th = self.theta(x, t)
+        k = self.k
+        den = self._guard(th * k + 1.0)
+        x_tilde = x + np.log(abs(1.0 - k)) - np.log(np.abs(den))
+        slope = th  # 1 - k^2 (1 - th^2) / (2 den), in place
+        slope *= th
+        np.subtract(1.0, slope, out=slope)
+        slope *= k * k
+        den *= 2.0
+        slope /= den
+        np.subtract(1.0, slope, out=slope)
+        return x_tilde, slope
+
     def x_tilde(self, x, t):
-        th = self.theta(x, t)
-        return x + np.log(abs(1.0 - self.k)) - np.log(np.abs(self._guard(1.0 + self.k * th)))
+        return self.coordinate_map(x, t)[0]
 
     @_NONFINITE_OK
-    def dx_tilde(self, x, t):
-        """Slope of x_tilde in x: 1 - k^2 (1 - theta^2) / (2 (1 + k theta))."""
+    def fields(self, x, t):
+        """u and v at (x, t), from one theta."""
         th = self.theta(x, t)
         k = self.k
-        return 1.0 - k * k * (1.0 - th * th) / (2.0 * self._guard(1.0 + k * th))
+        p = 1.0 + k * th
+        u = (2.0 - k * k * (1.0 + th * th)) * self.u0 / self._guard(2.0 * (1.0 + k) * p)
+        v = (1.0 + k * (k + 2.0 * th) + p**2) / self._guard(2.0 * (1.0 - k) * p)
+        return u, v
 
     @_NONFINITE_OK
+    def momenta(self, x, t):
+        """m and n at (x, t), from one theta."""
+        k = self.k
+        p2 = (1.0 + k * self.theta(x, t)) ** 2
+        q = 1.0 - k * k + p2
+        n = 2.0 * p2 / self._guard((1.0 - k) * q)  # before q is guarded in place
+        return 2.0 * self.u0 * (1.0 - k) / self._guard(q), n
+
     def u_tilde(self, x, t):
-        th = self.theta(x, t)
-        k = self.k
-        den = self._guard(2.0 * (1.0 + k) * (1.0 + k * th))
-        return (2.0 - k * k * (1.0 + th * th)) * self.u0 / den
+        return self.fields(x, t)[0]
 
-    @_NONFINITE_OK
     def v_tilde(self, x, t):
-        th = self.theta(x, t)
-        k = self.k
-        den = self._guard(2.0 * (1.0 - k) * (1.0 + k * th))
-        return (1.0 + k * (k + 2.0 * th) + (1.0 + k * th) ** 2) / den
+        return self.fields(x, t)[1]
 
-    @_NONFINITE_OK
     def m_tilde(self, x, t):
-        th = self.theta(x, t)
-        k = self.k
-        den = self._guard(1.0 - k * k + (1.0 + k * th) ** 2)
-        return 2.0 * self.u0 * (1.0 - k) / den
+        return self.momenta(x, t)[0]
 
-    @_NONFINITE_OK
     def n_tilde(self, x, t):
-        th = self.theta(x, t)
-        k = self.k
-        den = self._guard((1.0 - k) * (1.0 - k * k + (1.0 + k * th) ** 2))
-        return 2.0 * (1.0 + k * th) ** 2 / den
+        return self.momenta(x, t)[1]
 
 
 def exact_solution(u0: float, eta: float, eps: float) -> ExactSolution:

@@ -296,8 +296,6 @@ def cmd_ch2(args) -> int:
         except chsym.DomainError as err:
             sys.stderr.write(f"domain error: {err}\n")
             return MATH_FAILURE
-        import numpy as np
-
         from .numgrid import (
             NonMonotoneError,
             SolutionSampler,
@@ -314,8 +312,7 @@ def cmd_ch2(args) -> int:
             return MATH_FAILURE
         # diagnostic: the same profiles read in the untransformed coordinate
         xs, ts = grid.axes(halo_x=3, halo_t=1)
-        X, T = np.meshgrid(xs, ts, indexing="ij")
-        raw = fd_residual_arrays(sol.u_tilde(X, T), sol.v_tilde(X, T), grid)
+        raw = fd_residual_arrays(*sol.fields(xs[:, None], ts[None, :]), grid)
         passed = report.converged()
         payload = {
             "passed": passed,

@@ -5,7 +5,9 @@ The flow residuals are assembled from second-order central stencils; the
 mixed derivative u_xxt composes the central t-derivative with the central
 second x-derivative.  A refinement ladder (h, h/2, h/4, ...) yields an
 observed convergence order; pole-adjacent points (flagged as NaN by the
-field evaluators) are masked from the norms and counted.
+field evaluators) are masked from the norms and counted.  The inversion,
+the field evaluation and the stencils sweep the grid in row blocks, with
+results bit-identical to one whole-grid sweep.
 """
 
 from __future__ import annotations
@@ -60,56 +62,88 @@ class Grid:
 
 _MAX_STEPS = 100  # bisection alone meets the tolerance within about 50 halvings
 _PAD = 4.0  # initial bracket half-width, and its growth per bracketing round
+# nodes per row block of a grid sweep: a float64 temporary of a block is
+# 256 KiB, so the few a sweep holds at once stay in a 2 MiB L2 cache
+_BLOCK_NODES = 2**15
 
 
-def invert_grid(x_tilde_of, dx_tilde_of, targets: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive row slices of about _BLOCK_NODES nodes each (at least
+    one row), covering rows 0..rows-1."""
+    step = max(1, _BLOCK_NODES // cols)
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+def invert_grid(map_of, targets: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Solve x_tilde(x, t) = target over a meshgrid of targets (axis 0) and
     times (axis 1) by bracketed Newton iteration from x = target.
 
-    dx_tilde_of is the slope of x_tilde in x.  Each iterate tightens its
-    node's sign-change bracket; a Newton step that leaves the bracket or is
-    not finite is replaced by the bracket midpoint.  A node has converged
+    map_of(x, t) returns x_tilde and its slope in x.  Each iterate tightens
+    its node's sign-change bracket; a Newton step that leaves the bracket or
+    is not finite is replaced by the bracket midpoint.  A node has converged
     once its step, or its bracket, is within 1e-13 * max(1, |x|).  The map
     must be strictly monotone over each bracket: a slope at a bracket end or
     an iterate that is zero or against the bracket's direction raises
     NonMonotoneError (non-finite slopes, at masked poles, are skipped).
+
+    The grid is swept in row blocks (_row_blocks) so that a sweep's
+    temporaries stay in cache.  Bracketing is per node, so each block
+    brackets on its own; an OutOfRangeError in any block is raised before a
+    NonMonotoneError at a bracket end.  Newton runs the blocks in lockstep:
+    every iteration sweeps every block and the loop stops once all of them
+    have converged.  A node already within tolerance still moves, by an ulp
+    or so, on later iterations, so stopping a block early would change the
+    result's bits.
     """
-    T, TT = np.meshgrid(targets, ts, indexing="ij", sparse=True)
-    x = np.broadcast_to(T, (T.size, TT.size)).copy()
+    T = targets[:, None]
+    TT = ts[None, :]
+    x = np.repeat(T, ts.size, axis=1)
     lo, hi = x - _PAD, x + _PAD
-    for _ in range(13):  # the bracket grows by _PAD at most 12 times
-        flo, fhi = x_tilde_of(lo, TT) - T, x_tilde_of(hi, TT) - T
-        bad = np.sign(flo) == np.sign(fhi)
-        if not bad.any():
-            break
-        lo, hi = lo - _PAD * bad, hi + _PAD * bad
-    else:
-        raise OutOfRangeError("failed to bracket the coordinate inversion")
-    lo_side = -np.sign(fhi - flo)  # -1 where x_tilde rises through the target, +1 where it falls
-    del flo, fhi
-
-    def check_monotone(slope):
-        if np.any(slope * lo_side >= 0):
-            raise NonMonotoneError("coordinate map is not monotone over the bracket")
-
-    check_monotone(dx_tilde_of(lo, TT))
-    check_monotone(dx_tilde_of(hi, TT))
+    lo_side = np.empty_like(x)  # -1 where x_tilde rises through the target, +1 where it falls
+    blocks = _row_blocks(*x.shape)
+    monotone = True
+    for b in blocks:
+        for _ in range(13):  # the bracket grows by _PAD at most 12 times
+            (flo, slo), (fhi, shi) = map_of(lo[b], TT), map_of(hi[b], TT)
+            flo, fhi = flo - T[b], fhi - T[b]
+            bad = np.sign(flo) == np.sign(fhi)
+            if not bad.any():
+                break
+            grow = _PAD * bad
+            lo[b] -= grow
+            hi[b] += grow
+        else:
+            raise OutOfRangeError("failed to bracket the coordinate inversion")
+        lo_side[b] = -np.sign(fhi - flo)
+        monotone = monotone and _monotone(slo, lo_side[b]) and _monotone(shi, lo_side[b])
+    if not monotone:
+        raise NonMonotoneError("coordinate map is not monotone over the bracket")
     for _ in range(_MAX_STEPS):
-        slope = dx_tilde_of(x, TT)
-        check_monotone(slope)
-        step = x_tilde_of(x, TT) - T  # the residual, divided by the slope below
-        take_lo = np.sign(step) == lo_side
-        np.copyto(lo, x, where=take_lo)
-        np.copyto(hi, x, where=~take_lo)
-        step /= slope
-        del slope  # no more full-grid temporaries than the bisection it replaced
-        tol = 1e-13 * np.maximum(1.0, np.abs(x))
-        small = np.abs(step) <= tol
-        x -= step
-        np.copyto(x, 0.5 * (lo + hi), where=~(small | ((lo <= x) & (x <= hi))))
-        if np.all(small | (hi - lo <= tol)):
+        converged = True
+        for b in blocks:
+            xb, lob, hib, side = x[b], lo[b], hi[b], lo_side[b]
+            x_tilde, slope = map_of(xb, TT)
+            if not _monotone(slope, side):
+                raise NonMonotoneError("coordinate map is not monotone over the bracket")
+            step = x_tilde - T[b]  # the residual, divided by the slope below
+            take_lo = np.sign(step) == side
+            np.copyto(lob, xb, where=take_lo)
+            np.copyto(hib, xb, where=~take_lo)
+            step /= slope
+            tol = 1e-13 * np.maximum(1.0, np.abs(xb))
+            small = np.abs(step) <= tol
+            xb -= step
+            outside = ~(small | ((lob <= xb) & (xb <= hib)))
+            if outside.any():
+                xb[outside] = 0.5 * (lob[outside] + hib[outside])
+            converged = converged and bool(np.all(small | (hib - lob <= tol)))
+        if converged:
             break
     return x
+
+
+def _monotone(slope: np.ndarray, lo_side: np.ndarray) -> bool:
+    return not np.any(slope * lo_side >= 0)
 
 
 @dataclass(frozen=True)
@@ -165,9 +199,8 @@ def _crop_x(F: np.ndarray, k: int) -> np.ndarray:
     return F[k:-k, :] if k else F
 
 
-def _residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid):
-    """Interior fields and both equation residuals from haloed samples."""
-    hx, ht = grid.hx, grid.ht
+def _residual_block(u: np.ndarray, v: np.ndarray, hx: float, ht: float):
+    """Both equation residuals on the interior of haloed samples."""
 
     def jets(F):
         # x-jets on the t-extended interior, cropped to a common x-window
@@ -196,9 +229,18 @@ def _residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid):
     C = u0 * v1 - u1 * v0
     F_rhs = 0.5 * (mm_x * B + mm * Bx) - 0.5 * mm * C
     G_rhs = 0.5 * (nn_x * B + nn * Bx) + 0.5 * nn * C
-    res1 = ut - uxxt - F_rhs
-    res2 = vt - vxxt - G_rhs
-    return u0, v0, res1, res2
+    return ut - uxxt - F_rhs, vt - vxxt - G_rhs
+
+
+def _residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid):
+    """Interior fields and both equation residuals from haloed samples,
+    computed in row blocks: output rows [a, b) read input rows [a, b + 6)."""
+    shape = (u.shape[0] - 6, u.shape[1] - 2)
+    res1, res2 = np.empty(shape), np.empty(shape)
+    for b in _row_blocks(*shape):
+        halo = slice(b.start, b.stop + 6)
+        res1[b], res2[b] = _residual_block(u[halo], v[halo], grid.hx, grid.ht)
+    return u[3:-3, 1:-1], v[3:-3, 1:-1], res1, res2
 
 
 def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualReport:
@@ -230,13 +272,24 @@ class SolutionSampler:
 
     def sample(self, grid: Grid, halo_x: int = 3, halo_t: int = 1):
         xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
-        X = invert_grid(self.sol.x_tilde, self.sol.dx_tilde, xs, ts)
-        TT = np.meshgrid(xs, ts, indexing="ij")[1]
-        return self.sol.u_tilde(X, TT), self.sol.v_tilde(X, TT), X, TT
+        X = invert_grid(self.sol.coordinate_map, xs, ts)
+        u, v = _evaluate(self.sol.fields, X, ts)
+        return u, v, X, np.broadcast_to(ts, X.shape)
+
+
+def _evaluate(pair_of, X: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two arrays pair_of(x, t) returns at x = X and t = ts (axis 1),
+    evaluated in row blocks."""
+    out = np.empty_like(X), np.empty_like(X)
+    for b in _row_blocks(*X.shape):
+        out[0][b], out[1][b] = pair_of(X[b], ts[None, :])
+    return out
 
 
 # nodes one sampling may hold, halo included; the default ladder's finest
-# rung holds 2055 x 259
+# rung holds 2055 x 259.  The memory is the arrays a sampling holds (x and
+# its bracket in the inversion, then the fields), a few float64 arrays of
+# this size; the sweeps' temporaries are one row block each.
 MAX_LADDER_NODES = 2**22
 
 
@@ -315,9 +368,9 @@ def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
     """Fields on the grid in transformed coordinates, one row per node.  A
     grid over the node limit is rejected before anything is sampled."""
     _check_node_limit(grid, 0, 0, "solution grid")
-    u, v, X, TT = SolutionSampler(sol).sample(grid, halo_x=0, halo_t=0)
-    m, n = sol.m_tilde(X, TT), sol.n_tilde(X, TT)
+    u, v, X, _ = SolutionSampler(sol).sample(grid, halo_x=0, halo_t=0)
     xs, ts = grid.axes()
+    m, n = _evaluate(sol.momenta, X, ts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# u0={sol.u0} eta={sol.eta} eps={sol.eps} k={sol.k} speed={sol.speed} "

@@ -5,9 +5,17 @@ files of ``ch2 residual`` and ``ch2 solution``, and the ``repr`` of the
 numeric finite transformation and of the Richardson-extrapolated generator
 flow.  They were recorded before a refactor and any later change must
 reproduce them exactly.  Run this file as a script to re-record them.
+
+The ``default_grid`` cases run on ``ch2 residual``'s default grid, large
+enough that the numeric layer splits it into several row blocks, so an
+error at a block seam shows in them.  Their parameters are ones where
+some nodes converge iterations before others, so the inversion's lockstep
+shows in them too.  The solution CSV on that grid is 3 MB, so its golden
+is the SHA-256 of the file, not the file.
 """
 
 import contextlib
+import hashlib
 import io
 import tempfile
 from pathlib import Path
@@ -18,6 +26,7 @@ from pssurf import chsym
 from pssurf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEFAULT_GRID = "-8:8:0.03125,-1:1:0.03125"  # ch2 residual's default
 
 # (golden file stem, argv, expected exit code)
 CASES = [
@@ -30,6 +39,8 @@ CASES = [
     ("build_thm34", ["build", "thm34", "--config", str(GOLDEN / "build_thm34.config.json")], 0),
     ("ch2_residual", ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1",
                       "--grid=-4:4:0.125,-1:1:0.125", "--rungs", "3"], 0),
+    ("ch2_residual_default_grid", ["ch2", "residual", "--u0", "0.6", "--eta", "1", "--eps", "0.5",
+                                   f"--grid={DEFAULT_GRID}", "--rungs", "3"], 0),
 ]
 
 # (golden file name, argv of a command that writes the file named by --out)
@@ -38,6 +49,12 @@ CSV_CASES = [
                           "--grid=-4:4:0.125,-1:1:0.125", "--rungs", "3", "--format", "csv"]),
     ("ch2_solution.csv", ["ch2", "solution", "--u0", "0.75", "--eta", "1", "--eps", "1",
                           "--grid=-2:2:0.25,-1:1:0.125"]),
+]
+
+# (golden file name, argv as in CSV_CASES): the golden holds the CSV's SHA-256
+DIGEST_CASES = [
+    ("ch2_solution_default_grid.csv.sha256",
+     ["ch2", "solution", "--u0", "0.6", "--eta", "1", "--eps", "0.5", f"--grid={DEFAULT_GRID}"]),
 ]
 
 # (u0, eta, x, t, eps, steps): the flow checks of test_chsym and test_acceptance
@@ -60,6 +77,11 @@ def run_csv(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--out", str(path)])
         return code, path.read_text(encoding="utf-8")
+
+
+def csv_digest(argv):
+    code, text = run_csv(argv)
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
 
 
 def flow_text():
@@ -86,6 +108,13 @@ def test_csv_matches_golden(name, argv):
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,argv", DIGEST_CASES, ids=[c[0] for c in DIGEST_CASES])
+def test_csv_digest_matches_golden(name, argv):
+    code, digest = csv_digest(argv)
+    assert code == 0
+    assert digest == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def test_flow_matches_golden():
     assert flow_text() == (GOLDEN / "ch2_flow.txt").read_text(encoding="utf-8")
 
@@ -95,4 +124,6 @@ if __name__ == "__main__":
         (GOLDEN / f"{stem}.json").write_text(run_json(argv)[1], encoding="utf-8")
     for name, argv in CSV_CASES:
         (GOLDEN / name).write_text(run_csv(argv)[1], encoding="utf-8")
+    for name, argv in DIGEST_CASES:
+        (GOLDEN / name).write_text(csv_digest(argv)[1], encoding="utf-8")
     (GOLDEN / "ch2_flow.txt").write_text(flow_text(), encoding="utf-8")

@@ -86,26 +86,74 @@ class BisectionSampler(SolutionSampler):
         return self.sol.u_tilde(X, TT), self.sol.v_tilde(X, TT), X, TT
 
 
-def _ident(x, t):
+def _newton_grid(x_tilde_of, dx_tilde_of, targets, ts):
+    """Oracle: the bracketed Newton inversion swept over the whole grid at
+    once, with x_tilde and its slope as two callables; the blocked
+    invert_grid must reproduce it bit for bit."""
+    T, TT = np.meshgrid(targets, ts, indexing="ij", sparse=True)
+    x = np.broadcast_to(T, (T.size, TT.size)).copy()
+    lo, hi = x - 4.0, x + 4.0
+    for _ in range(13):
+        flo, fhi = x_tilde_of(lo, TT) - T, x_tilde_of(hi, TT) - T
+        bad = np.sign(flo) == np.sign(fhi)
+        if not bad.any():
+            break
+        lo, hi = lo - 4.0 * bad, hi + 4.0 * bad
+    else:
+        raise OutOfRangeError("failed to bracket the coordinate inversion")
+    lo_side = -np.sign(fhi - flo)
+
+    def check_monotone(slope):
+        if np.any(slope * lo_side >= 0):
+            raise NonMonotoneError("coordinate map is not monotone over the bracket")
+
+    check_monotone(dx_tilde_of(lo, TT))
+    check_monotone(dx_tilde_of(hi, TT))
+    for _ in range(100):
+        slope = dx_tilde_of(x, TT)
+        check_monotone(slope)
+        step = x_tilde_of(x, TT) - T
+        take_lo = np.sign(step) == lo_side
+        np.copyto(lo, x, where=take_lo)
+        np.copyto(hi, x, where=~take_lo)
+        step /= slope
+        tol = 1e-13 * np.maximum(1.0, np.abs(x))
+        small = np.abs(step) <= tol
+        x -= step
+        np.copyto(x, 0.5 * (lo + hi), where=~(small | ((lo <= x) & (x <= hi))))
+        if np.all(small | (hi - lo <= tol)):
+            break
     return x
 
 
-def _unit_slope(x, t):
-    return np.ones_like(x)
+def _identity_map(x, t):
+    return x, np.ones_like(x)
 
 
-def _invert_point(x_tilde_of, dx_tilde_of, t, target):
-    return float(invert_grid(x_tilde_of, dx_tilde_of, np.array([target]), np.array([t]))[0, 0])
+def _atan10_map(x, t):
+    return 10.0 * np.arctan(x), 10.0 / (1.0 + x * x)
+
+
+def _wobble_map(x, t):
+    return np.sin(3 * x), 3 * np.cos(3 * x)
+
+
+def _tanh_map(x, t):
+    return np.tanh(x), 1.0 / np.cosh(x) ** 2
+
+
+def _invert_point(map_of, t, target):
+    return float(invert_grid(map_of, np.array([target]), np.array([t]))[0, 0])
 
 
 class TestInversion:
     def test_identity_map(self):
-        assert _invert_point(_ident, _unit_slope, 0.0, 1.25) == pytest.approx(1.25)
+        assert _invert_point(_identity_map, 0.0, 1.25) == pytest.approx(1.25)
 
     def test_round_trip(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
         for target in (-5.0, -1.0, 0.0, 2.0, 6.0):
-            xv = _invert_point(sol.x_tilde, sol.dx_tilde, 0.5, target)
+            xv = _invert_point(sol.coordinate_map, 0.5, target)
             assert float(sol.x_tilde(np.array([xv]), np.array([0.5]))[0]) == pytest.approx(
                 target, abs=1e-10
             )
@@ -123,44 +171,40 @@ class TestInversion:
         ts = np.full_like(xs, 0.0)
         h = 1e-6
         fd = (sol.x_tilde(xs + h, ts) - sol.x_tilde(xs - h, ts)) / (2 * h)
-        assert np.allclose(sol.dx_tilde(xs, ts), fd, rtol=1e-6, atol=1e-6)
+        assert np.allclose(sol.coordinate_map(xs, ts)[1], fd, rtol=1e-6, atol=1e-6)
 
     def test_bisection_safeguard_on_overshooting_newton(self):
         # plain Newton from x = target overshoots and diverges on 10*atan(x) here
-        atan10 = lambda x, t: 10.0 * np.arctan(x)
-        slope = lambda x, t: 10.0 / (1.0 + x * x)
         targets, ts = np.array([-12.0, -5.0, 5.0, 12.0]), np.array([0.0])
-        X = invert_grid(atan10, slope, targets, ts)
+        X = invert_grid(_atan10_map, targets, ts)
         assert np.allclose(X[:, 0], np.tan(targets / 10.0), rtol=1e-12, atol=0.0)
+        atan10 = lambda x, t: _atan10_map(x, t)[0]
         assert np.allclose(X, _bisect_grid(atan10, targets, ts), rtol=1e-12, atol=0.0)
 
     def test_non_monotone_rejected(self):
-        wobble = lambda x, t: np.sin(3 * x)
-        wobble_slope = lambda x, t: 3 * np.cos(3 * x)
         with pytest.raises(NonMonotoneError):
-            _invert_point(wobble, wobble_slope, 0.0, 0.2)
+            _invert_point(_wobble_map, 0.0, 0.2)
 
     def test_out_of_range_rejected(self):
         # tanh stays inside (-1, 1), so no bracket ever reaches 10
-        slope = lambda x, t: 1.0 / np.cosh(x) ** 2
         with pytest.raises(OutOfRangeError):
-            _invert_point(lambda x, t: np.tanh(x), slope, 0.0, 10.0)
+            _invert_point(_tanh_map, 0.0, 10.0)
 
     def test_vectorized_inversion_matches_scalar(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
         targets = np.array([-3.0, 0.0, 4.0])
         ts = np.array([-0.5, 0.5])
-        X = invert_grid(sol.x_tilde, sol.dx_tilde, targets, ts)
+        X = invert_grid(sol.coordinate_map, targets, ts)
         oracle = _bisect_grid(sol.x_tilde, targets, ts)
         for i, target in enumerate(targets):
             for j, tv in enumerate(ts):
-                scalar = _invert_point(sol.x_tilde, sol.dx_tilde, tv, target)
+                scalar = _invert_point(sol.coordinate_map, tv, target)
                 assert X[i, j] == pytest.approx(scalar, abs=1e-10)
                 assert X[i, j] == pytest.approx(oracle[i, j], abs=1e-10)
 
     @staticmethod
     def _assert_matches_oracle(sol, xs, ts):
-        X = invert_grid(sol.x_tilde, sol.dx_tilde, xs, ts)
+        X = invert_grid(sol.coordinate_map, xs, ts)
         oracle = _bisect_grid(sol.x_tilde, xs, ts)
         TT = np.meshgrid(xs, ts, indexing="ij")[1]
         assert np.all(np.isfinite(sol.x_tilde(oracle, TT)))
@@ -186,7 +230,86 @@ class TestInversion:
         xs, ts = _base_grid(2**-3).axes(halo_x=3, halo_t=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NonMonotoneError):
-                invert_grid(sol.x_tilde, sol.dx_tilde, xs, ts)
+                invert_grid(sol.coordinate_map, xs, ts)
+
+
+def _kinked_map(x, t):
+    # flat below -20, so no bracket reaches a target under it, and
+    # x + 2 sin(x), which is not monotone, above 50
+    wobble = x > 50
+    return np.maximum(x, -20.0) + 2 * np.sin(x) * wobble, (x > -20) + 2 * np.cos(x) * wobble
+
+
+NOT_MONOTONE = "coordinate map is not monotone over the bracket"
+NOT_BRACKETED = "failed to bracket the coordinate inversion"
+
+
+class TestRowBlocks:
+    """Grid sweeps run in row blocks of about numgrid._BLOCK_NODES nodes; the
+    results must not depend on where the block seams fall."""
+
+    # one row per block, and a size that leaves a ragged last block on
+    # every array below
+    BLOCK_NODES = [1, 1000]
+
+    @staticmethod
+    def _sample_and_residuals():
+        sol = chsym.exact_solution(0.75, 1.0, 1.0)
+        grid = _base_grid()
+        u, v, X, TT = SolutionSampler(sol).sample(grid)
+        m, n = numgrid._evaluate(sol.momenta, X, TT[0])
+        return (u, v, m, n, X, *numgrid._residual_arrays(u, v, grid))
+
+    def test_default_grid_spans_several_blocks(self):
+        grid = _base_grid()
+        for rows, cols in [(grid.nx + 6, grid.nt + 2), (grid.nx, grid.nt)]:
+            blocks = numgrid._row_blocks(rows, cols)
+            assert len(blocks) > 1
+            assert blocks[-1].stop == rows
+
+    @pytest.mark.parametrize("block_nodes", BLOCK_NODES)
+    def test_block_size_changes_no_bits(self, monkeypatch, block_nodes):
+        expected = [a.tobytes() for a in self._sample_and_residuals()]
+        monkeypatch.setattr(numgrid, "_BLOCK_NODES", block_nodes)
+        grid = _base_grid()
+        for rows, cols in [(grid.nx + 6, grid.nt + 2), (grid.nx, grid.nt)]:
+            step = numgrid._row_blocks(rows, cols)[0].stop
+            assert step == 1 if block_nodes == 1 else rows % step
+        assert [a.tobytes() for a in self._sample_and_residuals()] == expected
+
+    # at u0 = 0.6, eps = 0.5 some blocks converge iterations before others,
+    # so stopping a block early would change bits there
+    @pytest.mark.parametrize("u0, eps", [(0.75, 1.0), (0.6, 0.5)])
+    @pytest.mark.parametrize("rung", [0, 2])
+    def test_matches_whole_grid_newton_bit_for_bit(self, rung, u0, eps):
+        sol = chsym.exact_solution(u0, 1.0, eps)
+        xs, ts = numgrid._ladder_grids(_base_grid(), 3)[rung].axes(halo_x=3, halo_t=1)
+        assert len(numgrid._row_blocks(xs.size, ts.size)) > 1
+        X = invert_grid(sol.coordinate_map, xs, ts)
+        oracle = _newton_grid(
+            lambda x, t: sol.coordinate_map(x, t)[0], lambda x, t: sol.coordinate_map(x, t)[1], xs, ts
+        )
+        assert X.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize(
+        "targets, error, message",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 100.0], NonMonotoneError, NOT_MONOTONE),
+            ([0.0, 1.0, 2.0, 3.0, -30.0], OutOfRangeError, NOT_BRACKETED),
+            # bracketing finishes in every block before a bracket end is checked
+            ([100.0, 0.0, 1.0, 2.0, -30.0], OutOfRangeError, NOT_BRACKETED),
+        ],
+    )
+    def test_failure_in_a_later_block(self, monkeypatch, targets, error, message):
+        targets, ts = np.array(targets), np.array([0.0, 0.5])
+        map_slopes = (lambda x, t: _kinked_map(x, t)[0], lambda x, t: _kinked_map(x, t)[1])
+        with pytest.raises(error) as whole:
+            _newton_grid(*map_slopes, targets, ts)
+        monkeypatch.setattr(numgrid, "_BLOCK_NODES", 1)
+        assert len(numgrid._row_blocks(targets.size, ts.size)) == targets.size
+        with pytest.raises(error) as blocked:
+            invert_grid(_kinked_map, targets, ts)
+        assert str(blocked.value) == str(whole.value) == message
 
 
 class TestConvergence:
