@@ -103,7 +103,6 @@ def linear_problem() -> tuple[tuple, tuple, DerivationRules]:
     rules = DerivationRules(
         x_rules=x_rules,
         t_rules=t_rules,
-        mn_independent=True,
         constraints=sys.constraints,
     )
     return Mmat, Nmat, rules

@@ -74,12 +74,21 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
+def _parse_config(text: str) -> Expr:
+    """parse() for a config value: an expression that does not parse is a
+    config error, not a mathematical failure."""
+    try:
+        return parse(text)
+    except KernelError as err:
+        raise ValueError(str(err)) from err
+
+
 def _config_exprs(config: dict, names: list[str]) -> dict[str, Expr]:
     table = config.get("expressions", {})
     missing = [n for n in names if n not in table]
     if missing:
         raise KeyError(f"config lacks expressions: {', '.join(missing)}")
-    return {n: parse(table[n]) for n in names}
+    return {n: _parse_config(table[n]) for n in names}
 
 
 def _int_param(config: dict, name: str, default=None) -> int:
@@ -100,7 +109,7 @@ def _expr_param(config: dict, name: str) -> Expr:
         if isinstance(val, float) and not val.is_integer():
             raise ValueError(f"parameter '{name}' must be an integer or expression string")
         return Expr.const(int(val))
-    return parse(str(val))
+    return _parse_config(str(val))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +441,12 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (KernelError, KeyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return USAGE_ERROR
+    except KernelError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return MATH_FAILURE
 
 
 if __name__ == "__main__":  # pragma: no cover

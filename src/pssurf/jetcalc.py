@@ -70,6 +70,7 @@ class PdeSystem:
 class DerivationRules:
     """x- and t-images of dependent symbols, plus optional jet constraints.
 
+    m and n are first-class jet symbols when m or n has a t-rule.
     ``constraints`` maps jet coordinates to their images (e.g. u2 -> u - m in
     contexts where m, n are first-class); it is applied after every total
     derivative so expressions stay inside a bounded coordinate set.
@@ -77,7 +78,6 @@ class DerivationRules:
 
     x_rules: Mapping[Coord, Expr] = field(default_factory=dict)
     t_rules: Mapping[Coord, Expr] = field(default_factory=dict)
-    mn_independent: bool = False
     constraints: Mapping[Coord, Expr] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -168,7 +168,7 @@ def total_dt_mod_system(
             raise IllFormedDependenceError(
                 "expression depends on u, v jets but no system was supplied"
             )
-        if rules.mn_independent:
+        if any(c.kind == K.KIND_JET and c.name in ("m", "n") for c in rules.t_rules):
             raise IllFormedDependenceError(
                 "bare u, v jets have no local t-image when m, n are first-class; "
                 "close the expression through the constraints first"

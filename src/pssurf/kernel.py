@@ -10,17 +10,19 @@ coordinate, are opaque atoms that merge by exponent addition.
 
 Representation: a coefficient is an int when integral and a Fraction
 otherwise.  Coordinates are interned and compare and hash by identity.  A
-monomial is a tuple of (atom, power) sorted by atom key; the product of two
-monomials is one merge of the tuples, adding the powers of equal atoms and
-folding exponentials of one base.  Terms are ordered graded
+monomial is a tuple of (atom, power) sorted by atom key.  The one monomial
+constructor is the merge in `_mono_mul`: it adds the powers of equal atoms,
+folds exponentials of one base and applies the rewrites below.  Every other
+monomial is a single atom or is cut or re-sorted from monomials the merge
+built, so nothing else folds or rewrites.  Terms are ordered graded
 lexicographically, atoms with a smaller key most significant.
 
 Canonical form: numerator and denominator are fully expanded, share no
 polynomial factor (gcd-reduced), exponential content is shifted so that the
 minimal exponent multiple over both is zero, and the denominator is scaled to
 a primitive integer polynomial whose leading coefficient is positive.  Two
-special parameters carry rewrite rules applied in every monomial product:
-i*i -> -1 and s*s -> 2.
+special parameters carry rewrite rules, applied in the merge and nowhere
+else: i*i -> -1 and s*s -> 2.
 
 Expressions are immutable after construction; normalization is pure, so
 values can be shared freely across threads or processes (unpickling
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -274,35 +277,6 @@ def _exp_fold(a: ExpAtom | None, b: ExpAtom) -> ExpAtom | None:
 _ONE_MONO: tuple = ()
 
 
-def _normalize_monomial(pairs: Iterable[tuple]) -> tuple[int, tuple]:
-    """Build a monomial from unsorted (atom, power) pairs: combine repeated
-    atoms, fold exponentials, apply parameter rewrites."""
-    powers: dict = {}
-    exps: dict[Coord, ExpAtom | None] = {}
-    for atom, power in pairs:
-        if isinstance(atom, ExpAtom):  # at power 1, as in a monomial
-            exps[atom.base] = _exp_fold(exps.get(atom.base), atom)
-        else:
-            powers[atom] = powers.get(atom, 0) + power
-    factor = 1
-    out = []
-    for atom, power in powers.items():
-        if power == 0:
-            continue
-        if power < 0:
-            raise KernelError("negative coordinate power in monomial")
-        rw = _REWRITES.get(atom)
-        if rw is not None and power >= 2:
-            factor *= rw ** (power // 2)
-            power %= 2
-            if power == 0:
-                continue
-        out.append((atom, power))
-    out.extend((e, 1) for e in exps.values() if e is not None)
-    out.sort(key=lambda ap: ap[0].key)
-    return factor, tuple(out)
-
-
 def _mono_mul(m1: tuple, m2: tuple) -> tuple[int, tuple]:
     """(rational factor, monomial) of m1 * m2, by one merge on atom slots."""
     if not m1:
@@ -411,10 +385,7 @@ class Poly:
 
     @staticmethod
     def atom(a) -> "Poly":
-        factor, mono = _normalize_monomial([(a, 1)])
-        if not mono:
-            return Poly.const(factor)
-        return Poly({mono: factor})
+        return Poly({((a, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -857,18 +828,20 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
 
 
 def _delocalize_exps(p: Poly) -> Poly:
+    """Rewrite each _ExpVar power as its ExpAtom.  A localized monomial holds
+    at most one _ExpVar per base, and its `i`, `s` powers are below 2, so the
+    pairs only need sorting."""
     out: dict = {}
     for mono, coeff in p.terms.items():
         pairs = []
         for a, pw in mono:
             if isinstance(a, _ExpVar):
-                items = tuple((m, c * pw) for m, c in a.items)
+                items = tuple((m, _q(c * pw)) for m, c in a.items)
                 pairs.append((ExpAtom(items, a.base), 1))
             else:
                 pairs.append((a, pw))
-        factor, nm = _normalize_monomial(pairs)
-        out[nm] = _q(out.get(nm, 0) + coeff * factor)
-    return Poly({m: c for m, c in out.items() if c})
+        out[tuple(sorted(pairs, key=lambda ap: ap[0].key))] = coeff
+    return Poly(out)
 
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -1121,8 +1094,10 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
     repeats `Expr.eval` operation for operation (terms and factors in
     `Poly.eval` order, exponentials through `math.exp`, the denominator
     checked against EPS_DIV_DEFAULT before the division), so each value is
-    bit-identical to `Expr.eval` at the same point.  An atom outside
-    `coords` raises `UnboundCoordinateError` here, not at call time.
+    bit-identical to `Expr.eval` at the same point.  A denominator of 1
+    gets neither check nor division, since dividing by 1.0 is exact.  An
+    atom outside `coords` raises `UnboundCoordinateError` here, not at call
+    time.
     """
     names = {c: f"a{i}" for i, c in enumerate(coords)}
 
@@ -1147,9 +1122,12 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
     lines = [f"def _compiled({', '.join(names.values())}):"]
     results = []
     for i, e in enumerate(exprs):
-        lines.append(f"    d{i} = {poly(e.den)}")
-        lines.append(f"    if abs(d{i}) <= {EPS_DIV_DEFAULT!r}: raise _NearZero(d{i})")
-        lines.append(f"    r{i} = ({poly(e.num)}) / d{i}")
+        if e.den.is_const() and e.den.const_value() == 1:
+            lines.append(f"    r{i} = ({poly(e.num)})")
+        else:
+            lines.append(f"    d{i} = {poly(e.den)}")
+            lines.append(f"    if abs(d{i}) <= {EPS_DIV_DEFAULT!r}: raise _NearZero(d{i})")
+            lines.append(f"    r{i} = ({poly(e.num)}) / d{i}")
         results.append(f"r{i}")
     lines.append(f"    return ({''.join(r + ', ' for r in results)})")
     namespace = {"_exp": math.exp, "_NearZero": NearZeroDenominatorError}
@@ -1196,12 +1174,10 @@ _BASE_NAMES: dict[str, Coord] = {
 }
 
 
-def _identifier_expr(name: str, mn_mode: str, delta_value: int | None, offset: int) -> Expr:
+def _identifier_expr(name: str, mn_mode: str, offset: int) -> Expr:
     if name in _BASE_NAMES:
-        if name == "delta" and delta_value is not None:
-            return Expr.const(delta_value)
         return Expr.atom(_BASE_NAMES[name])
-    if name[0] in "uvmn" and (len(name) == 1 or name[1:].isdigit()):
+    if name[0] in "uvmn" and (len(name) == 1 or name[1:].isdecimal()):
         base = name[0]
         order = int(name[1:]) if len(name) > 1 else 0
         if not 1 <= order <= MAX_JET_ORDER and len(name) > 1:
@@ -1215,141 +1191,107 @@ def _identifier_expr(name: str, mn_mode: str, delta_value: int | None, offset: i
     raise UnknownIdentifierError(name, offset)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# A token is a run of decimal digits, a word (a letter, then letters and
+# digits) or any other single non-space character; whitespace separates
+# tokens.  The word pattern also admits a leading non-decimal numeral such
+# as "²"; `parse_atom` rejects a word that does not start with a letter.
+_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|\S")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_ident(self) -> tuple[str, int] | None:
-        self.skip_ws()
-        start = self.pos
-        if start < len(self.text) and self.text[start].isalpha():
-            end = start + 1
-            while end < len(self.text) and (self.text[end].isalnum()):
-                end += 1
-            self.pos = end
-            return self.text[start:end], start
-        return None
-
-    def take_int(self) -> int | None:
-        self.skip_ws()
-        start = self.pos
-        if start < len(self.text) and self.text[start].isdigit():
-            end = start
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            self.pos = end
-            return int(self.text[start:end])
-        return None
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
-            return
-        raise ParseError(f"expected '{ch}'", self.pos)
+# Parenthesized groups nest at most this deep, which keeps the recursive
+# descent far from Python's recursion limit.
+_MAX_NESTING = 50
 
 
-def parse(text: str, mn_mode: str = "alias", delta_value: int | None = None) -> Expr:
+def parse(text: str, mn_mode: str = "alias") -> Expr:
     """Parse an expression.  mn_mode: "alias" expands m, n to u - u2, v - v2;
     "jets" treats m, n as first-class jet symbols."""
-    toks = _Tokens(text)
+    # (token, offset) pairs as a stack: the next token last, above an end marker
+    toks = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    toks = [("", len(text)), *reversed(toks)]
+    depth = 0
+
+    def peek() -> str:
+        return toks[-1][0]
+
+    def expect(tok: str) -> int:
+        if peek() != tok:
+            raise ParseError(f"expected '{tok}'", toks[-1][1])
+        return toks.pop()[1]
+
+    def parse_group(offset: int) -> Expr:
+        """The rest of a parenthesized group whose "(" at `offset` was taken."""
+        nonlocal depth
+        if depth == _MAX_NESTING:
+            raise ParseError("expression nested too deeply", offset)
+        depth += 1
+        node = parse_expr()
+        expect(")")
+        depth -= 1
+        return node
 
     def parse_expr() -> Expr:
         node = parse_term()
-        while True:
-            c = toks.peek()
-            if c == "+":
-                toks.pos += 1
+        while peek() in ("+", "-"):
+            if toks.pop()[0] == "+":
                 node = node + parse_term()
-            elif c == "-":
-                toks.pos += 1
-                node = node - parse_term()
             else:
-                return node
+                node = node - parse_term()
+        return node
 
     def parse_term() -> Expr:
         node = parse_factor()
-        while True:
-            c = toks.peek()
-            if c == "*":
-                toks.pos += 1
+        while peek() in ("*", "/"):
+            if toks.pop()[0] == "*":
                 node = node * parse_factor()
-            elif c == "/":
-                toks.pos += 1
-                rhs = parse_factor()
-                if rhs.is_zero():
-                    raise DivisionByZeroError("division by zero expression")
-                node = node / rhs
             else:
-                return node
+                node = node / parse_factor()
+        return node
 
     def parse_factor() -> Expr:
-        c = toks.peek()
-        if c == "-":
-            toks.pos += 1
-            return -parse_factor()
-        if c == "+":
-            toks.pos += 1
-            return parse_factor()
-        return parse_power()
+        negate = False
+        while peek() in ("-", "+"):
+            negate ^= toks.pop()[0] == "-"
+        node = parse_power()
+        return -node if negate else node
 
     def parse_power() -> Expr:
         base = parse_atom()
-        if toks.peek() == "^":
-            toks.pos += 1
-            expn = parse_int_exponent()
-            return base**expn
+        if peek() == "^":
+            toks.pop()
+            return base ** parse_int_exponent()
         return base
 
     def parse_int_exponent() -> int:
-        c = toks.peek()
-        if c == "(":
-            toks.pos += 1
-            val = parse_int_exponent()
-            toks.expect(")")
-            return val
+        opened = 0
+        while peek() == "(":
+            toks.pop()
+            opened += 1
         sign = 1
-        if c == "-":
-            toks.pos += 1
+        if peek() == "-":
+            toks.pop()
             sign = -1
-        elif c == "+":
-            toks.pos += 1
-        val = toks.take_int()
-        if val is None:
-            raise ParseError("expected integer exponent", toks.pos)
-        return sign * val
+        elif peek() == "+":
+            toks.pop()
+        tok, offset = toks.pop()
+        if not tok.isdecimal():
+            raise ParseError("expected integer exponent", offset)
+        for _ in range(opened):
+            expect(")")
+        return sign * int(tok)
 
     def parse_atom() -> Expr:
-        c = toks.peek()
-        if c == "(":
-            toks.pos += 1
-            node = parse_expr()
-            toks.expect(")")
-            return node
-        if c.isdigit():
-            return Expr.const(toks.take_int())
-        ident = toks.take_ident()
-        if ident is None:
-            raise ParseError("expected expression", toks.pos)
-        name, start = ident
-        if name == "exp":
-            toks.expect("(")
-            arg = parse_expr()
-            toks.expect(")")
-            return Expr.exp(arg)
-        return _identifier_expr(name, mn_mode, delta_value, start)
+        tok, offset = toks.pop()
+        if tok == "(":
+            return parse_group(offset)
+        if tok.isdecimal():
+            return Expr.const(int(tok))
+        if not tok[:1].isalpha():
+            raise ParseError("expected expression", offset)
+        if tok == "exp":
+            return Expr.exp(parse_group(expect("(")))
+        return _identifier_expr(tok, mn_mode, offset)
 
     result = parse_expr()
-    toks.skip_ws()
-    if toks.pos != len(toks.text):
-        raise ParseError("unexpected trailing input", toks.pos)
+    if peek():
+        raise ParseError("unexpected trailing input", toks[-1][1])
     return result

@@ -8,7 +8,12 @@ import pytest
 from pssurf import chsym
 from pssurf import kernel as K
 from pssurf.classify import catalog_entry
-from pssurf.jetcalc import check_rule_compatibility, total_dx
+from pssurf.jetcalc import (
+    IllFormedDependenceError,
+    check_rule_compatibility,
+    total_dt_mod_system,
+    total_dx,
+)
 from pssurf.kernel import Expr, parse
 
 
@@ -57,6 +62,13 @@ class TestLinearProblem:
         assert rules.close(sys.uv_system.G) == sys.n_t
         assert rules.close(parse("u - u2")) == P("m")
 
+    def test_bare_jet_rejected_when_mn_first_class(self):
+        # m and n have t-rules here, so u1 has no local t-image at all
+        _, _, rules = chsym.linear_problem()
+        system = chsym.ch2_system().uv_system
+        with pytest.raises(IllFormedDependenceError, match="first-class"):
+            total_dt_mod_system(parse("u1"), system, rules)
+
     def test_perturbed_rule_breaks_compatibility(self):
         Mmat, Nmat, rules = chsym.linear_problem()
         from pssurf.jetcalc import DerivationRules
@@ -66,7 +78,6 @@ class TestLinearProblem:
         bad = DerivationRules(
             x_rules=rules.x_rules,
             t_rules=bad_t,
-            mn_independent=True,
             constraints=rules.constraints,
         )
         res = check_rule_compatibility(bad, None)
@@ -281,6 +292,14 @@ class TestEnlargedStates:
             point = dict(zip(chsym._STATE_COORDS, vals))
             rates = chsym.flow_derivative(chsym.EnlargedState(*vals))
             assert rates == tuple(e.eval(point) for e in exprs)
+
+    def test_compiled_generator_has_no_denominator_guard(self):
+        # all twelve components are polynomials, so no rate divides or calls abs
+        components = chsym.vector_field_components()
+        exprs = [components.get(name, K.ZERO) for name in chsym.EnlargedState._fields]
+        assert len(exprs) == 12
+        assert all(e.den == K.ONE.den for e in exprs)
+        assert "abs" not in chsym._flow().__code__.co_names
 
     def test_flow_matches_transform(self):
         s = chsym.seed_state(0.75, 1.0, x=0.1, t=0.05)

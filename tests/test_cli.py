@@ -136,6 +136,41 @@ class TestBuild:
         code, _, _ = run_cli(["build", "thm34", "--config", "/nonexistent.json"])
         assert code == 2
 
+    def _write(self, tmp_path, expressions, **params):
+        cfg = json.loads(self._cubic_config(tmp_path).read_text())
+        cfg["expressions"].update(expressions)
+        cfg["params"].update(params)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_kernel_failure_in_the_mathematics_exits_one(self, tmp_path):
+        path = self._write(tmp_path, {"L": "u11", "M": "u12 + v"}, m=12)
+        code, _, err = run_cli(["build", "thm35", "--config", str(path)])
+        assert code == 1
+        assert err == "error: jet order overflow promoting u12\n"
+
+    def test_expression_that_does_not_parse_is_usage_error(self, tmp_path):
+        path = self._write(tmp_path, {"g": "u - u2 +"})
+        code, _, err = run_cli(["build", "thm35", "--config", str(path)])
+        assert code == 2
+        assert err == "error: expected expression (at byte 8)\n"
+
+    def test_deeply_nested_expression_is_usage_error(self, tmp_path):
+        path = self._write(tmp_path, {"g": "(" * 198 + "u - u2" + ")" * 198})
+        code, _, err = run_cli(["build", "thm35", "--config", str(path)])
+        assert code == 2
+        assert err == "error: expression nested too deeply (at byte 50)\n"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pssurf.cli", "build", "thm35", "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 2
+        assert run.stderr == "error: expression nested too deeply (at byte 50)\n"
+
     def test_hypothesis_text_independent_of_hash_seed(self, tmp_path):
         # the residual lists problems in jet order, not in set order (which
         # follows the string hash seed)

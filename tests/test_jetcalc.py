@@ -193,7 +193,7 @@ class TestConstraints:
             K.jet("u", k): Expr.atom(K.jet("u", k - 2)) - Expr.atom(K.jet("m", k - 2))
             for k in range(2, K.MAX_JET_ORDER + 1)
         }
-        rules = DerivationRules(mn_independent=True, constraints=constraints)
+        rules = DerivationRules(constraints=constraints)
         assert rules.close(parse("u2")) == parse("u - m", mn_mode="jets")
         assert rules.close(parse("u4")) == parse("u - m - m2", mn_mode="jets")
         out = total_dx(parse("u1*m", mn_mode="jets"), rules)

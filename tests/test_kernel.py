@@ -67,7 +67,6 @@ class TestParse:
         assert e.coords() == {K.u0}
 
     def test_delta_pinning(self):
-        assert parse("delta", delta_value=-1) == Expr.const(-1)
         assert parse("delta").coords() == {K.delta}
 
     def test_unknown_identifier_reports_token_and_offset(self):
@@ -88,6 +87,32 @@ class TestParse:
     def test_division_by_zero_literal(self):
         with pytest.raises(DivisionByZeroError):
             parse("1/(u - u)")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        # the recursive descent stops at 50 open groups, far below Python's
+        # recursion limit, so deep input never raises RecursionError
+        assert parse("(" * 50 + "u" + ")" * 50) == parse("u")
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse("(" * 1000 + "u - u2" + ")" * 1000)
+        assert exc.value.offset == 50
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("exp(" * 1000 + "x" + ")" * 1000)
+
+    def test_sign_runs_and_exponent_groups_do_not_recurse(self):
+        assert parse("-" * 1000 + "u") == parse("u")
+        assert parse("-" * 999 + "u") == parse("-u")
+        assert parse("+-" * 1000 + "u") == parse("u")
+        assert parse("u^" + "(" * 1000 + "-2" + ")" * 1000) == parse("1/u^2")
+
+    def test_non_decimal_digits_are_parse_errors(self):
+        # "²".isdigit() holds, but int() rejects it: no bare ValueError
+        with pytest.raises(ParseError, match="expected integer exponent") as exc:
+            parse("u^²")
+        assert exc.value.offset == 2
+        with pytest.raises(ParseError, match="expected expression"):
+            parse("²")
+        with pytest.raises(UnknownIdentifierError):
+            parse("u²")
 
     def test_exp_shape_rejections(self):
         with pytest.raises(UnsupportedExponentError):
@@ -126,6 +151,13 @@ class TestCanonicalForm:
         assert len(e.num.terms) == 1
         mono = next(iter(e.num.terms))
         assert len(mono) == 2  # one exponential per base coordinate
+
+    def test_exp_coefficients_after_reduction_are_canonical(self):
+        # exp(x/2)^2 leaves fraction reduction as exp(x): its exponent's
+        # coefficient is the int 1, as everywhere else, not Fraction(1, 1)
+        e = parse("exp(x/2)^2/(exp(x/2) + 1)")
+        coeffs = [c for p in (e.num, e.den) for mono in p.terms for a, _ in mono for _, c in a.items]
+        assert [(type(c), c) for c in coeffs] == [(int, 1), (Fraction, Fraction(1, 2))]
 
     def test_exp_fraction_canonical_across_routes(self):
         a = parse("(1+u)*exp(-(eta-1)*x)")
@@ -276,6 +308,15 @@ class TestCompileNumeric:
         assert f(2.0, 1.0) == (1.0,)
         with pytest.raises(NearZeroDenominatorError):
             f(1.0, 1.0)
+
+    def test_unit_denominator_emits_no_guard(self):
+        f = K.compile_numeric([parse("u*v + 1/2")], [K.u(0), K.v(0)])
+        assert "abs" not in f.__code__.co_names
+        assert f(3.0, 0.5) == (2.0,)
+        g = K.compile_numeric([parse("u*v + 1/2"), parse("1/(u - v)")], [K.u(0), K.v(0)])
+        assert "abs" in g.__code__.co_names
+        with pytest.raises(NearZeroDenominatorError):
+            g(1.0, 1.0)
 
     def test_unbound_coordinate_at_compile_time(self):
         with pytest.raises(UnboundCoordinateError):
