@@ -27,12 +27,8 @@ import numpy as np
 from . import kernel as K
 from .classify import catalog_entry
 from .jetcalc import DerivationRules, PdeSystem, total_dx, total_dt_mod_system
-from .kernel import Expr, parse
+from .kernel import DomainError, Expr, parse
 from .laxzoo import mat_map
-
-
-class DomainError(ValueError):
-    """Parameter or state outside the validity domain of a closed form."""
 
 
 _HALF = K.ONE / 2
@@ -173,12 +169,17 @@ def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
     return rhs.derive(images)
 
 
+def _directions(s: SymmetryTuple) -> dict[str, Expr]:
+    """The characteristic of each base symbol, as `linearize` takes them."""
+    return {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}
+
+
 def check_symmetry_residual(s: SymmetryTuple) -> tuple[Expr, Expr]:
     """Both components of the linearized flow equations evaluated on the
     characteristic; identically zero certifies the symmetry."""
     sys = ch2_system()
     _, _, rules = linear_problem()
-    directions = {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}
+    directions = _directions(s)
     res_m = total_dt_mod_system(s.w_m, None, rules) - linearize(sys.m_t, directions, rules)
     res_n = total_dt_mod_system(s.w_n, None, rules) - linearize(sys.n_t, directions, rules)
     return rules.close(res_m), rules.close(res_n)
@@ -207,40 +208,25 @@ def prolongation_residuals() -> dict[str, Expr]:
     """Residuals of the linearized eigenfunction and pseudo-potential
     equations (x-parts and t-parts) on the prolonged characteristic."""
     Mmat, Nmat, rules = linear_problem()
-    s = nonlocal_symmetry(reduced=True)
+    directions = _directions(nonlocal_symmetry(reduced=True))
     w1, w2, wp = prolongation()
     phis = (_PHI1, _PHI2)
     ws = (w1, w2)
-
-    def entry_directional(e: Expr) -> Expr:
-        return linearize(e, {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules)
-
     out: dict[str, Expr] = {}
-    for idx in range(2):
-        lhs = total_dx(ws[idx], rules)
-        rhs = sum(
-            (entry_directional(Mmat[idx][j]) * phis[j] + Mmat[idx][j] * ws[j] for j in range(2)),
-            K.ZERO,
-        )
-        out[f"eigenfunction-{idx + 1}-x"] = rules.close(lhs - rhs)
-        lhs_t = total_dt_mod_system(ws[idx], None, rules)
-        rhs_t = sum(
-            (entry_directional(Nmat[idx][j]) * phis[j] + Nmat[idx][j] * ws[j] for j in range(2)),
-            K.ZERO,
-        )
-        out[f"eigenfunction-{idx + 1}-t"] = rules.close(lhs_t - rhs_t)
-    px = rules.x_rules[K.p]
-    lhs = total_dx(wp, rules)
-    rhs = entry_directional(px) + px.diff(K.phi1) * w1 + px.diff(K.phi2) * w2
-    out["pseudo-potential-x"] = rules.close(lhs - rhs)
-    pt = rules.t_rules[K.p]
-    lhs_t = total_dt_mod_system(wp, None, rules)
-    rhs_t = (
-        entry_directional(pt)
-        + pt.diff(K.phi1) * w1
-        + pt.diff(K.phi2) * w2
-    )
-    out["pseudo-potential-t"] = rules.close(lhs_t - rhs_t)
+    for axis, mat, axis_rules, derivative in (
+        ("x", Mmat, rules.x_rules, lambda e: total_dx(e, rules)),
+        ("t", Nmat, rules.t_rules, lambda e: total_dt_mod_system(e, None, rules)),
+    ):
+        for idx in range(2):
+            rhs = sum(
+                (linearize(mat[idx][j], directions, rules) * phis[j] + mat[idx][j] * ws[j]
+                 for j in range(2)),
+                K.ZERO,
+            )
+            out[f"eigenfunction-{idx + 1}-{axis}"] = rules.close(derivative(ws[idx]) - rhs)
+        pd = axis_rules[K.p]
+        rhs = linearize(pd, directions, rules) + pd.diff(K.phi1) * w1 + pd.diff(K.phi2) * w2
+        out[f"pseudo-potential-{axis}"] = rules.close(derivative(wp) - rhs)
     return out
 
 
@@ -561,18 +547,6 @@ class ExactSolution:
         q = 1.0 - k * k + p2
         n = 2.0 * p2 / self._guard((1.0 - k) * q)  # before q is guarded in place
         return 2.0 * self.u0 * (1.0 - k) / self._guard(q), n
-
-    def u_tilde(self, x, t):
-        return self.fields(x, t)[0]
-
-    def v_tilde(self, x, t):
-        return self.fields(x, t)[1]
-
-    def m_tilde(self, x, t):
-        return self.momenta(x, t)[0]
-
-    def n_tilde(self, x, t):
-        return self.momenta(x, t)[1]
 
 
 def exact_solution(u0: float, eta: float, eps: float) -> ExactSolution:

@@ -132,7 +132,7 @@ def build_theorem34(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
     _generic_condition(inp.L, N, mo, no)
     F, G = _solve_fg(f, inp.delta, const_row=2)
     sys = _package_system(F, G, inp.orders, inp.delta)
-    forms = AssociatedForms(f, inp.delta, eta_row=2, eta_value=inp.eta)
+    forms = AssociatedForms(f, inp.delta)
     _self_check(sys, forms)
     return sys, forms
 
@@ -150,7 +150,7 @@ def build_theorem35(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
     _generic_condition(inp.L, N, mo, no)
     F, G = _solve_fg(f, inp.delta, const_row=3)
     sys = _package_system(F, G, inp.orders, inp.delta)
-    forms = AssociatedForms(f, inp.delta, eta_row=3, eta_value=inp.eta)
+    forms = AssociatedForms(f, inp.delta)
     _self_check(sys, forms)
     return sys, forms
 
@@ -217,7 +217,7 @@ def build_theorem36(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     f = ((inp.g, L), (inp.eta, inp.M), (inp.h, N))
     F, G = _solve_fg(f, inp.delta, const_row=2)
     sys = _package_system(F, G, (3, 3), inp.delta)
-    forms = AssociatedForms(f, inp.delta, eta_row=2, eta_value=inp.eta)
+    forms = AssociatedForms(f, inp.delta)
     _self_check(sys, forms)
     lax = _pack(forms)
     _lax_self_check(lax, sys)
@@ -236,7 +236,7 @@ def build_theorem37(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     f = ((inp.g, L), (inp.h, N), (inp.eta, inp.M))
     F, G = _solve_fg(f, inp.delta, const_row=3)
     sys = _package_system(F, G, (3, 3), inp.delta)
-    forms = AssociatedForms(f, inp.delta, eta_row=3, eta_value=inp.eta)
+    forms = AssociatedForms(f, inp.delta)
     _self_check(sys, forms)
     lax = _pack(forms)
     _lax_self_check(lax, sys)
@@ -283,98 +283,94 @@ def _entry(name: str, description: str, system: PdeSystem, forms: AssociatedForm
     return CatalogEntry(name, description, system, forms, _pack(forms))
 
 
-def _P(s: str) -> Expr:
-    return parse(s)
-
-
 def _entry_song_qu_qiao() -> CatalogEntry:
-    Q = _P("u1*v1 - u*v + u*v1 - u1*v")
-    mh, nh = _P("u - u2"), _P("v - v2")
+    Q = parse("u1*v1 - u*v + u*v1 - u1*v")
+    mh, nh = parse("u - u2"), parse("v - v2")
     F = total_dx(mh * Q)
     G = total_dx(nh * Q)
     sys = PdeSystem((3, 3), F, G, K.ONE)
-    Ep = _P("exp((eta-1)*x)")
+    Ep = parse("exp((eta-1)*x)")
     Em = 1 / Ep
     eta = Expr.atom(K.eta)
     f11 = eta * (mh * Ep + nh * Em)
-    f12 = eta * Q * (mh * Ep + nh * Em) + (_P("u + u1") * Ep + _P("v - v1") * Em) / (2 * eta)
+    f12 = eta * Q * (mh * Ep + nh * Em) + (parse("u + u1") * Ep + parse("v - v1") * Em) / (2 * eta)
     f21 = eta
     f22 = 1 / (2 * eta**2) + Q
     f31 = -eta * (mh * Ep - nh * Em)
-    f32 = -eta * Q * (mh * Ep - nh * Em) - (_P("u + u1") * Ep - _P("v - v1") * Em) / (2 * eta)
-    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, eta)
+    f32 = -eta * Q * (mh * Ep - nh * Em) - (parse("u + u1") * Ep - parse("v - v1") * Em) / (2 * eta)
+    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("song-qu-qiao", "coupled cubic flow with conserved exponential frame", sys, forms)
 
 
 def _entry_cubic_ch2() -> CatalogEntry:
-    mh, nh = _P("u - u2"), _P("v - v2")
-    B = _P("u*v - u1*v1")
-    C = _P("u*v1 - u1*v")
+    mh, nh = parse("u - u2"), parse("v - v2")
+    B = parse("u*v - u1*v1")
+    C = parse("u*v1 - u1*v")
     half = K.ONE / 2
     F = half * total_dx(mh * B) - half * mh * C
     G = half * total_dx(nh * B) + half * nh * C
     sys = PdeSystem((3, 3), F, G, K.ONE)
     eta = Expr.atom(K.eta)
     f11 = half * eta * (mh - nh)
-    f12 = eta / 4 * B * (mh - nh) + (_P("u - u1") - _P("v + v1")) / (2 * eta)
+    f12 = eta / 4 * B * (mh - nh) + (parse("u - u1") - parse("v + v1")) / (2 * eta)
     f21 = Expr.const(-1)
     f22 = -1 / eta**2 - half * (B + C)
     f31 = -half * eta * (mh + nh)
-    f32 = -eta / 4 * B * (mh + nh) - (_P("u - u1") + _P("v + v1")) / (2 * eta)
-    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, Expr.const(-1))
+    f32 = -eta / 4 * B * (mh + nh) - (parse("u - u1") + parse("v + v1")) / (2 * eta)
+    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("cubic-ch2", "two-component cubic Camassa-Holm flow", sys, forms)
 
 
 def _entry_factored_ch2() -> CatalogEntry:
-    mh, nh = _P("u - u2"), _P("v - v2")
-    prod = _P("(u - u1)*(v + v1)")
+    mh, nh = parse("u - u2"), parse("v - v2")
+    prod = parse("(u - u1)*(v + v1)")
     half = K.ONE / 2
     F = -half * mh * prod
     G = half * nh * prod
     sys = PdeSystem((2, 2), F, G, K.ONE)
     eta = Expr.atom(K.eta)
     f11 = half * eta * (nh - mh)
-    f12 = (_P("v + v1") - _P("u - u1")) / (2 * eta)
+    f12 = (parse("v + v1") - parse("u - u1")) / (2 * eta)
     f21 = K.ONE
     f22 = 1 / eta**2 + half * prod
     f31 = -half * eta * (mh + nh)
-    f32 = -(_P("u - u1") + _P("v + v1")) / (2 * eta)
-    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, K.ONE)
+    f32 = -(parse("u - u1") + parse("v + v1")) / (2 * eta)
+    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("factored-ch2", "second-order flow with factored right-hand side", sys, forms)
 
 
 def _entry_mch_type() -> CatalogEntry:
-    mh, nh = _P("u - u2"), _P("v - v2")
-    R = _P("-1/2*(u^2 + v^2 - u1^2 - v1^2) - u*v1 + u1*v")
+    mh, nh = parse("u - u2"), parse("v - v2")
+    R = parse("-1/2*(u^2 + v^2 - u1^2 - v1^2) - u*v1 + u1*v")
     F = total_dx(R * mh) - 2 * Expr.atom(K.u(1))
     G = total_dx(R * nh) - 2 * Expr.atom(K.v(1))
     sys = PdeSystem((3, 3), F, G, Expr.const(-1))
     f11 = -nh
-    f12 = -R * nh + _P("v + u1")
+    f12 = -R * nh + parse("v + u1")
     f21 = K.ONE
     f22 = R - 1
     f31 = mh
-    f32 = R * mh - _P("u - v1")
-    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), -1, 2, K.ONE)
+    f32 = R * mh - parse("u - v1")
+    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), -1)
     return _entry("mch-type", "modified Camassa-Holm-type flow on spherical surfaces", sys, forms)
 
 
 def _entry_skew_ch2() -> CatalogEntry:
-    mh, nh = _P("u - u2"), _P("v - v2")
-    Pfx = _P("u*v1 - u1*v")
-    B = _P("u*v - u1*v1")
+    mh, nh = parse("u - u2"), parse("v - v2")
+    Pfx = parse("u*v1 - u1*v")
+    B = parse("u*v - u1*v1")
     half = K.ONE / 2
     F = half * total_dx(mh * Pfx) - half * mh * B
     G = half * total_dx(nh * Pfx) + half * nh * B
     sys = PdeSystem((3, 3), F, G, K.ONE)
     eta = Expr.atom(K.eta)
     f11 = -half * eta * (mh - nh)
-    f12 = -eta / 4 * Pfx * (mh - nh) - (_P("u - u1") - _P("v + v1")) / (2 * eta)
+    f12 = -eta / 4 * Pfx * (mh - nh) - (parse("u - u1") - parse("v + v1")) / (2 * eta)
     f21 = K.ONE
-    f22 = 1 / eta**2 + half * _P("(u - u1)*(v + v1)")
+    f22 = 1 / eta**2 + half * parse("(u - u1)*(v + v1)")
     f31 = -half * eta * (mh + nh)
-    f32 = -eta / 4 * Pfx * (mh + nh) - (_P("u - u1") + _P("v + v1")) / (2 * eta)
-    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1, 2, K.ONE)
+    f32 = -eta / 4 * Pfx * (mh + nh) - (parse("u - u1") + parse("v + v1")) / (2 * eta)
+    forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("skew-ch2", "two-component flow with antisymmetric flux", sys, forms)
 
 

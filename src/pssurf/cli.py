@@ -36,7 +36,7 @@ from .classify import (
 )
 from .forms import AssociatedForms, check_lemma31
 from .jetcalc import PdeSystem
-from .kernel import Expr, KernelError, parse
+from .kernel import MAX_JET_ORDER, DomainError, Expr, KernelError, parse
 from .laxzoo import from_forms, mat_is_zero, mat_strings, zero_curvature_residual
 
 USAGE_ERROR = 2
@@ -91,13 +91,19 @@ def _config_exprs(config: dict, names: list[str]) -> dict[str, Expr]:
     return {n: _parse_config(table[n]) for n in names}
 
 
-def _int_param(config: dict, name: str, default=None) -> int:
+def _curvature_params(config: dict) -> tuple[int, tuple[int, int]]:
+    """The curvature sign delta (default 1) and the orders (m, n) (default
+    (2, 2)) of a config; a delta other than 1 or -1, or an order outside
+    2..MAX_JET_ORDER, is a config error."""
     params = config.get("params", {})
-    if name not in params:
-        if default is None:
-            raise KeyError(f"config lacks parameter '{name}'")
-        return default
-    return int(params[name])
+    delta = int(params.get("delta", 1))
+    if delta not in (1, -1):
+        raise ValueError(f"parameter 'delta' must be 1 or -1, got {delta}")
+    orders = (int(params.get("m", 2)), int(params.get("n", 2)))
+    for name, order in zip("mn", orders):
+        if not 2 <= order <= MAX_JET_ORDER:
+            raise ValueError(f"parameter '{name}' must lie in 2..{MAX_JET_ORDER}, got {order}")
+    return delta, orders
 
 
 def _expr_param(config: dict, name: str) -> Expr:
@@ -120,29 +126,19 @@ def _expr_param(config: dict, name: str) -> Expr:
 def _config_forms(config: dict) -> tuple[PdeSystem, AssociatedForms]:
     """The system (F, G) and forms (f11 .. f32) of an explicit-forms config."""
     e = _config_exprs(config, ["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"])
-    delta = _int_param(config, "delta", 1)
-    orders = (_int_param(config, "m", 2), _int_param(config, "n", 2))
+    delta, orders = _curvature_params(config)
     sys_ = PdeSystem(orders, e["F"], e["G"], Expr.const(delta))
     f = ((e["f11"], e["f12"]), (e["f21"], e["f22"]), (e["f31"], e["f32"]))
     return sys_, AssociatedForms(f, delta)
-
-
-def _forms_payload(forms: AssociatedForms) -> list[list[str]]:
-    return [[str(a), str(b)] for a, b in forms.f]
 
 
 def cmd_verify_example(args) -> int:
     entry = catalog_entry(args.name)
     forms = entry.forms
     if args.delta is not None and args.delta != forms.delta:
-        forms = AssociatedForms(forms.f, args.delta, forms.eta_row, forms.eta_value)
+        forms = AssociatedForms(forms.f, args.delta)
     report = check_lemma31(forms, entry.system)
-    payload = {
-        "example": entry.name,
-        "delta": forms.delta,
-        "passed": report.passed,
-        "conditions": [c.as_dict() for c in report.conditions],
-    }
+    payload = {"example": entry.name, "delta": forms.delta, **report.as_dict()}
     if args.delta is None:
         res = zero_curvature_residual(entry.lax, entry.system)
         zc_ok = mat_is_zero(res)
@@ -158,11 +154,7 @@ def cmd_verify_lemma31(args) -> int:
     config = _load_config(args.config)
     sys_, forms = _config_forms(config)
     report = check_lemma31(forms, sys_)
-    payload = {
-        "passed": report.passed,
-        "conditions": [c.as_dict() for c in report.conditions],
-    }
-    envelope = _report_envelope("verify lemma31", config, payload)
+    envelope = _report_envelope("verify lemma31", config, report.as_dict())
     _emit(envelope, args.format, args.out, report.to_table())
     return 0 if report.passed else MATH_FAILURE
 
@@ -184,10 +176,9 @@ def cmd_build(args) -> int:
     builder, expr_names, takes_orders = _BUILDERS[args.theorem]
     exprs = _config_exprs(config, expr_names)
     eta = _expr_param(config, "eta")
-    delta = _int_param(config, "delta", 1)
+    delta, orders = _curvature_params(config)
     try:
         if takes_orders:
-            orders = (_int_param(config, "m", 2), _int_param(config, "n", 2))
             inp = Thm34Input(
                 g=exprs["g"], h=exprs["h"], L=exprs["L"], M=exprs["M"],
                 eta=eta, delta=delta, orders=orders,
@@ -210,7 +201,7 @@ def cmd_build(args) -> int:
             "orders": list(sys_.orders),
             "delta": delta,
         },
-        "forms": _forms_payload(forms),
+        "forms": [[str(a), str(b)] for a, b in forms.f],
         "passed": True,
     }
     if lax is not None:
@@ -266,47 +257,29 @@ def cmd_ch2(args) -> int:
             "passed": rm.is_zero() and rn.is_zero(),
         }
         table = f"residual m: {rm}\nresidual n: {rn}"
-    elif args.subcommand == "prolong":
-        res = chsym.prolongation_residuals()
-        payload = {
-            "residuals": {k: str(v) for k, v in sorted(res.items())},
-            "passed": all(v.is_zero() for v in res.values()),
-        }
-        table = "\n".join(f"{k}: {v}" for k, v in sorted(res.items()))
-    elif args.subcommand == "taylor":
-        res = chsym.first_order_expansion_residuals()
+    elif args.subcommand in ("prolong", "taylor"):
+        if args.subcommand == "prolong":
+            res = chsym.prolongation_residuals()
+        else:
+            res = chsym.first_order_expansion_residuals()
         payload = {
             "residuals": {k: str(v) for k, v in sorted(res.items())},
             "passed": all(v.is_zero() for v in res.values()),
         }
         table = "\n".join(f"{k}: {v}" for k, v in sorted(res.items()))
     elif args.subcommand == "solution":
-        try:
-            sol = chsym.exact_solution(args.u0, args.eta, args.eps)
-        except chsym.DomainError as err:
-            sys.stderr.write(f"domain error: {err}\n")
-            return MATH_FAILURE
-        from .numgrid import NonMonotoneError, write_solution_csv
+        sol = chsym.exact_solution(args.u0, args.eta, args.eps)
+        from .numgrid import write_solution_csv
 
-        grid = _parse_grid(args.grid)
         out = args.out or "solution.csv"
-        try:
-            write_solution_csv(out, sol, grid)
-        except NonMonotoneError as err:
-            sys.stderr.write(f"domain error: {err}\n")
-            return MATH_FAILURE
+        write_solution_csv(out, sol, _parse_grid(args.grid))
         payload = {"passed": True, "k": sol.k, "speed": sol.speed, "csv": out}
         envelope = _report_envelope("ch2 solution", config, payload)
         sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
         return 0
     elif args.subcommand == "residual":
-        try:
-            sol = chsym.exact_solution(args.u0, args.eta, args.eps)
-        except chsym.DomainError as err:
-            sys.stderr.write(f"domain error: {err}\n")
-            return MATH_FAILURE
+        sol = chsym.exact_solution(args.u0, args.eta, args.eps)
         from .numgrid import (
-            NonMonotoneError,
             SolutionSampler,
             convergence_ladder,
             fd_residual_arrays,
@@ -314,11 +287,7 @@ def cmd_ch2(args) -> int:
         )
 
         grid = _parse_grid(args.grid)
-        try:
-            report, (u, v) = convergence_ladder(SolutionSampler(sol), grid, rungs=args.rungs)
-        except NonMonotoneError as err:
-            sys.stderr.write(f"domain error: {err}\n")
-            return MATH_FAILURE
+        report, (u, v) = convergence_ladder(SolutionSampler(sol), grid, rungs=args.rungs)
         # diagnostic: the same profiles read in the untransformed coordinate
         xs, ts = grid.axes(halo_x=3, halo_t=1)
         raw = fd_residual_arrays(*sol.fields(xs[:, None], ts[None, :]), grid)
@@ -441,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except DomainError as err:
+        sys.stderr.write(f"domain error: {err}\n")
+        return MATH_FAILURE
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return USAGE_ERROR

@@ -12,7 +12,6 @@ not-identically-zero in the polynomial ring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -51,22 +50,9 @@ class AssociatedForms:
 
     f: tuple[tuple[Expr, Expr], tuple[Expr, Expr], tuple[Expr, Expr]]
     delta: int
-    eta_row: int | None = None  # which f_i1 plays the constant spectral slot
-    eta_value: Expr | None = None
 
     def one_forms(self) -> tuple[OneForm, OneForm, OneForm]:
         return tuple(OneForm(a, b) for a, b in self.f)
-
-    def swapped(self) -> "AssociatedForms":
-        """The equivalent triple (omega2, omega1, -omega3); the structure
-        equations are invariant under this exchange."""
-        (f11, f12), (f21, f22), (f31, f32) = self.f
-        return AssociatedForms(
-            ((f21, f22), (f11, f12), (-f31, -f32)),
-            self.delta,
-            eta_row={1: 2, 2: 1, 3: 3}.get(self.eta_row),
-            eta_value=self.eta_value if self.eta_row != 3 else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -94,12 +80,8 @@ class Lemma31Report:
     def failures(self) -> list[ConditionReport]:
         return [c for c in self.conditions if not c.verdict]
 
-    def to_json(self) -> str:
-        data = {
-            "passed": self.passed,
-            "conditions": [c.as_dict() for c in self.conditions],
-        }
-        return json.dumps(data, indent=2, sort_keys=True)
+    def as_dict(self) -> dict:
+        return {"passed": self.passed, "conditions": [c.as_dict() for c in self.conditions]}
 
     def to_table(self) -> str:
         width = max(len(c.condition_id) for c in self.conditions)

@@ -87,6 +87,12 @@ class UnsupportedExponentError(KernelError):
     pass
 
 
+class DomainError(ValueError):
+    """Parameter or state outside the validity domain of a closed form.
+    Defined here, away from the numeric modules, so that the CLI can catch
+    it without importing numpy."""
+
+
 # ---------------------------------------------------------------------------
 # Atoms
 # ---------------------------------------------------------------------------
@@ -341,23 +347,21 @@ def _mono_gcd(m1: tuple, m2: tuple) -> tuple:
     return tuple(out)
 
 
-def _mono_divides(m1: tuple, m2: tuple) -> bool:
-    """True when m1 divides m2 (exp atoms must match exactly)."""
-    return _mono_gcd(m1, m2) == m1
-
-
-def _mono_div(m2: tuple, m1: tuple) -> tuple:
-    """m2 / m1 for a divisor m1 of m2."""
+def _mono_div(m2: tuple, m1: tuple) -> tuple | None:
+    """m2 / m1, or None when m1 does not divide m2 (exp atoms must match
+    exactly)."""
     out = []
     j, n1 = 0, len(m1)
     for a, p in m2:
         if j < n1 and m1[j][0] == a:
             p -= m1[j][1]
             j += 1
+            if p < 0:
+                return None
             if not p:
                 continue
         out.append((a, p))
-    return tuple(out)
+    return tuple(out) if j == n1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +442,6 @@ class Poly:
         """self / c for a nonzero rational c."""
         return Poly({m: _div(k, c) for m, k in self.terms.items()})
 
-    def mul_mono(self, mono: tuple, coeff=1) -> "Poly":
-        out: dict = {}
-        for m, c in self.terms.items():
-            factor, nm = _mono_mul(m, mono)
-            nc = out.get(nm, 0) + c * coeff * factor
-            if nc:
-                out[nm] = _q(nc)
-            else:
-                out.pop(nm, None)
-        return Poly(out)
-
     def pow(self, n: int) -> "Poly":
         if n < 0:
             raise KernelError("negative power on a polynomial")
@@ -474,7 +467,7 @@ class Poly:
                     dexp = atom.exponent().diff(c)
                     if dexp.is_zero():
                         continue
-                    out = out.add(dexp.mul_mono(mono, coeff))
+                    out = out.add(dexp.mul(Poly({mono: coeff})))
         return out
 
     def atoms(self) -> set:
@@ -561,16 +554,21 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
         raise DivisionByZeroError("polynomial division by zero")
     if a.is_zero():
         return Poly.zero()
-    if b.is_const():
-        return a.divide(b.const_value())
+    if len(b.terms) == 1:
+        ((b_mono, b_coeff),) = b.terms.items()
+        quo = {}
+        for m, c in a.terms.items():
+            if (q_mono := _mono_div(m, b_mono)) is None:
+                raise KernelError("polynomial division is not exact")
+            quo[q_mono] = c
+        return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
     b_mono, b_coeff = b.leading()
     quo: dict = {}
     rem = a
     while not rem.is_zero():
         r_mono, r_coeff = rem.leading()
-        if not _mono_divides(b_mono, r_mono):
+        if (q_mono := _mono_div(r_mono, b_mono)) is None:
             raise KernelError("polynomial division is not exact")
-        q_mono = _mono_div(r_mono, b_mono)
         q_coeff = _div(r_coeff, b_coeff)
         quo[q_mono] = _q(quo.get(q_mono, 0) + q_coeff)
         rem = rem.sub(b.mul(Poly({q_mono: q_coeff})))
@@ -602,7 +600,7 @@ def _from_univariate(coeffs: dict[int, Poly], atom) -> Poly:
         if deg == 0:
             out = out.add(c)
         else:
-            out = out.add(c.mul_mono(((atom, deg),)))
+            out = out.add(c.mul(Poly({((atom, deg),): 1})))
     return out
 
 
@@ -665,7 +663,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly({common_mono: 1})
     core = _gcd_primitive(a, b)
     if common_mono:
-        core = core.mul_mono(common_mono)
+        core = core.mul(Poly({common_mono: 1}))
     return core
 
 
@@ -878,14 +876,7 @@ class Expr:
             return
         num, den, localized = _localize_exps(num, den)
         if not den.is_const():
-            if len(den.terms) == 1:
-                # monomial denominator: cancel the common monomial directly
-                g = _mono_gcd(_mono_content(num), next(iter(den.terms)))
-                if g:
-                    num = Poly({_mono_div(mo, g): c for mo, c in num.terms.items()})
-                    den = Poly({_mono_div(mo, g): c for mo, c in den.terms.items()})
-            else:
-                num, den = _reduce_fraction(num, den)
+            num, den = _reduce_fraction(num, den)
         if localized:
             num, den = _delocalize_exps(num), _delocalize_exps(den)
         c = den.content()

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chsym import ExactSolution
+from .kernel import DomainError
 
 
-class NonMonotoneError(ValueError):
+class NonMonotoneError(DomainError):
     pass
 
 
@@ -251,10 +252,12 @@ def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualRepo
     """
     _, _, res1, res2 = _residual_arrays(u, v, grid)
     mask = np.isfinite(res1) & np.isfinite(res2)
-    masked_fraction = 1.0 - float(np.count_nonzero(mask)) / res1.size
+    kept = np.count_nonzero(mask)
+    masked_fraction = 1.0 - float(kept) / res1.size
 
     def norms(r):
-        vals = r[mask]
+        # res1 and res2 are C-contiguous, so ravel gives r[mask]'s order
+        vals = r.ravel() if kept == r.size else r[mask]
         if vals.size == 0:
             return math.inf, math.inf
         return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2)))

@@ -346,17 +346,19 @@ class TestExactSolution:
             for tv in (-0.4, 0.0, 0.9):
                 tr = chsym.finite_transform(chsym.seed_state(0.75, 1.0, x=xv, t=tv), 1.0)
                 assert float(sol.x_tilde(xv, tv)) == pytest.approx(tr.x, abs=1e-12)
-                assert float(sol.u_tilde(xv, tv)) == pytest.approx(tr.u, abs=1e-12)
-                assert float(sol.v_tilde(xv, tv)) == pytest.approx(tr.v, abs=1e-12)
-                assert float(sol.m_tilde(xv, tv)) == pytest.approx(tr.m, abs=1e-12)
-                assert float(sol.n_tilde(xv, tv)) == pytest.approx(tr.n, abs=1e-12)
+                u, v = sol.fields(xv, tv)
+                m, n = sol.momenta(xv, tv)
+                assert float(u) == pytest.approx(tr.u, abs=1e-12)
+                assert float(v) == pytest.approx(tr.v, abs=1e-12)
+                assert float(m) == pytest.approx(tr.m, abs=1e-12)
+                assert float(n) == pytest.approx(tr.n, abs=1e-12)
 
     def test_coth_branch_matches_transform(self):
         # sample on the near side of the transformation's pole locus
         sol = chsym.exact_solution(0.75, 1.0, -0.5)
         tr = chsym.finite_transform(chsym.seed_state(0.75, 1.0, x=-3.0, t=0.1), -0.5)
-        assert float(sol.u_tilde(-3.0, 0.1)) == pytest.approx(tr.u, abs=1e-10)
-        assert float(sol.m_tilde(-3.0, 0.1)) == pytest.approx(tr.m, abs=1e-10)
+        assert float(sol.fields(-3.0, 0.1)[0]) == pytest.approx(tr.u, abs=1e-10)
+        assert float(sol.momenta(-3.0, 0.1)[0]) == pytest.approx(tr.m, abs=1e-10)
 
     def test_far_field_limits(self):
         # symbolic limits of the profile as the wave variable saturates
@@ -378,7 +380,7 @@ class TestExactSolution:
         assert (at_minus - Expr.atom(u0)).is_zero()
         # numeric far field for the concrete parameters
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
-        assert float(sol.u_tilde(40.0, 0.0)) == pytest.approx(
+        assert float(sol.fields(40.0, 0.0)[0]) == pytest.approx(
             0.75 * (1 - 0.5) / (1 + 0.5), rel=1e-6
         )
-        assert float(sol.u_tilde(-40.0, 0.0)) == pytest.approx(0.75, rel=1e-6)
+        assert float(sol.fields(-40.0, 0.0)[0]) == pytest.approx(0.75, rel=1e-6)

@@ -312,10 +312,10 @@ class TestCatalog:
         assert entry.system.delta == Expr.const(-1)
 
     def test_theorem_eta_metadata(self):
-        assert catalog_entry("cubic-ch2").forms.eta_value == Expr.const(-1)
-        assert catalog_entry("factored-ch2").forms.eta_value == K.ONE
-        assert catalog_entry("skew-ch2").forms.eta_value == K.ONE
-        assert catalog_entry("song-qu-qiao").forms.eta_value == Expr.atom(K.eta)
+        assert catalog_entry("cubic-ch2").forms.f[1][0] == Expr.const(-1)
+        assert catalog_entry("factored-ch2").forms.f[1][0] == K.ONE
+        assert catalog_entry("skew-ch2").forms.f[1][0] == K.ONE
+        assert catalog_entry("song-qu-qiao").forms.f[1][0] == Expr.atom(K.eta)
 
     def test_unknown_entry(self):
         with pytest.raises(KeyError):

@@ -20,6 +20,23 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _python(*args):
+    """A fresh interpreter run with args, importing this checkout's pssurf."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # DomainError lives in the kernel so that the CLI can catch it without
+    # importing the numeric modules, which load numpy
+    run = _python("-c", "import sys, pssurf.cli; print('numpy' in sys.modules)")
+    assert (run.stdout, run.stderr) == ("False\n", "")
+
+
 class TestVerify:
     def test_catalog_entry_passes(self):
         code, out, _ = run_cli(["verify", "example", "song-qu-qiao"])
@@ -71,6 +88,14 @@ class TestVerify:
         cfg.write_text(json.dumps(entry_cfg))
         code, out, _ = run_cli(["verify", "lemma31", "--config", str(cfg)])
         assert code == 0
+
+    def test_lemma31_delta_outside_unit_signs_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "forms.json"
+        exprs = dict.fromkeys(["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"], "u")
+        cfg.write_text(json.dumps({"expressions": exprs, "params": {"delta": 0}}))
+        code, out, err = run_cli(["verify", "lemma31", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == "error: parameter 'delta' must be 1 or -1, got 0\n"
 
 
 class TestBuild:
@@ -143,6 +168,23 @@ class TestBuild:
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(cfg))
         return path
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"delta": 0}, "parameter 'delta' must be 1 or -1, got 0"),
+            ({"delta": 2}, "parameter 'delta' must be 1 or -1, got 2"),
+            ({"m": 100}, "parameter 'm' must lie in 2..12, got 100"),
+            ({"n": 1}, "parameter 'n' must lie in 2..12, got 1"),
+        ],
+        ids=["delta-0", "delta-2", "m-100", "n-1"],
+    )
+    def test_curvature_sign_and_orders_out_of_range_are_usage_errors(
+        self, tmp_path, params, message
+    ):
+        path = self._write(tmp_path, {}, **params)
+        code, out, err = run_cli(["build", "thm34", "--config", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_kernel_failure_in_the_mathematics_exits_one(self, tmp_path):
         path = self._write(tmp_path, {"L": "u11", "M": "u12 + v"}, m=12)
@@ -410,6 +452,16 @@ class TestCh2:
         )
         assert run.returncode == 1
         assert run.stderr == "domain error: coordinate map is not monotone over the bracket\n"
+
+    def test_coth_branch_residual_is_math_failure(self, tmp_path):
+        out = tmp_path / "res.json"
+        run = _python(
+            "-m", "pssurf.cli", "ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "-1",
+            "--format", "json", "--out", str(out),
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "domain error: coordinate map is not monotone over the bracket\n"
+        assert not out.exists()
 
     def test_solution_domain_error(self):
         code, _, err = run_cli(["ch2", "solution", "--u0", "2", "--eta", "1"])

@@ -1,7 +1,5 @@
 """Form algebra and structure-equation verifier tests."""
 
-import json
-
 import pytest
 
 from pssurf import kernel as K
@@ -79,7 +77,7 @@ class TestLemma31:
 
     def test_wrong_curvature_sign_fails(self):
         entry = catalog_entry("song-qu-qiao")
-        flipped = AssociatedForms(entry.forms.f, -1, entry.forms.eta_row, entry.forms.eta_value)
+        flipped = AssociatedForms(entry.forms.f, -1)
         report = check_lemma31(flipped, entry.system)
         assert not report.passed
         failed = {c.condition_id for c in report.failures()}
@@ -138,14 +136,16 @@ class TestLemma31:
     def test_swap_invariance(self):
         for name in ("cubic-ch2", "mch-type", "factored-ch2"):
             entry = catalog_entry(name)
-            swapped = entry.forms.swapped()
+            # the triple (omega2, omega1, -omega3) satisfies the same equations
+            (f11, f12), (f21, f22), (f31, f32) = entry.forms.f
+            swapped = AssociatedForms(((f21, f22), (f11, f12), (-f31, -f32)), entry.forms.delta)
             report = check_lemma31(swapped, entry.system)
             assert report.passed, name
 
     def test_report_serialization(self):
         entry = catalog_entry("factored-ch2")
         report = check_lemma31(entry.forms, entry.system)
-        data = json.loads(report.to_json())
+        data = report.as_dict()
         assert data["passed"] is True
         ids = {c["condition_id"] for c in data["conditions"]}
         assert "metric-nondegenerate" in ids

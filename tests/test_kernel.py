@@ -507,3 +507,37 @@ class TestProductFolds:
         # coordinates compare by identity, so unpickling must re-intern them
         assert pickle.loads(pickle.dumps(K.u(1))) is K.u(1)
         assert pickle.loads(pickle.dumps(K.eta)) is K.eta
+
+
+class TestExactDivisionBySingleTerm:
+    def test_quotient_times_divisor_is_the_dividend(self):
+        rng = random.Random(11)
+        divisors = [parse("3*u^2*v1"), parse("-2/3*eta*exp(x)"), parse("i*s*u1^2")]
+        for b in divisors:
+            for _ in range(10):
+                a = _random_expr(rng).num.mul(b.num)
+                if a.is_zero():
+                    continue
+                q = K.poly_exact_div(a, b.num)
+                assert q.mul(b.num) == a
+
+    def test_non_divisor_raises(self):
+        a = parse("u^2*v + u").num
+        with pytest.raises(K.KernelError, match="not exact"):
+            K.poly_exact_div(a, parse("u*v").num)
+
+    def test_exp_atom_does_not_divide_its_square(self):
+        # exp(x)^2 folds into the single atom exp(2*x), which exp(x) does not divide
+        with pytest.raises(K.KernelError, match="not exact"):
+            K.poly_exact_div(parse("exp(2*x)").num, parse("exp(x)").num)
+
+    def test_constant_divisor_matches_divide(self):
+        rng = random.Random(12)
+        for c in (Fraction(3), Fraction(-2, 5), Fraction(7, 4)):
+            for _ in range(10):
+                a = _random_expr(rng).num
+                if a.is_zero():
+                    continue
+                q = K.poly_exact_div(a, K.Poly.const(c))
+                assert q.terms == a.divide(c).terms
+                assert list(q.terms) == list(a.divide(c).terms)

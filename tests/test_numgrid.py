@@ -83,7 +83,7 @@ class BisectionSampler(SolutionSampler):
         xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
         X = _bisect_grid(self.sol.x_tilde, xs, ts)
         TT = np.meshgrid(xs, ts, indexing="ij")[1]
-        return self.sol.u_tilde(X, TT), self.sol.v_tilde(X, TT), X, TT
+        return *self.sol.fields(X, TT), X, TT
 
 
 def _newton_grid(x_tilde_of, dx_tilde_of, targets, ts):
@@ -344,7 +344,7 @@ class TestConvergence:
             def sample(self, grid, halo_x=3, halo_t=1):
                 xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
                 X, T = np.meshgrid(xs, ts, indexing="ij")
-                return sol.u_tilde(X, T), sol.v_tilde(X, T), X, T
+                return *sol.fields(X, T), X, T
 
         report, _ = convergence_ladder(Raw(), _base_grid(), rungs=3)
         assert abs(report.order_estimate) < 0.5
