@@ -18,6 +18,7 @@ identical configs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -343,7 +344,10 @@ def _add_report_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it."""
     parser = argparse.ArgumentParser(
         prog="pssurf",
         description="verify and construct PDE systems describing constant-curvature surfaces",

@@ -22,7 +22,10 @@ polynomial factor (gcd-reduced), exponential content is shifted so that the
 minimal exponent multiple over both is zero, and the denominator is scaled to
 a primitive integer polynomial whose leading coefficient is positive.  Two
 special parameters carry rewrite rules, applied in the merge and nowhere
-else: i*i -> -1 and s*s -> 2.
+else: i*i -> -1 and s*s -> 2.  The gcd is GCDHEU on integer polynomials over
+exponent tuples, with a primitive PRS as the fallback; GCDHEU takes `i`, `s`
+and localized exponentials as free atoms, so a factor it finds divides
+exactly under the rewrites.
 
 Expressions are immutable after construction; normalization is pure, so
 values can be shared freely across threads or processes (unpickling
@@ -640,7 +643,10 @@ def _mono_content(p: Poly) -> tuple:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd, up to a rational unit.
+    """Primitive gcd, up to a rational unit: GCDHEU, with the primitive PRS
+    as the fallback when no evaluation point gives a gcd.  GCDHEU treats
+    `i`, `s` and each `_ExpVar` as free atoms; the PRS takes its variables
+    among them too, though its products rewrite `i*i` and `s*s`.
 
     Exponential atoms are not free polynomial generators (their powers fold
     into the exponent), so once the common monomial part is stripped, any
@@ -668,11 +674,121 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _gcd_primitive(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd of two polynomials without monomial content: GCDHEU,
+    and the primitive PRS when no evaluation point gives a gcd."""
     if a.is_const() or b.is_const():
         return Poly.const(1)
-    shared = sorted(a.atoms() & b.atoms(), key=lambda at: at.key)
+    shared = a.atoms() & b.atoms()
     if not shared:
         return Poly.const(1)
+    atoms = sorted(a.atoms() | b.atoms(), key=lambda at: at.key)
+    index = {at: k for k, at in enumerate(atoms)}
+    h = _heu_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
+    if h is None:
+        result = _gcd_prs(a, b, shared)
+    else:
+        result = Poly({tuple((atoms[k], e) for k, e in enumerate(m) if e): c for m, c in h.items()})
+    return result.divide(result.content())
+
+
+# GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 1989) on integer
+# polynomials {exponent tuple: int}, one variable at a time as in
+# sympy/polys/heuristicgcd.py.  The evaluation point keeps the bound of Liao
+# and Fateman (ISSAC 1995) under which a gcd that divides both operands is
+# the gcd, so the trial division is conclusive.
+
+_HEU_ATTEMPTS = 6
+
+
+def _to_int_poly(p: Poly, index: dict) -> dict:
+    """p times the lcm of its denominators, over exponent tuples by `index`."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    out = {}
+    for mono, c in p.terms.items():
+        e = [0] * len(index)
+        for at, pw in mono:
+            e[index[at]] = pw
+        out[tuple(e)] = c.numerator * (den // c.denominator)
+    return out
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """gcd of nonzero integer polynomials f, g up to sign; None when every
+    evaluation point fails."""
+    cont = math.gcd(*f.values(), *g.values())
+    f, g = ({m: c // cont for m, c in p.items()} for p in (f, g))
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * math.isqrt(bound)),
+            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    for _ in range(_HEU_ATTEMPTS):
+        ff, gg = _heu_eval(f, x), _heu_eval(g, x)
+        if ff and gg:
+            if () in ff:
+                h = {(): math.gcd(ff[()], gg[()])}
+            elif (h := _heu_gcd(ff, gg)) is None:
+                return None
+            h = _heu_interpolate(h, x)
+            hc = math.gcd(*h.values())
+            h = {m: c // hc for m, c in h.items()}
+            # a unit gcd divides everything, so only a larger one is tried
+            if (len(h) == 1 and not any(next(iter(h)))) or (
+                _heu_divides(f, h) and _heu_divides(g, h)
+            ):
+                return {m: c * cont for m, c in h.items()}
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _heu_eval(f: dict, x: int) -> dict:
+    """f with its first variable set to x."""
+    out: dict = {}
+    for m, c in f.items():
+        rest = m[1:]
+        out[rest] = out.get(rest, 0) + c * x ** m[0]
+    return {m: c for m, c in out.items() if c}
+
+
+def _heu_interpolate(h: dict, x: int) -> dict:
+    """The polynomial with coefficients in the symmetric range mod x whose
+    new first variable at x gives h."""
+    out, k, half = {}, 0, x // 2
+    while h:
+        rest = {}
+        for m, c in h.items():
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[(k, *m)] = r
+            if c != r:
+                rest[m] = (c - r) // x
+        h, k = rest, k + 1
+    return out
+
+
+def _heu_divides(f: dict, h: dict) -> bool:
+    """Whether h divides f in Z[X]: division by lex-leading terms."""
+    lm = max(h)
+    lc = h[lm]
+    rem = dict(f)
+    while rem:
+        m = max(rem)
+        q, r = divmod(rem[m], lc)
+        qm = tuple(i - j for i, j in zip(m, lm))
+        if r or min(qm) < 0:
+            return False
+        for hm, hc in h.items():
+            k = tuple(i + j for i, j in zip(qm, hm))
+            if c := rem.get(k, 0) - q * hc:
+                rem[k] = c
+            else:
+                del rem[k]
+    return True
+
+
+def _gcd_prs(a: Poly, b: Poly, shared: set) -> Poly:
+    """Primitive PRS in the atom of least degree, with recursive content gcds."""
     main = min(shared, key=lambda at: (min(_degree_in(a, at), _degree_in(b, at)), at.key))
     ua, ub = _as_univariate(a, main), _as_univariate(b, main)
     cont_a = _poly_gcd_list(list(ua.values()))
@@ -698,9 +814,7 @@ def _gcd_primitive(a: Poly, b: Poly) -> Poly:
     cont_g = _poly_gcd_list(list(g.values()))
     gp = {d: poly_exact_div(c, cont_g) for d, c in g.items()}
     result = _from_univariate(gp, main)
-    cont = poly_gcd(cont_a, cont_b)
-    result = result.mul(cont)
-    return result.divide(result.content())
+    return result.mul(poly_gcd(cont_a, cont_b))
 
 
 def _poly_gcd_list(polys: list[Poly]) -> Poly:

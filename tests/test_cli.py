@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pssurf.cli import main
+from pssurf.cli import main, make_parser
 
 
 def run_cli(argv):
@@ -35,6 +35,23 @@ def test_cli_import_leaves_numpy_unloaded():
     # importing the numeric modules, which load numpy
     run = _python("-c", "import sys, pssurf.cli; print('numpy' in sys.modules)")
     assert (run.stdout, run.stderr) == ("False\n", "")
+
+
+def test_one_parser_serves_every_command_of_a_process():
+    # the parser is built once per process; after a usage error, later
+    # commands must exit and print exactly as in a fresh interpreter
+    commands = [
+        ["verify", "example", "song-qu-qiao", "--delta", "2"],
+        ["verify", "example", "mch-type", "--delta", "1", "--format", "json"],
+        ["ch2", "taylor", "--format", "json"],
+        ["build"],
+        ["verify", "example", "song-qu-qiao"],
+    ]
+    in_process = [run_cli(argv) for argv in commands]
+    fresh = [_python("-m", "pssurf.cli", *argv) for argv in commands]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in in_process] == [2, 1, 0, 2, 0]
+    assert make_parser() is make_parser()
 
 
 class TestVerify:

@@ -1,0 +1,88 @@
+"""Paper-level verdicts recomputed in sympy, outside the kernel.
+
+The Lemma 3.1 structure residuals
+
+    r1 = D_x f12 - D_t f11 - (f31 f22 - f32 f21)
+    r2 = D_x f22 - D_t f21 - (f11 f32 - f12 f31)
+    r3 = D_x f32 - D_t f31 - delta (f11 f22 - f12 f21)
+
+are rebuilt in sympy from the printed form coefficients f_ij and from the
+D_x and D_t images that ``jetcalc`` gives for each jet; a residual vanishes
+when ``expand(numer(together(r))) == 0``.  That verdict must equal the
+kernel's.  The D_t images come from ``jetcalc``, so this checks the kernel's
+algebra and the assembly in ``forms``, not the evolution rules.
+
+Inputs: ``build thm35`` (Theorem 3.5) on the configs of the benchmark's
+construct-thm35 workload, seeds 0-9 at delta = +1 and -1, each also checked
+with the opposite curvature sign, where residual 3 must fail.
+"""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from pssurf import kernel as K  # noqa: E402
+from pssurf.classify import Thm34Input, build_theorem35  # noqa: E402
+from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
+from pssurf.jetcalc import total_dt_mod_system, total_dx  # noqa: E402
+from pssurf.kernel import Expr, parse  # noqa: E402
+
+_LOCALS = {"i": sympy.I, "s": sympy.sqrt(2), "exp": sympy.exp}
+_X, _T = sympy.Symbol("x"), sympy.Symbol("t")
+
+
+def _sympy(e: Expr):
+    return sympy.parse_expr(str(e).replace("^", "**"), local_dict=_LOCALS)
+
+
+def _thm35_input(seed: int, delta: int) -> Thm34Input:
+    # the draw of the benchmark's construct-thm35 workload
+    rng = random.Random(seed)
+    a, b, c, d = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4))
+    return Thm34Input(
+        g=parse("u - u2"), h=parse("v - v2"), L=parse(f"{a}*u1 + {b}*v"),
+        M=parse(f"{c}*u + {d}*v"), eta=parse("eta"), delta=delta, orders=(3, 3),
+    )
+
+
+def _oracle_verdicts(forms: AssociatedForms, system) -> dict[int, list[bool]]:
+    """The three verdicts for the forms' rows at either curvature sign."""
+    jets = [K.u(k) for k in range(system.orders[0] + 1)]
+    jets += [K.v(k) for k in range(system.orders[1] + 1)]
+    dx_images = {sympy.Symbol(str(c)): _sympy(total_dx(Expr.atom(c))) for c in jets}
+    dt_images = {
+        sympy.Symbol(base): _sympy(total_dt_mod_system(parse(f"{base} - {base}2"), system))
+        for base in ("u", "v")
+    }
+
+    def d_x(f):
+        return sympy.diff(f, _X) + sum(sympy.diff(f, c) * img for c, img in dx_images.items())
+
+    def d_t(f):
+        return sympy.diff(f, _T) + sum(sympy.diff(f, c) * img for c, img in dt_images.items())
+
+    def vanishes(r) -> bool:
+        return sympy.expand(sympy.numer(sympy.together(r))) == 0
+
+    (f11, f12), (f21, f22), (f31, f32) = [[_sympy(e) for e in row] for row in forms.f]
+    r1 = vanishes(d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21))
+    r2 = vanishes(d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31))
+    d3, w12 = d_x(f32) - d_t(f31), f11 * f22 - f12 * f21
+    return {delta: [r1, r2, vanishes(d3 - delta * w12)] for delta in (1, -1)}
+
+
+def _kernel_verdicts(forms: AssociatedForms, system) -> list[bool]:
+    report = {c.condition_id: c.verdict for c in check_lemma31(forms, system).conditions}
+    return [report[f"structure-residual-{k}"] for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("seed", range(10))
+def test_thm35_structure_verdicts_match_sympy(seed, delta):
+    system, forms = build_theorem35(_thm35_input(seed, delta))
+    oracle = _oracle_verdicts(forms, system)
+    assert _kernel_verdicts(forms, system) == oracle[delta] == [True] * 3
+    flipped = AssociatedForms(forms.f, -delta)
+    assert _kernel_verdicts(flipped, system) == oracle[-delta] == [True, True, False]
