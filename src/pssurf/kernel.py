@@ -374,7 +374,12 @@ def _mono_div(m2: tuple, m1: tuple) -> tuple | None:
 
 class Poly:
     """Multivariate polynomial {monomial: int or Fraction coefficient}; `eval`
-    and `compile_numeric` sum terms in insertion order."""
+    and `compile_numeric` sum terms in insertion order, so every operation
+    keeps the term order of the plain term-by-term loop it stands for.
+
+    A Poly is never mutated after construction, so values are shared: `mul`
+    by the constant 1 returns the other operand itself.
+    """
 
     __slots__ = ("terms",)
 
@@ -387,7 +392,8 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = _q(Fraction(c))
+        if c.__class__ is not int:
+            c = _q(Fraction(c))
         return Poly({_ONE_MONO: c} if c else {})
 
     @staticmethod
@@ -413,12 +419,7 @@ class Poly:
 
     def add(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = _q(nc)
-            else:
-                out.pop(m, None)
+        _add_into(out, other.terms)
         return Poly(out)
 
     def neg(self) -> "Poly":
@@ -428,8 +429,13 @@ class Poly:
         return self.add(other.neg())
 
     def mul(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
+        if other.is_const():
+            self, other = other, self
+        if self.is_const():
+            c = self.const_value()
+            if c == 1:
+                return other
+            return Poly({m: _q(k * c) for m, k in other.terms.items()} if c else {})
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -458,20 +464,18 @@ class Poly:
         return result
 
     def diff(self, c: Coord) -> "Poly":
-        out = Poly.zero()
+        out: dict = {}
         for mono, coeff in self.terms.items():
             for idx, (atom, power) in enumerate(mono):
                 if isinstance(atom, Coord):
                     if atom is not c:
                         continue
                     lower = ((atom, power - 1),) if power > 1 else ()
-                    out = out.add(Poly({mono[:idx] + lower + mono[idx + 1 :]: coeff * power}))
+                    _add_into(out, {mono[:idx] + lower + mono[idx + 1 :]: coeff * power})
                 else:
                     dexp = atom.exponent().diff(c)
-                    if dexp.is_zero():
-                        continue
-                    out = out.add(dexp.mul(Poly({mono: coeff})))
-        return out
+                    _add_into(out, dexp.mul(Poly({mono: coeff})).terms)
+        return Poly(out)
 
     def atoms(self) -> set:
         out = set()
@@ -544,6 +548,20 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the terms {monomial: coefficient} into `out` in place, in their
+    order: a new monomial goes last and a cancelled one leaves."""
+    for m, c in terms.items():
+        nc = out.get(m, 0) + c
+        if nc:
+            out[m] = _q(nc)
+        else:
+            out.pop(m, None)
+
+
+_POLY_ONE = Poly.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +991,15 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 class Expr:
-    """Canonical rational expression: a reduced fraction of Polys."""
+    """Canonical rational expression: a reduced fraction of Polys.
+
+    A constant canonical denominator is 1.  A sum or product of polynomials
+    over 1 is canonical over 1 (every exponential of a canonical
+    expression has a positive leading exponent coefficient, so no shift
+    applies) and skips the normalizing constructor.  Equal non-constant
+    denominators take the general path: with `i` and `s` free in the gcd,
+    reducing against d instead of d*d can print a different, equal fraction.
+    """
 
     __slots__ = ("num", "den")
 
@@ -1004,13 +1030,19 @@ class Expr:
 
     @staticmethod
     def const(c) -> "Expr":
-        return Expr(Poly.const(c), Poly.const(1), _normalized=True)
+        return Expr._over_one(Poly.const(c))
 
     @staticmethod
     def atom(a) -> "Expr":
         if isinstance(a, ExpAtom):
-            return Expr(Poly.atom(a), Poly.const(1))
-        return Expr(Poly.atom(a), Poly.const(1), _normalized=True)
+            return Expr(Poly.atom(a), _POLY_ONE)
+        return Expr._over_one(Poly.atom(a))
+
+    @staticmethod
+    def _over_one(num: Poly) -> "Expr":
+        """num / 1 for a polynomial that is canonical over 1: a sum or product
+        of numerators over 1, a constant or a coordinate."""
+        return Expr(num, _POLY_ONE, _normalized=True)
 
     @staticmethod
     def exp(arg: "Expr") -> "Expr":
@@ -1036,6 +1068,8 @@ class Expr:
 
     def __add__(self, other) -> "Expr":
         other = Expr._coerce(other)
+        if self.den.is_const() and other.den.is_const():
+            return Expr._over_one(self.num.add(other.num))
         num = self.num.mul(other.den).add(other.num.mul(self.den))
         return Expr(num, self.den.mul(other.den))
 
@@ -1052,6 +1086,8 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = Expr._coerce(other)
+        if self.den.is_const() and other.den.is_const():
+            return Expr._over_one(self.num.mul(other.num))
         return Expr(self.num.mul(other.num), self.den.mul(other.den))
 
     __rmul__ = __mul__
@@ -1123,13 +1159,15 @@ class Expr:
         for image, _, _ in parts:
             if not image.den.is_const() and image.den not in dens:
                 dens.append(image.den)
-        Dn = Dd = Poly.zero()
+        dn_terms: dict = {}
+        dd_terms: dict = {}
         for image, dn, dd in parts:
             others = [q for q in dens if q != image.den]
             weight = functools.reduce(Poly.mul, others, image.num)
-            Dn = Dn.add(weight.mul(dn))
-            Dd = Dd.add(weight.mul(dd))
-        common = functools.reduce(Poly.mul, dens, Poly.const(1))
+            _add_into(dn_terms, weight.mul(dn).terms)
+            _add_into(dd_terms, weight.mul(dd).terms)
+        Dn, Dd = Poly(dn_terms), Poly(dd_terms)
+        common = functools.reduce(Poly.mul, dens, _POLY_ONE)
         if d.is_const():
             return Expr(Dn, d.mul(common))
         return Expr(Dn.mul(d).sub(n.mul(Dd)), d.mul(d).mul(common))

@@ -188,6 +188,22 @@ class TestCanonicalForm:
         q = parse("exp(eta*x)*exp(2/3*z) + exp(x)*exp(1/3*z)") / parse("u*exp(1/3*z)")
         assert str(q) == "(exp(x*eta)*exp(1/3*z) + exp(x))/(u)"
 
+    @pytest.mark.xfail(strict=True, reason="gcd over free i, s: reduced against d*d, not d")
+    def test_equal_denominator_sum_is_canonical(self):
+        # the sum keeps the factor v*i + u in both parts, printed as
+        # (4/3*v*i + 4/3*u)/(2*u*v*i + u^2 - v^2); the difference is zero
+        a = parse("1/(u+i*v)") + parse("(1/3)/(u+i*v)")
+        b = parse("(4/3)/(u+i*v)")
+        assert (a - b).is_zero()
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.xfail(strict=True, reason="incommensurate exponentials are never shifted")
+    def test_exp_product_with_skew_factors_is_canonical(self):
+        # prints (exp(x*eta + x))/(exp(x*eta)); the difference is zero
+        a = parse("exp((eta+1)*x)*exp(-eta*x)")
+        assert (a - parse("exp(x)")).is_zero()
+        assert a == parse("exp(x)")
+
     def test_jet_identity(self):
         # the bare symbol and the order-zero jet are the same coordinate
         assert K.jet("u", 0) == K.u(0)

@@ -12,9 +12,17 @@ when ``expand(numer(together(r))) == 0``.  That verdict must equal the
 kernel's.  The D_t images come from ``jetcalc``, so this checks the kernel's
 algebra and the assembly in ``forms``, not the evolution rules.
 
+The zero-curvature residual D_t X - D_x T + [X, T] of the packed Lax pair is
+rebuilt the same way, with X and T packed in sympy from the f_ij: sl(2, R)
+as (1/2) [[f2, f1 - f3], [f1 + f3, -f2]] for delta = +1, and the su(2)-style
+(1/2) [[I f2, f1 + I f3], [-f1 + I f3, -I f2]] for delta = -1.  Its verdict
+must equal ``laxzoo.mat_is_zero`` of the kernel's residual.
+
 Inputs: ``build thm35`` (Theorem 3.5) on the configs of the benchmark's
-construct-thm35 workload, seeds 0-9 at delta = +1 and -1, each also checked
-with the opposite curvature sign, where residual 3 must fail.
+construct-thm35 workload, seeds 0-9 at delta = +1 and -1, and the five
+catalog entries.  Each is also checked with the opposite curvature sign,
+where residual 3 and the zero curvature must fail; for ``mch-type`` that is
+``verify example mch-type --delta 1``.
 """
 
 import random
@@ -24,10 +32,11 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from pssurf import kernel as K  # noqa: E402
-from pssurf.classify import Thm34Input, build_theorem35  # noqa: E402
+from pssurf.classify import Thm34Input, build_theorem35, catalog_entry  # noqa: E402
 from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
 from pssurf.jetcalc import total_dt_mod_system, total_dx  # noqa: E402
 from pssurf.kernel import Expr, parse  # noqa: E402
+from pssurf.laxzoo import from_forms, mat_is_zero, zero_curvature_residual  # noqa: E402
 
 _LOCALS = {"i": sympy.I, "s": sympy.sqrt(2), "exp": sympy.exp}
 _X, _T = sympy.Symbol("x"), sympy.Symbol("t")
@@ -47,8 +56,10 @@ def _thm35_input(seed: int, delta: int) -> Thm34Input:
     )
 
 
-def _oracle_verdicts(forms: AssociatedForms, system) -> dict[int, list[bool]]:
-    """The three verdicts for the forms' rows at either curvature sign."""
+def _derivations(system):
+    """(D_x, D_t) in sympy.  D_t maps u and v to the images of u - u2 and
+    v - v2, so it holds on dx-coefficients, which depend on u, u2 (and v, v2)
+    only through that difference."""
     jets = [K.u(k) for k in range(system.orders[0] + 1)]
     jets += [K.v(k) for k in range(system.orders[1] + 1)]
     dx_images = {sympy.Symbol(str(c)): _sympy(total_dx(Expr.atom(c))) for c in jets}
@@ -63,14 +74,38 @@ def _oracle_verdicts(forms: AssociatedForms, system) -> dict[int, list[bool]]:
     def d_t(f):
         return sympy.diff(f, _T) + sum(sympy.diff(f, c) * img for c, img in dt_images.items())
 
-    def vanishes(r) -> bool:
-        return sympy.expand(sympy.numer(sympy.together(r))) == 0
+    return d_x, d_t
 
+
+def _vanishes(r) -> bool:
+    return sympy.expand(sympy.numer(sympy.together(r))) == 0
+
+
+def _oracle_verdicts(forms: AssociatedForms, system) -> dict[int, list[bool]]:
+    """The three verdicts for the forms' rows at either curvature sign."""
+    d_x, d_t = _derivations(system)
     (f11, f12), (f21, f22), (f31, f32) = [[_sympy(e) for e in row] for row in forms.f]
-    r1 = vanishes(d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21))
-    r2 = vanishes(d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31))
+    r1 = _vanishes(d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21))
+    r2 = _vanishes(d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31))
     d3, w12 = d_x(f32) - d_t(f31), f11 * f22 - f12 * f21
-    return {delta: [r1, r2, vanishes(d3 - delta * w12)] for delta in (1, -1)}
+    return {delta: [r1, r2, _vanishes(d3 - delta * w12)] for delta in (1, -1)}
+
+
+def _oracle_zero_curvature(forms: AssociatedForms, system) -> bool:
+    """Whether the Lax pair packed from the forms at their curvature sign
+    has zero curvature."""
+    d_x, d_t = _derivations(system)
+    I = sympy.I
+    packed = []
+    for k in (0, 1):  # X from the dx-coefficients, T from the dt-coefficients
+        f1, f2, f3 = (_sympy(row[k]) for row in forms.f)
+        if forms.delta == 1:
+            packed.append(sympy.Matrix([[f2, f1 - f3], [f1 + f3, -f2]]) / 2)
+        else:
+            packed.append(sympy.Matrix([[I * f2, f1 + I * f3], [-f1 + I * f3, -I * f2]]) / 2)
+    X, T = packed
+    residual = X.applyfunc(d_t) - T.applyfunc(d_x) + X * T - T * X
+    return all(_vanishes(r) for r in residual)
 
 
 def _kernel_verdicts(forms: AssociatedForms, system) -> list[bool]:
@@ -86,3 +121,28 @@ def test_thm35_structure_verdicts_match_sympy(seed, delta):
     assert _kernel_verdicts(forms, system) == oracle[delta] == [True] * 3
     flipped = AssociatedForms(forms.f, -delta)
     assert _kernel_verdicts(flipped, system) == oracle[-delta] == [True, True, False]
+
+
+_CATALOG = ("song-qu-qiao", "cubic-ch2", "factored-ch2", "mch-type", "skew-ch2")
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_catalog_verdicts_match_sympy(name):
+    entry = catalog_entry(name)
+    forms, system = entry.forms, entry.system
+    oracle = _oracle_verdicts(forms, system)
+    assert _kernel_verdicts(forms, system) == oracle[forms.delta] == [True] * 3
+    assert entry.lax.algebra == ("sl2" if forms.delta == 1 else "su2")
+    kernel_zc = mat_is_zero(zero_curvature_residual(entry.lax, system))
+    assert kernel_zc is _oracle_zero_curvature(forms, system) is True
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_catalog_at_the_opposite_sign_fails_in_both(name):
+    entry = catalog_entry(name)
+    flipped = AssociatedForms(entry.forms.f, -entry.forms.delta)
+    oracle = _oracle_verdicts(flipped, entry.system)
+    assert _kernel_verdicts(flipped, entry.system) == oracle[flipped.delta] == [True, True, False]
+    lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
+    kernel_zc = mat_is_zero(zero_curvature_residual(lax, entry.system))
+    assert kernel_zc is _oracle_zero_curvature(flipped, entry.system) is False
