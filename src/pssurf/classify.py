@@ -16,7 +16,7 @@ from . import kernel as K
 from .forms import AssociatedForms, check_lemma31
 from .jetcalc import PdeSystem, check_factored_dependence, total_dx
 from .kernel import Expr, KernelError, parse
-from .laxzoo import MatrixForm, from_forms, zero_curvature_residual
+from .laxzoo import MatrixForm, from_forms, mat_is_zero, zero_curvature_residual
 
 
 class HypothesisViolationError(KernelError):
@@ -113,11 +113,33 @@ def _solve_fg(f, delta: int, const_row: int) -> tuple[Expr, Expr]:
     return F, G
 
 
-def _self_check(sys: PdeSystem, forms: AssociatedForms):
+def _assemble(
+    f, delta: int, const_row: int, orders: tuple[int, int]
+) -> tuple[PdeSystem, AssociatedForms]:
+    """The system solved from the forms f, with its orders bounded by
+    `orders`, and the forms, checked against Lemma 3.1."""
+    F, G = _solve_fg(f, delta, const_row)
+    mo, no = orders
+    fo, go = _max_orders(F, G)
+    if fo > mo or go > no:
+        raise HypothesisViolationError(
+            "output orders within bounds", f"built orders ({fo}, {go}) exceed ({mo}, {no})"
+        )
+    sys = PdeSystem((mo, no), F, G, Expr.const(delta))
+    forms = AssociatedForms(f, delta)
     report = check_lemma31(forms, sys)
     if not report.passed:
         failed = ", ".join(c.condition_id for c in report.failures())
         raise HypothesisViolationError("constructed forms verify", failed)
+    return sys, forms
+
+
+def _checked_lax(sys: PdeSystem, forms: AssociatedForms) -> MatrixForm:
+    """The packed Lax pair of the forms, checked to have zero curvature."""
+    lax = _pack(forms)
+    if not mat_is_zero(zero_curvature_residual(lax, sys)):
+        raise HypothesisViolationError("zero curvature of constructed pair", "nonzero matrix")
+    return lax
 
 
 def build_theorem34(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
@@ -128,13 +150,8 @@ def build_theorem34(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
     N = (total_dx(inp.M) + inp.h * inp.L) / inp.g
     _require_nonzero(inp.g * inp.M - inp.eta * inp.L, "g*M - eta*L nonzero")
     f = ((inp.g, inp.L), (inp.eta, inp.M), (inp.h, N))
-    mo, no = inp.orders
-    _generic_condition(inp.L, N, mo, no)
-    F, G = _solve_fg(f, inp.delta, const_row=2)
-    sys = _package_system(F, G, inp.orders, inp.delta)
-    forms = AssociatedForms(f, inp.delta)
-    _self_check(sys, forms)
-    return sys, forms
+    _generic_condition(inp.L, N, *inp.orders)
+    return _assemble(f, inp.delta, 2, inp.orders)
 
 
 def build_theorem35(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
@@ -146,13 +163,8 @@ def build_theorem35(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
         raise HypothesisViolationError("M non-constant", inp.M)
     N = (Expr.const(inp.delta) * total_dx(inp.M) + inp.h * inp.L) / inp.g
     f = ((inp.g, inp.L), (inp.h, N), (inp.eta, inp.M))
-    mo, no = inp.orders
-    _generic_condition(inp.L, N, mo, no)
-    F, G = _solve_fg(f, inp.delta, const_row=3)
-    sys = _package_system(F, G, inp.orders, inp.delta)
-    forms = AssociatedForms(f, inp.delta)
-    _self_check(sys, forms)
-    return sys, forms
+    _generic_condition(inp.L, N, *inp.orders)
+    return _assemble(f, inp.delta, 3, inp.orders)
 
 
 def _generic_condition(L: Expr, N: Expr, mo: int, no: int):
@@ -161,16 +173,6 @@ def _generic_condition(L: Expr, N: Expr, mo: int, no: int):
     for c in (K.u(mo - 1), K.v(no - 1)):
         if L.diff(c).is_zero() and N.diff(c).is_zero():
             raise HypothesisViolationError("top-order coefficients present", K.ZERO)
-
-
-def _package_system(F: Expr, G: Expr, orders: tuple[int, int], delta: int) -> PdeSystem:
-    mo, no = orders
-    fo, go = _max_orders(F, G)
-    if fo > mo or go > no:
-        raise HypothesisViolationError(
-            "output orders within bounds", f"built orders ({fo}, {go}) exceed ({mo}, {no})"
-        )
-    return PdeSystem((mo, no), F, G, Expr.const(delta))
 
 
 def _check_pointwise_data(inp: Thm36Input):
@@ -215,13 +217,8 @@ def build_theorem36(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     L = -inp.A * inp.g + inp.L1
     N = -inp.A * inp.h + inp.N1
     f = ((inp.g, L), (inp.eta, inp.M), (inp.h, N))
-    F, G = _solve_fg(f, inp.delta, const_row=2)
-    sys = _package_system(F, G, (3, 3), inp.delta)
-    forms = AssociatedForms(f, inp.delta)
-    _self_check(sys, forms)
-    lax = _pack(forms)
-    _lax_self_check(lax, sys)
-    return sys, forms, lax
+    sys, forms = _assemble(f, inp.delta, 2, (3, 3))
+    return sys, forms, _checked_lax(sys, forms)
 
 
 def build_theorem37(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, MatrixForm]:
@@ -234,24 +231,13 @@ def build_theorem37(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     L = -inp.A * inp.g + inp.L1
     N = -inp.A * inp.h + inp.N1
     f = ((inp.g, L), (inp.h, N), (inp.eta, inp.M))
-    F, G = _solve_fg(f, inp.delta, const_row=3)
-    sys = _package_system(F, G, (3, 3), inp.delta)
-    forms = AssociatedForms(f, inp.delta)
-    _self_check(sys, forms)
-    lax = _pack(forms)
-    _lax_self_check(lax, sys)
-    return sys, forms, lax
+    sys, forms = _assemble(f, inp.delta, 3, (3, 3))
+    return sys, forms, _checked_lax(sys, forms)
 
 
 def _pack(forms: AssociatedForms) -> MatrixForm:
     """The Lax pair of the forms: sl2 for pseudospherical, su2 for spherical."""
     return from_forms(forms, "sl2" if forms.delta == 1 else "su2")
-
-
-def _lax_self_check(lax: MatrixForm, sys: PdeSystem):
-    res = zero_curvature_residual(lax, sys)
-    if any(not e.is_zero() for row in res for e in row):
-        raise HypothesisViolationError("zero curvature of constructed pair", "nonzero matrix")
 
 
 def check_corollary33(sys: PdeSystem) -> bool:

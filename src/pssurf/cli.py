@@ -92,15 +92,25 @@ def _config_exprs(config: dict, names: list[str]) -> dict[str, Expr]:
     return {n: _parse_config(table[n]) for n in names}
 
 
+def _int_param(name: str, val) -> int:
+    """A config number as an int: an int or an integral float passes, a bool
+    or any other value is a config error."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or (
+        isinstance(val, float) and not val.is_integer()
+    ):
+        raise ValueError(f"parameter '{name}' must be an integer, got {val!r}")
+    return int(val)
+
+
 def _curvature_params(config: dict) -> tuple[int, tuple[int, int]]:
     """The curvature sign delta (default 1) and the orders (m, n) (default
     (2, 2)) of a config; a delta other than 1 or -1, or an order outside
     2..MAX_JET_ORDER, is a config error."""
     params = config.get("params", {})
-    delta = int(params.get("delta", 1))
+    delta = _int_param("delta", params.get("delta", 1))
     if delta not in (1, -1):
         raise ValueError(f"parameter 'delta' must be 1 or -1, got {delta}")
-    orders = (int(params.get("m", 2)), int(params.get("n", 2)))
+    orders = tuple(_int_param(name, params.get(name, 2)) for name in "mn")
     for name, order in zip("mn", orders):
         if not 2 <= order <= MAX_JET_ORDER:
             raise ValueError(f"parameter '{name}' must lie in 2..{MAX_JET_ORDER}, got {order}")
@@ -113,9 +123,7 @@ def _expr_param(config: dict, name: str) -> Expr:
         raise KeyError(f"config lacks parameter '{name}'")
     val = params[name]
     if isinstance(val, (int, float)):
-        if isinstance(val, float) and not val.is_integer():
-            raise ValueError(f"parameter '{name}' must be an integer or expression string")
-        return Expr.const(int(val))
+        return Expr.const(_int_param(name, val))
     return _parse_config(str(val))
 
 
@@ -275,8 +283,7 @@ def cmd_ch2(args) -> int:
         out = args.out or "solution.csv"
         write_solution_csv(out, sol, _parse_grid(args.grid))
         payload = {"passed": True, "k": sol.k, "speed": sol.speed, "csv": out}
-        envelope = _report_envelope("ch2 solution", config, payload)
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        _emit(_report_envelope("ch2 solution", config, payload), "json", None)
         return 0
     elif args.subcommand == "residual":
         sol = chsym.exact_solution(args.u0, args.eta, args.eps)

@@ -23,9 +23,10 @@ minimal exponent multiple over both is zero, and the denominator is scaled to
 a primitive integer polynomial whose leading coefficient is positive.  Two
 special parameters carry rewrite rules, applied in the merge and nowhere
 else: i*i -> -1 and s*s -> 2.  The gcd is GCDHEU on integer polynomials over
-exponent tuples, with a primitive PRS as the fallback; GCDHEU takes `i`, `s`
-and localized exponentials as free atoms, so a factor it finds divides
-exactly under the rewrites.
+exponent tuples, with a primitive PRS on the same polynomials as the
+fallback; both take `i`, `s` and localized exponentials as free atoms, so
+the reduced form does not depend on which one finished, and a factor they
+find divides exactly under the rewrites.
 
 Expressions are immutable after construction; normalization is pure, so
 values can be shared freely across threads or processes (unpickling
@@ -596,63 +597,11 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     return Poly({m: c for m, c in quo.items() if c})
 
 
-def _degree_in(p: Poly, atom) -> int:
-    return max((pw for mono in p.terms for a, pw in mono if a == atom), default=0)
-
-
-def _as_univariate(p: Poly, atom) -> dict[int, Poly]:
-    out: dict[int, Poly] = {}
-    for mono, coeff in p.terms.items():
-        deg = 0
-        rest = []
-        for a, pw in mono:
-            if a == atom:
-                deg = pw
-            else:
-                rest.append((a, pw))
-        bucket = out.setdefault(deg, Poly.zero())
-        out[deg] = bucket.add(Poly({tuple(rest): coeff}))
-    return {d: q for d, q in out.items() if not q.is_zero()}
-
-
-def _from_univariate(coeffs: dict[int, Poly], atom) -> Poly:
-    out = Poly.zero()
-    for deg, c in coeffs.items():
-        if deg == 0:
-            out = out.add(c)
-        else:
-            out = out.add(c.mul(Poly({((atom, deg),): 1})))
-    return out
-
-
-def _uni_degree(coeffs: dict[int, Poly]) -> int:
-    return max(coeffs) if coeffs else -1
-
-
-def _uni_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    out = dict(a)
-    for d, c in b.items():
-        nc = out.get(d, Poly.zero()).sub(c)
-        if nc.is_zero():
-            out.pop(d, None)
-        else:
-            out[d] = nc
-    return out
-
-
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    db = _uni_degree(b)
-    r = a
-    while (dr := _uni_degree(r)) >= db:
-        scaled_r = {d: c.mul(b[db]) for d, c in r.items()}
-        r = _uni_sub(scaled_r, {d + dr - db: c.mul(r[dr]) for d, c in b.items()})
-    return r
-
-
-def _mono_content(p: Poly) -> tuple:
-    """Largest monomial dividing every term."""
+def _mono_content(p: Poly, common: tuple | None = None) -> tuple:
+    """Largest monomial dividing every term, and `common` when given."""
     monos = iter(p.terms)
-    common = next(monos, _ONE_MONO)
+    if common is None:
+        common = next(monos, _ONE_MONO)
     for mono in monos:
         if not common:
             break
@@ -661,10 +610,9 @@ def _mono_content(p: Poly) -> tuple:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd, up to a rational unit: GCDHEU, with the primitive PRS
-    as the fallback when no evaluation point gives a gcd.  GCDHEU treats
-    `i`, `s` and each `_ExpVar` as free atoms; the PRS takes its variables
-    among them too, though its products rewrite `i*i` and `s*s`.
+    """Primitive gcd, up to a rational unit, computed on integer polynomials
+    with `i`, `s` and each `_ExpVar` as free atoms: GCDHEU, with the
+    primitive PRS as the fallback when no evaluation point gives a gcd.
 
     Exponential atoms are not free polynomial generators (their powers fold
     into the exponent), so once the common monomial part is stripped, any
@@ -675,38 +623,26 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b
     if b.is_zero():
         return a
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) == 1:
+        # seeded by the single term, the strip can stop at the first coprime term
+        return Poly({_mono_content(b, next(iter(a.terms))): 1})
     ma, mb = _mono_content(a), _mono_content(b)
     common_mono = _mono_gcd(ma, mb)
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return Poly({common_mono: 1})
     a = Poly({_mono_div(m, ma): c for m, c in a.terms.items()})
     b = Poly({_mono_div(m, mb): c for m, c in b.terms.items()})
-    if any(
-        isinstance(atom, ExpAtom) for p in (a, b) for atom in p.atoms()
-    ):
+    atoms_a, atoms_b = a.atoms(), b.atoms()
+    if not atoms_a & atoms_b or any(isinstance(at, ExpAtom) for at in atoms_a | atoms_b):
         return Poly({common_mono: 1})
-    core = _gcd_primitive(a, b)
+    atoms = sorted(atoms_a | atoms_b, key=lambda at: at.key)
+    index = {at: k for k, at in enumerate(atoms)}
+    h = _int_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
+    core = Poly({tuple((atoms[k], e) for k, e in enumerate(m) if e): c for m, c in h.items()})
+    core = core.divide(core.content())
     if common_mono:
         core = core.mul(Poly({common_mono: 1}))
     return core
-
-
-def _gcd_primitive(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd of two polynomials without monomial content: GCDHEU,
-    and the primitive PRS when no evaluation point gives a gcd."""
-    if a.is_const() or b.is_const():
-        return Poly.const(1)
-    shared = a.atoms() & b.atoms()
-    if not shared:
-        return Poly.const(1)
-    atoms = sorted(a.atoms() | b.atoms(), key=lambda at: at.key)
-    index = {at: k for k, at in enumerate(atoms)}
-    h = _heu_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
-    if h is None:
-        result = _gcd_prs(a, b, shared)
-    else:
-        result = Poly({tuple((atoms[k], e) for k, e in enumerate(m) if e): c for m, c in h.items()})
-    return result.divide(result.content())
 
 
 # GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 1989) on integer
@@ -730,9 +666,17 @@ def _to_int_poly(p: Poly, index: dict) -> dict:
     return out
 
 
+def _int_gcd(f: dict, g: dict) -> dict:
+    """gcd of nonzero integer polynomials f, g up to sign: GCDHEU, and the
+    primitive PRS when every evaluation point fails."""
+    return _heu_gcd(f, g) or _prs_gcd(f, g)
+
+
 def _heu_gcd(f: dict, g: dict) -> dict | None:
     """gcd of nonzero integer polynomials f, g up to sign; None when every
-    evaluation point fails."""
+    evaluation point fails.  Constants (no variables left) take math.gcd."""
+    if () in f:
+        return {(): math.gcd(f[()], g[()])}
     cont = math.gcd(*f.values(), *g.values())
     f, g = ({m: c // cont for m, c in p.items()} for p in (f, g))
     f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
@@ -742,16 +686,14 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
     for _ in range(_HEU_ATTEMPTS):
         ff, gg = _heu_eval(f, x), _heu_eval(g, x)
         if ff and gg:
-            if () in ff:
-                h = {(): math.gcd(ff[()], gg[()])}
-            elif (h := _heu_gcd(ff, gg)) is None:
+            if (h := _heu_gcd(ff, gg)) is None:
                 return None
             h = _heu_interpolate(h, x)
             hc = math.gcd(*h.values())
             h = {m: c // hc for m, c in h.items()}
             # a unit gcd divides everything, so only a larger one is tried
             if (len(h) == 1 and not any(next(iter(h)))) or (
-                _heu_divides(f, h) and _heu_divides(g, h)
+                _int_div(f, h) is not None and _int_div(g, h) is not None
             ):
                 return {m: c * cont for m, c in h.items()}
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
@@ -785,63 +727,78 @@ def _heu_interpolate(h: dict, x: int) -> dict:
     return out
 
 
-def _heu_divides(f: dict, h: dict) -> bool:
-    """Whether h divides f in Z[X]: division by lex-leading terms."""
+def _int_div(f: dict, h: dict) -> dict | None:
+    """f / h in Z[X] by lex-leading terms; None when h does not divide f."""
     lm = max(h)
     lc = h[lm]
-    rem = dict(f)
+    rem, quo = dict(f), {}
     while rem:
         m = max(rem)
         q, r = divmod(rem[m], lc)
         qm = tuple(i - j for i, j in zip(m, lm))
         if r or min(qm) < 0:
-            return False
+            return None
+        quo[qm] = q
         for hm, hc in h.items():
             k = tuple(i + j for i, j in zip(qm, hm))
             if c := rem.get(k, 0) - q * hc:
                 rem[k] = c
             else:
                 del rem[k]
-    return True
+    return quo
 
 
-def _gcd_prs(a: Poly, b: Poly, shared: set) -> Poly:
-    """Primitive PRS in the atom of least degree, with recursive content gcds."""
-    main = min(shared, key=lambda at: (min(_degree_in(a, at), _degree_in(b, at)), at.key))
-    ua, ub = _as_univariate(a, main), _as_univariate(b, main)
-    cont_a = _poly_gcd_list(list(ua.values()))
-    cont_b = _poly_gcd_list(list(ub.values()))
-    pa = {d: poly_exact_div(c, cont_a) for d, c in ua.items()}
-    pb = {d: poly_exact_div(c, cont_b) for d, c in ub.items()}
-    if _uni_degree(pa) < _uni_degree(pb):
-        pa, pb = pb, pa
-    while True:
-        if _uni_degree(pb) < 0:
-            g = pa
-            break
-        r = _pseudo_rem(pa, pb)
-        if r:
-            # primitive PRS: strip the content to keep coefficients small
-            cont_r = _poly_gcd_list(list(r.values()))
-            if not cont_r.is_const():
-                r = {d: poly_exact_div(c, cont_r) for d, c in r.items()}
-        pa, pb = pb, r
-        if _uni_degree(pa) == 0:
-            g = {0: Poly.const(1)}
-            break
-    cont_g = _poly_gcd_list(list(g.values()))
-    gp = {d: poly_exact_div(c, cont_g) for d, c in g.items()}
-    result = _from_univariate(gp, main)
-    return result.mul(poly_gcd(cont_a, cont_b))
+def _int_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(i + j for i, j in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
-def _poly_gcd_list(polys: list[Poly]) -> Poly:
-    g = Poly.zero()
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g.is_const() and not g.is_zero():
-            return Poly.const(1)
-    return g.divide(g.content()) if not g.is_zero() else g
+def _lead_coeff(f: dict, shift: int = 0) -> dict:
+    """The coefficient of the highest power of the first variable, times
+    that variable to the `shift`."""
+    d = max(f)[0]
+    return {(shift, *m[1:]): c for m, c in f.items() if m[0] == d}
+
+
+def _int_primitive(f: dict) -> tuple[dict, dict]:
+    """(content, primitive part) of f in the first variable: the content is
+    the gcd of its coefficients, polynomials in the other variables."""
+    coeffs: dict = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[0], {})[m[1:]] = c
+    cont = functools.reduce(_int_gcd, coeffs.values())
+    return cont, _int_div(f, {(0, *m): c for m, c in cont.items()})
+
+
+def _prs_gcd(f: dict, g: dict) -> dict:
+    """Primitive PRS, after sympy's dmp_rr_prs_gcd, times the gcd of the
+    contents.  It runs in the last variable of least degree, swapped to the
+    front, as a main variable of higher degree swells the remainders."""
+    k = min(reversed(range(len(next(iter(f))))),
+            key=lambda j: min(max(m[j] for m in p) for p in (f, g)))
+
+    def swap(p: dict) -> dict:
+        return {(m[k], *m[1:k], m[0], *m[k + 1:]): c for m, c in p.items()} if k else p
+
+    (fc, f), (gc, g) = _int_primitive(swap(f)), _int_primitive(swap(g))
+    if max(f)[0] < max(g)[0]:
+        f, g = g, f
+    # a primitive part of degree 0 is 1
+    while (dg := max(g)[0]) and f:
+        lc_g = _lead_coeff(g)
+        while f and (df := max(f)[0]) >= dg:
+            # f * lc(g) - x^(df - dg) * lc(f) * g cancels the leading power
+            out = _int_mul(f, lc_g)
+            for m, c in _int_mul(g, _lead_coeff(f, df - dg)).items():
+                out[m] = out.get(m, 0) - c
+            f = {m: c for m, c in out.items() if c}
+        if f:
+            f, g = g, _int_primitive(f)[1]
+    return swap(_int_mul(g, {(0, *m): c for m, c in _int_gcd(fc, gc).items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -975,14 +932,11 @@ def _delocalize_exps(p: Poly) -> Poly:
 
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    try:
-        return poly_exact_div(num, den), Poly.const(1)
-    except KernelError:
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
-        return num, den
+    g = poly_gcd(num, den)
+    if not g.is_const():
+        num = poly_exact_div(num, g)
+        den = poly_exact_div(den, g)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

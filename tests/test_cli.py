@@ -114,6 +114,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: parameter 'delta' must be 1 or -1, got 0\n"
 
+    @pytest.mark.parametrize("name, value", [("delta", 1.9), ("m", 3.7), ("n", True)])
+    def test_lemma31_non_integral_parameter_is_usage_error(self, tmp_path, name, value):
+        # int() used to truncate 1.9 to 1 and take true as 1
+        cfg = tmp_path / "forms.json"
+        exprs = dict.fromkeys(["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"], "u")
+        cfg.write_text(json.dumps({"expressions": exprs, "params": {name: value}}))
+        code, out, err = run_cli(["verify", "lemma31", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: parameter '{name}' must be an integer, got {value!r}\n"
+
 
 class TestBuild:
     def _cubic_config(self, tmp_path):
@@ -202,6 +212,31 @@ class TestBuild:
         path = self._write(tmp_path, {}, **params)
         code, out, err = run_cli(["build", "thm34", "--config", str(path)])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"delta": 1.9}, "parameter 'delta' must be an integer, got 1.9"),
+            ({"delta": True}, "parameter 'delta' must be an integer, got True"),
+            ({"m": 3.7}, "parameter 'm' must be an integer, got 3.7"),
+            ({"n": False}, "parameter 'n' must be an integer, got False"),
+            ({"n": "3"}, "parameter 'n' must be an integer, got '3'"),
+        ],
+        ids=["delta-1.9", "delta-true", "m-3.7", "n-false", "n-string"],
+    )
+    def test_non_integral_curvature_sign_and_orders_are_usage_errors(
+        self, tmp_path, params, message
+    ):
+        # int() used to build thm34 at delta 1 and order 3 from 1.9 and 3.7
+        path = self._write(tmp_path, {}, **params)
+        code, out, err = run_cli(["build", "thm34", "--config", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_integral_float_parameters_pass(self, tmp_path):
+        path = self._write(tmp_path, {}, delta=1.0, m=3.0, n=3.0)
+        code, out, _ = run_cli(["build", "thm34", "--config", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["system"]["orders"] == [3, 3]
 
     def test_kernel_failure_in_the_mathematics_exits_one(self, tmp_path):
         path = self._write(tmp_path, {"L": "u11", "M": "u12 + v"}, m=12)

@@ -4,7 +4,8 @@
 gives a gcd.  Seeded pairs (G*A, G*B) with a known factor G are reduced three
 ways: by the kernel, by the kernel with no GCDHEU attempt (the PRS alone), and
 by ``sympy.gcd`` with every kernel atom, ``i``, ``s`` and the localized
-exponentials included, as a plain Symbol.
+exponentials included, as a plain Symbol.  Both kernel paths compute on the
+same integer polynomials, so they must give the same bytes.
 """
 
 import random
@@ -36,15 +37,16 @@ def _to_sympy(p: Poly, symbols: dict):
     return sympy.Add(*terms)
 
 
-def _check_gcd(a: Poly, b: Poly, known: Poly, monkeypatch) -> Poly:
+def _check_gcd(a: Poly, b: Poly, known: Poly | None, monkeypatch) -> Poly:
     """The kernel's gcd of a and b, checked against the PRS alone and against
-    sympy, and checked to be a multiple of the known common factor."""
+    sympy, and checked to be a multiple of the known common factor, if any."""
     g = K.poly_gcd(a, b)
     assert g.terms == _prs_gcd(a, b, monkeypatch).terms, (str(a), str(b))
     symbols: dict = {}
     sa, sb, sg = (_to_sympy(p, symbols) for p in (a, b, g))
     assert sympy.cancel(sg / sympy.gcd(sa, sb)).is_Rational, (str(a), str(b), str(g))
-    assert sympy.cancel(sg / _to_sympy(known, symbols)).is_polynomial(), str(g)
+    if known is not None:
+        assert sympy.cancel(sg / _to_sympy(known, symbols)).is_polynomial(), str(g)
     return g
 
 
@@ -81,11 +83,30 @@ def _free_pairs(seed: int, count: int):
         yield g.mul(a), g.mul(b), g
 
 
+def _squared_pairs(seed: int, count: int):
+    """(G*A, G*B) over u, u1, v, eta, i, s in which G and A share i or s, so
+    the product squares it and the rewrite i*i -> -1 or s*s -> 2 applies:
+    G need not divide G*A once i and s are free atoms."""
+    rng = random.Random(seed)
+    pool = _PLAIN + _ROOTS
+    while count:
+        g, a, b = (
+            _random_poly(rng, rng.sample(pool, rng.randint(2, 5)), rng.randint(1, n))
+            for n in (3, 4, 4)
+        )
+        if b.is_zero() or not g.atoms() & a.atoms() & set(_ROOTS):
+            continue
+        count -= 1
+        yield g.mul(a), g.mul(b)
+
+
 def test_free_atom_pairs_agree_with_prs_and_sympy(monkeypatch):
     nontrivial = 0
     for a, b, g in _free_pairs(11, 40):
         nontrivial += not _check_gcd(a, b, g, monkeypatch).is_const()
     assert nontrivial >= 30
+    for a, b in _squared_pairs(13, 30):
+        _check_gcd(a, b, None, monkeypatch)
 
 
 _EXP_TERMS = ("exp(eta*x)", "exp(2*eta*x)", "exp(-eta*x)", "exp(t/2)", "exp(-t)")
@@ -118,8 +139,8 @@ def test_prs_fallback_takes_over_when_no_point_is_tried(monkeypatch):
     a, b, g = next(_free_pairs(3, 1))
     monkeypatch.setattr(K, "_HEU_ATTEMPTS", 0)
     calls = []
-    prs = K._gcd_prs
-    monkeypatch.setattr(K, "_gcd_prs", lambda *args: calls.append(args) or prs(*args))
+    prs = K._prs_gcd
+    monkeypatch.setattr(K, "_prs_gcd", lambda *args: calls.append(args) or prs(*args))
     K.poly_exact_div(K.poly_gcd(a, b), g)
     assert calls
 
@@ -134,17 +155,34 @@ def _agrees(kernel_expr, sympy_expr) -> bool:
     return sympy.expand(sympy.numer(sympy.together(diff))) == 0
 
 
+_SLOW = "(u/exp((eta+1)*x))*v*(v/exp(eta*x)*u - s*exp(-eta*x)) + (u1*s*u1 - eta + s) + 3"
+
+
+def _slow_fraction():
+    e = parse(_SLOW)
+    return e / (e + 1) - e * e
+
+
 def test_fraction_with_s_and_exponentials_finishes():
     # the primitive PRS alone ran for minutes here, five levels deep in
     # content gcds with growing coefficients
-    text = "(u/exp((eta+1)*x))*v*(v/exp(eta*x)*u - s*exp(-eta*x)) + (u1*s*u1 - eta + s) + 3"
     start = time.perf_counter()
-    e = parse(text)
-    r = e / (e + 1) - e * e
+    r = _slow_fraction()
     assert time.perf_counter() - start < 5
-    want = _sympy_of(text)
+    want = _sympy_of(_SLOW)
     assert _agrees(r, want / (want + 1) - want * want)
     assert not _agrees(r, want / (want + 1))
+
+
+def test_fraction_with_s_and_exponentials_finishes_on_the_prs(monkeypatch):
+    # the PRS on Poly, with i*i and s*s rewritten, did not finish in 60 s
+    r = _slow_fraction()
+    monkeypatch.setattr(K, "_HEU_ATTEMPTS", 0)
+    start = time.perf_counter()
+    forced = _slow_fraction()
+    assert time.perf_counter() - start < 5
+    assert list(forced.num.terms) == list(r.num.terms)
+    assert list(forced.den.terms) == list(r.den.terms)
 
 
 @pytest.mark.parametrize(
@@ -163,3 +201,25 @@ def test_reduction_with_factors_over_the_field_agrees_with_sympy(text):
     e = parse(text)
     assert _agrees(e, _sympy_of(text))
     assert _agrees(e.diff(K.indep("x")), sympy.diff(_sympy_of(text), sympy.Symbol("x")))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(u*u+v*v)/(u+i*v)",
+        "(u*u-2*v*v)/(u-s*v)",
+        "1/(u+i*v) - (u-i*v)/(u*u+v*v)",
+        "(u1*v/(s-v))/((u1*v/(s-v))+v)",
+        "(u-i)^2/(u-i)",
+    ],
+)
+def test_prs_and_gcdheu_reduce_to_the_same_fraction(text, monkeypatch):
+    # with i and s free in both gcd paths the canonical form does not depend
+    # on which path finished; a factor that exists only over Q(i, sqrt 2)
+    # stays uncancelled on both
+    e = parse(text)
+    monkeypatch.setattr(K, "_HEU_ATTEMPTS", 0)
+    forced = parse(text)
+    assert str(forced) == str(e)
+    assert forced == e and hash(forced) == hash(e)
+    assert _agrees(forced, _sympy_of(text))

@@ -19,20 +19,33 @@ as (1/2) [[f2, f1 - f3], [f1 + f3, -f2]] for delta = +1, and the su(2)-style
 must equal ``laxzoo.mat_is_zero`` of the kernel's residual.
 
 Inputs: ``build thm35`` (Theorem 3.5) on the configs of the benchmark's
-construct-thm35 workload, seeds 0-9 at delta = +1 and -1, and the five
-catalog entries.  Each is also checked with the opposite curvature sign,
-where residual 3 and the zero curvature must fail; for ``mch-type`` that is
+construct-thm35 workload, seeds 0-9 at delta = +1 and -1; ``build thm34``
+on ``tests/golden/build_thm34.config.json``; ``build_theorem36`` on the
+Song-Qu-Qiao frame and ``build_theorem37`` on the ``mch-type`` frame rotated
+to its third-row pattern; and the five catalog entries.  Each is also
+checked with the opposite curvature sign, where residual 3 and the zero
+curvature must fail; for ``mch-type`` that is
 ``verify example mch-type --delta 1``.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from pssurf import kernel as K  # noqa: E402
-from pssurf.classify import Thm34Input, build_theorem35, catalog_entry  # noqa: E402
+from pssurf.classify import (  # noqa: E402
+    Thm34Input,
+    Thm36Input,
+    build_theorem34,
+    build_theorem35,
+    build_theorem36,
+    build_theorem37,
+    catalog_entry,
+)
 from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
 from pssurf.jetcalc import total_dt_mod_system, total_dx  # noqa: E402
 from pssurf.kernel import Expr, parse  # noqa: E402
@@ -146,3 +159,52 @@ def test_catalog_at_the_opposite_sign_fails_in_both(name):
     lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, entry.system))
     assert kernel_zc is _oracle_zero_curvature(flipped, entry.system) is False
+
+
+def _thm34_golden():
+    config = json.loads((Path(__file__).parent / "golden" / "build_thm34.config.json").read_text())
+    params = config["params"]
+    inp = Thm34Input(
+        **{name: parse(text) for name, text in config["expressions"].items()},
+        eta=Expr.const(params["eta"]), delta=params["delta"], orders=(params["m"], params["n"]),
+    )
+    system, forms = build_theorem34(inp)
+    return system, forms, from_forms(forms, "sl2" if forms.delta == 1 else "su2")
+
+
+def _thm36_song_qu_qiao():
+    Q = parse("u1*v1 - u*v + u*v1 - u1*v")
+    return build_theorem36(Thm36Input(
+        g=parse("(u-u2) + (v-v2)"), h=parse("-(u-u2) + (v-v2)"), A=-Q,
+        L1=parse("1/2*(u + u1 + v - v1)"), N1=parse("-1/2*(u + u1 - v + v1)"),
+        M=K.ONE / 2 + Q, eta=K.ONE, delta=1,
+    ))
+
+
+def _thm37_mch_type():
+    # the frame (w1, -w3, w2) of the spherical entry, constant slot last
+    (f11, f12), (_, f22), (f31, f32) = catalog_entry("mch-type").forms.f
+    A = -parse("-1/2*(u^2 + v^2 - u1^2 - v1^2) - u*v1 + u1*v")
+    return build_theorem37(Thm36Input(
+        g=f11, h=-f31, A=A, L1=f12 + A * f11, N1=-f32 - A * f31, M=f22, eta=K.ONE, delta=-1,
+    ))
+
+
+_BUILDS = {"thm34-golden": _thm34_golden, "thm36-song-qu-qiao": _thm36_song_qu_qiao,
+           "thm37-mch-type": _thm37_mch_type}
+
+
+@pytest.mark.parametrize("name", _BUILDS)
+def test_constructor_verdicts_match_sympy_at_both_signs(name):
+    # thm34 returns no Lax pair; its forms are packed as the CLI would
+    system, forms, lax = _BUILDS[name]()
+    oracle = _oracle_verdicts(forms, system)
+    assert _kernel_verdicts(forms, system) == oracle[forms.delta] == [True] * 3
+    assert lax.algebra == ("sl2" if forms.delta == 1 else "su2")
+    kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
+    assert kernel_zc is _oracle_zero_curvature(forms, system) is True
+    flipped = AssociatedForms(forms.f, -forms.delta)
+    assert _kernel_verdicts(flipped, system) == oracle[flipped.delta] == [True, True, False]
+    lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
+    kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
+    assert kernel_zc is _oracle_zero_curvature(flipped, system) is False
