@@ -572,6 +572,14 @@ _POLY_ONE = Poly.const(1)
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly:
     """Exact division a / b; raises KernelError when not divisible."""
+    if (quo := _poly_div(a, b)) is None:
+        raise KernelError("polynomial division is not exact")
+    return quo
+
+
+def _poly_div(a: Poly, b: Poly) -> Poly | None:
+    """a / b under the rewrites by leading terms; None when that leaves a
+    remainder."""
     if b.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
     if a.is_zero():
@@ -581,7 +589,7 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
         quo = {}
         for m, c in a.terms.items():
             if (q_mono := _mono_div(m, b_mono)) is None:
-                raise KernelError("polynomial division is not exact")
+                return None
             quo[q_mono] = c
         return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
     b_mono, b_coeff = b.leading()
@@ -590,18 +598,17 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     while not rem.is_zero():
         r_mono, r_coeff = rem.leading()
         if (q_mono := _mono_div(r_mono, b_mono)) is None:
-            raise KernelError("polynomial division is not exact")
+            return None
         q_coeff = _div(r_coeff, b_coeff)
         quo[q_mono] = _q(quo.get(q_mono, 0) + q_coeff)
         rem = rem.sub(b.mul(Poly({q_mono: q_coeff})))
     return Poly({m: c for m, c in quo.items() if c})
 
 
-def _mono_content(p: Poly, common: tuple | None = None) -> tuple:
-    """Largest monomial dividing every term, and `common` when given."""
+def _mono_content(p: Poly) -> tuple:
+    """Largest monomial dividing every term."""
     monos = iter(p.terms)
-    if common is None:
-        common = next(monos, _ONE_MONO)
+    common = next(monos, _ONE_MONO)
     for mono in monos:
         if not common:
             break
@@ -623,13 +630,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b
     if b.is_zero():
         return a
-    if len(b.terms) == 1:
-        a, b = b, a
-    if len(a.terms) == 1:
-        # seeded by the single term, the strip can stop at the first coprime term
-        return Poly({_mono_content(b, next(iter(a.terms))): 1})
     ma, mb = _mono_content(a), _mono_content(b)
     common_mono = _mono_gcd(ma, mb)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return Poly({common_mono: 1})
     a = Poly({_mono_div(m, ma): c for m, c in a.terms.items()})
     b = Poly({_mono_div(m, mb): c for m, c in b.terms.items()})
     atoms_a, atoms_b = a.atoms(), b.atoms()
@@ -932,6 +936,10 @@ def _delocalize_exps(p: Poly) -> Poly:
 
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    # the trial division runs under i*i -> -1 and s*s -> 2, so it can cancel
+    # a denominator that the gcd, with i and s free, leaves
+    if (quo := _poly_div(num, den)) is not None:
+        return quo, Poly.const(1)
     g = poly_gcd(num, den)
     if not g.is_const():
         num = poly_exact_div(num, g)

@@ -211,15 +211,30 @@ def test_reduction_with_factors_over_the_field_agrees_with_sympy(text):
         "1/(u+i*v) - (u-i*v)/(u*u+v*v)",
         "(u1*v/(s-v))/((u1*v/(s-v))+v)",
         "(u-i)^2/(u-i)",
+        "(u^2+1)/(u+i)",
+        "(u+s)^2/(u+s)",
     ],
 )
 def test_prs_and_gcdheu_reduce_to_the_same_fraction(text, monkeypatch):
     # with i and s free in both gcd paths the canonical form does not depend
-    # on which path finished; a factor that exists only over Q(i, sqrt 2)
-    # stays uncancelled on both
+    # on which path finished
     e = parse(text)
     monkeypatch.setattr(K, "_HEU_ATTEMPTS", 0)
     forced = parse(text)
     assert str(forced) == str(e)
     assert forced == e and hash(forced) == hash(e)
     assert _agrees(forced, _sympy_of(text))
+
+
+@pytest.mark.parametrize("heu_attempts", [K._HEU_ATTEMPTS, 0])
+@pytest.mark.parametrize(
+    "text, reduced",
+    [("(u-i)^2/(u-i)", "u-i"), ("(u^2+1)/(u+i)", "u-i"), ("(u+s)^2/(u+s)", "u+s")],
+)
+def test_trial_division_cancels_under_the_rewrites(text, reduced, heu_attempts, monkeypatch):
+    # the denominator divides the numerator only once i*i -> -1 or s*s -> 2;
+    # the gcd with i and s free finds no factor, the trial division does
+    monkeypatch.setattr(K, "_HEU_ATTEMPTS", heu_attempts)
+    e = parse(text)
+    assert e == parse(reduced) and hash(e) == hash(parse(reduced))
+    assert str(e) == str(parse(reduced))
