@@ -9,7 +9,10 @@ factors exp(q * c), with q a polynomial in parameters and c a single
 coordinate, are opaque atoms that merge by exponent addition.
 
 Representation: a coefficient is an int when integral and a Fraction
-otherwise.  Coordinates are interned and compare and hash by identity.  A
+otherwise.  A product of polynomials runs on integer numerators: it clears
+each operand's denominators once, multiplies ints in its term loop and
+divides each coefficient of the result once by the two cleared
+denominators.  Coordinates are interned and compare and hash by identity.  A
 monomial is a tuple of (atom, power) sorted by atom key.  The one monomial
 constructor is the merge in `_mono_mul`: it adds the powers of equal atoms,
 folds exponentials of one base and applies the rewrites below.  Every other
@@ -437,15 +440,22 @@ class Poly:
             if c == 1:
                 return other
             return Poly({m: _q(k * c) for m, k in other.terms.items()} if c else {})
+        # da * db times each partial sum is an int that is zero exactly when
+        # the sum is, so the loop pops and inserts as the rational one would
+        da, a = _cleared(self.terms)
+        db, b = _cleared(other.terms)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a:
+            for m2, c2 in b:
                 factor, mono = _mono_mul(m1, m2)
                 nc = out.get(mono, 0) + c1 * c2 * factor
                 if nc:
-                    out[mono] = nc if nc.__class__ is int else _q(nc)
+                    out[mono] = nc
                 else:
                     out.pop(mono, None)
+        d = da * db
+        if d != 1:
+            out = {m: _div(k, d) for m, k in out.items()}
         return Poly(out)
 
     def divide(self, c) -> "Poly":
@@ -560,6 +570,18 @@ def _add_into(out: dict, terms: dict) -> None:
             out[m] = _q(nc)
         else:
             out.pop(m, None)
+
+
+def _cleared(terms: dict) -> tuple[int, Iterable]:
+    """(d, [(monomial, d * coefficient), ...]) with d the least common
+    denominator of the coefficients, so every product is an int."""
+    d = 1
+    for c in terms.values():
+        if c.__class__ is not int:
+            d = math.lcm(d, c.denominator)
+    if d == 1:
+        return 1, terms.items()
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
 _POLY_ONE = Poly.const(1)

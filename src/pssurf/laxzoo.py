@@ -6,6 +6,10 @@ The sl(2, R) packing puts the three associated 1-forms into
 formal imaginary unit i with the rewrite i*i -> -1; the arrangement differs
 between the two curvature signs (for delta = -1 the off-diagonal entries are
 +-w1 + i*w3 and the diagonal holds i*w2).
+
+Every packing is trace-free, and MatrixForm rejects a pair that is not, so
+the zero-curvature residual D_t X - D_x T + [X, T] is trace-free too: it is
+computed from the entries 00, 01 and 10, and its 11 entry is -R00.
 """
 
 from __future__ import annotations
@@ -80,7 +84,12 @@ def mat_strings(A: Matrix) -> list[list[str]]:
 
 @dataclass(frozen=True)
 class MatrixForm:
-    """Trace-free X dx + T dt."""
+    """Trace-free X dx + T dt.
+
+    The trace check is what makes `zero_curvature_residual` sound: it reads
+    only the entries 00, 01 and 10 of X and T and takes X11 = -X00,
+    T11 = -T00.
+    """
 
     X: Matrix
     T: Matrix
@@ -118,11 +127,28 @@ def from_forms(forms: AssociatedForms, algebra: str = "sl2") -> MatrixForm:
 
 def zero_curvature_residual(mf: MatrixForm, sys: PdeSystem | None) -> Matrix:
     """D_t X - D_x T + [X, T] reduced modulo the system; the zero matrix
-    certifies the Lax pair."""
-    dtX = mat_map(lambda e: total_dt_mod_system(e, sys), mf.X)
-    dxT = mat_map(total_dx, mf.T)
-    comm = mat_sub(mat_mul(mf.X, mf.T), mat_mul(mf.T, mf.X))
-    return mat_add(mat_sub(dtX, dxT), comm)
+    certifies the Lax pair.  It is trace-free, so R11 = -R00.
+
+    Each commutator entry is summed as the full matrix products sum it, so
+    it reduces over the same denominators (with `i` and `s` free in the gcd,
+    another order can print a different, equal fraction): the 00 entry keeps
+    X00 T00 in both products, and the 01 entry 2S, S = X00 T01 - X01 T00,
+    is S - (-S), not 2*S; likewise the 10 entry from S2 = X10 T00 - T10 X00.
+    """
+    (x00, x01), (x10, _) = mf.X
+    (t00, t01), (t10, _) = mf.T
+
+    def d(x: Expr, t: Expr) -> Expr:
+        return total_dt_mod_system(x, sys) - total_dx(t)
+
+    p = x00 * t00
+    s = x00 * t01 - x01 * t00
+    s2 = x10 * t00 - t10 * x00
+    r00 = d(x00, t00) + ((p + x01 * t10) - (p + t01 * x10))
+    return (
+        (r00, d(x01, t01) + (s - (-s))),
+        (d(x10, t10) + (s2 - (-s2)), -r00),
+    )
 
 
 def gauge_transform(mf: MatrixForm, A: Matrix) -> MatrixForm:

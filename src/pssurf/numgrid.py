@@ -39,8 +39,14 @@ class Grid:
     ht: float
 
     def __post_init__(self):
+        values = (self.x_min, self.x_max, self.t_min, self.t_max, self.hx, self.ht)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("grid bounds and spacings must be finite")
         if self.hx <= 0 or self.ht <= 0:
             raise ValueError("grid spacings must be positive")
+        steps = ((self.x_max - self.x_min) / self.hx, (self.t_max - self.t_min) / self.ht)
+        if not all(map(math.isfinite, steps)):
+            raise ValueError("grid spans more steps than a float holds")
         if self.nx < 10 or self.nt < 10:
             raise ValueError("need at least 8 interior points per axis")
 

@@ -447,6 +447,27 @@ class TestCh2:
         assert code == 2
         assert "bad grid 'bad'" in err
 
+    @pytest.mark.parametrize("subcommand", ["residual", "solution"])
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("-8:inf:0.03125,-1:1:0.03125", "grid bounds and spacings must be finite"),
+            ("-inf:8:0.03125,-1:1:0.03125", "grid bounds and spacings must be finite"),
+            ("-8:8:nan,-1:1:0.03125", "grid bounds and spacings must be finite"),
+            ("-1e308:1e308:1,-1:1:0.125", "grid spans more steps than a float holds"),
+            ("-8:8:1e-320,-1:1:0.125", "grid spans more steps than a float holds"),
+        ],
+    )
+    def test_non_finite_grid_is_usage_error(self, subcommand, grid, message, tmp_path):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            ["ch2", subcommand, "--u0", "0.75", "--eta", "1", f"--grid={grid}", "--out", str(out)]
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("rungs", ["0", "-1"])
     def test_residual_without_rungs_is_usage_error(self, rungs):
         code, _, err = run_cli(

@@ -511,6 +511,48 @@ class TestProductFolds:
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, c)
             assert all(type(c) is int for c in e.den.terms.values()), e
 
+    def test_mul_matches_the_rational_double_loop(self):
+        # the integer loop over cleared denominators against the plain loop
+        # on rationals: the same terms in the same order, of the same classes
+        atoms = [next(iter(parse(t).num.terms))[0] for t in ("u", "v1", "eta", "i", "s")]
+        atoms += [next(iter(parse(t).num.terms))[0] for t in ("exp(x)", "exp(2*x)", "exp(eta*x)")]
+        rng = random.Random(31)
+
+        def random_poly() -> K.Poly:
+            terms: dict = {}
+            for _ in range(rng.randint(1, 6)):
+                mono = K._ONE_MONO
+                for a in rng.sample(atoms, rng.randint(0, 3)):
+                    mono = K._mono_mul(mono, (a,))[1]
+                c = K._q(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6, 9))))
+                if c:
+                    terms[mono] = c
+            return K.Poly(terms)
+
+        def reference(p: K.Poly, q: K.Poly) -> dict:
+            out: dict = {}
+            for m1, c1 in p.terms.items():
+                for m2, c2 in q.terms.items():
+                    factor, mono = K._mono_mul(m1, m2)
+                    nc = out.get(mono, 0) + c1 * c2 * factor
+                    if nc:
+                        out[mono] = K._q(Fraction(nc))
+                    else:
+                        out.pop(mono, None)
+            return out
+
+        fractional = 0
+        for _ in range(400):
+            p, q = random_poly(), random_poly()
+            if p.is_const() or q.is_const():
+                continue
+            want = list(reference(p, q).items())
+            got = list(p.mul(q).terms.items())
+            assert got == want
+            assert [type(c) for _, c in got] == [type(c) for _, c in want]
+            fractional += any(type(c) is Fraction for _, c in got)
+        assert fractional > 100
+
     def test_pickle_round_trip(self):
         e = parse("u1*eta*exp(eta*x)/(v + 2) + 1/2")
         back = pickle.loads(pickle.dumps(e))

@@ -1,10 +1,13 @@
 """Matrix packings, gauge transformations, zero-curvature residuals."""
 
+import random
+
 import pytest
 
 from pssurf import kernel as K
 from pssurf.classify import catalog_entry
 from pssurf.forms import AssociatedForms, structure_residuals
+from pssurf.jetcalc import total_dt_mod_system, total_dx
 from pssurf.kernel import Expr, parse
 from pssurf.laxzoo import (
     MatrixForm,
@@ -12,10 +15,13 @@ from pssurf.laxzoo import (
     from_forms,
     gauge_transform,
     mat,
+    mat_add,
     mat_inv,
     mat_is_zero,
+    mat_map,
     mat_mul,
     mat_scale,
+    mat_strings,
     mat_sub,
     zero_curvature_residual,
 )
@@ -99,6 +105,68 @@ class TestZeroCurvature:
         res = zero_curvature_residual(entry.lax, perturbed)
         assert not mat_is_zero(res)
         assert (res[0][0] + res[1][1]).is_zero()
+
+
+_ENTRIES = ("song-qu-qiao", "cubic-ch2", "factored-ch2", "mch-type", "skew-ch2")
+
+
+def _full_residual(mf: MatrixForm, sys) -> tuple:
+    """The residual from all four entries and both full matrix products."""
+    dtX = mat_map(lambda e: total_dt_mod_system(e, sys), mf.X)
+    dxT = mat_map(total_dx, mf.T)
+    return mat_add(mat_sub(dtX, dxT), mat_sub(mat_mul(mf.X, mf.T), mat_mul(mf.T, mf.X)))
+
+
+def _outcome(residual, mf: MatrixForm, sys):
+    try:
+        return mat_strings(residual(mf, sys))
+    except Exception as exc:  # both routes must fail alike
+        return type(exc)
+
+
+class TestThreeEntryResidual:
+    """The three trace-free entries print what the full matrix products do."""
+
+    @pytest.mark.parametrize("algebra", ["sl2", "su2"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("name", _ENTRIES)
+    def test_catalog_frames(self, name, delta, algebra):
+        entry = catalog_entry(name)
+        mf = from_forms(AssociatedForms(entry.forms.f, delta), algebra)
+        want = _outcome(_full_residual, mf, entry.system)
+        assert _outcome(zero_curvature_residual, mf, entry.system) == want
+
+    def test_random_perturbations(self):
+        # i, s and exponentials leave the gcd with factors it cannot cancel,
+        # where the printed fraction depends on the order of the reductions
+        leaves = [parse(t) for t in ("i", "s", "exp(x)", "u2", "v2", "u", "eta", "1/3")]
+        rng = random.Random(426)
+
+        def perturbation(depth: int = 0) -> Expr:
+            if depth >= 2 or rng.random() < 0.35:
+                return rng.choice(leaves)
+            a, b = perturbation(depth + 1), perturbation(depth + 1)
+            op = rng.random()
+            if op < 0.35:
+                return a + b
+            if op < 0.55:
+                return a - b
+            if op < 0.85:
+                return a * b
+            return a if b.is_zero() else a / b
+
+        nonzero = 0
+        for _ in range(20):
+            entry = catalog_entry(rng.choice(_ENTRIES))
+            f = [list(row) for row in entry.forms.f]
+            i, j = rng.randrange(3), rng.randrange(2)
+            f[i][j] = f[i][j] + perturbation()
+            forms = AssociatedForms(tuple(map(tuple, f)), rng.choice((1, -1)))
+            mf = from_forms(forms, rng.choice(("sl2", "su2")))
+            want = _outcome(_full_residual, mf, entry.system)
+            assert _outcome(zero_curvature_residual, mf, entry.system) == want
+            nonzero += want != [["0", "0"], ["0", "0"]]
+        assert nonzero > 10
 
 
 class TestGauge:
