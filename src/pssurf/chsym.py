@@ -12,17 +12,21 @@ seed.
 
 Each stage is derived from the one before it, starting from the catalog's
 cubic-ch2 entry.
+
+numpy loads on first array use, not at import: only the closed-form
+solution's evaluators (and numgrid, which shares this module's binding)
+touch it, so the symbolic stages never load it.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import kernel as K
 from .classify import catalog_entry
@@ -30,6 +34,25 @@ from .jetcalc import DerivationRules, PdeSystem, total_dx, total_dt_mod_system
 from .kernel import DomainError, Expr, parse
 from .laxzoo import mat_map
 
+
+def _lazy_numpy():
+    """numpy as imported so far, or a module that executes numpy on its
+    first attribute access (the LazyLoader recipe of the importlib docs).
+    LazyLoader's first access can race between threads in Python 3.11; the
+    program is single-threaded, so the race does not arise."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 _HALF = K.ONE / 2
 _ETA = Expr.atom(K.eta)
@@ -469,9 +492,21 @@ def flow_transform_richardson(s: EnlargedState, eps: float, steps: int) -> Enlar
 
 
 _MASK_TOL = 1e-8  # denominators this small are flagged as NaN
-# the evaluators reach coth's poles and overflow on purpose; the results are
-# masked as NaN or rejected by the monotonicity check, so numpy stays silent
-_NONFINITE_OK = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _nonfinite_ok(method):
+    """method run under np.errstate that ignores division by zero, invalid
+    values and overflow.  The evaluators reach coth's poles and overflow on
+    purpose; the results are masked as NaN or rejected by the monotonicity
+    check, so numpy stays silent.  The errstate is made per call, so that
+    decorating a method does not load numpy."""
+
+    @functools.wraps(method)
+    def wrapper(*args, **kwargs):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return method(*args, **kwargs)
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -485,7 +520,7 @@ class ExactSolution:
     k: float
     speed: float  # z = x + speed * t
 
-    @_NONFINITE_OK
+    @_nonfinite_ok
     def theta(self, x, t):
         """tanh (eps > 0) or coth (eps < 0) of the wave phase, as a new array
         (0-d for scalar x and t).  The in-place steps keep the order of
@@ -509,7 +544,7 @@ class ExactSolution:
         np.copyto(den, np.nan, where=np.abs(den) <= _MASK_TOL)
         return den
 
-    @_NONFINITE_OK
+    @_nonfinite_ok
     def coordinate_map(self, x, t):
         """x_tilde at (x, t) and its slope in x,
         1 - k^2 (1 - theta^2) / (2 (1 + k theta)), from one theta."""
@@ -529,7 +564,7 @@ class ExactSolution:
     def x_tilde(self, x, t):
         return self.coordinate_map(x, t)[0]
 
-    @_NONFINITE_OK
+    @_nonfinite_ok
     def fields(self, x, t):
         """u and v at (x, t), from one theta."""
         th = self.theta(x, t)
@@ -539,7 +574,7 @@ class ExactSolution:
         v = (1.0 + k * (k + 2.0 * th) + p**2) / self._guard(2.0 * (1.0 - k) * p)
         return u, v
 
-    @_NONFINITE_OK
+    @_nonfinite_ok
     def momenta(self, x, t):
         """m and n at (x, t), from one theta."""
         k = self.k
@@ -567,6 +602,8 @@ def exact_solution(u0: float, eta: float, eps: float) -> ExactSolution:
     if mag <= 0.0:
         raise DomainError("logarithm argument of the wave phase is not positive")
     speed = (3.0 - k * k) / (2.0 * eta * eta)
+    if not math.isfinite(speed):
+        raise DomainError(f"wave speed (3 - k^2)/(2*eta^2) = {speed} is not finite")
     return ExactSolution(u0=u0, eta=eta, eps=eps, k=k, speed=speed)
 
 

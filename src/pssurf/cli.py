@@ -59,10 +59,12 @@ def _report_envelope(command: str, config: dict, payload: dict) -> dict:
 
 
 def _emit(report: dict, fmt: str, out_path: str | None, table_text: str | None = None):
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as strict JSON, or as table_text when the format is
+    table and the command has one."""
+    if fmt == "json" or not table_text:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        text = (table_text or json.dumps(report, indent=2, sort_keys=True)) + "\n"
+        text = table_text + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -346,9 +348,13 @@ def _parse_grid(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _add_report_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=["json", "table", "csv"], default="table")
+def _add_report_flags(p: argparse.ArgumentParser, formats=("json", "table")):
+    p.add_argument("--format", choices=formats, default="table")
     p.add_argument("--out", default=None)
+
+
+# the commands that write a CSV file; the others offer json and table only
+_CSV_FORMATS = ("json", "table", "csv")
 
 
 @functools.cache
@@ -399,7 +405,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--eta", type=float, required=True)
     p_sol.add_argument("--eps", type=float, default=1.0)
     p_sol.add_argument("--grid", default="-8:8:0.25,-1:1:0.125")
-    _add_report_flags(p_sol)
+    _add_report_flags(p_sol, _CSV_FORMATS)
     p_sol.set_defaults(func=cmd_ch2, subcommand="solution")
     p_res = ch2_sub.add_parser("residual")
     p_res.add_argument("--u0", type=float, required=True)
@@ -407,7 +413,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--eps", type=float, default=1.0)
     p_res.add_argument("--grid", default="-8:8:0.03125,-1:1:0.03125")
     p_res.add_argument("--rungs", type=int, default=3)
-    _add_report_flags(p_res)
+    _add_report_flags(p_res, _CSV_FORMATS)
     p_res.set_defaults(func=cmd_ch2, subcommand="residual")
 
     return parser
@@ -425,7 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"domain error: {err}\n")
         return MATH_FAILURE
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
-        sys.stderr.write(f"error: {err}\n")
+        # str() of a KeyError is the repr of its message, quotes included
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        sys.stderr.write(f"error: {message}\n")
         return USAGE_ERROR
     except KernelError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -8,6 +8,9 @@ observed convergence order; pole-adjacent points (flagged as NaN by the
 field evaluators) are masked from the norms and counted.  The inversion,
 the field evaluation and the stencils sweep the grid in row blocks, with
 results bit-identical to one whole-grid sweep.
+
+numpy is chsym's binding, which executes numpy on first array use: the
+import of this module does not load it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .chsym import ExactSolution
+from .chsym import ExactSolution, np
 from .kernel import DomainError
 
 
@@ -172,18 +173,25 @@ class ResidualReport:
         )
 
     def as_dict(self) -> dict:
+        """The report as JSON data; a norm or order that is not finite (a
+        fully masked rung, or a ladder whose norms are all zero) is None,
+        since strict JSON has no Infinity or NaN."""
         data = {
             "hx": self.grid.hx,
             "ht": self.grid.ht,
-            "max_norms": list(self.max_norms),
-            "l2_norms": list(self.l2_norms),
+            "max_norms": list(map(_finite_or_none, self.max_norms)),
+            "l2_norms": list(map(_finite_or_none, self.l2_norms)),
             "masked_fraction": self.masked_fraction,
         }
         if self.rungs:
             data["rungs"] = [r.as_dict() for r in self.rungs]
         if self.order_estimate is not None:
-            data["order_estimate"] = self.order_estimate
+            data["order_estimate"] = _finite_or_none(self.order_estimate)
         return data
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _stencil_dx(F: np.ndarray, h: float, k: int) -> np.ndarray:

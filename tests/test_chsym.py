@@ -337,6 +337,9 @@ class TestExactSolution:
             chsym.exact_solution(0.75, 0.0, 1.0)
         with pytest.raises(chsym.DomainError):
             chsym.exact_solution(0.75, 1.0, 0.0)
+        # eta^2 = 1e-320 is subnormal, so the speed overflows to inf
+        with pytest.raises(chsym.DomainError, match="wave speed .* = inf is not finite"):
+            chsym.exact_solution(1e305, 1e-160, 1.0)
 
     def test_matches_transformed_seed(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)

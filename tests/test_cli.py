@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from pssurf.cli import main, make_parser
+from test_golden import CASES, CSV_CASES, GOLDEN
 
 
 def run_cli(argv):
@@ -32,9 +33,78 @@ def _python(*args):
 
 def test_cli_import_leaves_numpy_unloaded():
     # DomainError lives in the kernel so that the CLI can catch it without
-    # importing the numeric modules, which load numpy
+    # importing the numeric modules, which bind numpy
     run = _python("-c", "import sys, pssurf.cli; print('numpy' in sys.modules)")
     assert (run.stdout, run.stderr) == ("False\n", "")
+
+
+def _numpy_submodules_script(body):
+    """A fresh-interpreter script: body, then the loaded numpy.* submodules
+    written to stderr.  chsym binds numpy as a stub that executes on first
+    attribute access, so a process that never touches an array may hold
+    'numpy' itself but none of its submodules."""
+    return (
+        f"import sys\n{body}\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('numpy.'))))\n"
+    )
+
+
+class TestLazyNumpy:
+    def test_symbolic_state_leaves_numpy_unexecuted(self):
+        # every layer imported and the state a CLI call builds lazily: the
+        # catalog, the CH2 system and the compiled flow generator
+        run = _python("-c", _numpy_submodules_script(
+            "from pssurf import chsym, classify, cli, forms, jetcalc, kernel, laxzoo, numgrid\n"
+            "classify.catalog()\n"
+            "chsym.ch2_system()\n"
+            "chsym.flow_derivative(chsym.seed_state(0.75, 1.0))\n"
+            "print('numpy' in sys.modules)"
+        ))
+        assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "[]")
+
+    @pytest.mark.parametrize("sub", ["symmetry", "prolong", "taylor"])
+    def test_symbolic_commands_leave_numpy_unexecuted(self, sub):
+        run = _python(
+            "-c",
+            _numpy_submodules_script("from pssurf.cli import main\ncode = main(sys.argv[1:])")
+            + "raise SystemExit(code)\n",
+            "ch2", sub, "--format", "json",
+        )
+        assert run.returncode == 0
+        assert run.stdout == (GOLDEN / f"ch2_{sub}.json").read_text(encoding="utf-8")
+        assert run.stderr == "[]"
+
+    def test_numeric_commands_match_goldens_on_first_array_use(self, tmp_path):
+        # in a fresh interpreter numpy is first executed inside ch2 residual
+        # and ch2 solution; the outputs are the goldens byte for byte
+        (residual_argv,) = [argv for stem, argv, _ in CASES if stem == "ch2_residual"]
+        run = _python("-m", "pssurf.cli", *residual_argv, "--format", "json")
+        expected = (GOLDEN / "ch2_residual.json").read_text(encoding="utf-8")
+        assert (run.returncode, run.stdout, run.stderr) == (0, expected, "")
+        (solution_argv,) = [argv for name, argv in CSV_CASES if name == "ch2_solution.csv"]
+        out = tmp_path / "sol.csv"
+        run = _python("-m", "pssurf.cli", *solution_argv, "--out", str(out))
+        assert (run.returncode, run.stderr) == (0, "")
+        expected = (GOLDEN / "ch2_solution.csv").read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "example", "song-qu-qiao"],
+        ["verify", "lemma31", "--config", "forms.json"],
+        ["build", "thm34", "--config", "data.json"],
+        ["lax", "check", "--config", "lax.json"],
+        *[["ch2", sub] for sub in ("symmetry", "prolong", "taylor")],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_csv_format_only_where_a_csv_is_written(argv):
+    # these commands write no CSV, so --format csv is a usage error
+    code, out, err = run_cli([*argv, "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice: 'csv'" in err
 
 
 def test_one_parser_serves_every_command_of_a_process():
@@ -64,6 +134,10 @@ class TestVerify:
         code, _, err = run_cli(["verify", "example", "unknown-system"])
         assert code == 2
         assert "unknown" in err
+
+    def test_unknown_entry_message_is_unquoted(self):
+        code, out, err = run_cli(["verify", "example", "nosuch"])
+        assert (code, out, err) == (2, "", "error: unknown catalog entry 'nosuch'\n")
 
     def test_wrong_curvature_sign_fails(self):
         code, _, _ = run_cli(["verify", "example", "mch-type", "--delta", "1"])
@@ -187,6 +261,18 @@ class TestBuild:
     def test_missing_config_is_usage_error(self):
         code, _, _ = run_cli(["build", "thm34", "--config", "/nonexistent.json"])
         assert code == 2
+
+    def test_missing_parameter_and_expressions_messages_are_unquoted(self, tmp_path):
+        cfg = json.loads(self._cubic_config(tmp_path).read_text())
+        del cfg["params"]["eta"]
+        path = tmp_path / "no-eta.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["build", "thm34", "--config", str(path)])
+        assert (code, out, err) == (2, "", "error: config lacks parameter 'eta'\n")
+        del cfg["expressions"]["g"], cfg["expressions"]["M"]
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["build", "thm34", "--config", str(path)])
+        assert (code, out, err) == (2, "", "error: config lacks expressions: g, M\n")
 
     def _write(self, tmp_path, expressions, **params):
         cfg = json.loads(self._cubic_config(tmp_path).read_text())
@@ -385,6 +471,24 @@ class TestCh2:
         assert "convergence gate failed" in err
         if fmt == "json":
             assert json.loads(out_path.read_text())["passed"] is False
+
+    def test_all_zero_norms_report_is_strict_json(self):
+        # at eps = 1e-300 the solution is the constant seed to the last bit,
+        # so every rung's norms are 0 and the fitted order is infinite
+        code, out, err = run_cli(
+            ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1e-300",
+             "--grid=-4:4:0.125,-1:1:0.125", "--format", "json"]
+        )
+        assert code == 1
+        assert err == "convergence gate failed: order inf, masked fraction 0.0\n"
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        data = json.loads(out, parse_constant=reject)
+        assert data["passed"] is False
+        assert data["report"]["order_estimate"] is None
+        assert data["report"]["l2_norms"] == [0.0, 0.0]
 
     def test_residual_csv_inverts_each_rung_once(self, tmp_path, monkeypatch):
         # the CSV export writes rung 1's samples instead of inverting again

@@ -1,6 +1,8 @@
 """Finite-difference oracle and coordinate-inversion tests."""
 
 import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -367,6 +369,26 @@ class TestConvergence:
         data = report.as_dict()
         assert len(data["rungs"]) == 3
         assert "order_estimate" in data
+
+    def test_non_finite_values_serialize_as_null(self):
+        # a fully masked rung has infinite norms, and a ladder whose norms
+        # are all zero an infinite order; strict JSON has neither
+        grid = Grid(-2.0, 2.0, -1.0, 1.0, 0.25, 0.125)
+        xs, ts = grid.axes(halo_x=3, halo_t=1)
+        nan = np.full((xs.size, ts.size), np.nan)
+        rung = fd_residual_arrays(nan, nan, grid)
+        assert (rung.max_norms, rung.l2_norms, rung.masked_fraction) == (
+            (math.inf, math.inf), (math.inf, math.inf), 1.0
+        )
+        for order in (math.inf, math.nan):
+            report = numgrid.ResidualReport(
+                grid, rung.max_norms, rung.l2_norms, 1.0, rungs=(rung,), order_estimate=order
+            )
+            data = report.as_dict()
+            assert data["order_estimate"] is None
+            assert data["max_norms"] == data["l2_norms"] == [None, None]
+            assert data["rungs"][0]["l2_norms"] == [None, None]
+            json.dumps(data, allow_nan=False)
 
 
 class TestLadderLimits:
