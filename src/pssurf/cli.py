@@ -353,10 +353,6 @@ def _add_report_flags(p: argparse.ArgumentParser, formats=("json", "table")):
     p.add_argument("--out", default=None)
 
 
-# the commands that write a CSV file; the others offer json and table only
-_CSV_FORMATS = ("json", "table", "csv")
-
-
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves no state
@@ -405,7 +401,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--eta", type=float, required=True)
     p_sol.add_argument("--eps", type=float, default=1.0)
     p_sol.add_argument("--grid", default="-8:8:0.25,-1:1:0.125")
-    _add_report_flags(p_sol, _CSV_FORMATS)
+    # always a CSV to --out and a JSON summary on stdout, so no --format
+    p_sol.add_argument("--out", default=None)
     p_sol.set_defaults(func=cmd_ch2, subcommand="solution")
     p_res = ch2_sub.add_parser("residual")
     p_res.add_argument("--u0", type=float, required=True)
@@ -413,7 +410,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--eps", type=float, default=1.0)
     p_res.add_argument("--grid", default="-8:8:0.03125,-1:1:0.03125")
     p_res.add_argument("--rungs", type=int, default=3)
-    _add_report_flags(p_res, _CSV_FORMATS)
+    # the one command with a CSV format; the others offer json and table only
+    _add_report_flags(p_res, ("json", "table", "csv"))
     p_res.set_defaults(func=cmd_ch2, subcommand="residual")
 
     return parser

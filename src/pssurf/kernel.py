@@ -29,7 +29,10 @@ else: i*i -> -1 and s*s -> 2.  The gcd is GCDHEU on integer polynomials over
 exponent tuples, with a primitive PRS on the same polynomials as the
 fallback; both take `i`, `s` and localized exponentials as free atoms, so
 the reduced form does not depend on which one finished, and a factor they
-find divides exactly under the rewrites.
+find divides exactly under the rewrites.  Arithmetic whose result is
+canonical by construction skips normalization: sums and products over 1,
+adding zero, the first power, and scaling by a nonzero constant, which
+changes neither the gcd, the exponential shift nor the denominator's content.
 
 Expressions are immutable after construction; normalization is pure, so
 values can be shared freely across threads or processes (unpickling
@@ -39,6 +42,7 @@ re-interns coordinates).
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -601,7 +605,11 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
 
 def _poly_div(a: Poly, b: Poly) -> Poly | None:
     """a / b under the rewrites by leading terms; None when that leaves a
-    remainder."""
+    remainder.  The remainder is one dict updated in place, and its leading
+    monomial comes from a heap of (`_mono_order`, monomial) entries: a
+    monomial is pushed only when not queued, so no two entries tie, and one
+    that has cancelled is dropped when it surfaces.  So the heap yields the
+    monomial `leading()` would pick, at every step."""
     if b.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
     if a.is_zero():
@@ -615,15 +623,30 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
             quo[q_mono] = c
         return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
     b_mono, b_coeff = b.leading()
+    tail = [(m, c) for m, c in b.terms.items() if m != b_mono]
     quo: dict = {}
-    rem = a
-    while not rem.is_zero():
-        r_mono, r_coeff = rem.leading()
+    rem = dict(a.terms)
+    heap = [(_mono_order(m), m) for m in rem]
+    heapq.heapify(heap)
+    queued = set(rem)
+    while rem:
+        r_mono = heapq.heappop(heap)[1]
+        queued.remove(r_mono)
+        if (r_coeff := rem.pop(r_mono, None)) is None:
+            continue
         if (q_mono := _mono_div(r_mono, b_mono)) is None:
             return None
         q_coeff = _div(r_coeff, b_coeff)
         quo[q_mono] = _q(quo.get(q_mono, 0) + q_coeff)
-        rem = rem.sub(b.mul(Poly({q_mono: q_coeff})))
+        for m, c in tail:
+            factor, mono = _mono_mul(m, q_mono)
+            if nc := rem.get(mono, 0) - q_coeff * c * factor:
+                rem[mono] = _q(nc)
+                if mono not in queued:
+                    queued.add(mono)
+                    heapq.heappush(heap, (_mono_order(mono), mono))
+            else:
+                del rem[mono]
     return Poly({m: c for m, c in quo.items() if c})
 
 
@@ -980,9 +1003,13 @@ class Expr:
     A constant canonical denominator is 1.  A sum or product of polynomials
     over 1 is canonical over 1 (every exponential of a canonical
     expression has a positive leading exponent coefficient, so no shift
-    applies) and skips the normalizing constructor.  Equal non-constant
-    denominators take the general path: with `i` and `s` free in the gcd,
-    reducing against d instead of d*d can print a different, equal fraction.
+    applies) and skips the normalizing constructor.  So do x + 0, 0 + x and
+    x ** 1, which are x, and x * c, c * x and x / c for a constant c, which
+    are zero for c = 0 and otherwise keep x's denominator: scaling by a
+    nonzero rational changes neither the gcd, the exponential shift nor the
+    denominator's content.  Equal non-constant denominators take the general
+    path: with `i` and `s` free in the gcd, reducing against d instead of
+    d*d can print a different, equal fraction.
     """
 
     __slots__ = ("num", "den")
@@ -1052,6 +1079,10 @@ class Expr:
 
     def __add__(self, other) -> "Expr":
         other = Expr._coerce(other)
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den.is_const() and other.den.is_const():
             return Expr._over_one(self.num.add(other.num))
         num = self.num.mul(other.den).add(other.num.mul(self.den))
@@ -1072,6 +1103,9 @@ class Expr:
         other = Expr._coerce(other)
         if self.den.is_const() and other.den.is_const():
             return Expr._over_one(self.num.mul(other.num))
+        for x, c in ((self, other), (other, self)):
+            if c.is_const():
+                return ZERO if c.is_zero() else Expr(x.num.mul(c.num), x.den, _normalized=True)
         return Expr(self.num.mul(other.num), self.den.mul(other.den))
 
     __rmul__ = __mul__
@@ -1080,6 +1114,8 @@ class Expr:
         other = Expr._coerce(other)
         if other.num.is_zero():
             raise DivisionByZeroError("division by zero expression")
+        if other.is_const():
+            return Expr(self.num.divide(other.num.const_value()), self.den, _normalized=True)
         return Expr(self.num.mul(other.den), self.den.mul(other.num))
 
     def __rtruediv__(self, other) -> "Expr":
@@ -1092,6 +1128,8 @@ class Expr:
             if self.num.is_zero():
                 raise DivisionByZeroError("zero to a negative power")
             return Expr(self.den, self.num).__pow__(-n)
+        if n == 1:
+            return self
         return Expr(self.num.pow(n), self.den.pow(n))
 
     def __eq__(self, other) -> bool:

@@ -16,7 +16,7 @@ import of this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chsym import ExactSolution, np
 from .kernel import DomainError

@@ -107,6 +107,19 @@ def test_csv_format_only_where_a_csv_is_written(argv):
     assert "argument --format: invalid choice: 'csv'" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_solution_takes_no_format(fmt, tmp_path):
+    # ch2 solution always writes its CSV and a JSON summary, so --format is unknown
+    out = tmp_path / "sol.csv"
+    code, stdout, err = run_cli(
+        ["ch2", "solution", "--u0", "0.75", "--eta", "1", "--format", fmt, "--out", str(out)]
+    )
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --format" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_one_parser_serves_every_command_of_a_process():
     # the parser is built once per process; after a usage error, later
     # commands must exit and print exactly as in a fresh interpreter

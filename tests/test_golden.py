@@ -45,6 +45,12 @@ CASES = [
     ("verify_mch-type_delta1", ["verify", "example", "mch-type", "--delta", "1"], 1),
     *[(f"ch2_{sub}", ["ch2", sub], 0) for sub in ("symmetry", "prolong", "taylor")],
     ("build_thm34", ["build", "thm34", "--config", str(GOLDEN / "build_thm34.config.json")], 0),
+    # perfbench's construct-thm35 configs at seed 0, delta +1 and -1
+    *[
+        (f"build_thm35_{sign}",
+         ["build", "thm35", "--config", str(GOLDEN / f"build_thm35_{sign}.config.json")], 0)
+        for sign in ("plus", "minus")
+    ],
     ("ch2_residual", ["ch2", "residual", "--u0", "0.75", "--eta", "1", "--eps", "1",
                       "--grid=-4:4:0.125,-1:1:0.125", "--rungs", "3"], 0),
     ("ch2_residual_default_grid", ["ch2", "residual", "--u0", "0.6", "--eta", "1", "--eps", "0.5",

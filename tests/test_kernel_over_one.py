@@ -4,15 +4,22 @@ Sums, differences and products of two expressions over 1 are built as a
 polynomial over 1, without the normalizing constructor; ``Poly.mul`` returns
 the other operand for the constant 1 and scales for any other constant, so
 powers start from a free product; ``Poly.diff`` and ``Expr.derive`` add into
-one dict.  Each result
+one dict.  Adding zero, scaling by or dividing by a constant and the first
+power return a result that is canonical by construction.  Each result
 must equal what the full constructor gives from the plain term-by-term loops
 kept below as the oracle, in value, hash, and the order and type of every
 term, since ``compile_numeric`` sums terms in dict order.
+
+The trial division in front of the gcd takes its leading terms from a heap;
+the leading-term loop it replaced is kept below as its oracle.
 """
 
+import collections
 import functools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from pssurf import kernel as K
 from pssurf.kernel import Expr, Poly, parse
@@ -255,3 +262,109 @@ def test_diff_and_derive_match_the_quadratic_oracle():
         context = (str(e), {str(k): str(v) for k, v in images.items()})
         _assert_same(e.derive(images), _old_derive(e, images), context)
         _assert_same(e.diff(c), _old_derive(e, {c: K.ONE}), (str(e), str(c)))
+
+
+# -- shortcuts: results canonical by construction ------------------------------
+
+_CONSTANTS = [Expr.const(c) for c in (1, -1, 2, Fraction(1, 3), Fraction(-5, 2))]
+
+
+def _parsed_fractions() -> list:
+    """Every parse in parse_outcomes.json, in either mn_mode, whose
+    denominator is not constant."""
+    recorded = json.loads((Path(__file__).parent / "golden" / "parse_outcomes.json").read_text())
+    out = []
+    for text, *_ in recorded:
+        for mode in ("alias", "jets"):
+            try:
+                e = parse(text, mn_mode=mode)
+            except K.KernelError:
+                continue
+            if not e.den.is_const():
+                out.append(e)
+    return out
+
+
+def test_shortcuts_match_full_construction():
+    fractions = _parsed_fractions()
+    assert len(fractions) == 314
+    assert sum(bool({K.iunit, K.param("s")} & e.coords()) for e in fractions) >= 30
+    pool = [e for e in _pool() if not e.den.is_const()]
+    assert sum(map(_has_exp, pool)) > 30
+    zero = K.ZERO
+    for x in [*fractions, *pool]:
+        context = str(x)
+        for c in _CONSTANTS:
+            _assert_same(x * c, _full_mul(x, c), (context, str(c)))
+            _assert_same(c * x, _full_mul(c, x), (context, str(c)))
+            quotient = Expr(_old_mul(x.num, c.den), _old_mul(x.den, c.num))
+            _assert_same(x / c, quotient, (context, str(c)))
+        _assert_same(x + zero, _full_add(x, zero), context)
+        _assert_same(zero + x, _full_add(zero, x), context)
+        _assert_same(x - zero, _full_add(x, _full_neg(zero)), context)
+        _assert_same(x**1, Expr(x.num, x.den), context)
+        _assert_same(x * zero, zero, context)
+        _assert_same(zero * x, zero, context)
+
+
+# -- heap division against the leading-term loop --------------------------------
+
+
+def _old_poly_div(a: Poly, b: Poly) -> Poly | None:
+    """The division loop the heap replaced: each step scans the remainder for
+    its leading term and subtracts a fresh product."""
+    if b.is_zero():
+        raise K.DivisionByZeroError("polynomial division by zero")
+    if a.is_zero():
+        return Poly.zero()
+    if len(b.terms) == 1:
+        ((b_mono, b_coeff),) = b.terms.items()
+        quo = {}
+        for m, c in a.terms.items():
+            if (q_mono := K._mono_div(m, b_mono)) is None:
+                return None
+            quo[q_mono] = c
+        return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
+    b_mono, b_coeff = b.leading()
+    quo: dict = {}
+    rem = a
+    while not rem.is_zero():
+        r_mono, r_coeff = rem.leading()
+        if (q_mono := K._mono_div(r_mono, b_mono)) is None:
+            return None
+        q_coeff = K._div(r_coeff, b_coeff)
+        quo[q_mono] = K._q(quo.get(q_mono, 0) + q_coeff)
+        rem = rem.sub(b.mul(Poly({q_mono: q_coeff})))
+    return Poly({m: c for m, c in quo.items() if c})
+
+
+def _division_pairs(seed: int = 17, count: int = 600):
+    """(a, b) from the pool's numerators and denominators: exact products
+    b*q, products plus a small remainder, and unrelated pairs."""
+    rng = random.Random(seed)
+    polys = [p for e in _pool() for p in (e.num, e.den) if not p.is_const()]
+    for _ in range(count):
+        a, b, q = rng.choice(polys), rng.choice(polys), rng.choice(polys)
+        kind = rng.random()
+        if kind < 0.5:
+            yield b.mul(q), b
+        elif kind < 0.75:
+            yield b.mul(q).add(rng.choice(polys)), b
+        else:
+            yield a, b
+
+
+def test_heap_division_matches_the_leading_term_loop():
+    seen = collections.Counter()
+    for a, b in _division_pairs():
+        got, want = K._poly_div(a, b), _old_poly_div(a, b)
+        context = (str(a), str(b))
+        if want is None:
+            assert got is None, context
+        else:
+            assert got is not None and _items(got) == _items(want), context
+        atoms = a.atoms() | b.atoms()
+        seen[want is None, "roots"] += bool({K.iunit, K.param("s")} & atoms)
+        seen[want is None, "exps"] += any(isinstance(at, K.ExpAtom) for at in atoms)
+    # both outcomes occur under the rewrites and the exponential folds
+    assert min(seen.values()) >= 50, seen
