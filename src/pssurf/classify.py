@@ -125,7 +125,7 @@ def _assemble(
         raise HypothesisViolationError(
             "output orders within bounds", f"built orders ({fo}, {go}) exceed ({mo}, {no})"
         )
-    sys = PdeSystem((mo, no), F, G, Expr.const(delta))
+    sys = PdeSystem((mo, no), F, G)
     forms = AssociatedForms(f, delta)
     report = check_lemma31(forms, sys)
     if not report.passed:
@@ -136,7 +136,7 @@ def _assemble(
 
 def _checked_lax(sys: PdeSystem, forms: AssociatedForms) -> MatrixForm:
     """The packed Lax pair of the forms, checked to have zero curvature."""
-    lax = _pack(forms)
+    lax = from_forms(forms)
     if not mat_is_zero(zero_curvature_residual(lax, sys)):
         raise HypothesisViolationError("zero curvature of constructed pair", "nonzero matrix")
     return lax
@@ -235,11 +235,6 @@ def build_theorem37(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     return sys, forms, _checked_lax(sys, forms)
 
 
-def _pack(forms: AssociatedForms) -> MatrixForm:
-    """The Lax pair of the forms: sl2 for pseudospherical, su2 for spherical."""
-    return from_forms(forms, "sl2" if forms.delta == 1 else "su2")
-
-
 def check_corollary33(sys: PdeSystem) -> bool:
     """Right-hand sides must be linear in the top-order jets."""
     um, vn = K.u(sys.orders[0]), K.v(sys.orders[1])
@@ -266,7 +261,7 @@ class CatalogEntry:
 
 
 def _entry(name: str, description: str, system: PdeSystem, forms: AssociatedForms) -> CatalogEntry:
-    return CatalogEntry(name, description, system, forms, _pack(forms))
+    return CatalogEntry(name, description, system, forms, from_forms(forms))
 
 
 def _entry_song_qu_qiao() -> CatalogEntry:
@@ -274,7 +269,7 @@ def _entry_song_qu_qiao() -> CatalogEntry:
     mh, nh = parse("u - u2"), parse("v - v2")
     F = total_dx(mh * Q)
     G = total_dx(nh * Q)
-    sys = PdeSystem((3, 3), F, G, K.ONE)
+    sys = PdeSystem((3, 3), F, G)
     Ep = parse("exp((eta-1)*x)")
     Em = 1 / Ep
     eta = Expr.atom(K.eta)
@@ -295,7 +290,7 @@ def _entry_cubic_ch2() -> CatalogEntry:
     half = K.ONE / 2
     F = half * total_dx(mh * B) - half * mh * C
     G = half * total_dx(nh * B) + half * nh * C
-    sys = PdeSystem((3, 3), F, G, K.ONE)
+    sys = PdeSystem((3, 3), F, G)
     eta = Expr.atom(K.eta)
     f11 = half * eta * (mh - nh)
     f12 = eta / 4 * B * (mh - nh) + (parse("u - u1") - parse("v + v1")) / (2 * eta)
@@ -313,7 +308,7 @@ def _entry_factored_ch2() -> CatalogEntry:
     half = K.ONE / 2
     F = -half * mh * prod
     G = half * nh * prod
-    sys = PdeSystem((2, 2), F, G, K.ONE)
+    sys = PdeSystem((2, 2), F, G)
     eta = Expr.atom(K.eta)
     f11 = half * eta * (nh - mh)
     f12 = (parse("v + v1") - parse("u - u1")) / (2 * eta)
@@ -330,7 +325,7 @@ def _entry_mch_type() -> CatalogEntry:
     R = parse("-1/2*(u^2 + v^2 - u1^2 - v1^2) - u*v1 + u1*v")
     F = total_dx(R * mh) - 2 * Expr.atom(K.u(1))
     G = total_dx(R * nh) - 2 * Expr.atom(K.v(1))
-    sys = PdeSystem((3, 3), F, G, Expr.const(-1))
+    sys = PdeSystem((3, 3), F, G)
     f11 = -nh
     f12 = -R * nh + parse("v + u1")
     f21 = K.ONE
@@ -348,7 +343,7 @@ def _entry_skew_ch2() -> CatalogEntry:
     half = K.ONE / 2
     F = half * total_dx(mh * Pfx) - half * mh * B
     G = half * total_dx(nh * Pfx) + half * nh * B
-    sys = PdeSystem((3, 3), F, G, K.ONE)
+    sys = PdeSystem((3, 3), F, G)
     eta = Expr.atom(K.eta)
     f11 = -half * eta * (mh - nh)
     f12 = -eta / 4 * Pfx * (mh - nh) - (parse("u - u1") - parse("v + v1")) / (2 * eta)

@@ -18,6 +18,7 @@ identical configs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -60,8 +61,8 @@ def _report_envelope(command: str, config: dict, payload: dict) -> dict:
 
 def _emit(report: dict, fmt: str, out_path: str | None, table_text: str | None = None):
     """Write the report as strict JSON, or as table_text when the format is
-    table and the command has one."""
-    if fmt == "json" or not table_text:
+    table."""
+    if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         text = table_text + "\n"
@@ -72,26 +73,39 @@ def _emit(report: dict, fmt: str, out_path: str | None, table_text: str | None =
         sys.stdout.write(text)
 
 
+def _shaped(value, kind: type, what: str):
+    """value, if it has the JSON shape kind (dict or str), else a config error."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a string"
+        raise ValueError(f"{what} must be {noun}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _shaped(json.load(fh), dict, "config")
 
 
-def _parse_config(text: str) -> Expr:
-    """parse() for a config value: an expression that does not parse is a
-    config error, not a mathematical failure."""
+def _parse_config(name: str, value) -> Expr:
+    """parse() for a config value: a value that is not a string, or an
+    expression that does not parse, is a config error, not a mathematical
+    failure."""
     try:
-        return parse(text)
+        return parse(_shaped(value, str, f"config value '{name}'"))
     except KernelError as err:
         raise ValueError(str(err)) from err
 
 
 def _config_exprs(config: dict, names: list[str]) -> dict[str, Expr]:
-    table = config.get("expressions", {})
+    table = _shaped(config.get("expressions", {}), dict, "config 'expressions'")
     missing = [n for n in names if n not in table]
     if missing:
         raise KeyError(f"config lacks expressions: {', '.join(missing)}")
-    return {n: _parse_config(table[n]) for n in names}
+    return {n: _parse_config(n, table[n]) for n in names}
+
+
+def _params(config: dict) -> dict:
+    return _shaped(config.get("params", {}), dict, "config 'params'")
 
 
 def _int_param(name: str, val) -> int:
@@ -108,7 +122,7 @@ def _curvature_params(config: dict) -> tuple[int, tuple[int, int]]:
     """The curvature sign delta (default 1) and the orders (m, n) (default
     (2, 2)) of a config; a delta other than 1 or -1, or an order outside
     2..MAX_JET_ORDER, is a config error."""
-    params = config.get("params", {})
+    params = _params(config)
     delta = _int_param("delta", params.get("delta", 1))
     if delta not in (1, -1):
         raise ValueError(f"parameter 'delta' must be 1 or -1, got {delta}")
@@ -120,13 +134,13 @@ def _curvature_params(config: dict) -> tuple[int, tuple[int, int]]:
 
 
 def _expr_param(config: dict, name: str) -> Expr:
-    params = config.get("params", {})
+    params = _params(config)
     if name not in params:
         raise KeyError(f"config lacks parameter '{name}'")
     val = params[name]
     if isinstance(val, (int, float)):
         return Expr.const(_int_param(name, val))
-    return _parse_config(str(val))
+    return _parse_config(name, val)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +152,7 @@ def _config_forms(config: dict) -> tuple[PdeSystem, AssociatedForms]:
     """The system (F, G) and forms (f11 .. f32) of an explicit-forms config."""
     e = _config_exprs(config, ["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"])
     delta, orders = _curvature_params(config)
-    sys_ = PdeSystem(orders, e["F"], e["G"], Expr.const(delta))
+    sys_ = PdeSystem(orders, e["F"], e["G"])
     f = ((e["f11"], e["f12"]), (e["f21"], e["f22"]), (e["f31"], e["f32"]))
     return sys_, AssociatedForms(f, delta)
 
@@ -174,34 +188,27 @@ def cmd_verify_lemma31(args) -> int:
 # build
 # ---------------------------------------------------------------------------
 
+# theorem -> (constructor, its input dataclass)
 _BUILDERS = {
-    "thm34": (build_theorem34, ["g", "h", "L", "M"], True),
-    "thm35": (build_theorem35, ["g", "h", "L", "M"], True),
-    "thm36": (build_theorem36, ["g", "h", "A", "L1", "N1", "M"], False),
-    "thm37": (build_theorem37, ["g", "h", "A", "L1", "N1", "M"], False),
+    "thm34": (build_theorem34, Thm34Input),
+    "thm35": (build_theorem35, Thm34Input),
+    "thm36": (build_theorem36, Thm36Input),
+    "thm37": (build_theorem37, Thm36Input),
 }
 
 
 def cmd_build(args) -> int:
     config = _load_config(args.config)
-    builder, expr_names, takes_orders = _BUILDERS[args.theorem]
-    exprs = _config_exprs(config, expr_names)
-    eta = _expr_param(config, "eta")
-    delta, orders = _curvature_params(config)
+    builder, input_type = _BUILDERS[args.theorem]
+    names = [f.name for f in dataclasses.fields(input_type)]
+    # the free functions precede eta; delta and the orders follow it
+    fields = _config_exprs(config, names[: names.index("eta")])
+    fields["eta"] = _expr_param(config, "eta")
+    fields["delta"], orders = _curvature_params(config)
+    if "orders" in names:
+        fields["orders"] = orders
     try:
-        if takes_orders:
-            inp = Thm34Input(
-                g=exprs["g"], h=exprs["h"], L=exprs["L"], M=exprs["M"],
-                eta=eta, delta=delta, orders=orders,
-            )
-            sys_, forms = builder(inp)
-            lax = None
-        else:
-            inp = Thm36Input(
-                g=exprs["g"], h=exprs["h"], A=exprs["A"], L1=exprs["L1"],
-                N1=exprs["N1"], M=exprs["M"], eta=eta, delta=delta,
-            )
-            sys_, forms, lax = builder(inp)
+        sys_, forms, *lax = builder(input_type(**fields))
     except HypothesisViolationError as err:
         sys.stderr.write(f"hypothesis violation: {err.condition}\nresidual: {err.residual}\n")
         return MATH_FAILURE
@@ -210,13 +217,13 @@ def cmd_build(args) -> int:
             "F": str(sys_.F),
             "G": str(sys_.G),
             "orders": list(sys_.orders),
-            "delta": delta,
+            "delta": forms.delta,
         },
         "forms": [[str(a), str(b)] for a, b in forms.f],
         "passed": True,
     }
-    if lax is not None:
-        payload["lax"] = {"X": mat_strings(lax.X), "T": mat_strings(lax.T), "algebra": lax.algebra}
+    for mf in lax:  # thm36 and thm37 also return the Lax pair
+        payload["lax"] = {"X": mat_strings(mf.X), "T": mat_strings(mf.T), "algebra": mf.algebra}
     envelope = _report_envelope(f"build {args.theorem}", config, payload)
     _emit(envelope, args.format, args.out)
     return 0
@@ -230,11 +237,11 @@ def cmd_build(args) -> int:
 def cmd_lax_check(args) -> int:
     config = _load_config(args.config)
     if "example" in config:
-        entry = catalog_entry(config["example"])
+        entry = catalog_entry(_shaped(config["example"], str, "config 'example'"))
         mf, sys_ = entry.lax, entry.system
     else:
         sys_, forms = _config_forms(config)
-        mf = from_forms(forms, config.get("algebra", "sl2"))
+        mf = from_forms(forms, config.get("algebra"))
     res = zero_curvature_residual(mf, sys_)
     ok = mat_is_zero(res)
     payload = {"passed": ok, "residual": mat_strings(res)}
@@ -348,8 +355,9 @@ def _parse_grid(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _add_report_flags(p: argparse.ArgumentParser, formats=("json", "table")):
-    p.add_argument("--format", choices=formats, default="table")
+def _add_report_flags(p: argparse.ArgumentParser, *formats: str):
+    """--format, offering formats and defaulting to the first, and --out."""
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", default=None)
 
 
@@ -368,11 +376,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_ex = verify_sub.add_parser("example", help="verify a catalog entry")
     p_ex.add_argument("name")
     p_ex.add_argument("--delta", type=int, choices=[1, -1], default=None)
-    _add_report_flags(p_ex)
+    _add_report_flags(p_ex, "table", "json")
     p_ex.set_defaults(func=cmd_verify_example)
     p_lm = verify_sub.add_parser("lemma31", help="verify supplied forms")
     p_lm.add_argument("--config", required=True)
-    _add_report_flags(p_lm)
+    _add_report_flags(p_lm, "table", "json")
     p_lm.set_defaults(func=cmd_verify_lemma31)
 
     p_build = sub.add_parser("build", help="run a classification constructor")
@@ -380,21 +388,21 @@ def make_parser() -> argparse.ArgumentParser:
     for name in _BUILDERS:
         p_b = build_sub.add_parser(name)
         p_b.add_argument("--config", required=True)
-        _add_report_flags(p_b)
+        _add_report_flags(p_b, "json")
         p_b.set_defaults(func=cmd_build, theorem=name)
 
     p_lax = sub.add_parser("lax", help="linear-problem checks")
     lax_sub = p_lax.add_subparsers(dest="what", required=True)
     p_lc = lax_sub.add_parser("check")
     p_lc.add_argument("--config", required=True)
-    _add_report_flags(p_lc)
+    _add_report_flags(p_lc, "json")
     p_lc.set_defaults(func=cmd_lax_check)
 
     p_ch2 = sub.add_parser("ch2", help="cubic two-component pipeline")
     ch2_sub = p_ch2.add_subparsers(dest="subcommand", required=True)
     for name in ("symmetry", "prolong", "taylor"):
         p_c = ch2_sub.add_parser(name)
-        _add_report_flags(p_c)
+        _add_report_flags(p_c, "table", "json")
         p_c.set_defaults(func=cmd_ch2, subcommand=name)
     p_sol = ch2_sub.add_parser("solution")
     p_sol.add_argument("--u0", type=float, required=True)
@@ -410,8 +418,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--eps", type=float, default=1.0)
     p_res.add_argument("--grid", default="-8:8:0.03125,-1:1:0.03125")
     p_res.add_argument("--rungs", type=int, default=3)
-    # the one command with a CSV format; the others offer json and table only
-    _add_report_flags(p_res, ("json", "table", "csv"))
+    # the one command with a CSV format; it prints no table
+    _add_report_flags(p_res, "json", "csv")
     p_res.set_defaults(func=cmd_ch2, subcommand="residual")
 
     return parser

@@ -3,11 +3,12 @@
 A system u_t - u_{2,t} = F, v_t - v_{2,t} = G describes pseudospherical
 (delta = +1) or spherical (delta = -1) surfaces when three 1-forms
 omega_i = f_i1 dx + f_i2 dt satisfy the constant-curvature structure
-equations on solutions.  The verifier checks, for supplied coefficient
-functions f_ij: the dependence conditions on the dx-coefficients, the
-nondegeneracy of the frame Jacobian, the three structure residuals, and the
-metric nondegeneracy; "nonzero" conditions are certified as
-not-identically-zero in the polynomial ring.
+equations on solutions.  A 1-form is its (dx, dt) coefficient pair and a
+2-form its dx ^ dt coefficient.  The verifier checks, for supplied f_ij:
+the dependence conditions on the dx-coefficients, the nondegeneracy of the
+frame Jacobian, the three structure residuals, and the metric
+nondegeneracy; "nonzero" conditions are certified as not-identically-zero
+in the polynomial ring.
 """
 
 from __future__ import annotations
@@ -20,39 +21,26 @@ from .jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system, t
 from .kernel import Expr
 
 
-@dataclass(frozen=True)
-class OneForm:
-    a: Expr  # dx coefficient
-    b: Expr  # dt coefficient
+def wedge(omega: tuple[Expr, Expr], theta: tuple[Expr, Expr]) -> Expr:
+    """The dx ^ dt coefficient of omega ^ theta."""
+    return omega[0] * theta[1] - omega[1] * theta[0]
 
 
-@dataclass(frozen=True)
-class TwoForm:
-    c: Expr  # dx ^ dt coefficient
-
-
-def wedge(omega: OneForm, theta: OneForm) -> TwoForm:
-    return TwoForm(omega.a * theta.b - omega.b * theta.a)
-
-
-def exterior_d_mod_system(omega: OneForm, sys: PdeSystem | None) -> TwoForm:
+def exterior_d_mod_system(omega: tuple[Expr, Expr], sys: PdeSystem | None) -> Expr:
     """d(a dx + b dt) reduced modulo the system: (D_x b - D_t a) dx ^ dt.
 
     Valid once the dx-coefficient dependence conditions hold, so that no
     du_k ^ dx terms survive; callers assert those separately.
     """
-    return TwoForm(total_dx(omega.b) - total_dt_mod_system(omega.a, sys))
+    return total_dx(omega[1]) - total_dt_mod_system(omega[0], sys)
 
 
 @dataclass(frozen=True)
 class AssociatedForms:
-    """The six coefficient functions f_ij with the curvature sign."""
+    """The (dx, dt) pairs (f_i1, f_i2) of the three 1-forms, with the curvature sign."""
 
     f: tuple[tuple[Expr, Expr], tuple[Expr, Expr], tuple[Expr, Expr]]
     delta: int
-
-    def one_forms(self) -> tuple[OneForm, OneForm, OneForm]:
-        return tuple(OneForm(a, b) for a, b in self.f)
 
 
 @dataclass(frozen=True)
@@ -141,10 +129,10 @@ def _frame_jacobian(forms: AssociatedForms) -> ConditionReport:
 def structure_residuals(forms: AssociatedForms, sys: PdeSystem) -> tuple[Expr, Expr, Expr]:
     """Residuals of d(omega1) = omega3 ^ omega2, d(omega2) = omega1 ^ omega3,
     d(omega3) = delta * omega1 ^ omega2 reduced modulo the system."""
-    w1, w2, w3 = forms.one_forms()
-    r1 = exterior_d_mod_system(w1, sys).c - wedge(w3, w2).c
-    r2 = exterior_d_mod_system(w2, sys).c - wedge(w1, w3).c
-    r3 = exterior_d_mod_system(w3, sys).c - Expr.const(forms.delta) * wedge(w1, w2).c
+    w1, w2, w3 = forms.f
+    r1 = exterior_d_mod_system(w1, sys) - wedge(w3, w2)
+    r2 = exterior_d_mod_system(w2, sys) - wedge(w1, w3)
+    r3 = exterior_d_mod_system(w3, sys) - Expr.const(forms.delta) * wedge(w1, w2)
     return r1, r2, r3
 
 

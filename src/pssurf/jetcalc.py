@@ -20,8 +20,6 @@ from typing import Mapping
 from . import kernel as K
 from .kernel import Coord, Expr, KernelError
 
-MAX_ORDER = K.MAX_JET_ORDER
-
 
 class JetCalcError(KernelError):
     pass
@@ -34,22 +32,19 @@ class MissingRuleError(JetCalcError):
 
 
 class IllFormedDependenceError(JetCalcError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 @dataclass(frozen=True)
 class PdeSystem:
-    """Evolution laws u_t - u_{2,t} = F, v_t - v_{2,t} = G of orders (m, n)."""
+    """Evolution laws u_t - u_{2,t} = F, v_t - v_{2,t} = G of orders (m, n).
+    The curvature sign belongs to the forms (``AssociatedForms.delta``)."""
 
     orders: tuple[int, int]
     F: Expr
     G: Expr
-    delta: Expr = field(default_factory=lambda: K.ONE)
 
     def __post_init__(self):
-        if not isinstance(self.delta, Expr):
-            object.__setattr__(self, "delta", Expr.const(self.delta))
         mo, no = self.orders
         if mo < 2 or no < 2:
             raise ValueError("system orders must both be at least 2")
@@ -109,7 +104,7 @@ def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
     images = {K.x: K.ONE}
     for c in sorted(e.coords(), key=lambda c: c.key):
         if c.kind == K.KIND_JET:
-            if c.order + 1 > MAX_ORDER:
+            if c.order + 1 > K.MAX_JET_ORDER:
                 raise JetCalcError(f"jet order overflow promoting {c}")
             images[c] = Expr.atom(K.jet(c.name, c.order + 1))
         elif c.kind == K.KIND_DEP:

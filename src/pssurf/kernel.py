@@ -1059,8 +1059,7 @@ class Expr:
     def exp(arg: "Expr") -> "Expr":
         if not arg.den.is_const():
             raise UnsupportedExponentError("exponent must be polynomial")
-        poly = arg.num.divide(arg.den.const_value())
-        atom = _exp_atom(poly)
+        atom = _exp_atom(arg.num)
         if atom is None:
             return Expr.const(1)
         return Expr.atom(atom)
@@ -1153,7 +1152,7 @@ class Expr:
     def const_value(self) -> int | Fraction:
         if not self.is_const():
             raise KernelError("expression is not constant")
-        return _div(self.num.const_value(), self.den.const_value())
+        return self.num.const_value()
 
     def coords(self) -> set:
         return self.num.coords() | self.den.coords()
@@ -1222,7 +1221,7 @@ class Expr:
         return self.num.eval(value_of) / den
 
     def __str__(self) -> str:
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den.is_const():
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
@@ -1287,7 +1286,7 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
     lines = [f"def _compiled({', '.join(names.values())}):"]
     results = []
     for i, e in enumerate(exprs):
-        if e.den.is_const() and e.den.const_value() == 1:
+        if e.den.is_const():
             lines.append(f"    r{i} = ({poly(e.num)})")
         else:
             lines.append(f"    d{i} = {poly(e.den)}")

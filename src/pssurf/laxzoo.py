@@ -102,12 +102,11 @@ class MatrixForm:
                 raise ValueError(f"{name} is not trace-free: trace = {tr}")
 
 
-def from_forms(forms: AssociatedForms, algebra: str = "sl2") -> MatrixForm:
-    """Pack associated forms into a matrix pair.
-
-    sl2 uses the real packing; su2 uses the formal-i packing appropriate to
-    the curvature sign of the forms.
-    """
+def from_forms(forms: AssociatedForms, algebra: str | None = None) -> MatrixForm:
+    """Pack associated forms into a matrix pair: sl2 is the real packing, su2 the
+    formal-i one for their curvature sign.  By default the sign picks sl2 (delta = 1) or su2."""
+    if algebra is None:
+        algebra = "sl2" if forms.delta == 1 else "su2"
     (f11, f12), (f21, f22), (f31, f32) = forms.f
     half = Expr.const(1) / 2
     if algebra == "sl2":

@@ -309,7 +309,6 @@ class TestCatalog:
     def test_spherical_entry_sign(self):
         entry = catalog_entry("mch-type")
         assert entry.forms.delta == -1
-        assert entry.system.delta == Expr.const(-1)
 
     def test_theorem_eta_metadata(self):
         assert catalog_entry("cubic-ch2").forms.f[1][0] == Expr.const(-1)

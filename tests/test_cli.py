@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pssurf.classify import catalog_entry
 from pssurf.cli import main, make_parser
 from test_golden import CASES, CSV_CASES, GOLDEN
 
@@ -105,6 +106,72 @@ def test_csv_format_only_where_a_csv_is_written(argv):
     code, out, err = run_cli([*argv, "--format", "csv"])
     assert (code, out) == (2, "")
     assert "argument --format: invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[["build", thm, "--config", "data.json"] for thm in ("thm34", "thm35", "thm36", "thm37")],
+        ["lax", "check", "--config", "lax.json"],
+        ["ch2", "residual", "--u0", "0.75", "--eta", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_table_format_only_where_a_table_is_printed(argv):
+    # these commands print no table, so --format table is a usage error
+    code, out, err = run_cli([*argv, "--format", "table"])
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice: 'table'" in err
+
+
+@pytest.mark.parametrize(
+    "stem, argv",
+    [
+        pytest.param(stem, argv, id=stem)
+        for stem, argv, _ in CASES
+        if stem.startswith("build_") or stem == "ch2_residual"
+    ],
+)
+def test_json_is_the_default_where_no_table_is_printed(stem, argv):
+    code, out, _ = run_cli(argv)
+    assert (code, out) == (0, (GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+
+
+def _thm35_config(**changes):
+    config = json.loads((GOLDEN / "build_thm35_plus.config.json").read_text(encoding="utf-8"))
+    return {**config, **changes}
+
+
+_FORMS_EXPRESSIONS = dict.fromkeys(["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"], "u")
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (["build", "thm35"], ["x"], "config must be an object"),
+        (["build", "thm35"], _thm35_config(expressions=["g", "h", "L", "M"]),
+         "config 'expressions' must be an object"),
+        (["build", "thm35"],
+         _thm35_config(expressions={**_thm35_config()["expressions"], "g": 3}),
+         "config value 'g' must be a string"),
+        (["build", "thm35"], _thm35_config(params=["eta"]), "config 'params' must be an object"),
+        (["verify", "lemma31"], {"expressions": _FORMS_EXPRESSIONS, "params": []},
+         "config 'params' must be an object"),
+        (["lax", "check"], {"example": ["a"]}, "config 'example' must be a string"),
+    ],
+    ids=["top-level-array", "expressions-array", "expression-number", "params-array",
+         "lemma31-params-array", "example-array"],
+)
+def test_malformed_config_shapes_are_usage_errors(tmp_path, command, config, message):
+    # shapes are checked where the config is read, so no AttributeError or
+    # TypeError escapes as a traceback with exit 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [*command, "--config", str(path)]
+    fresh = _python("-m", "pssurf.cli", *argv)
+    expected = (2, "", f"error: {message}\n")
+    assert run_cli(argv) == expected
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
@@ -414,6 +481,23 @@ class TestLax:
         path.write_text(json.dumps(cfg))
         code, _, _ = run_cli(["lax", "check", "--config", str(path), "--format", "json"])
         assert code == 0
+
+    @pytest.mark.parametrize("algebra, expected", [(None, 0), ("su2", 0), ("sl2", 1)])
+    def test_spherical_forms_pack_by_their_sign(self, tmp_path, algebra, expected):
+        # without an algebra key the sign of the forms chooses the packing,
+        # as for the catalog entries; sl2 does not close on spherical forms
+        entry = catalog_entry("mch-type")
+        names = ("f11", "f12", "f21", "f22", "f31", "f32")
+        exprs = dict(zip(names, (str(e) for pair in entry.forms.f for e in pair)))
+        exprs.update(F=str(entry.system.F), G=str(entry.system.G))
+        cfg = {"expressions": exprs, "params": {"delta": -1, "m": 3, "n": 3}}
+        if algebra is not None:
+            cfg["algebra"] = algebra
+        path = tmp_path / "spherical.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(["lax", "check", "--config", str(path)])
+        assert code == expected
+        assert json.loads(out)["passed"] is (expected == 0)
 
 
 class TestCh2:
