@@ -83,7 +83,10 @@ def _shaped(value, kind: type, what: str):
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _shaped(json.load(fh), dict, "config")
+        try:
+            return _shaped(json.load(fh), dict, "config")
+        except RecursionError:
+            raise ValueError("config nests too deeply") from None
 
 
 def _parse_config(name: str, value) -> Expr:

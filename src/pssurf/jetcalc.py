@@ -90,7 +90,8 @@ class DerivationRules:
         if not self.constraints:
             return e
         while True:
-            pending = {c: img for c, img in self.constraints.items() if c in e.coords()}
+            coords = e.coords()
+            pending = {c: img for c, img in self.constraints.items() if c in coords}
             if not pending:
                 return e
             e = e.substitute(pending)

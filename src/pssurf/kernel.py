@@ -9,22 +9,22 @@ factors exp(q * c), with q a polynomial in parameters and c a single
 coordinate, are opaque atoms that merge by exponent addition.
 
 Representation: a coefficient is an int when integral and a Fraction
-otherwise.  A product of polynomials runs on integer numerators: it clears
-each operand's denominators once, multiplies ints in its term loop and
-divides each coefficient of the result once by the two cleared
-denominators.  Coordinates are interned and compare and hash by identity.  A
-monomial is a tuple of (atom, power) sorted by atom key.  The one monomial
-constructor is the merge in `_mono_mul`: it adds the powers of equal atoms,
-folds exponentials of one base and applies the rewrites below.  Every other
-monomial is a single atom or is cut or re-sorted from monomials the merge
-built, so nothing else folds or rewrites.  Terms are ordered graded
-lexicographically, atoms with a smaller key most significant.
+otherwise.  Coordinates are interned and compare and hash by identity.  A
+monomial is one int with a 9-bit field per atom, in the order atoms are
+first used: 8 exponent bits and a guard bit.  A product is `m1 + m2`; one
+mask test (the guard bits, bit 1 of the `i` and `s` fields, which hold 0 or
+1, and an exponential on both sides) sends it to the slow path, which
+applies the rewrites, folds exponentials of one base and rejects an
+exponent above MAX_EXPONENT.  Each monomial's (atom, power) pairs and sort
+key are decoded once per int; terms are ordered graded lexicographically,
+atoms with a smaller key most significant.  A product of polynomials
+clears each operand's denominators once and multiplies ints.
 
 Canonical form: numerator and denominator are fully expanded, share no
 polynomial factor (gcd-reduced), exponential content is shifted so that the
 minimal exponent multiple over both is zero, and the denominator is scaled to
 a primitive integer polynomial whose leading coefficient is positive.  Two
-special parameters carry rewrite rules, applied in the merge and nowhere
+special parameters carry rewrite rules, applied in the product and nowhere
 else: i*i -> -1 and s*s -> 2.  The gcd is GCDHEU on integer polynomials over
 exponent tuples, with a primitive PRS on the same polynomials as the
 fallback; both take `i`, `s` and localized exponentials as free atoms, so
@@ -35,8 +35,8 @@ adding zero, the first power, and scaling by a nonzero constant, which
 changes neither the gcd, the exponential shift nor the denominator's content.
 
 Expressions are immutable after construction; normalization is pure, so
-values can be shared freely across threads or processes (unpickling
-re-interns coordinates).
+values can be shared freely across threads or processes (a pickle carries
+each monomial as (atom, power) pairs, and unpickling re-interns the atoms).
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 MAX_JET_ORDER = 12
+MAX_EXPONENT = 255
+MAX_TERMS = 10_000
 EPS_DIV_DEFAULT = 1e-12
 
 KIND_INDEP = "indep"
@@ -98,6 +102,11 @@ class UnsupportedExponentError(KernelError):
     pass
 
 
+class BoundError(KernelError):
+    """A monomial exponent above MAX_EXPONENT, or a power that may expand to
+    more than MAX_TERMS terms."""
+
+
 class DomainError(ValueError):
     """Parameter or state outside the validity domain of a closed form.
     Defined here, away from the numeric modules, so that the CLI can catch
@@ -127,7 +136,6 @@ class Coord:
         rank, names = _KINDS[self.kind]
         key = (rank, names[self.name] if names else self.name, self.order)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "slot", key)
 
     def __reduce__(self):
         return _coord, (self.kind, self.name, self.order)
@@ -194,21 +202,19 @@ def _div(a, b):
 
 
 # exponent polynomials are stored as canonical item tuples:
-#   ((monomial, coeff), ...) sorted by monomial
-# where each monomial is a tuple of (Coord, power) pairs.
+#   ((monomial, coeff), ...) sorted by the monomial's atoms and powers
 
 ExpItems = tuple
 
 
 class ExpAtom:
     """Opaque factor exp(e) with e = (polynomial in parameters) * coordinate,
-    equal when the exponents are.  Its `slot` is its base's place in the atom
-    order, so a monomial product merges two exponentials of one base."""
+    equal when the exponents are.  Its field holds power 1: a product of two
+    exponentials of one base folds into one."""
 
     def __init__(self, items: ExpItems, base: Coord):
         self.items = items
         self.base = base
-        self.slot = (4, base.key)
         self._hash = hash(items)
 
     @functools.cached_property
@@ -222,7 +228,7 @@ class ExpAtom:
         return self._hash
 
     def __reduce__(self):
-        return ExpAtom, (self.items, self.base)
+        return _exp_atom, (self.exponent(),)
 
     def exponent(self) -> "Poly":
         return Poly(dict(self.items))
@@ -233,8 +239,8 @@ class ExpAtom:
     __repr__ = __str__
 
 
-def _mono_sort_key(mono) -> tuple:
-    return tuple((a.key, p) for a, p in mono)
+def _mono_sort_key(mono: int) -> tuple:
+    return tuple((a.key, p) for a, p in _pairs(mono))
 
 
 def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
@@ -245,8 +251,8 @@ def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
     if items_poly.is_zero():
         return None
     base = None
-    for mono, _ in items_poly.terms.items():
-        non_params = [(a, p) for a, p in mono if not (isinstance(a, Coord) and a.kind == KIND_PARAM)]
+    for mono in items_poly.terms:
+        non_params = [(a, p) for a, p in _pairs(mono) if not (isinstance(a, Coord) and a.kind == KIND_PARAM)]
         if len(non_params) != 1 or non_params[0][1] != 1:
             msg = "exponent must be a polynomial in parameters times one coordinate"
             raise UnsupportedExponentError(msg)
@@ -260,119 +266,143 @@ def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
     return _exp_of(items_poly.terms, base)
 
 
-def _exp_of(terms: dict, base: Coord) -> ExpAtom | None:
-    """The ExpAtom with exponent terms {monomial: coeff}, None when empty."""
-    if not terms:
-        return None
+def _exp_of(terms: dict, base: Coord) -> ExpAtom:
+    """The ExpAtom with the nonzero exponent terms {monomial: coeff}."""
     return ExpAtom(tuple(sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))), base)
-
-
-def _exp_fold(a: ExpAtom | None, b: ExpAtom) -> ExpAtom | None:
-    """exp(a) * exp(b) for exponentials of one base; None when it is 1."""
-    if a is None:
-        return b
-    acc = dict(a.items)
-    for m, c in b.items:
-        nc = acc.get(m, 0) + c
-        if nc:
-            acc[m] = _q(nc)
-        else:
-            del acc[m]
-    return _exp_of(acc, a.base)
 
 
 # ---------------------------------------------------------------------------
 # Monomials
 # ---------------------------------------------------------------------------
 
-# A monomial is a tuple of (atom, power) sorted by atom key, atoms unique,
-# powers >= 1, exponential atoms at power 1 and at most one per base (their
-# powers fold into the exponent).  Within a monomial an atom's `slot` orders
-# as its `key` does; an exponential's slot is its base's place, so the merge
-# meets two exponentials of one base together and folds them.
+# A monomial is an int of 9-bit fields, one per interned atom in `_ATOMS`:
+# exponent bits 0-7 and guard bit 8, clear in every stored monomial.  The
+# `i` and `s` fields come first and hold 0 or 1, an exponential's holds 0
+# or 1 and a monomial carries at most one exponential per base.
 
-_ONE_MONO: tuple = ()
+_FIELD = 9
 
+_ATOMS: list = []        # field index -> atom
+_SHIFTS: dict = {}       # atom -> bit offset of its field
+_GUARDS = 0              # the guard bit of every field
+_EXPS = 0                # bit 0 of every exponential's field
+_INTERN = threading.Lock()
+_MONOS: dict = {}        # monomial -> (sort key, pairs), see `_decode`
+_MONO_CACHE = 1 << 16
 
-def _mono_mul(m1: tuple, m2: tuple) -> tuple[int, tuple]:
-    """(rational factor, monomial) of m1 * m2, by one merge on atom slots."""
-    if not m1:
-        return 1, m2
-    if not m2:
-        return 1, m1
-    factor = 1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        a1, p1 = m1[i]
-        a2, p2 = m2[j]
-        s1, s2 = a1.slot, a2.slot
-        if s1 < s2:
-            out.append(m1[i])
-            i += 1
-        elif s2 < s1:
-            out.append(m2[j])
-            j += 1
-        else:
-            i += 1
-            j += 1
-            if isinstance(a1, ExpAtom):
-                a1 = _exp_fold(a1, a2)
-                if a1 is not None:
-                    out.append((a1, 1))
-                continue
-            p = p1 + p2
-            rw = _REWRITES.get(a1)
-            if rw is not None:
-                factor *= rw ** (p // 2)
-                p %= 2
-                if not p:
-                    continue
-            out.append((a1, p))
-    return factor, (*out, *m1[i:], *m2[j:])
+_ONE_MONO = 0
 
 
-def _mono_order(mono: tuple) -> tuple:
-    """Sort key listing monomials from the greatest down in graded lex order
-    (a smaller atom `key` is more significant): (-degree, key1, -power1, ...,
-    _LAST), where _LAST sorts after every key, so a longer prefix comes first."""
-    degree, out = 0, []
-    for a, p in mono:
-        degree -= p
-        out += (a.key, -p)
-    return (degree, *out, _LAST)
+def _shift(atom) -> int:
+    """The bit offset of the atom's field, giving it the next field on first
+    use; equal exponentials share one."""
+    sh = _SHIFTS.get(atom)
+    if sh is None:
+        global _GUARDS, _EXPS
+        with _INTERN:
+            sh = _SHIFTS.get(atom)
+            if sh is None:
+                sh = _FIELD * len(_ATOMS)
+                _ATOMS.append(atom)
+                _GUARDS |= 0x100 << sh
+                _EXPS |= isinstance(atom, ExpAtom) << sh
+                _SHIFTS[atom] = sh
+    return sh
+
+
+# (bit offset, value of the square) of the rewritten parameters, and bit 1
+# of their fields
+_REWRITE_FIELDS = tuple((_shift(a), sq) for a, sq in _REWRITES.items())
+_SQUARES = sum(2 << sh for sh, _ in _REWRITE_FIELDS)
+
+
+def _pack(pairs: Iterable) -> int:
+    """The monomial of (atom, power) pairs with distinct atoms."""
+    mono = 0
+    for a, p in pairs:
+        if p > MAX_EXPONENT:
+            raise BoundError(f"exponent {p} of {a} exceeds {MAX_EXPONENT}")
+        mono += p << _shift(a)
+    return mono
+
+
+def _decode(mono: int) -> tuple[tuple, tuple]:
+    """(sort key, (atom, power) pairs in atom key order) of a monomial.  The
+    sort key lists monomials from the greatest down in graded lex order (a
+    smaller atom `key` is more significant): (-degree, key1, -power1, ...,
+    _LAST), where _LAST sorts after every key, so a longer prefix comes
+    first."""
+    info = _MONOS.get(mono)
+    if info is None:
+        fields = ((a, mono >> sh & 0xFF) for a, sh in zip(_ATOMS, range(0, mono.bit_length(), _FIELD)))
+        pairs = tuple(sorted(((a, p) for a, p in fields if p), key=lambda ap: ap[0].key))
+        order = (-sum(p for _, p in pairs), *(k for a, p in pairs for k in (a.key, -p)), _LAST)
+        info = (order, pairs)
+        if len(_MONOS) >= _MONO_CACHE:
+            _MONOS.clear()
+        _MONOS[mono] = info
+    return info
 
 
 _LAST = (9,)
 
 
-def _mono_gcd(m1: tuple, m2: tuple) -> tuple:
-    """Largest monomial dividing both: shared atoms at the lesser power."""
-    out, j, n2 = [], 0, len(m2)
-    for a, p in m1:
-        while j < n2 and m2[j][0].slot < a.slot:
-            j += 1
-        if j < n2 and m2[j][0] == a:
-            out.append((a, min(p, m2[j][1])))
-    return tuple(out)
+def _mono_order(mono: int) -> tuple:
+    return _decode(mono)[0]
 
 
-def _mono_div(m2: tuple, m1: tuple) -> tuple | None:
-    """m2 / m1, or None when m1 does not divide m2 (exp atoms must match
+def _pairs(mono: int) -> tuple:
+    return _decode(mono)[1]
+
+
+def _mono_min(m1: int, m2: int) -> int:
+    """The field-wise minimum: the largest monomial dividing both."""
+    guards = _GUARDS
+    ge = ((m1 | guards) - m2) & guards  # the guard bits where m1 >= m2
+    return m1 ^ ((m1 ^ m2) & (ge - (ge >> 8)))
+
+
+def _mono_quo(m1: int, m2: int) -> int | None:
+    """m1 / m2, or None when m2 does not divide m1 (exp atoms must match
     exactly)."""
-    out = []
-    j, n1 = 0, len(m1)
-    for a, p in m2:
-        if j < n1 and m1[j][0] == a:
-            p -= m1[j][1]
-            j += 1
-            if p < 0:
-                return None
-            if not p:
-                continue
-        out.append((a, p))
-    return tuple(out) if j == n1 else None
+    guards = _GUARDS
+    q = (m1 | guards) - m2
+    return q ^ guards if q & guards == guards else None
+
+
+def _mono_times(m1: int, m2: int) -> tuple[int, int]:
+    """(rational factor, monomial) of m1 * m2: rewrites i*i and s*s, folds
+    exponentials of one base and rejects an exponent past the bound.
+    `Poly.mul` calls it only for a sum that its mask test flags."""
+    m = m1 + m2
+    if m & _GUARDS:
+        powers = dict(_pairs(m1))
+        a, p = max(((a, p + powers.get(a, 0)) for a, p in _pairs(m2)), key=lambda ap: ap[1])
+        raise BoundError(f"exponent {p} of {a} exceeds {MAX_EXPONENT}")
+    factor = 1
+    for sh, sq in _REWRITE_FIELDS:
+        if m >> sh & 2:
+            m -= 2 << sh
+            factor *= sq
+    if m1 & _EXPS and m2 & _EXPS:
+        exps = {a.base: a for a, _ in _pairs(m1) if isinstance(a, ExpAtom)}
+        for b, _ in _pairs(m2):
+            if isinstance(b, ExpAtom) and (a := exps.get(b.base)) is not None:
+                m += _fold_change(a, b)
+    return factor, m
+
+
+@functools.cache
+def _fold_change(a: ExpAtom, b: ExpAtom) -> int:
+    """What folding exp(a) * exp(b), of one base, adds to a monomial."""
+    acc = dict(a.items)
+    for m, c in b.items:
+        if nc := acc.get(m, 0) + c:
+            acc[m] = _q(nc)
+        else:
+            del acc[m]
+    folded = 1 << _shift(_exp_of(acc, a.base)) if acc else 0
+    return folded - (1 << _SHIFTS[a]) - (1 << _SHIFTS[b])
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +411,10 @@ def _mono_div(m2: tuple, m1: tuple) -> tuple | None:
 
 
 class Poly:
-    """Multivariate polynomial {monomial: int or Fraction coefficient}; `eval`
-    and `compile_numeric` sum terms in insertion order, so every operation
-    keeps the term order of the plain term-by-term loop it stands for.
+    """Multivariate polynomial {packed monomial: int or Fraction coefficient};
+    `eval` and `compile_numeric` sum terms in insertion order, so every
+    operation keeps the term order of the plain term-by-term loop it stands
+    for.  A pickle carries each monomial as (atom, power) pairs.
 
     A Poly is never mutated after construction, so values are shared: `mul`
     by the constant 1 returns the other operand itself.
@@ -393,6 +424,9 @@ class Poly:
 
     def __init__(self, terms: dict):
         self.terms = terms
+
+    def __reduce__(self):
+        return _unpickle_poly, (tuple((_pairs(m), c) for m, c in self.terms.items()),)
 
     @staticmethod
     def zero() -> "Poly":
@@ -406,7 +440,7 @@ class Poly:
 
     @staticmethod
     def atom(a) -> "Poly":
-        return Poly({((a, 1),): 1})
+        return Poly({1 << _shift(a): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -415,9 +449,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
     def const_value(self) -> int | Fraction:
-        if self.is_zero():
-            return 0
-        return self.terms[_ONE_MONO]
+        return self.terms.get(_ONE_MONO, 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -449,10 +481,15 @@ class Poly:
         da, a = _cleared(self.terms)
         db, b = _cleared(other.terms)
         out: dict = {}
+        flag, exps = _GUARDS | _SQUARES, _EXPS
         for m1, c1 in a:
+            e1 = m1 & exps
             for m2, c2 in b:
-                factor, mono = _mono_mul(m1, m2)
-                nc = out.get(mono, 0) + c1 * c2 * factor
+                mono = m1 + m2
+                if mono & flag or (e1 and m2 & exps):
+                    factor, mono = _mono_times(m1, m2)
+                    c2 *= factor
+                nc = out.get(mono, 0) + c1 * c2
                 if nc:
                     out[mono] = nc
                 else:
@@ -467,8 +504,13 @@ class Poly:
         return Poly({m: _div(k, c) for m, k in self.terms.items()})
 
     def pow(self, n: int) -> "Poly":
+        """self ** n by repeated squaring.  A polynomial of k terms to the
+        power n may have C(k + n - 1, n) terms; above MAX_TERMS that raises
+        BoundError before anything is expanded."""
         if n < 0:
             raise KernelError("negative power on a polynomial")
+        if n > 1 and math.comb(len(self.terms) + n - 1, n) > MAX_TERMS:
+            raise BoundError(f"a power {n} of {len(self.terms)} terms may exceed {MAX_TERMS} terms")
         result = Poly.const(1)
         base = self
         while n:
@@ -479,50 +521,41 @@ class Poly:
         return result
 
     def diff(self, c: Coord) -> "Poly":
+        # a coordinate sorts before every exponential, so its term goes first
         out: dict = {}
+        sh = _SHIFTS.get(c)
+        exps = _EXPS
         for mono, coeff in self.terms.items():
-            for idx, (atom, power) in enumerate(mono):
-                if isinstance(atom, Coord):
-                    if atom is not c:
-                        continue
-                    lower = ((atom, power - 1),) if power > 1 else ()
-                    _add_into(out, {mono[:idx] + lower + mono[idx + 1 :]: coeff * power})
-                else:
-                    dexp = atom.exponent().diff(c)
-                    _add_into(out, dexp.mul(Poly({mono: coeff})).terms)
+            if sh is not None and (power := mono >> sh & 0xFF):
+                _add_into(out, {mono - (1 << sh): coeff * power})
+            if mono & exps:
+                for atom, _ in _pairs(mono):
+                    if isinstance(atom, ExpAtom):
+                        dexp = atom.exponent().diff(c)
+                        _add_into(out, dexp.mul(Poly({mono: coeff})).terms)
         return Poly(out)
 
     def atoms(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for a, _ in mono:
-                out.add(a)
-        return out
+        # a field is nonzero in the union of the monomials where it is in one
+        return {a for a, _ in _pairs(functools.reduce(operator.or_, self.terms, 0))}
 
     def coords(self) -> set:
-        """All Coord atoms, including those inside exponents."""
+        """All Coord atoms, including those inside exponents (an exponent
+        holds its base)."""
         out = set()
         for a in self.atoms():
-            if isinstance(a, Coord):
-                out.add(a)
-            else:
-                out.add(a.base)
-                out |= a.exponent().coords()
+            out |= {a} if isinstance(a, Coord) else a.exponent().coords()
         return out
 
-    def leading(self) -> tuple[tuple, int | Fraction]:
+    def leading(self) -> tuple[int, int | Fraction]:
         mono = min(self.terms, key=_mono_order)
         return mono, self.terms[mono]
 
     def content(self) -> int | Fraction:
         """Positive rational content (gcd of coefficient numerators over lcm
         of denominators), signed by the leading coefficient."""
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = _div(num_gcd, den_lcm)
+        coeffs = self.terms.values()
+        content = _div(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
         _, lead = self.leading()
         return -content if lead < 0 else content
 
@@ -530,7 +563,7 @@ class Poly:
         total = 0.0
         for mono, coeff in self.terms.items():
             term = float(coeff)
-            for atom, power in mono:
+            for atom, power in _pairs(mono):
                 term *= value_of(atom) ** power
             total += term
         return total
@@ -544,7 +577,7 @@ class Poly:
         parts = []
         for mono, coeff in self.sorted_terms():
             atom_strs = []
-            for atom, power in mono:
+            for atom, power in _pairs(mono):
                 a = str(atom)
                 atom_strs.append(a if power == 1 else f"{a}^{power}")
             body = "*".join(atom_strs)
@@ -571,7 +604,7 @@ def _add_into(out: dict, terms: dict) -> None:
     for m, c in terms.items():
         nc = out.get(m, 0) + c
         if nc:
-            out[m] = _q(nc)
+            out[m] = nc if nc.__class__ is int else _q(nc)
         else:
             out.pop(m, None)
 
@@ -586,6 +619,10 @@ def _cleared(terms: dict) -> tuple[int, Iterable]:
     if d == 1:
         return 1, terms.items()
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
+def _unpickle_poly(items: tuple) -> Poly:
+    return Poly({_pack(pairs): c for pairs, c in items})
 
 
 _POLY_ONE = Poly.const(1)
@@ -618,7 +655,7 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
         ((b_mono, b_coeff),) = b.terms.items()
         quo = {}
         for m, c in a.terms.items():
-            if (q_mono := _mono_div(m, b_mono)) is None:
+            if (q_mono := _mono_quo(m, b_mono)) is None:
                 return None
             quo[q_mono] = c
         return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
@@ -634,12 +671,15 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
         queued.remove(r_mono)
         if (r_coeff := rem.pop(r_mono, None)) is None:
             continue
-        if (q_mono := _mono_div(r_mono, b_mono)) is None:
+        if (q_mono := _mono_quo(r_mono, b_mono)) is None:
             return None
         q_coeff = _div(r_coeff, b_coeff)
         quo[q_mono] = _q(quo.get(q_mono, 0) + q_coeff)
         for m, c in tail:
-            factor, mono = _mono_mul(m, q_mono)
+            try:
+                factor, mono = _mono_times(m, q_mono)
+            except BoundError:  # b times an exact quotient has no exponent above a's
+                return None
             if nc := rem.get(mono, 0) - q_coeff * c * factor:
                 rem[mono] = _q(nc)
                 if mono not in queued:
@@ -648,17 +688,6 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
             else:
                 del rem[mono]
     return Poly({m: c for m, c in quo.items() if c})
-
-
-def _mono_content(p: Poly) -> tuple:
-    """Largest monomial dividing every term."""
-    monos = iter(p.terms)
-    common = next(monos, _ONE_MONO)
-    for mono in monos:
-        if not common:
-            break
-        common = _mono_gcd(common, mono)
-    return common
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -675,23 +704,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b
     if b.is_zero():
         return a
-    ma, mb = _mono_content(a), _mono_content(b)
-    common_mono = _mono_gcd(ma, mb)
+    ma, mb = (functools.reduce(_mono_min, p.terms) for p in (a, b))
+    common_mono = _mono_min(ma, mb)
     if len(a.terms) == 1 or len(b.terms) == 1:
         return Poly({common_mono: 1})
-    a = Poly({_mono_div(m, ma): c for m, c in a.terms.items()})
-    b = Poly({_mono_div(m, mb): c for m, c in b.terms.items()})
+    a = Poly({m - ma: c for m, c in a.terms.items()})
+    b = Poly({m - mb: c for m, c in b.terms.items()})
     atoms_a, atoms_b = a.atoms(), b.atoms()
     if not atoms_a & atoms_b or any(isinstance(at, ExpAtom) for at in atoms_a | atoms_b):
         return Poly({common_mono: 1})
     atoms = sorted(atoms_a | atoms_b, key=lambda at: at.key)
     index = {at: k for k, at in enumerate(atoms)}
     h = _int_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
-    core = Poly({tuple((atoms[k], e) for k, e in enumerate(m) if e): c for m, c in h.items()})
+    core = Poly({_pack((atoms[k], e) for k, e in enumerate(m)): c for m, c in h.items()})
     core = core.divide(core.content())
-    if common_mono:
-        core = core.mul(Poly({common_mono: 1}))
-    return core
+    return core.mul(Poly({common_mono: 1})) if common_mono else core
 
 
 # GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 1989) on integer
@@ -709,7 +736,7 @@ def _to_int_poly(p: Poly, index: dict) -> dict:
     out = {}
     for mono, c in p.terms.items():
         e = [0] * len(index)
-        for at, pw in mono:
+        for at, pw in _pairs(mono):
             e[index[at]] = pw
         out[tuple(e)] = c.numerator * (den // c.denominator)
     return out
@@ -857,20 +884,9 @@ def _prs_gcd(f: dict, g: dict) -> dict:
 
 def _exp_ratio(items_a: ExpItems, items_b: ExpItems) -> Fraction | None:
     """q with a == q * b, or None."""
-    if len(items_a) != len(items_b):
-        return None
-    da, db = dict(items_a), dict(items_b)
-    q = None
-    for m, cb in db.items():
-        ca = da.get(m)
-        if ca is None:
-            return None
-        r = _div(ca, cb)
-        if q is None:
-            q = r
-        elif q != r:
-            return None
-    return q
+    da = dict(items_a)
+    ratios = {_div(da[m], c) if m in da else None for m, c in items_b}
+    return ratios.pop() if len(items_a) == len(items_b) and len(ratios) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -887,10 +903,6 @@ class _ExpVar:
     def key(self) -> tuple:
         return (5, self.base.key, tuple((_mono_sort_key(m), c) for m, c in self.items))
 
-    @property
-    def slot(self) -> tuple:
-        return self.key
-
 
 def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
     """Shift exponential content per base coordinate and rewrite it as integer
@@ -905,13 +917,15 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
     incommensurate, the shifted polynomials are delocalized at once and reduce
     on ExpAtoms.  When nothing needs a shift and either some base is
     incommensurate or the denominator is a single term, the localized form
-    would not change the reduction, so the polynomials come back unconverted.
+    would not change the reduction, and when an _ExpVar power would pass
+    MAX_EXPONENT it cannot be built, so the polynomials come back unconverted.
     """
     gens: dict[Coord, ExpItems] = {}
     ratios: dict[ExpAtom, Fraction | None] = {}
+    exps = _EXPS
     for p in (num, den):
         for mono in p.terms:
-            for a, _ in mono:
+            for a, _ in _pairs(mono) if mono & exps else ():
                 if isinstance(a, ExpAtom) and a not in ratios:
                     gen = gens.get(a.base)
                     if gen is None:
@@ -930,8 +944,8 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
             scale[a.base] = math.lcm(scale[a.base], q.denominator)
     power = {a: int(q * scale[a.base]) for a, q in ratios.items() if a.base in scale}
 
-    def powers(mono: tuple) -> dict:
-        return {a.base: power[a] for a, _ in mono if isinstance(a, ExpAtom) and a in power}
+    def powers(mono: int) -> dict:
+        return {a.base: power[a] for a, _ in _pairs(mono) if isinstance(a, ExpAtom) and a in power}
 
     rows = [[(mono, c, powers(mono)) for mono, c in p.terms.items()] for p in (num, den)]
     low = {base: min(pw.get(base, 0) for rs in rows for _, _, pw in rs) for base in scale}
@@ -941,6 +955,9 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
         base: math.gcd(*(pw.get(base, 0) - k for rs in rows for _, _, pw in rs)) or 1
         for base, k in low.items()
     }
+    top = {base: max(pw.get(base, 0) for rs in rows for _, _, pw in rs) for base in low}
+    if any(top[base] - k > MAX_EXPONENT * step[base] for base, k in low.items()):
+        return num, den, False
     variables = {
         base: _ExpVar(base, tuple((m, _div(c * step[base], scale[base])) for m, c in gens[base]))
         for base in low
@@ -949,12 +966,9 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
     def convert(rs: list) -> Poly:
         out: dict = {}
         for mono, coeff, pw in rs:
-            pairs = [(a, e) for a, e in mono if not (isinstance(a, ExpAtom) and a in power)]
-            for base, var in variables.items():
-                k = (pw.get(base, 0) - low[base]) // step[base]
-                if k:
-                    pairs.append((var, k))
-            out[tuple(sorted(pairs, key=lambda ap: ap[0].key))] = coeff
+            pairs = [(a, e) for a, e in _pairs(mono) if not (isinstance(a, ExpAtom) and a in power)]
+            pairs += [(var, (pw.get(base, 0) - low[base]) // step[base]) for base, var in variables.items()]
+            out[_pack(pairs)] = coeff
         return Poly(out)
 
     num, den = convert(rows[0]), convert(rows[1])
@@ -965,18 +979,16 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
 
 def _delocalize_exps(p: Poly) -> Poly:
     """Rewrite each _ExpVar power as its ExpAtom.  A localized monomial holds
-    at most one _ExpVar per base, and its `i`, `s` powers are below 2, so the
-    pairs only need sorting."""
+    at most one _ExpVar per base, and its `i`, `s` powers are below 2, so
+    nothing folds or rewrites."""
     out: dict = {}
     for mono, coeff in p.terms.items():
         pairs = []
-        for a, pw in mono:
+        for a, pw in _pairs(mono):
             if isinstance(a, _ExpVar):
-                items = tuple((m, _q(c * pw)) for m, c in a.items)
-                pairs.append((ExpAtom(items, a.base), 1))
-            else:
-                pairs.append((a, pw))
-        out[tuple(sorted(pairs, key=lambda ap: ap[0].key))] = coeff
+                a, pw = ExpAtom(tuple((m, _q(c * pw)) for m, c in a.items), a.base), 1
+            pairs.append((a, pw))
+        out[_pack(pairs)] = coeff
     return Poly(out)
 
 
@@ -1235,7 +1247,7 @@ def _subs_poly(p: Poly, bindings: Mapping[Coord, Expr]) -> Expr:
     total = Expr.const(0)
     for mono, coeff in p.terms.items():
         term = Expr.const(coeff)
-        for atom, power in mono:
+        for atom, power in _pairs(mono):
             if isinstance(atom, ExpAtom):
                 exp_poly = atom.exponent()
                 touched = exp_poly.coords() & set(bindings)
@@ -1277,7 +1289,7 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
     def poly(p: Poly) -> str:
         terms = ["0.0"]
         for mono, coeff in p.terms.items():
-            factors = [factor(atom, power) for atom, power in mono]
+            factors = [factor(atom, power) for atom, power in _pairs(mono)]
             if coeff != 1 or not factors:
                 factors.insert(0, repr(float(coeff)))
             terms.append(" * ".join(factors))

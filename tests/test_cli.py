@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,50 @@ def test_malformed_config_shapes_are_usage_errors(tmp_path, command, config, mes
     expected = (2, "", f"error: {message}\n")
     assert run_cli(argv) == expected
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "g": "u^256"})), "exponent 256 of u exceeds 255"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "g": "(u+v+eta+u1+x+t)^20"})),
+         "a power 20 of 6 terms may exceed 10000 terms"),
+        (["build", "thm35"], _NESTED, "config nests too deeply"),
+        (["verify", "lemma31"], _NESTED, "config nests too deeply"),
+        (["lax", "check"], _NESTED, "config nests too deeply"),
+    ],
+    ids=["exponent-bound", "term-bound", "nested-build", "nested-lemma31", "nested-lax"],
+)
+def test_configs_past_a_bound_are_quick_usage_errors(tmp_path, command, text, message):
+    # rejected before anything is expanded: (u+v+eta+u1+x+t)^20 took 11 s
+    # and 53130 terms, and the nested file raised RecursionError
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    argv = [*command, "--config", str(path)]
+    start = time.perf_counter()
+    got = run_cli(argv)
+    assert time.perf_counter() - start < 0.1
+    fresh = _python("-m", "pssurf.cli", *argv)
+    expected = (2, "", f"error: {message}\n")
+    assert got == expected
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected
+
+
+def test_exponent_bound_broken_in_the_mathematics_exits_one(tmp_path):
+    # the config parses; the wedge products of the forms pass the bound
+    exprs = {**_FORMS_EXPRESSIONS, "f11": "u^200", "f22": "u^100"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"expressions": exprs}))
+    for command in (["verify", "lemma31"], ["lax", "check"]):
+        code, out, err = run_cli([*command, "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exponent ") and err.endswith(" exceeds 255\n")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "table", "csv"])

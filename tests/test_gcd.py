@@ -32,7 +32,7 @@ def _prs_gcd(a: Poly, b: Poly, monkeypatch) -> Poly:
 def _to_sympy(p: Poly, symbols: dict):
     terms = []
     for mono, c in p.terms.items():
-        factors = [symbols.setdefault(a, sympy.Symbol(f"a{len(symbols)}")) ** pw for a, pw in mono]
+        factors = [symbols.setdefault(a, sympy.Symbol(f"a{len(symbols)}")) ** pw for a, pw in K._pairs(mono)]
         terms.append(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*factors))
     return sympy.Add(*terms)
 

@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,6 +32,7 @@ import pytest
 
 from pssurf import chsym
 from pssurf.cli import main
+from pssurf import kernel as K
 from pssurf.kernel import parse
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +209,17 @@ def test_parse_outcomes_match_golden():
     for text, alias, jets in recorded:
         assert [parse_outcome(text, "alias"), parse_outcome(text, "jets")] == [alias, jets], text
     assert [entry[0] for entry in recorded] == parse_texts()
+
+
+def test_golden_exponents_are_at_most_half_the_bound():
+    # so that a later cut to the exponent bound cannot change a golden
+    # without this failing first
+    recorded = json.loads((GOLDEN / "parse_outcomes.json").read_text(encoding="utf-8"))
+    texts = [out for _, *outs in recorded for out in outs if "Error: " not in out]
+    texts += [(GOLDEN / f"{stem}.json").read_text(encoding="utf-8") for stem, _, _ in CASES]
+    exponents = [int(e) for text in texts for e in re.findall(r"\^(\d+)", text)]
+    assert len(texts) > 1400 and len(exponents) > 1600
+    assert max(exponents) <= K.MAX_EXPONENT // 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,16 @@
 """Kernel unit tests: grammar, canonical form, calculus, numeric evaluation."""
 
+import concurrent.futures
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -150,13 +157,13 @@ class TestCanonicalForm:
         e = parse("exp(eta*x)*exp(kk*z)")
         assert len(e.num.terms) == 1
         mono = next(iter(e.num.terms))
-        assert len(mono) == 2  # one exponential per base coordinate
+        assert len(K._pairs(mono)) == 2  # one exponential per base coordinate
 
     def test_exp_coefficients_after_reduction_are_canonical(self):
         # exp(x/2)^2 leaves fraction reduction as exp(x): its exponent's
         # coefficient is the int 1, as everywhere else, not Fraction(1, 1)
         e = parse("exp(x/2)^2/(exp(x/2) + 1)")
-        coeffs = [c for p in (e.num, e.den) for mono in p.terms for a, _ in mono for _, c in a.items]
+        coeffs = [c for p in (e.num, e.den) for mono in p.terms for a, _ in K._pairs(mono) for _, c in a.items]
         assert [(type(c), c) for c in coeffs] == [(int, 1), (Fraction, Fraction(1, 2))]
 
     def test_exp_fraction_canonical_across_routes(self):
@@ -466,6 +473,188 @@ def test_eval_diff_finite_difference_cross_check():
     assert checked > 150
 
 
+def _atom(text: str):
+    """The one atom of a parsed atom, such as "u" or "exp(x)"."""
+    ((atom, _),) = K._pairs(next(iter(parse(text).num.terms)))
+    return atom
+
+
+def _slot(atom) -> tuple:
+    """An atom's place in the tuple merge: its key, or for an exponential
+    its base's place, so two exponentials of one base meet."""
+    return (4, atom.base.key) if isinstance(atom, K.ExpAtom) else atom.key
+
+
+def _tuple_times(m1: tuple, m2: tuple) -> tuple:
+    """The tuple merge that packed monomials replaced, kept as their oracle:
+    (rational factor, monomial) of m1 * m2 for (atom, power) tuples sorted by
+    atom key.  It adds the powers of equal atoms, folds exponentials of one
+    base and rewrites i*i -> -1 and s*s -> 2; it has no exponent bound."""
+    factor, out = 1, []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (a1, p1), (a2, p2) = m1[i], m2[j]
+        if _slot(a1) < _slot(a2):
+            out.append(m1[i])
+            i += 1
+        elif _slot(a2) < _slot(a1):
+            out.append(m2[j])
+            j += 1
+        else:
+            i += 1
+            j += 1
+            if isinstance(a1, K.ExpAtom):
+                exponent = a1.exponent().add(a2.exponent())
+                if not exponent.is_zero():
+                    out.append((K._exp_atom(exponent), 1))
+                continue
+            p = p1 + p2
+            if a1 in (K.iunit, K.sqrt2):
+                factor *= (-1 if a1 is K.iunit else 2) ** (p // 2)
+                p %= 2
+                if not p:
+                    continue
+            out.append((a1, p))
+    return factor, (*out, *m1[i:], *m2[j:])
+
+
+class TestPackedMonomials:
+    """Packed products against the tuple merge, and the exponent and term
+    bounds."""
+
+    _PLAIN = ("u", "u1", "u3", "v", "v2", "eta", "theta", "x")
+    _EXPS = ("exp(x)", "exp(2*x)", "exp(eta*x - x)", "exp(eta*x)", "exp(t)", "exp(2*t)", "exp(z)")
+
+    def _random_mono(self, rng: random.Random) -> tuple:
+        """(atom, power) pairs in key order: jets, parameters and x at powers
+        up to the bound, i and s, and at most one exponential per base."""
+        pairs = [(_atom(a), rng.choice((1, 2, 3, 7, 100, 127, 128, 200, 254, 255)))
+                 for a in rng.sample(self._PLAIN, rng.randint(0, 3))]
+        pairs += [(_atom(a), 1) for a in ("i", "s") if rng.random() < 0.4]
+        bases = set()
+        for a in map(_atom, rng.sample(self._EXPS, rng.randint(0, 2))):
+            if a.base not in bases:
+                bases.add(a.base)
+                pairs.append((a, 1))
+        return tuple(sorted(pairs, key=lambda ap: ap[0].key))
+
+    def test_packed_product_matches_the_tuple_merge(self):
+        rng = random.Random(255)
+        seen = {"plain": 0, "rewrite": 0, "fold": 0, "over": 0}
+        for _ in range(3000):
+            t1, t2 = self._random_mono(rng), self._random_mono(rng)
+            factor, want = _tuple_times(t1, t2)
+            m1, m2 = K._pack(t1), K._pack(t2)
+            assert K._pairs(m1) == t1
+            if any(p > K.MAX_EXPONENT for _, p in want):
+                seen["over"] += 1
+                with pytest.raises(K.BoundError):
+                    K._mono_times(m1, m2)
+                with pytest.raises(K.BoundError):
+                    K.Poly({m1: 1}).mul(K.Poly({m2: 3}))
+                continue
+            got_factor, got = K._mono_times(m1, m2)
+            assert (got_factor, K._pairs(got)) == (factor, want)
+            assert K.Poly({m1: 1}).mul(K.Poly({m2: 3})).terms == {got: 3 * factor}
+            folds = {a.base for a, _ in t1 if isinstance(a, K.ExpAtom)} & {
+                a.base for a, _ in t2 if isinstance(a, K.ExpAtom)}
+            seen["fold" if folds else "rewrite" if factor != 1 else "plain"] += 1
+        assert min(seen.values()) > 200, seen
+
+    def test_quotient_and_common_part_are_field_wise(self):
+        rng = random.Random(9)
+        divides = 0
+        for _ in range(1000):
+            t1, t2 = self._random_mono(rng), self._random_mono(rng)
+            if rng.random() < 0.3:  # a multiple of t1
+                t2 = tuple((a, p if p == 1 else rng.randint(p, 255)) for a, p in t1)
+            p1, p2 = dict(t1), dict(t2)
+            m1, m2 = K._pack(t1), K._pack(t2)
+            common = {a: min(p, p2[a]) for a, p in t1 if a in p2}
+            assert dict(K._pairs(K._mono_min(m1, m2))) == common
+            quo = K._mono_quo(m2, m1)
+            if all(p2.get(a, 0) >= p for a, p in t1):
+                divides += 1
+                assert dict(K._pairs(quo)) == {a: p - p1.get(a, 0) for a, p in t2 if p != p1.get(a, 0)}
+            else:
+                assert quo is None
+        assert divides > 200
+
+    def test_exponent_bound(self):
+        assert str(parse("u^255")) == "u^255"
+        assert str(parse("(u^85)^3*v^255")) == "u^255*v^255"
+        for text in ("u^256", "u^200*u^100", "(u^200)^2", "(u + v^128)^2", "u^255*u", "1/u^256"):
+            with pytest.raises(K.BoundError):
+                parse(text)
+        # i, s and exponentials do not grow their fields
+        assert parse("i^1001") == parse("i") and parse("s^256") == 2**128
+        assert parse("exp(x)^300") == parse("exp(300*x)")
+
+    def test_exponential_powers_past_the_bound_reduce_on_the_exponentials(self):
+        # exp(255*x) is power 255 of the stand-in for exp(x), which fits
+        assert parse("(exp(255*x) - 1)/(exp(x) - 1)") == sum(parse(f"exp({k}*x)") for k in range(255))
+        # power 300 does not, so these reduce on the exponentials themselves
+        assert str(parse("exp(300*x)/(exp(x) + u)")) == "(exp(300*x))/(u + exp(x))"
+        e = parse("(exp(300*x) - 1)/(exp(x) - 1)")
+        assert (e * parse("exp(x) - 1") - parse("exp(300*x) - 1")).is_zero()
+
+    def test_term_bound(self):
+        # (u+v+eta+u1+x+t)^20 would make C(25, 20) = 53130 terms
+        start = time.perf_counter()
+        with pytest.raises(K.BoundError, match="terms"):
+            parse("(u+v+eta+u1+x+t)^20")
+        assert time.perf_counter() - start < 0.1
+        # three terms to the power k may make C(k + 2, 2) terms
+        assert math.comb(141, 2) <= K.MAX_TERMS < math.comb(142, 2)
+        assert len(parse("(1 + i + s)^139").num.terms) == 4
+        with pytest.raises(K.BoundError, match="terms"):
+            parse("(1 + i + s)^140")
+        assert len(parse("(u + 1)^255").num.terms) == 256
+
+    def test_interning_from_threads_gives_each_atom_one_field(self):
+        # each thread builds products of exponentials no other code has used,
+        # so their atoms are interned concurrently
+        texts = [f"exp({k}*kk*z) * exp(theta*z) * u{k % 12 + 1}" for k in range(7, 407)]
+
+        def build(part: list) -> list:
+            return [parse(t) for t in part]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                parts = pool.map(build, [texts[k::4] for k in range(4)], timeout=60)
+                built = [e for part in parts for e in part]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(K._SHIFTS.values()) == [K._FIELD * k for k in range(len(K._ATOMS))]
+        assert all(K._SHIFTS[a] == K._FIELD * k for k, a in enumerate(K._ATOMS))
+        assert sorted(map(str, built)) == sorted(str(parse(t)) for t in texts)
+
+    def test_pickle_across_interning_orders(self, tmp_path):
+        # the child interns atoms in another order before it unpickles, and
+        # sends back a product it pickled itself
+        text = "u1*eta*exp(eta*x)/(v + 2) + 1/2 + theta*exp(-t)"
+        e = parse(text)
+        sent, received = tmp_path / "sent.pickle", tmp_path / "received.pickle"
+        sent.write_bytes(pickle.dumps(e))
+        child = textwrap.dedent(f"""
+            import pickle
+            from pssurf.kernel import parse
+            parse("n7 + m5 + kk + exp(3*z) + theta*exp(-t) + u1*v + exp(eta*x)", mn_mode="jets")
+            e = pickle.loads(open({str(sent)!r}, "rb").read())
+            again = parse({text!r})
+            print(e, "|", e == again, hash(e) == hash(again))
+            open({str(received)!r}, "wb").write(pickle.dumps(again * e))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(K.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout == f"{e} | True True\n"
+        back = pickle.loads(received.read_bytes())
+        assert back == e * e and hash(back) == hash(e * e) and str(back) == str(e * e)
+
+
 class TestProductFolds:
     """Each rewrite a monomial product performs, and the coefficient rule."""
 
@@ -485,7 +674,7 @@ class TestProductFolds:
         assert prod == parse("u*v*exp((eta+1)*x)*exp(-z)")
         assert prod == Expr.atom(K.u(0)) * K.v(0) * Expr.exp(parse("(eta+1)*x")) * Expr.exp(parse("-z"))
         assert len(prod.num.terms) == 1
-        assert len(next(iter(prod.num.terms))) == 3  # v, u, one exp per base
+        assert len(K._pairs(next(iter(prod.num.terms)))) == 3  # v, u, one exp per base
         assert (prod * parse("exp(-eta*x)*exp(z)") - parse("u*v*exp(x)")).is_zero()
 
     def test_commensurate_exponential_fraction(self):
@@ -514,26 +703,26 @@ class TestProductFolds:
     def test_mul_matches_the_rational_double_loop(self):
         # the integer loop over cleared denominators against the plain loop
         # on rationals: the same terms in the same order, of the same classes
-        atoms = [next(iter(parse(t).num.terms))[0] for t in ("u", "v1", "eta", "i", "s")]
-        atoms += [next(iter(parse(t).num.terms))[0] for t in ("exp(x)", "exp(2*x)", "exp(eta*x)")]
+        atoms = [_atom(t) for t in ("u", "v1", "eta", "i", "s", "exp(x)", "exp(2*x)", "exp(eta*x)")]
         rng = random.Random(31)
 
         def random_poly() -> K.Poly:
             terms: dict = {}
             for _ in range(rng.randint(1, 6)):
-                mono = K._ONE_MONO
+                mono = ()
                 for a in rng.sample(atoms, rng.randint(0, 3)):
-                    mono = K._mono_mul(mono, (a,))[1]
+                    mono = _tuple_times(mono, ((a, 1),))[1]
                 c = K._q(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6, 9))))
                 if c:
-                    terms[mono] = c
+                    terms[K._pack(mono)] = c
             return K.Poly(terms)
 
         def reference(p: K.Poly, q: K.Poly) -> dict:
             out: dict = {}
             for m1, c1 in p.terms.items():
                 for m2, c2 in q.terms.items():
-                    factor, mono = K._mono_mul(m1, m2)
+                    factor, mono = _tuple_times(K._pairs(m1), K._pairs(m2))
+                    mono = K._pack(mono)
                     nc = out.get(mono, 0) + c1 * c2 * factor
                     if nc:
                         out[mono] = K._q(Fraction(nc))

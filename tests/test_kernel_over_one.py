@@ -23,8 +23,11 @@ from pathlib import Path
 
 from pssurf import kernel as K
 from pssurf.kernel import Expr, Poly, parse
+from test_kernel import _tuple_times
 
 # -- oracle: the plain loops, each product and sum through full construction --
+# Monomials are decoded to (atom, power) tuples, multiplied by the tuple merge
+# and packed again.
 
 
 def _old_add(a: Poly, b: Poly) -> Poly:
@@ -44,7 +47,8 @@ def _old_mul(a: Poly, b: Poly) -> Poly:
     out: dict = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            factor, mono = K._mono_mul(m1, m2)
+            factor, mono = _tuple_times(K._pairs(m1), K._pairs(m2))
+            mono = K._pack(mono)
             nc = out.get(mono, 0) + c1 * c2 * factor
             if nc:
                 out[mono] = nc if nc.__class__ is int else K._q(nc)
@@ -54,7 +58,7 @@ def _old_mul(a: Poly, b: Poly) -> Poly:
 
 
 def _old_pow(p: Poly, n: int) -> Poly:
-    result, base = Poly({(): 1}), p
+    result, base = Poly({K._pack(()): 1}), p
     while n:
         if n & 1:
             result = _old_mul(result, base)
@@ -65,18 +69,19 @@ def _old_pow(p: Poly, n: int) -> Poly:
 
 def _old_diff(p: Poly, c) -> Poly:
     out = Poly.zero()
-    for mono, coeff in p.terms.items():
+    for packed, coeff in p.terms.items():
+        mono = K._pairs(packed)
         for idx, (atom, power) in enumerate(mono):
             if isinstance(atom, K.Coord):
                 if atom is not c:
                     continue
                 lower = ((atom, power - 1),) if power > 1 else ()
-                out = _old_add(out, Poly({mono[:idx] + lower + mono[idx + 1 :]: coeff * power}))
+                out = _old_add(out, Poly({K._pack(mono[:idx] + lower + mono[idx + 1 :]): coeff * power}))
             else:
                 dexp = _old_diff(atom.exponent(), c)
                 if dexp.is_zero():
                     continue
-                out = _old_add(out, _old_mul(dexp, Poly({mono: coeff})))
+                out = _old_add(out, _old_mul(dexp, Poly({packed: coeff})))
     return out
 
 
@@ -97,7 +102,7 @@ def _old_derive(e: Expr, images: dict) -> Expr:
         weight = functools.reduce(_old_mul, others, image.num)
         Dn = _old_add(Dn, _old_mul(weight, dn))
         Dd = _old_add(Dd, _old_mul(weight, dd))
-    common = functools.reduce(_old_mul, dens, Poly({(): 1}))
+    common = functools.reduce(_old_mul, dens, Poly({K._pack(()): 1}))
     if d.is_const():
         return Expr(Dn, _old_mul(d, common))
     return Expr(_old_add(_old_mul(Dn, d), _old_mul(n, Dd).neg()), _old_mul(_old_mul(d, d), common))
@@ -116,7 +121,7 @@ def _full_mul(a: Expr, b: Expr) -> Expr:
 
 
 def _items(p: Poly) -> list:
-    return [(m, c, type(c)) for m, c in p.terms.items()]
+    return [(K._pairs(m), c, type(c)) for m, c in p.terms.items()]
 
 
 def _assert_same(got: Expr, want: Expr, context) -> None:
@@ -216,7 +221,7 @@ def test_sums_products_and_powers_over_one_match_full_construction():
 def test_cancelling_sum_over_one_is_canonical_zero():
     a = parse("exp(x) + eta*u")
     zero = a - a
-    assert zero.num.terms == {} and zero.den.terms == {(): 1}
+    assert _items(zero.num) == [] and _items(zero.den) == [((), 1, int)]
     assert zero == K.ZERO and hash(zero) == hash(K.ZERO)
     assert (a * K.ZERO).num.terms == {}
 
@@ -310,6 +315,24 @@ def test_shortcuts_match_full_construction():
 # -- heap division against the leading-term loop --------------------------------
 
 
+def _tuple_quo(packed2: int, packed1: int) -> int | None:
+    """m2 / m1 on decoded tuples, or None when m1 does not divide m2 (exp
+    atoms must match exactly)."""
+    m2, m1 = K._pairs(packed2), K._pairs(packed1)
+    out = []
+    j, n1 = 0, len(m1)
+    for a, p in m2:
+        if j < n1 and m1[j][0] == a:
+            p -= m1[j][1]
+            j += 1
+            if p < 0:
+                return None
+            if not p:
+                continue
+        out.append((a, p))
+    return K._pack(out) if j == n1 else None
+
+
 def _old_poly_div(a: Poly, b: Poly) -> Poly | None:
     """The division loop the heap replaced: each step scans the remainder for
     its leading term and subtracts a fresh product."""
@@ -321,7 +344,7 @@ def _old_poly_div(a: Poly, b: Poly) -> Poly | None:
         ((b_mono, b_coeff),) = b.terms.items()
         quo = {}
         for m, c in a.terms.items():
-            if (q_mono := K._mono_div(m, b_mono)) is None:
+            if (q_mono := _tuple_quo(m, b_mono)) is None:
                 return None
             quo[q_mono] = c
         return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
@@ -330,7 +353,7 @@ def _old_poly_div(a: Poly, b: Poly) -> Poly | None:
     rem = a
     while not rem.is_zero():
         r_mono, r_coeff = rem.leading()
-        if (q_mono := K._mono_div(r_mono, b_mono)) is None:
+        if (q_mono := _tuple_quo(r_mono, b_mono)) is None:
             return None
         q_coeff = K._div(r_coeff, b_coeff)
         quo[q_mono] = K._q(quo.get(q_mono, 0) + q_coeff)
