@@ -9,7 +9,8 @@ factors exp(q * c), with q a polynomial in parameters and c a single
 coordinate, are opaque atoms that merge by exponent addition.
 
 Representation: a coefficient is an int when integral and a Fraction
-otherwise.  Coordinates are interned and compare and hash by identity.  A
+otherwise.  Parsing, powers and printing hold a number to MAX_DIGITS digits;
+a product is not checked.  Coordinates are interned and compare and hash by identity.  A
 monomial is one int with a 9-bit field per atom, in the order atoms are
 first used: 8 exponent bits and a guard bit.  A product is `m1 + m2`; one
 mask test (the guard bits, bit 1 of the `i` and `s` fields, which hold 0 or
@@ -25,11 +26,14 @@ polynomial factor (gcd-reduced), exponential content is shifted so that the
 minimal exponent multiple over both is zero, and the denominator is scaled to
 a primitive integer polynomial whose leading coefficient is positive.  Two
 special parameters carry rewrite rules, applied in the product and nowhere
-else: i*i -> -1 and s*s -> 2.  The gcd is GCDHEU on integer polynomials over
+else: i*i -> -1 and s*s -> 2.  The gcd first splits off the atoms that occur
+in one operand only: it is the gcd of the operands' coefficients, as
+polynomials in the shared atoms, of their monomials in the one-sided ones.
+Operands with equal atom sets go to GCDHEU on integer polynomials over
 exponent tuples, with a primitive PRS on the same polynomials as the
-fallback; both take `i`, `s` and localized exponentials as free atoms, so
-the reduced form does not depend on which one finished, and a factor they
-find divides exactly under the rewrites.  Arithmetic whose result is
+fallback; all of these take `i`, `s` and localized exponentials as free
+atoms, so the reduced form does not depend on which path finished, and a
+factor they find divides exactly under the rewrites.  Arithmetic whose result is
 canonical by construction skips normalization: sums and products over 1,
 adding zero, the first power, and scaling by a nonzero constant, which
 changes neither the gcd, the exponential shift nor the denominator's content.
@@ -54,6 +58,7 @@ from typing import Callable, Iterable, Mapping
 MAX_JET_ORDER = 12
 MAX_EXPONENT = 255
 MAX_TERMS = 10_000
+MAX_DIGITS = 300
 EPS_DIV_DEFAULT = 1e-12
 
 KIND_INDEP = "indep"
@@ -103,8 +108,11 @@ class UnsupportedExponentError(KernelError):
 
 
 class BoundError(KernelError):
-    """A monomial exponent above MAX_EXPONENT, or a power that may expand to
-    more than MAX_TERMS terms."""
+    """A monomial exponent above MAX_EXPONENT, a power that may expand to
+    more than MAX_TERMS terms, or a coefficient with more than MAX_DIGITS
+    digits in its numerator or denominator.  Below that bound a coefficient
+    converts to a finite float and prints far inside the interpreter's
+    limit on int-to-string conversion."""
 
 
 class DomainError(ValueError):
@@ -314,6 +322,8 @@ def _shift(atom) -> int:
 # of their fields
 _REWRITE_FIELDS = tuple((_shift(a), sq) for a, sq in _REWRITES.items())
 _SQUARES = sum(2 << sh for sh, _ in _REWRITE_FIELDS)
+_S_SHIFT = _SHIFTS[param("s")]
+_DIGITS_LIMIT = 10 ** MAX_DIGITS
 
 
 def _pack(pairs: Iterable) -> int:
@@ -504,13 +514,33 @@ class Poly:
         return Poly({m: _div(k, c) for m, k in self.terms.items()})
 
     def pow(self, n: int) -> "Poly":
-        """self ** n by repeated squaring.  A polynomial of k terms to the
-        power n may have C(k + n - 1, n) terms; above MAX_TERMS that raises
-        BoundError before anything is expanded."""
+        """self ** n by repeated squaring, raising BoundError before anything
+        is expanded when the power may pass a bound: k terms may make
+        C(k + n - 1, n) terms, an atom's largest power p makes p * n (`i`,
+        `s` and exponentials do not grow), and with coefficients a_j / d in
+        lowest common terms a coefficient's numerator is at most
+        (w * sum |a_j|) ** n and its denominator d ** n, where w = 2 when a
+        term holds `s` (|s| < 2 covers s*s -> 2) and 1 otherwise."""
         if n < 0:
             raise KernelError("negative power on a polynomial")
-        if n > 1 and math.comb(len(self.terms) + n - 1, n) > MAX_TERMS:
-            raise BoundError(f"a power {n} of {len(self.terms)} terms may exceed {MAX_TERMS} terms")
+        terms = self.terms
+        if n > 1:
+            if math.comb(len(terms) + n - 1, n) > MAX_TERMS:
+                raise BoundError(f"a power {n} of {len(terms)} terms may exceed {MAX_TERMS} terms")
+            # a field of the union of the monomials is at least each power
+            union = functools.reduce(operator.or_, terms, 0)
+            for a, p in _pairs(union):
+                if p * n > MAX_EXPONENT and not isinstance(a, ExpAtom) and a not in _REWRITES:
+                    sh = _SHIFTS[a]
+                    if (top := n * max(m >> sh & 0xFF for m in terms)) > MAX_EXPONENT:
+                        raise BoundError(f"exponent {top} of {a} exceeds {MAX_EXPONENT}")
+            # an int sum means int coefficients
+            size, d = sum(map(abs, terms.values())), 1
+            if size.__class__ is not int:
+                d, cleared = _cleared(terms)
+                size = sum(abs(c) for _, c in cleared)
+            if n * math.log10(max(size << (union >> _S_SHIFT & 1), d)) > MAX_DIGITS:
+                raise BoundError(f"a power {n} may have coefficients of more than {MAX_DIGITS} digits")
         result = Poly.const(1)
         base = self
         while n:
@@ -582,6 +612,8 @@ class Poly:
                 atom_strs.append(a if power == 1 else f"{a}^{power}")
             body = "*".join(atom_strs)
             mag = abs(coeff)
+            if mag.numerator >= _DIGITS_LIMIT or mag.denominator >= _DIGITS_LIMIT:
+                raise BoundError(f"a coefficient has more than {MAX_DIGITS} digits")
             if not body:
                 chunk = str(mag)
             elif mag == 1:
@@ -691,15 +723,29 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd, up to a rational unit, computed on integer polynomials
-    with `i`, `s` and each `_ExpVar` as free atoms: GCDHEU, with the
-    primitive PRS as the fallback when no evaluation point gives a gcd.
+    """Primitive gcd, up to a rational unit, with `i`, `s` and each `_ExpVar`
+    as free atoms, scaled to a positive `_mono_order`-leading coefficient.
 
     Exponential atoms are not free polynomial generators (their powers fold
     into the exponent), so once the common monomial part is stripped, any
     remaining exponential forces the conservative answer: only the monomial
     factor is cancelled.
+
+    A common factor h holds only atoms that occur in both operands.  Over
+    Z[shared atoms] the monomials in the other atoms are linearly
+    independent, so h divides a exactly when it divides each of a's parts:
+    the coefficients, polynomials in the shared atoms, of each monomial in
+    a's one-sided atoms.  So the gcd is the gcd of all the parts of a and b,
+    and only operands with equal atom sets reach the integer polynomials:
+    GCDHEU, with the primitive PRS as the fallback when no evaluation point
+    gives a gcd.
     """
+    return _gcd(a, b)
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """`poly_gcd`, recursing on itself, so that a reduction enters the public
+    name once."""
     if a.is_zero():
         return b
     if b.is_zero():
@@ -711,12 +757,29 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a = Poly({m - ma: c for m, c in a.terms.items()})
     b = Poly({m - mb: c for m, c in b.terms.items()})
     atoms_a, atoms_b = a.atoms(), b.atoms()
-    if not atoms_a & atoms_b or any(isinstance(at, ExpAtom) for at in atoms_a | atoms_b):
+    shared = atoms_a & atoms_b
+    if not shared or any(isinstance(at, ExpAtom) for at in atoms_a | atoms_b):
         return Poly({common_mono: 1})
-    atoms = sorted(atoms_a | atoms_b, key=lambda at: at.key)
-    index = {at: k for k, at in enumerate(atoms)}
-    h = _int_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
-    core = Poly({_pack((atoms[k], e) for k, e in enumerate(m)): c for m, c in h.items()})
+    if atoms_a != atoms_b:
+        # group each operand's terms by their fields of one-sided atoms; a
+        # group's part keeps the shared fields of its terms
+        mask = sum(0xFF << _SHIFTS[at] for at in shared)
+        parts: list = []
+        for p in (a, b):
+            side: dict = {}
+            for m, c in p.terms.items():
+                side.setdefault(m & ~mask, {})[m & mask] = c
+            parts += map(Poly, side.values())
+        core, *rest = sorted(parts, key=lambda q: len(q.terms))
+        for p in rest:
+            if core.is_const():
+                break
+            core = _gcd(core, p)
+    else:
+        atoms = sorted(atoms_a, key=lambda at: at.key)
+        index = {at: k for k, at in enumerate(atoms)}
+        h = _int_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
+        core = Poly({_pack((atoms[k], e) for k, e in enumerate(m)): c for m, c in h.items()})
     core = core.divide(core.content())
     return core.mul(Poly({common_mono: 1})) if common_mono else core
 
@@ -1350,12 +1413,19 @@ _BASE_NAMES: dict[str, Coord] = {
 }
 
 
+def _decimal(digits: str, offset: int) -> int:
+    """The value of a run of decimal digits, at most MAX_DIGITS of them."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"a number of {len(digits)} digits exceeds {MAX_DIGITS} digits", offset)
+    return int(digits)
+
+
 def _identifier_expr(name: str, mn_mode: str, offset: int) -> Expr:
     if name in _BASE_NAMES:
         return Expr.atom(_BASE_NAMES[name])
     if name[0] in "uvmn" and (len(name) == 1 or name[1:].isdecimal()):
         base = name[0]
-        order = int(name[1:]) if len(name) > 1 else 0
+        order = _decimal(name[1:], offset + 1) if len(name) > 1 else 0
         if not 1 <= order <= MAX_JET_ORDER and len(name) > 1:
             raise UnknownIdentifierError(name, offset)
         if base in "uv" or mn_mode == "jets":
@@ -1453,14 +1523,14 @@ def parse(text: str, mn_mode: str = "alias") -> Expr:
             raise ParseError("expected integer exponent", offset)
         for _ in range(opened):
             expect(")")
-        return sign * int(tok)
+        return sign * _decimal(tok, offset)
 
     def parse_atom() -> Expr:
         tok, offset = toks.pop()
         if tok == "(":
             return parse_group(offset)
         if tok.isdecimal():
-            return Expr.const(int(tok))
+            return Expr.const(_decimal(tok, offset))
         if not tok[:1].isalpha():
             raise ParseError("expected expression", offset)
         if tok == "exp":

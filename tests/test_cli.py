@@ -186,15 +186,33 @@ _NESTED = "[" * 100_000 + "]" * 100_000
         (["build", "thm35"], json.dumps(_thm35_config(expressions={
             **_thm35_config()["expressions"], "g": "(u+v+eta+u1+x+t)^20"})),
          "a power 20 of 6 terms may exceed 10000 terms"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "g": "u^99999999999999999999"})),
+         "exponent 99999999999999999999 of u exceeds 255"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "9" * 5000})),
+         "a number of 5000 digits exceeds 300 digits (at byte 0)"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "u1^" + "9" * 5000})),
+         "a number of 5000 digits exceeds 300 digits (at byte 3)"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "3^100000*u1 + v"})),
+         "a power 100000 may have coefficients of more than 300 digits"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "3^1000000000"})),
+         "a power 1000000000 may have coefficients of more than 300 digits"),
         (["build", "thm35"], _NESTED, "config nests too deeply"),
         (["verify", "lemma31"], _NESTED, "config nests too deeply"),
         (["lax", "check"], _NESTED, "config nests too deeply"),
     ],
-    ids=["exponent-bound", "term-bound", "nested-build", "nested-lemma31", "nested-lax"],
+    ids=["exponent-bound", "term-bound", "huge-exponent", "long-literal", "long-exponent",
+         "constant-power", "constant-power-huge", "nested-build", "nested-lemma31", "nested-lax"],
 )
 def test_configs_past_a_bound_are_quick_usage_errors(tmp_path, command, text, message):
     # rejected before anything is expanded: (u+v+eta+u1+x+t)^20 took 11 s
-    # and 53130 terms, and the nested file raised RecursionError
+    # and 53130 terms, 3^1000000 took 0.15 s, the nested file raised
+    # RecursionError and a 5000-digit number raised the interpreter's
+    # ValueError on int-from-string
     path = tmp_path / "config.json"
     path.write_text(text)
     argv = [*command, "--config", str(path)]
@@ -217,6 +235,22 @@ def test_exponent_bound_broken_in_the_mathematics_exits_one(tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: exponent ") and err.endswith(" exceeds 255\n")
         assert err.count("\n") == 1
+
+
+def test_coefficient_bound_broken_in_the_mathematics_exits_one(tmp_path):
+    # each form parses under the digit bound; the wedge products print a
+    # coefficient 10^598, past it
+    exprs = {**_FORMS_EXPRESSIONS, "f11": "10^299*u", "f22": "10^299*u"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"expressions": exprs}))
+    argv = ["verify", "lemma31", "--config", str(path)]
+    start = time.perf_counter()
+    got = run_cli(argv)
+    assert time.perf_counter() - start < 0.1
+    fresh = _python("-m", "pssurf.cli", *argv)
+    expected = (1, "", "error: a coefficient has more than 300 digits\n")
+    assert got == expected
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "table", "csv"])

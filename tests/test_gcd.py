@@ -8,6 +8,7 @@ exponentials included, as a plain Symbol.  Both kernel paths compute on the
 same integer polynomials, so they must give the same bytes.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -133,6 +134,110 @@ def test_localized_exponential_pairs_agree_with_prs_and_sympy(monkeypatch):
         localized += is_localized
         nontrivial += not _check_gcd(num, den, Poly.const(1), monkeypatch).is_const()
     assert localized >= 12 and nontrivial >= 12
+
+
+def _whole_ring_gcd(a: Poly, b: Poly) -> Poly:
+    """The gcd on integer polynomials over every atom of both operands at
+    once, normalized as ``poly_gcd`` normalizes: for operands of two terms
+    or more, with at least one atom in common and no exponential."""
+    ma, mb = (functools.reduce(K._mono_min, p.terms) for p in (a, b))
+    a, b = (Poly({m - mp: c for m, c in p.terms.items()}) for p, mp in ((a, ma), (b, mb)))
+    atoms = sorted(a.atoms() | b.atoms(), key=lambda at: at.key)
+    index = {at: k for k, at in enumerate(atoms)}
+    h = K._int_gcd(K._to_int_poly(a, index), K._to_int_poly(b, index))
+    core = Poly({K._pack((atoms[k], e) for k, e in enumerate(m)): c for m, c in h.items()})
+    return core.divide(core.content()).mul(Poly({K._mono_min(ma, mb): 1}))
+
+
+_SHARED = [K.u(0), K.v(0), K.eta]
+_ONE_SIDED = [K.u(1), K.x, K.t, K.param("i"), K.param("s")]
+
+
+def _one_sided_pairs(seed: int, count: int):
+    """(a, b, G) with a and b each G times a sum of parts times distinct
+    monomials in its own atoms, drawn from u1, x, t, i and s: on one side,
+    on the other or on both.  G and the parts are over u, v and eta, and
+    every part but one also holds a decoy factor D, so the gcd is G only
+    when every part enters it.  i and s are never on both sides, so no
+    product squares them and G divides a and b in the free ring."""
+    rng = random.Random(seed)
+    while count:
+        own: tuple = ([], [])
+        for at in rng.sample(_ONE_SIDED, rng.randint(1, 3)):
+            for side in rng.choice(((0,), (1,), (0, 1))):
+                own[side].append(at)
+        if set(own[0]) & set(own[1]) & set(_ROOTS):
+            continue
+        g, d = (_random_poly(rng, rng.sample(_SHARED, rng.randint(1, 3)), rng.randint(2, 3)) for _ in "gd")
+        monos = [list(dict.fromkeys(next(iter(_random_poly(rng, atoms, 1).terms)) for _ in range(3)))
+                 for atoms in own]
+        skip = rng.randrange(sum(map(len, monos)))
+        sums, k = [], 0
+        for side in monos:
+            total = Poly.zero()
+            for mono in side:
+                part = _random_poly(rng, rng.sample(_SHARED, rng.randint(1, 3)), rng.randint(1, 3))
+                total = total.add(Poly({mono: 1}).mul(part).mul(d if k != skip else Poly.const(1)))
+                k += 1
+            sums.append(g.mul(total))
+        a, b = sums
+        if min(len(p.terms) for p in (a, b)) < 2 or a.atoms() == b.atoms():
+            continue
+        count -= 1
+        yield a, b, g
+
+
+def test_gcd_over_shared_atoms_equals_the_whole_ring_gcd(monkeypatch):
+    # a common factor holds only atoms of both operands, so the gcd of the
+    # parts over the shared atoms is the gcd over every atom, term for term
+    # and in the same insertion order
+    nontrivial = 0
+    for k, (a, b, g) in enumerate(_one_sided_pairs(17, 60)):
+        got = K.poly_gcd(a, b)
+        assert list(got.terms.items()) == list(_whole_ring_gcd(a, b).terms.items()), (str(a), str(b))
+        nontrivial += not got.is_const()
+        if k % 4 == 0:
+            _check_gcd(a, b, g, monkeypatch)
+    assert nontrivial >= 50
+
+
+def test_localized_exponentials_on_one_side_split_like_atoms(monkeypatch):
+    # the stand-in for exp(t/2) or exp(-t) occurs in one operand only
+    rng = random.Random(23)
+    split = 0
+    for _ in range(20):
+        g, a = (parse(_exp_poly_text(rng, rng.randint(2, 3))) for _ in range(2))
+        b = parse(" + ".join(f"{rng.choice([-2, 1, 3])}*{rng.choice(['u', 'v', 'exp(eta*x)'])}" for _ in range(2)))
+        num, den, localized = K._localize_exps(g.num.mul(a.num), g.num.mul(b.num))
+        if not localized or min(len(num.terms), len(den.terms)) < 2 or num.atoms() == den.atoms():
+            continue
+        split += 1
+        got = K.poly_gcd(num, den)
+        assert list(got.terms.items()) == list(_whole_ring_gcd(num, den).terms.items())
+        _check_gcd(num, den, None, monkeypatch)
+    assert split >= 8
+
+
+def test_exponential_on_one_side_cancels_only_the_monomial_content():
+    # exponentials of one base fold into each other, so they are not free
+    # atoms: the factor u + v is not split off, only the common u
+    a = parse("u*(u+v)*(v + exp(x))").num
+    b = parse("u*(u+v)*(v + 1)").num
+    assert K.poly_gcd(a, b) == Poly.atom(K.u(0))
+
+
+def test_a_reduction_enters_poly_gcd_once(monkeypatch):
+    # the split recurses through a private helper, so a tracer that wraps
+    # the module's poly_gcd counts one call per reduction
+    num = parse("(u+v)*(u*x + eta*x^2 + 3)").num
+    den = parse("(u+v)*(u1*v + 2*u1 - eta)").num
+    calls, inner = [], []
+    outer, helper = K.poly_gcd, K._gcd
+    monkeypatch.setattr(K, "poly_gcd", lambda a, b: calls.append(1) or outer(a, b))
+    monkeypatch.setattr(K, "_gcd", lambda a, b: inner.append(1) or helper(a, b))
+    e = K.Expr(num, den)
+    assert str(e) == "(x^2*eta + x*u + 3)/(u1*v + 2*u1 - eta)"
+    assert len(calls) == 1 and len(inner) > 2
 
 
 def test_prs_fallback_takes_over_when_no_point_is_tried(monkeypatch):

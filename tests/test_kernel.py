@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -589,6 +590,32 @@ class TestPackedMonomials:
         # i, s and exponentials do not grow their fields
         assert parse("i^1001") == parse("i") and parse("s^256") == 2**128
         assert parse("exp(x)^300") == parse("exp(300*x)")
+        # the power names the exponent it would make, not the first square
+        # past the bound
+        for text, message in (("u^99999999999999999999", "exponent 99999999999999999999 of u"),
+                              ("(u*v^2 + u1)^150", "exponent 300 of v"), ("(u^3)^86", "exponent 258 of u")):
+            with pytest.raises(K.BoundError, match=re.escape(message)):
+                parse(text)
+
+    def test_digit_bound(self):
+        start = time.perf_counter()
+        for text, byte in (("9" * 5000, 0), ("u^" + "9" * 5000, 2), ("u" + "1" * 400, 1),
+                           ("2*" + "0" * 301, 2)):
+            with pytest.raises(K.ParseError, match=re.escape(f"digits exceeds 300 digits (at byte {byte})")):
+                parse(text)
+        # 3^628 has 300 digits, 3^629 301, s^n holds 2^(n/2)
+        for text in ("3^629", "3^1000000000", "(u/7 + 1/3)^240", "s^2000", "(9 + s)^300"):
+            with pytest.raises(K.BoundError, match="more than 300 digits"):
+                parse(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(parse("9" * 300)) == "9" * 300
+        assert str(parse("u^" + "0" * 299 + "7")) == "u^7"
+        assert parse("3^628") == 3**628 and len(parse("(u/7 + 1/3)^200").num.terms) == 201
+        # a product is not checked; printing it is
+        big = parse("10^299*u") * parse("10^299*v")
+        with pytest.raises(K.BoundError, match="a coefficient has more than 300 digits"):
+            str(big)
+        assert str(parse("(10^299 - 1)*u")) == "9" * 299 + "*u"
 
     def test_exponential_powers_past_the_bound_reduce_on_the_exponentials(self):
         # exp(255*x) is power 255 of the stand-in for exp(x), which fits
