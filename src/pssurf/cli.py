@@ -38,7 +38,7 @@ from .classify import (
 )
 from .forms import AssociatedForms, check_lemma31
 from .jetcalc import PdeSystem
-from .kernel import MAX_JET_ORDER, DomainError, Expr, KernelError, parse
+from .kernel import MAX_DIGITS, MAX_JET_ORDER, DomainError, Expr, KernelError, parse
 from .laxzoo import from_forms, mat_is_zero, mat_strings, zero_curvature_residual
 
 USAGE_ERROR = 2
@@ -81,10 +81,18 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
+def _config_int(literal: str) -> int:
+    """A JSON integer literal of at most MAX_DIGITS digits, checked before
+    int() meets the interpreter's own limit."""
+    if len(literal.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"config number has more than {MAX_DIGITS} digits")
+    return int(literal)
+
+
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return _shaped(json.load(fh), dict, "config")
+            return _shaped(json.load(fh, parse_int=_config_int), dict, "config")
         except RecursionError:
             raise ValueError("config nests too deeply") from None
 

@@ -8,18 +8,19 @@ and named parameters (eta, delta, eps, u0, kk, theta, ...).  Exponential
 factors exp(q * c), with q a polynomial in parameters and c a single
 coordinate, are opaque atoms that merge by exponent addition.
 
-Representation: a coefficient is an int when integral and a Fraction
-otherwise.  Parsing, powers and printing hold a number to MAX_DIGITS digits;
-a product is not checked.  Coordinates are interned and compare and hash by identity.  A
-monomial is one int with a 9-bit field per atom, in the order atoms are
-first used: 8 exponent bits and a guard bit.  A product is `m1 + m2`; one
-mask test (the guard bits, bit 1 of the `i` and `s` fields, which hold 0 or
-1, and an exponential on both sides) sends it to the slow path, which
-applies the rewrites, folds exponentials of one base and rejects an
-exponent above MAX_EXPONENT.  Each monomial's (atom, power) pairs and sort
-key are decoded once per int; terms are ordered graded lexicographically,
-atoms with a smaller key most significant.  A product of polynomials
-clears each operand's denominators once and multiplies ints.
+Representation: a polynomial is int coefficients over one positive int
+`den` in lowest terms (zero over 1), so arithmetic adds and multiplies ints
+and reduces once per result; a Fraction appears only at the API edge and in
+exponent coefficients.  Parsing (each product and quotient too), powers and
+printing hold a number to MAX_DIGITS digits.  Coordinates are interned and
+compare and hash by identity.  A monomial is one int with a 9-bit field per
+atom, in the order atoms are first used: 8 exponent bits and a guard bit.
+A product is `m1 + m2`; one mask test (the guard bits, bit 1 of the `i` and
+`s` fields, which hold 0 or 1, and an exponential on both sides) sends it
+to the slow path, which applies the rewrites, folds exponentials of one
+base and rejects an exponent above MAX_EXPONENT.  Each monomial's (atom,
+power) pairs and sort key are decoded once per int; terms are ordered
+graded lexicographically, atoms with a smaller key most significant.
 
 Canonical form: numerator and denominator are fully expanded, share no
 polynomial factor (gcd-reduced), exponential content is shifted so that the
@@ -196,17 +197,13 @@ def dep(name: str) -> Coord:
 _REWRITES = {param("i"): -1, param("s"): 2}
 
 
-def _q(c):
-    """The one form of a rational coefficient: an int when it is integral,
-    a Fraction otherwise."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _div(a, b):
-    """a / b for rationals, in the form `_q` gives."""
+    """a / b for rationals in the one form of an exponent coefficient: an
+    int when it is integral, a Fraction otherwise."""
     if a.__class__ is int and b.__class__ is int and not a % b:
         return a // b
-    return _q(Fraction(a, b))
+    c = Fraction(a, b)
+    return c.numerator if c.denominator == 1 else c
 
 
 # exponent polynomials are stored as canonical item tuples:
@@ -236,13 +233,15 @@ class ExpAtom:
         return self._hash
 
     def __reduce__(self):
-        return _exp_atom, (self.exponent(),)
+        return _exp_atom, (self.exponent,)
 
+    @functools.cached_property
     def exponent(self) -> "Poly":
-        return Poly(dict(self.items))
+        d = math.lcm(*(c.denominator for _, c in self.items))
+        return Poly({m: c.numerator * (d // c.denominator) for m, c in self.items}, d)
 
     def __str__(self) -> str:
-        return f"exp({Poly(dict(self.items))})"
+        return f"exp({self.exponent})"
 
     __repr__ = __str__
 
@@ -271,12 +270,8 @@ def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
             base = a
         elif base != a:
             raise UnsupportedExponentError("exponent mentions more than one coordinate")
-    return _exp_of(items_poly.terms, base)
-
-
-def _exp_of(terms: dict, base: Coord) -> ExpAtom:
-    """The ExpAtom with the nonzero exponent terms {monomial: coeff}."""
-    return ExpAtom(tuple(sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))), base)
+    items = ((m, _div(c, items_poly.den)) for m, c in items_poly.terms.items())
+    return ExpAtom(tuple(sorted(items, key=lambda kv: _mono_sort_key(kv[0]))), base)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +400,8 @@ def _mono_times(m1: int, m2: int) -> tuple[int, int]:
 @functools.cache
 def _fold_change(a: ExpAtom, b: ExpAtom) -> int:
     """What folding exp(a) * exp(b), of one base, adds to a monomial."""
-    acc = dict(a.items)
-    for m, c in b.items:
-        if nc := acc.get(m, 0) + c:
-            acc[m] = _q(nc)
-        else:
-            del acc[m]
-    folded = 1 << _shift(_exp_of(acc, a.base)) if acc else 0
-    return folded - (1 << _SHIFTS[a]) - (1 << _SHIFTS[b])
+    folded = _exp_atom(a.exponent.add(b.exponent))
+    return (1 << _shift(folded) if folded else 0) - (1 << _SHIFTS[a]) - (1 << _SHIFTS[b])
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +410,25 @@ def _fold_change(a: ExpAtom, b: ExpAtom) -> int:
 
 
 class Poly:
-    """Multivariate polynomial {packed monomial: int or Fraction coefficient};
-    `eval` and `compile_numeric` sum terms in insertion order, so every
-    operation keeps the term order of the plain term-by-term loop it stands
-    for.  A pickle carries each monomial as (atom, power) pairs.
+    """Multivariate polynomial {packed monomial: int} / den, in lowest terms:
+    gcd(den, every coefficient) = 1.  `eval` and `compile_numeric` sum terms
+    in insertion order, so every operation keeps the term order of the plain
+    term-by-term loop on rationals it stands for; a partial sum scaled by a
+    positive int is zero exactly when the rational one is.  A pickle carries
+    `den` and each monomial as (atom, power) pairs.
 
     A Poly is never mutated after construction, so values are shared: `mul`
     by the constant 1 returns the other operand itself.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, den: int = 1):
         self.terms = terms
+        self.den = den
 
     def __reduce__(self):
-        return _unpickle_poly, (tuple((_pairs(m), c) for m, c in self.terms.items()),)
+        return _unpickle_poly, (tuple((_pairs(m), c) for m, c in self.terms.items()), self.den)
 
     @staticmethod
     def zero() -> "Poly":
@@ -444,9 +436,8 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        if c.__class__ is not int:
-            c = _q(Fraction(c))
-        return Poly({_ONE_MONO: c} if c else {})
+        c = c if c.__class__ is int else Fraction(c)
+        return Poly({_ONE_MONO: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def atom(a) -> "Poly":
@@ -459,21 +450,21 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
     def const_value(self) -> int | Fraction:
-        return self.terms.get(_ONE_MONO, 0)
+        c = self.terms.get(_ONE_MONO, 0)
+        return c if self.den == 1 else Fraction(c, self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def add(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        _add_into(out, other.terms)
-        return Poly(out)
+        return _reduced(out, _add_into(out, self.den, other.terms, other.den))
 
     def neg(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()}, self.den)
 
     def sub(self, other: "Poly") -> "Poly":
         return self.add(other.neg())
@@ -482,17 +473,14 @@ class Poly:
         if other.is_const():
             self, other = other, self
         if self.is_const():
-            c = self.const_value()
-            if c == 1:
-                return other
-            return Poly({m: _q(k * c) for m, k in other.terms.items()} if c else {})
-        # da * db times each partial sum is an int that is zero exactly when
-        # the sum is, so the loop pops and inserts as the rational one would
-        da, a = _cleared(self.terms)
-        db, b = _cleared(other.terms)
+            if not self.terms:
+                return self
+            c = self.terms[_ONE_MONO]
+            return other if c == 1 == self.den else other.scale(c, self.den)
         out: dict = {}
         flag, exps = _GUARDS | _SQUARES, _EXPS
-        for m1, c1 in a:
+        b = other.terms.items()
+        for m1, c1 in self.terms.items():
             e1 = m1 & exps
             for m2, c2 in b:
                 mono = m1 + m2
@@ -504,14 +492,17 @@ class Poly:
                     out[mono] = nc
                 else:
                     out.pop(mono, None)
-        d = da * db
-        if d != 1:
-            out = {m: _div(k, d) for m, k in out.items()}
-        return Poly(out)
+        return _reduced(out, self.den * other.den)
+
+    def scale(self, p: int, q: int) -> "Poly":
+        """self * p / q for nonzero ints p and q."""
+        if q < 0:
+            p, q = -p, -q
+        return _reduced({m: c * p for m, c in self.terms.items()}, self.den * q)
 
     def divide(self, c) -> "Poly":
         """self / c for a nonzero rational c."""
-        return Poly({m: _div(k, c) for m, k in self.terms.items()})
+        return self.scale(c.denominator, c.numerator)
 
     def pow(self, n: int) -> "Poly":
         """self ** n by repeated squaring, raising BoundError before anything
@@ -534,12 +525,8 @@ class Poly:
                     sh = _SHIFTS[a]
                     if (top := n * max(m >> sh & 0xFF for m in terms)) > MAX_EXPONENT:
                         raise BoundError(f"exponent {top} of {a} exceeds {MAX_EXPONENT}")
-            # an int sum means int coefficients
-            size, d = sum(map(abs, terms.values())), 1
-            if size.__class__ is not int:
-                d, cleared = _cleared(terms)
-                size = sum(abs(c) for _, c in cleared)
-            if n * math.log10(max(size << (union >> _S_SHIFT & 1), d)) > MAX_DIGITS:
+            size = sum(map(abs, terms.values())) << (union >> _S_SHIFT & 1)
+            if n * math.log10(max(size, self.den)) > MAX_DIGITS:
                 raise BoundError(f"a power {n} may have coefficients of more than {MAX_DIGITS} digits")
         result = Poly.const(1)
         base = self
@@ -553,17 +540,18 @@ class Poly:
     def diff(self, c: Coord) -> "Poly":
         # a coordinate sorts before every exponential, so its term goes first
         out: dict = {}
+        den = self.den
         sh = _SHIFTS.get(c)
         exps = _EXPS
         for mono, coeff in self.terms.items():
             if sh is not None and (power := mono >> sh & 0xFF):
-                _add_into(out, {mono - (1 << sh): coeff * power})
+                den = _add_into(out, den, {mono - (1 << sh): coeff * power}, self.den)
             if mono & exps:
                 for atom, _ in _pairs(mono):
                     if isinstance(atom, ExpAtom):
-                        dexp = atom.exponent().diff(c)
-                        _add_into(out, dexp.mul(Poly({mono: coeff})).terms)
-        return Poly(out)
+                        term = atom.exponent.diff(c).mul(Poly({mono: coeff}, self.den))
+                        den = _add_into(out, den, term.terms, term.den)
+        return _reduced(out, den)
 
     def atoms(self) -> set:
         # a field is nonzero in the union of the monomials where it is in one
@@ -574,25 +562,26 @@ class Poly:
         holds its base)."""
         out = set()
         for a in self.atoms():
-            out |= {a} if isinstance(a, Coord) else a.exponent().coords()
+            out |= {a} if isinstance(a, Coord) else a.exponent.coords()
         return out
 
-    def leading(self) -> tuple[int, int | Fraction]:
+    def leading(self) -> tuple[int, int]:
+        """(monomial, int coefficient over `den`) of the leading term."""
         mono = min(self.terms, key=_mono_order)
         return mono, self.terms[mono]
 
-    def content(self) -> int | Fraction:
-        """Positive rational content (gcd of coefficient numerators over lcm
-        of denominators), signed by the leading coefficient."""
-        coeffs = self.terms.values()
-        content = _div(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
-        _, lead = self.leading()
-        return -content if lead < 0 else content
+    def content(self) -> tuple[int, int]:
+        """(p, q) with p / q the rational content in lowest terms: the gcd of
+        the coefficients over `den`, signed by the leading coefficient."""
+        g = math.gcd(*self.terms.values())
+        return (-g if self.leading()[1] < 0 else g), self.den
 
     def eval(self, value_of: Callable) -> float:
+        # int true division is correctly rounded, as float(Fraction) is
         total = 0.0
+        den = self.den
         for mono, coeff in self.terms.items():
-            term = float(coeff)
+            term = coeff / den
             for atom, power in _pairs(mono):
                 term *= value_of(atom) ** power
             total += term
@@ -611,12 +600,11 @@ class Poly:
                 a = str(atom)
                 atom_strs.append(a if power == 1 else f"{a}^{power}")
             body = "*".join(atom_strs)
-            mag = abs(coeff)
-            if mag.numerator >= _DIGITS_LIMIT or mag.denominator >= _DIGITS_LIMIT:
-                raise BoundError(f"a coefficient has more than {MAX_DIGITS} digits")
+            num, d = _held(coeff, self.den)
+            mag = str(num) if d == 1 else f"{num}/{d}"
             if not body:
-                chunk = str(mag)
-            elif mag == 1:
+                chunk = mag
+            elif mag == "1":
                 chunk = body
             else:
                 chunk = f"{mag}*{body}"
@@ -630,31 +618,43 @@ class Poly:
         return f"Poly({self})"
 
 
-def _add_into(out: dict, terms: dict) -> None:
-    """Add the terms {monomial: coefficient} into `out` in place, in their
-    order: a new monomial goes last and a cancelled one leaves."""
+def _reduced(terms: dict, den: int) -> Poly:
+    """The Poly terms / den in lowest terms, in the order of `terms`."""
+    if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        den //= g
+    return Poly(terms, den)
+
+
+def _add_into(out: dict, den: int, terms: dict, tden: int) -> int:
+    """Add terms / tden into out / den in place, in their order: a new
+    monomial goes last and a cancelled one leaves.  Returns the common
+    denominator that `out` is now over, not reduced."""
+    common = math.lcm(den, tden)
+    if common != den:
+        for m in out:
+            out[m] *= common // den
+    k = common // tden
     for m, c in terms.items():
-        nc = out.get(m, 0) + c
-        if nc:
-            out[m] = nc if nc.__class__ is int else _q(nc)
+        if nc := out.get(m, 0) + c * k:
+            out[m] = nc
         else:
-            out.pop(m, None)
+            del out[m]
+    return common
 
 
-def _cleared(terms: dict) -> tuple[int, Iterable]:
-    """(d, [(monomial, d * coefficient), ...]) with d the least common
-    denominator of the coefficients, so every product is an int."""
-    d = 1
-    for c in terms.values():
-        if c.__class__ is not int:
-            d = math.lcm(d, c.denominator)
-    if d == 1:
-        return 1, terms.items()
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+def _held(c: int, den: int) -> tuple[int, int]:
+    """(|numerator|, denominator) of c / den in lowest terms; BoundError when
+    either has more than MAX_DIGITS digits."""
+    g = math.gcd(c, den)
+    num, d = abs(c) // g, den // g
+    if num >= _DIGITS_LIMIT or d >= _DIGITS_LIMIT:
+        raise BoundError(f"a coefficient has more than {MAX_DIGITS} digits")
+    return num, d
 
 
-def _unpickle_poly(items: tuple) -> Poly:
-    return Poly({_pack(pairs): c for pairs, c in items})
+def _unpickle_poly(items: tuple, den: int) -> Poly:
+    return Poly({_pack(pairs): c for pairs, c in items}, den)
 
 
 _POLY_ONE = Poly.const(1)
@@ -674,11 +674,12 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
 
 def _poly_div(a: Poly, b: Poly) -> Poly | None:
     """a / b under the rewrites by leading terms; None when that leaves a
-    remainder.  The remainder is one dict updated in place, and its leading
-    monomial comes from a heap of (`_mono_order`, monomial) entries: a
-    monomial is pushed only when not queued, so no two entries tie, and one
-    that has cancelled is dropped when it surfaces.  So the heap yields the
-    monomial `leading()` would pick, at every step."""
+    remainder.  On a's and b's ints A and B, A * d = B * quo + rem, scaled by
+    the part of b's leading coefficient that a quotient term lacks.  The
+    remainder's leading monomial comes from a heap of (`_mono_order`,
+    monomial) entries: a monomial is pushed only when not queued, so no two
+    entries tie, and one that has cancelled is dropped when it surfaces.  So
+    the heap yields the monomial `leading()` would pick, at every step."""
     if b.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
     if a.is_zero():
@@ -690,11 +691,13 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
             if (q_mono := _mono_quo(m, b_mono)) is None:
                 return None
             quo[q_mono] = c
-        return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
+        quo = Poly(quo, a.den)
+        return quo if b_coeff == b.den else quo.scale(b.den, b_coeff)
     b_mono, b_coeff = b.leading()
     tail = [(m, c) for m, c in b.terms.items() if m != b_mono]
     quo: dict = {}
     rem = dict(a.terms)
+    d = 1
     heap = [(_mono_order(m), m) for m in rem]
     heapq.heapify(heap)
     queued = set(rem)
@@ -705,21 +708,24 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
             continue
         if (q_mono := _mono_quo(r_mono, b_mono)) is None:
             return None
-        q_coeff = _div(r_coeff, b_coeff)
-        quo[q_mono] = _q(quo.get(q_mono, 0) + q_coeff)
+        if (k := abs(b_coeff) // math.gcd(r_coeff, b_coeff)) != 1:
+            rem, quo = ({m: c * k for m, c in part.items()} for part in (rem, quo))
+            r_coeff, d = r_coeff * k, d * k
+        q_coeff = r_coeff // b_coeff
+        quo[q_mono] = quo.get(q_mono, 0) + q_coeff
         for m, c in tail:
             try:
                 factor, mono = _mono_times(m, q_mono)
             except BoundError:  # b times an exact quotient has no exponent above a's
                 return None
             if nc := rem.get(mono, 0) - q_coeff * c * factor:
-                rem[mono] = _q(nc)
+                rem[mono] = nc
                 if mono not in queued:
                     queued.add(mono)
                     heapq.heappush(heap, (_mono_order(mono), mono))
             else:
                 del rem[mono]
-    return Poly({m: c for m, c in quo.items() if c})
+    return _reduced({m: c * b.den for m, c in quo.items() if c}, d * a.den)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -754,8 +760,8 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     common_mono = _mono_min(ma, mb)
     if len(a.terms) == 1 or len(b.terms) == 1:
         return Poly({common_mono: 1})
-    a = Poly({m - ma: c for m, c in a.terms.items()})
-    b = Poly({m - mb: c for m, c in b.terms.items()})
+    a = Poly({m - ma: c for m, c in a.terms.items()}, a.den)
+    b = Poly({m - mb: c for m, c in b.terms.items()}, b.den)
     atoms_a, atoms_b = a.atoms(), b.atoms()
     shared = atoms_a & atoms_b
     if not shared or any(isinstance(at, ExpAtom) for at in atoms_a | atoms_b):
@@ -769,7 +775,7 @@ def _gcd(a: Poly, b: Poly) -> Poly:
             side: dict = {}
             for m, c in p.terms.items():
                 side.setdefault(m & ~mask, {})[m & mask] = c
-            parts += map(Poly, side.values())
+            parts += (_reduced(terms, p.den) for terms in side.values())
         core, *rest = sorted(parts, key=lambda q: len(q.terms))
         for p in rest:
             if core.is_const():
@@ -780,7 +786,8 @@ def _gcd(a: Poly, b: Poly) -> Poly:
         index = {at: k for k, at in enumerate(atoms)}
         h = _int_gcd(_to_int_poly(a, index), _to_int_poly(b, index))
         core = Poly({_pack((atoms[k], e) for k, e in enumerate(m)): c for m, c in h.items()})
-    core = core.divide(core.content())
+    g, _ = core.content()
+    core = Poly({m: c // g for m, c in core.terms.items()})
     return core.mul(Poly({common_mono: 1})) if common_mono else core
 
 
@@ -794,14 +801,13 @@ _HEU_ATTEMPTS = 6
 
 
 def _to_int_poly(p: Poly, index: dict) -> dict:
-    """p times the lcm of its denominators, over exponent tuples by `index`."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    """p times its `den`, over exponent tuples by `index`."""
     out = {}
     for mono, c in p.terms.items():
         e = [0] * len(index)
         for at, pw in _pairs(mono):
             e[index[at]] = pw
-        out[tuple(e)] = c.numerator * (den // c.denominator)
+        out[tuple(e)] = c
     return out
 
 
@@ -945,10 +951,16 @@ def _prs_gcd(f: dict, g: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _exp_ratio(items_a: ExpItems, items_b: ExpItems) -> Fraction | None:
-    """q with a == q * b, or None."""
+def _exp_ratio(items_a: ExpItems, items_b: ExpItems) -> tuple[int, int] | None:
+    """(p, r) in lowest terms with r > 0 and a == p / r * b, or None."""
     da = dict(items_a)
-    ratios = {_div(da[m], c) if m in da else None for m, c in items_b}
+    ratios = set()
+    for m, c in items_b:
+        if m not in da:
+            return None
+        p, r = da[m].numerator * c.denominator, da[m].denominator * c.numerator
+        g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
+        ratios.add((p // g, r // g))
     return ratios.pop() if len(items_a) == len(items_b) and len(ratios) == 1 else None
 
 
@@ -984,7 +996,7 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
     MAX_EXPONENT it cannot be built, so the polynomials come back unconverted.
     """
     gens: dict[Coord, ExpItems] = {}
-    ratios: dict[ExpAtom, Fraction | None] = {}
+    ratios: dict[ExpAtom, tuple[int, int] | None] = {}
     exps = _EXPS
     for p in (num, den):
         for mono in p.terms:
@@ -1004,8 +1016,8 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
     scale = {base: 1 for base in gens if base not in skew}
     for a, q in ratios.items():
         if a.base in scale:
-            scale[a.base] = math.lcm(scale[a.base], q.denominator)
-    power = {a: int(q * scale[a.base]) for a, q in ratios.items() if a.base in scale}
+            scale[a.base] = math.lcm(scale[a.base], q[1])
+    power = {a: q[0] * scale[a.base] // q[1] for a, q in ratios.items() if a.base in scale}
 
     def powers(mono: int) -> dict:
         return {a.base: power[a] for a, _ in _pairs(mono) if isinstance(a, ExpAtom) and a in power}
@@ -1026,15 +1038,15 @@ def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
         for base in low
     }
 
-    def convert(rs: list) -> Poly:
+    def convert(rs: list, d: int) -> Poly:
         out: dict = {}
         for mono, coeff, pw in rs:
             pairs = [(a, e) for a, e in _pairs(mono) if not (isinstance(a, ExpAtom) and a in power)]
             pairs += [(var, (pw.get(base, 0) - low[base]) // step[base]) for base, var in variables.items()]
             out[_pack(pairs)] = coeff
-        return Poly(out)
+        return Poly(out, d)
 
-    num, den = convert(rows[0]), convert(rows[1])
+    num, den = convert(rows[0], num.den), convert(rows[1], den.den)
     if skew:
         return _delocalize_exps(num), _delocalize_exps(den), False
     return num, den, True
@@ -1049,10 +1061,10 @@ def _delocalize_exps(p: Poly) -> Poly:
         pairs = []
         for a, pw in _pairs(mono):
             if isinstance(a, _ExpVar):
-                a, pw = ExpAtom(tuple((m, _q(c * pw)) for m, c in a.items), a.base), 1
+                a, pw = ExpAtom(tuple((m, _div(c * pw, 1)) for m, c in a.items), a.base), 1
             pairs.append((a, pw))
         out[_pack(pairs)] = coeff
-    return Poly(out)
+    return Poly(out, p.den)
 
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -1105,10 +1117,10 @@ class Expr:
             num, den = _reduce_fraction(num, den)
         if localized:
             num, den = _delocalize_exps(num), _delocalize_exps(den)
-        c = den.content()
-        if c != 1:
-            num = num.divide(c)
-            den = den.divide(c)
+        g, d = den.content()
+        if g != 1 or d != 1:
+            num = num.scale(d, g)
+            den = Poly({m: c // g for m, c in den.terms.items()})
         self.num = num
         self.den = den
 
@@ -1189,7 +1201,8 @@ class Expr:
         if other.num.is_zero():
             raise DivisionByZeroError("division by zero expression")
         if other.is_const():
-            return Expr(self.num.divide(other.num.const_value()), self.den, _normalized=True)
+            c = other.num
+            return Expr(self.num.scale(c.den, c.terms[_ONE_MONO]), self.den, _normalized=True)
         return Expr(self.num.mul(other.den), self.den.mul(other.num))
 
     def __rtruediv__(self, other) -> "Expr":
@@ -1257,12 +1270,14 @@ class Expr:
                 dens.append(image.den)
         dn_terms: dict = {}
         dd_terms: dict = {}
+        dn_den = dd_den = 1
         for image, dn, dd in parts:
             others = [q for q in dens if q != image.den]
             weight = functools.reduce(Poly.mul, others, image.num)
-            _add_into(dn_terms, weight.mul(dn).terms)
-            _add_into(dd_terms, weight.mul(dd).terms)
-        Dn, Dd = Poly(dn_terms), Poly(dd_terms)
+            dn, dd = weight.mul(dn), weight.mul(dd)
+            dn_den = _add_into(dn_terms, dn_den, dn.terms, dn.den)
+            dd_den = _add_into(dd_terms, dd_den, dd.terms, dd.den)
+        Dn, Dd = _reduced(dn_terms, dn_den), _reduced(dd_terms, dd_den)
         common = functools.reduce(Poly.mul, dens, _POLY_ONE)
         if d.is_const():
             return Expr(Dn, d.mul(common))
@@ -1285,7 +1300,7 @@ class Expr:
     def eval(self, point: Mapping[Coord, float]) -> float:
         def value_of(atom):
             if isinstance(atom, ExpAtom):
-                return math.exp(atom.exponent().eval(value_of))
+                return math.exp(atom.exponent.eval(value_of))
             if atom not in point:
                 raise UnboundCoordinateError(atom)
             return float(point[atom])
@@ -1309,10 +1324,10 @@ class Expr:
 def _subs_poly(p: Poly, bindings: Mapping[Coord, Expr]) -> Expr:
     total = Expr.const(0)
     for mono, coeff in p.terms.items():
-        term = Expr.const(coeff)
+        term = Expr._over_one(_reduced({_ONE_MONO: coeff}, p.den))
         for atom, power in _pairs(mono):
             if isinstance(atom, ExpAtom):
-                exp_poly = atom.exponent()
+                exp_poly = atom.exponent
                 touched = exp_poly.coords() & set(bindings)
                 if touched:
                     new_exp = _subs_poly(exp_poly, {c: bindings[c] for c in touched})
@@ -1342,7 +1357,7 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
 
     def factor(atom, power: int) -> str:
         if isinstance(atom, ExpAtom):
-            base = f"_exp({poly(atom.exponent())})"
+            base = f"_exp({poly(atom.exponent)})"
         elif atom in names:
             base = names[atom]
         else:
@@ -1353,8 +1368,8 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
         terms = ["0.0"]
         for mono, coeff in p.terms.items():
             factors = [factor(atom, power) for atom, power in _pairs(mono)]
-            if coeff != 1 or not factors:
-                factors.insert(0, repr(float(coeff)))
+            if coeff != p.den or not factors:
+                factors.insert(0, repr(coeff / p.den))
             terms.append(" * ".join(factors))
         return " + ".join(terms)
 
@@ -1491,6 +1506,10 @@ def parse(text: str, mn_mode: str = "alias") -> Expr:
                 node = node * parse_factor()
             else:
                 node = node / parse_factor()
+            # hold the coefficients a product of constants grows, as printing does
+            for q in (node.num, node.den):
+                for c in q.terms.values():
+                    _held(c, q.den)
         return node
 
     def parse_factor() -> Expr:

@@ -178,6 +178,12 @@ def test_malformed_config_shapes_are_usage_errors(tmp_path, command, config, mes
 _NESTED = "[" * 100_000 + "]" * 100_000
 
 
+def _with_long_number(config: dict) -> str:
+    """The config as JSON text, its "LONG" string replaced by a 5000-digit
+    number, which json.dumps itself cannot write."""
+    return json.dumps(config).replace('"LONG"', "9" * 5000)
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -201,18 +207,29 @@ _NESTED = "[" * 100_000 + "]" * 100_000
         (["build", "thm35"], json.dumps(_thm35_config(expressions={
             **_thm35_config()["expressions"], "L": "3^1000000000"})),
          "a power 1000000000 may have coefficients of more than 300 digits"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "*".join(["3^628"] * 1600)})),
+         "a coefficient has more than 300 digits"),
         (["build", "thm35"], _NESTED, "config nests too deeply"),
         (["verify", "lemma31"], _NESTED, "config nests too deeply"),
         (["lax", "check"], _NESTED, "config nests too deeply"),
+        (["build", "thm35"], _with_long_number(_thm35_config(params={"m": "LONG"})),
+         "config number has more than 300 digits"),
+        (["verify", "lemma31"], _with_long_number({"expressions": _FORMS_EXPRESSIONS, "params": {"delta": "LONG"}}),
+         "config number has more than 300 digits"),
+        (["lax", "check"], _with_long_number({"example": "mch-type", "params": {"delta": "LONG"}}),
+         "config number has more than 300 digits"),
     ],
     ids=["exponent-bound", "term-bound", "huge-exponent", "long-literal", "long-exponent",
-         "constant-power", "constant-power-huge", "nested-build", "nested-lemma31", "nested-lax"],
+         "constant-power", "constant-power-huge", "constant-product", "nested-build", "nested-lemma31",
+         "nested-lax", "long-number-build", "long-number-lemma31", "long-number-lax"],
 )
 def test_configs_past_a_bound_are_quick_usage_errors(tmp_path, command, text, message):
     # rejected before anything is expanded: (u+v+eta+u1+x+t)^20 took 11 s
-    # and 53130 terms, 3^1000000 took 0.15 s, the nested file raised
-    # RecursionError and a 5000-digit number raised the interpreter's
-    # ValueError on int-from-string
+    # and 53130 terms, 3^1000000 took 0.15 s, a product of 1600 factors
+    # 3^628 took 1.9 s and exited 1, the nested file raised RecursionError,
+    # and a 5000-digit number raised the interpreter's ValueError on
+    # int-from-string, in an expression or as a config number
     path = tmp_path / "config.json"
     path.write_text(text)
     argv = [*command, "--config", str(path)]

@@ -34,7 +34,7 @@ def _to_sympy(p: Poly, symbols: dict):
     terms = []
     for mono, c in p.terms.items():
         factors = [symbols.setdefault(a, sympy.Symbol(f"a{len(symbols)}")) ** pw for a, pw in K._pairs(mono)]
-        terms.append(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*factors))
+        terms.append(sympy.Rational(c, p.den) * sympy.Mul(*factors))
     return sympy.Add(*terms)
 
 
@@ -141,12 +141,12 @@ def _whole_ring_gcd(a: Poly, b: Poly) -> Poly:
     once, normalized as ``poly_gcd`` normalizes: for operands of two terms
     or more, with at least one atom in common and no exponential."""
     ma, mb = (functools.reduce(K._mono_min, p.terms) for p in (a, b))
-    a, b = (Poly({m - mp: c for m, c in p.terms.items()}) for p, mp in ((a, ma), (b, mb)))
+    a, b = (Poly({m - mp: c for m, c in p.terms.items()}, p.den) for p, mp in ((a, ma), (b, mb)))
     atoms = sorted(a.atoms() | b.atoms(), key=lambda at: at.key)
     index = {at: k for k, at in enumerate(atoms)}
     h = K._int_gcd(K._to_int_poly(a, index), K._to_int_poly(b, index))
     core = Poly({K._pack((atoms[k], e) for k, e in enumerate(m)): c for m, c in h.items()})
-    return core.divide(core.content()).mul(Poly({K._mono_min(ma, mb): 1}))
+    return core.divide(Fraction(*core.content())).mul(Poly({K._mono_min(ma, mb): 1}))
 
 
 _SHARED = [K.u(0), K.v(0), K.eta]

@@ -486,6 +486,24 @@ def _slot(atom) -> tuple:
     return (4, atom.base.key) if isinstance(atom, K.ExpAtom) else atom.key
 
 
+def _rational_poly(terms: dict) -> K.Poly:
+    """The Poly of {monomial: rational}, over the least common denominator."""
+    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return K.Poly({m: int(c * den) for m, c in terms.items()}, den)
+
+
+def _rationals(p: K.Poly) -> list:
+    """p's terms as (monomial, Fraction) pairs, in insertion order."""
+    return [(m, Fraction(c, p.den)) for m, c in p.terms.items()]
+
+
+def _assert_lowest_terms(p: K.Poly) -> None:
+    """int coefficients over a positive int den sharing no factor with all of
+    them; zero over 1."""
+    assert all(type(c) is int and c for c in p.terms.values()), p
+    assert type(p.den) is int and p.den >= 1 and math.gcd(p.den, *p.terms.values()) == 1, p
+
+
 def _tuple_times(m1: tuple, m2: tuple) -> tuple:
     """The tuple merge that packed monomials replaced, kept as their oracle:
     (rational factor, monomial) of m1 * m2 for (atom, power) tuples sorted by
@@ -505,7 +523,7 @@ def _tuple_times(m1: tuple, m2: tuple) -> tuple:
             i += 1
             j += 1
             if isinstance(a1, K.ExpAtom):
-                exponent = a1.exponent().add(a2.exponent())
+                exponent = a1.exponent.add(a2.exponent)
                 if not exponent.is_zero():
                     out.append((K._exp_atom(exponent), 1))
                 continue
@@ -611,7 +629,12 @@ class TestPackedMonomials:
         assert str(parse("9" * 300)) == "9" * 300
         assert str(parse("u^" + "0" * 299 + "7")) == "u^7"
         assert parse("3^628") == 3**628 and len(parse("(u/7 + 1/3)^200").num.terms) == 201
-        # a product is not checked; printing it is
+        # parse holds its products and quotients to the bound as printing
+        # does; a product built outside parse is checked when printed
+        for text in ("3^628*3", "3^628*3^628*3^628", "1/3^628/3", "u/3^628*v/3"):
+            with pytest.raises(K.BoundError, match="a coefficient has more than 300 digits"):
+                parse(text)
+        assert str(parse("3^628*u/3")) == str(3**627) + "*u"
         big = parse("10^299*u") * parse("10^299*v")
         with pytest.raises(K.BoundError, match="a coefficient has more than 300 digits"):
             str(big)
@@ -710,7 +733,7 @@ class TestProductFolds:
         e = parse("(exp(3*eta*x) - u^3)/(exp(eta*x) - u)")
         assert e == parse("exp(2*eta*x) + u*exp(eta*x) + u^2")
 
-    def test_coefficients_are_int_unless_fractional(self):
+    def test_coefficients_are_ints_over_a_reduced_denominator(self):
         rng = random.Random(5)
         exprs = [
             parse("3/4*u + 2"),
@@ -722,14 +745,18 @@ class TestProductFolds:
             parse("u^3/(2*v)").diff(K.u(0)),
         ]
         exprs += [_random_expr(rng) / (1 + _random_expr(rng) ** 2) for _ in range(40)]
+        fractional = 0
         for e in exprs:
-            for c in [*e.num.terms.values(), *e.den.terms.values()]:
-                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, c)
-            assert all(type(c) is int for c in e.den.terms.values()), e
+            _assert_lowest_terms(e.num)
+            _assert_lowest_terms(e.den)
+            # a canonical denominator is a primitive integer polynomial
+            assert e.den.den == 1, e
+            fractional += e.num.den > 1
+        assert fractional >= 5
 
     def test_mul_matches_the_rational_double_loop(self):
-        # the integer loop over cleared denominators against the plain loop
-        # on rationals: the same terms in the same order, of the same classes
+        # the integer loop over one denominator against the plain loop on
+        # rationals: the same rational terms in the same order, in lowest terms
         atoms = [_atom(t) for t in ("u", "v1", "eta", "i", "s", "exp(x)", "exp(2*x)", "exp(eta*x)")]
         rng = random.Random(31)
 
@@ -739,20 +766,20 @@ class TestProductFolds:
                 mono = ()
                 for a in rng.sample(atoms, rng.randint(0, 3)):
                     mono = _tuple_times(mono, ((a, 1),))[1]
-                c = K._q(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6, 9))))
+                c = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6, 9)))
                 if c:
                     terms[K._pack(mono)] = c
-            return K.Poly(terms)
+            return _rational_poly(terms)
 
         def reference(p: K.Poly, q: K.Poly) -> dict:
             out: dict = {}
-            for m1, c1 in p.terms.items():
-                for m2, c2 in q.terms.items():
+            for m1, c1 in _rationals(p):
+                for m2, c2 in _rationals(q):
                     factor, mono = _tuple_times(K._pairs(m1), K._pairs(m2))
                     mono = K._pack(mono)
                     nc = out.get(mono, 0) + c1 * c2 * factor
                     if nc:
-                        out[mono] = K._q(Fraction(nc))
+                        out[mono] = nc
                     else:
                         out.pop(mono, None)
             return out
@@ -763,10 +790,10 @@ class TestProductFolds:
             if p.is_const() or q.is_const():
                 continue
             want = list(reference(p, q).items())
-            got = list(p.mul(q).terms.items())
-            assert got == want
-            assert [type(c) for _, c in got] == [type(c) for _, c in want]
-            fractional += any(type(c) is Fraction for _, c in got)
+            prod = p.mul(q)
+            assert _rationals(prod) == want
+            _assert_lowest_terms(prod)
+            fractional += prod.den > 1
         assert fractional > 100
 
     def test_pickle_round_trip(self):

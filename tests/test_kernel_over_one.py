@@ -7,8 +7,9 @@ powers start from a free product; ``Poly.diff`` and ``Expr.derive`` add into
 one dict.  Adding zero, scaling by or dividing by a constant and the first
 power return a result that is canonical by construction.  Each result
 must equal what the full constructor gives from the plain term-by-term loops
-kept below as the oracle, in value, hash, and the order and type of every
-term, since ``compile_numeric`` sums terms in dict order.
+on Fraction coefficients kept below as the oracle, in value, hash, and the
+order and rational value of every term, since ``compile_numeric`` sums
+terms in dict order; and each result must be in lowest terms.
 
 The trial division in front of the gcd takes its leading terms from a heap;
 the leading-term loop it replaced is kept below as its oracle.
@@ -23,38 +24,38 @@ from pathlib import Path
 
 from pssurf import kernel as K
 from pssurf.kernel import Expr, Poly, parse
-from test_kernel import _tuple_times
+from test_kernel import _assert_lowest_terms, _rational_poly, _rationals, _tuple_times
 
 # -- oracle: the plain loops, each product and sum through full construction --
-# Monomials are decoded to (atom, power) tuples, multiplied by the tuple merge
-# and packed again.
+# Coefficients are Fractions.  Monomials are decoded to (atom, power) tuples,
+# multiplied by the tuple merge and packed again.
 
 
 def _old_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a.terms)
-    for m, c in b.terms.items():
+    out = dict(_rationals(a))
+    for m, c in _rationals(b):
         nc = out.get(m, 0) + c
         if nc:
-            out[m] = K._q(nc)
+            out[m] = nc
         else:
             out.pop(m, None)
-    return Poly(out)
+    return _rational_poly(out)
 
 
 def _old_mul(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return Poly.zero()
     out: dict = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in _rationals(a):
+        for m2, c2 in _rationals(b):
             factor, mono = _tuple_times(K._pairs(m1), K._pairs(m2))
             mono = K._pack(mono)
             nc = out.get(mono, 0) + c1 * c2 * factor
             if nc:
-                out[mono] = nc if nc.__class__ is int else K._q(nc)
+                out[mono] = nc
             else:
                 out.pop(mono, None)
-    return Poly(out)
+    return _rational_poly(out)
 
 
 def _old_pow(p: Poly, n: int) -> Poly:
@@ -69,19 +70,19 @@ def _old_pow(p: Poly, n: int) -> Poly:
 
 def _old_diff(p: Poly, c) -> Poly:
     out = Poly.zero()
-    for packed, coeff in p.terms.items():
+    for packed, coeff in _rationals(p):
         mono = K._pairs(packed)
         for idx, (atom, power) in enumerate(mono):
             if isinstance(atom, K.Coord):
                 if atom is not c:
                     continue
                 lower = ((atom, power - 1),) if power > 1 else ()
-                out = _old_add(out, Poly({K._pack(mono[:idx] + lower + mono[idx + 1 :]): coeff * power}))
+                out = _old_add(out, _rational_poly({K._pack(mono[:idx] + lower + mono[idx + 1 :]): coeff * power}))
             else:
-                dexp = _old_diff(atom.exponent(), c)
+                dexp = _old_diff(atom.exponent, c)
                 if dexp.is_zero():
                     continue
-                out = _old_add(out, _old_mul(dexp, Poly({packed: coeff})))
+                out = _old_add(out, _old_mul(dexp, _rational_poly({packed: coeff})))
     return out
 
 
@@ -121,7 +122,7 @@ def _full_mul(a: Expr, b: Expr) -> Expr:
 
 
 def _items(p: Poly) -> list:
-    return [(K._pairs(m), c, type(c)) for m, c in p.terms.items()]
+    return [(K._pairs(m), c) for m, c in _rationals(p)]
 
 
 def _assert_same(got: Expr, want: Expr, context) -> None:
@@ -129,6 +130,8 @@ def _assert_same(got: Expr, want: Expr, context) -> None:
     assert hash(got) == hash(want), context
     assert _items(got.num) == _items(want.num), context
     assert _items(got.den) == _items(want.den), context
+    _assert_lowest_terms(got.num)
+    _assert_lowest_terms(got.den)
 
 
 # -- seeded random expressions -------------------------------------------------
@@ -221,7 +224,8 @@ def test_sums_products_and_powers_over_one_match_full_construction():
 def test_cancelling_sum_over_one_is_canonical_zero():
     a = parse("exp(x) + eta*u")
     zero = a - a
-    assert _items(zero.num) == [] and _items(zero.den) == [((), 1, int)]
+    assert _items(zero.num) == [] and _items(zero.den) == [((), 1)]
+    assert zero.num.den == 1
     assert zero == K.ZERO and hash(zero) == hash(K.ZERO)
     assert (a * K.ZERO).num.terms == {}
 
@@ -245,14 +249,17 @@ def test_mul_by_a_constant_matches_the_term_loop():
         c = rng.choice(constants)
         for got, want in ((p.mul(c), _old_mul(p, c)), (c.mul(p), _old_mul(c, p))):
             assert _items(got) == _items(want), (str(p), str(c))
+            _assert_lowest_terms(got)
     p = parse("u*v + 1/2*exp(x)").num
     assert p.mul(Poly.const(1)) is p and Poly.const(1).mul(p) is p
 
 
 def test_poly_const_of_an_int_needs_no_fraction():
     for c in (0, 1, -7, 2**70):
-        assert _items(Poly.const(c)) == _items(Poly.const(Fraction(c)))
-    assert _items(Poly.const(Fraction(6, 4))) == [((), Fraction(3, 2), Fraction)]
+        p, q = Poly.const(c), Poly.const(Fraction(c))
+        assert (p.terms, p.den) == (q.terms, q.den) == ({K._pack(()): c} if c else {}, 1)
+    p = Poly.const(Fraction(6, 4))
+    assert (p.terms, p.den) == ({K._pack(()): 3}, 2)
 
 
 def test_diff_and_derive_match_the_quadratic_oracle():
@@ -263,6 +270,7 @@ def test_diff_and_derive_match_the_quadratic_oracle():
         e = rng.choice(pool)
         c = rng.choice(coords)
         assert _items(e.num.diff(c)) == _items(_old_diff(e.num, c)), (str(e), str(c))
+        _assert_lowest_terms(e.num.diff(c))
         images = {cc: rng.choice(pool) for cc in rng.sample(coords, rng.randint(1, 3))}
         context = (str(e), {str(k): str(v) for k, v in images.items()})
         _assert_same(e.derive(images), _old_derive(e, images), context)
@@ -341,24 +349,25 @@ def _old_poly_div(a: Poly, b: Poly) -> Poly | None:
     if a.is_zero():
         return Poly.zero()
     if len(b.terms) == 1:
-        ((b_mono, b_coeff),) = b.terms.items()
+        ((b_mono, b_coeff),) = _rationals(b)
         quo = {}
-        for m, c in a.terms.items():
+        for m, c in _rationals(a):
             if (q_mono := _tuple_quo(m, b_mono)) is None:
                 return None
-            quo[q_mono] = c
-        return Poly(quo) if b_coeff == 1 else Poly(quo).divide(b_coeff)
-    b_mono, b_coeff = b.leading()
+            quo[q_mono] = c / b_coeff
+        return _rational_poly(quo)
+    b_mono = b.leading()[0]
+    b_coeff = dict(_rationals(b))[b_mono]
     quo: dict = {}
     rem = a
     while not rem.is_zero():
-        r_mono, r_coeff = rem.leading()
+        r_mono = rem.leading()[0]
         if (q_mono := _tuple_quo(r_mono, b_mono)) is None:
             return None
-        q_coeff = K._div(r_coeff, b_coeff)
-        quo[q_mono] = K._q(quo.get(q_mono, 0) + q_coeff)
-        rem = rem.sub(b.mul(Poly({q_mono: q_coeff})))
-    return Poly({m: c for m, c in quo.items() if c})
+        q_coeff = dict(_rationals(rem))[r_mono] / b_coeff
+        quo[q_mono] = quo.get(q_mono, 0) + q_coeff
+        rem = rem.sub(b.mul(_rational_poly({q_mono: q_coeff})))
+    return _rational_poly({m: c for m, c in quo.items() if c})
 
 
 def _division_pairs(seed: int = 17, count: int = 600):
