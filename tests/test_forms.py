@@ -118,6 +118,34 @@ class TestLemma31:
         assert not res["f12-free-of-top-order"].verdict
         assert res["f21-free-of-odd-jets"].residual_text == "0"
 
+    def test_failing_dependence_reports_keep_their_text(self):
+        # a failing condition prints the partials as summed Exprs, so
+        # pairing u with u2 reads differently from the combined derivation
+        # (eta*i - u + u2)/(2*u2*eta*i + u2^2 - eta^2)
+        entry = catalog_entry("cubic-ch2")
+        (f11, f12), rest2, rest3 = entry.forms.f
+
+        def report(f11_, f12_, system=entry.system):
+            forms = AssociatedForms(((f11_, f12_), rest2, rest3), 1)
+            return {c.condition_id: c for c in check_lemma31(forms, system).conditions}
+
+        res = report(f11 + parse("u/(u2 + i*eta)"), f12)["f11-pairs-u-with-u2"]
+        assert not res.verdict
+        assert res.residual_text == (
+            "(-2*u*u2*eta*i + 3*u2^2*eta*i - eta^3*i - u*u2^2 + u*eta^2 + u2^3 - 3*u2*eta^2)"
+            "/(4*u2^3*eta*i - 4*u2*eta^3*i + u2^4 - 6*u2^2*eta^2 + eta^4)"
+        )
+        res = report(f11 + parse("v*eta"), f12)["f11-pairs-v-with-v2"]
+        assert (res.verdict, res.residual_text) == (False, "eta")
+        res = report(f11, f12 + parse("u3*v"))["f12-free-of-top-order"]
+        assert (res.verdict, res.residual_text) == (False, "d/du3 = v")
+        # the forms gate looks at jets up to the system's orders (3, 3), so
+        # only the t-derivative sees u5
+        res = report(f11 + parse("u5"), f12)
+        assert [(c.condition_id, c.residual_text) for c in res.values() if not c.verdict] == [
+            ("structure-residuals", "t-derivative not locally expressible: depends on u5")
+        ]
+
     def test_frame_jacobian_any_nonzero_minor(self):
         # rows (u, v, i*u): minor(0, 1) = 1, minor(1, 2) = -i, and the sum of
         # their squares cancels
