@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from . import kernel as K
-from .forms import AssociatedForms, check_lemma31
+from .forms import AssociatedForms, check_lemma31, wronskian
 from .jetcalc import PdeSystem, check_factored_dependence, total_dx
 from .kernel import Expr, KernelError, parse
 from .laxzoo import MatrixForm, from_forms, mat_is_zero, zero_curvature_residual
@@ -68,11 +68,9 @@ def _require_reduced_dependence(e: Expr, name: str, xt_allowed: bool = True):
     """e may depend on u, v only through the combinations u - u2, v - v2
     (and, unless xt_allowed, not on x, t at all).  Problems are listed in
     jet order."""
-    problems = check_factored_dependence(e, (2, 2))
+    problems = check_factored_dependence(e)
     if not xt_allowed:
-        for c in (K.x, K.t):
-            if not e.diff(c).is_zero():
-                problems.append(f"depends on {c}")
+        problems += [f"depends on {c}" for c in (K.x, K.t) if not e.constant_along(c)]
     if problems:
         raise HypothesisViolationError(f"{name} reduced dependence", "; ".join(problems))
 
@@ -88,10 +86,6 @@ def _max_orders(*exprs: Expr) -> tuple[int, int]:
     return mo, no
 
 
-def wronskian(g: Expr, h: Expr) -> Expr:
-    return g.diff(K.u(0)) * h.diff(K.v(0)) - g.diff(K.v(0)) * h.diff(K.u(0))
-
-
 def _solve_fg(f, delta: int, const_row: int) -> tuple[Expr, Expr]:
     """Invert the two structure equations whose dx-coefficient depends on
     u, v for (F, G)."""
@@ -102,10 +96,8 @@ def _solve_fg(f, delta: int, const_row: int) -> tuple[Expr, Expr]:
         2: -f21.diff(K.t) + total_dx(f22) - (f11 * f32 - f12 * f31),
         3: -f31.diff(K.t) + total_dx(f32) - d * (f11 * f22 - f12 * f21),
     }
-    rows = [r for r in (1, 2, 3) if r != const_row]
-    a, b = rows
-    fa1 = {1: f11, 2: f21, 3: f31}[a]
-    fb1 = {1: f11, 2: f21, 3: f31}[b]
+    a, b = [r for r in (1, 2, 3) if r != const_row]
+    fa1, fb1 = f[a - 1][0], f[b - 1][0]
     W = wronskian(fa1, fb1)
     _require_nonzero(W, "frame wronskian nonzero")
     F = (fb1.diff(K.v(0)) * rhs[a] - fa1.diff(K.v(0)) * rhs[b]) / W
@@ -171,7 +163,7 @@ def _generic_condition(L: Expr, N: Expr, mo: int, no: int):
     # L or N must carry each top jet, decided term by term: a sum of squares
     # can cancel over Q(i, sqrt 2)
     for c in (K.u(mo - 1), K.v(no - 1)):
-        if L.diff(c).is_zero() and N.diff(c).is_zero():
+        if L.constant_along(c) and N.constant_along(c):
             raise HypothesisViolationError("top-order coefficients present", K.ZERO)
 
 
@@ -241,7 +233,7 @@ def check_corollary33(sys: PdeSystem) -> bool:
     for e in (sys.F, sys.G):
         for a in (um, vn):
             for b in (um, vn):
-                if not e.diff(a).diff(b).is_zero():
+                if not e.diff(a).constant_along(b):
                     return False
     return True
 

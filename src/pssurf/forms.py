@@ -5,10 +5,12 @@ A system u_t - u_{2,t} = F, v_t - v_{2,t} = G describes pseudospherical
 omega_i = f_i1 dx + f_i2 dt satisfy the constant-curvature structure
 equations on solutions.  A 1-form is its (dx, dt) coefficient pair and a
 2-form its dx ^ dt coefficient.  The verifier checks, for supplied f_ij:
-the dependence conditions on the dx-coefficients, the nondegeneracy of the
+the dependence conditions on the dx-coefficients (jetcalc's
+``factored_violations``, the test D_t applies), the nondegeneracy of the
 frame Jacobian, the three structure residuals, and the metric
 nondegeneracy; "nonzero" conditions are certified as not-identically-zero
-in the polynomial ring.
+in the polynomial ring.  A partial derivative is decided to vanish on its
+numerator (``Expr.constant_along``); only a failing one is built, to print.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import kernel as K
-from .jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system, total_dx
+from .jetcalc import (
+    IllFormedDependenceError, PdeSystem, factored_violations, total_dt_mod_system, total_dx,
+)
 from .kernel import Expr
 
 
@@ -84,15 +88,8 @@ class Lemma31Report:
         return "\n".join(lines)
 
 
-def _all_zero_report(
-    condition_id: str, e: Expr, coords: Iterable[K.Coord]
-) -> ConditionReport:
-    """Passes when every partial of e in coords vanishes, decided term by term
-    (a sum of squares can cancel over Q(i, sqrt 2)); a failure lists the
-    nonzero partials."""
-    nonzero = [(c, d) for c in coords if not (d := e.diff(c)).is_zero()]
-    text = "; ".join(f"d/d{c} = {d}" for c, d in nonzero) or "0"
-    return ConditionReport(condition_id, text, not nonzero)
+def wronskian(g: Expr, h: Expr) -> Expr:
+    return g.diff(K.u(0)) * h.diff(K.v(0)) - g.diff(K.v(0)) * h.diff(K.u(0))
 
 
 def _dx_coefficient_conditions(
@@ -100,14 +97,16 @@ def _dx_coefficient_conditions(
 ) -> Iterable[ConditionReport]:
     mo, no = orders
     for i, (fi1, fi2) in enumerate(forms.f, start=1):
-        pair_u = fi1.diff(K.u(0)) + fi1.diff(K.u(2))
-        pair_v = fi1.diff(K.v(0)) + fi1.diff(K.v(2))
-        yield ConditionReport(f"f{i}1-pairs-u-with-u2", str(pair_u), pair_u.is_zero())
-        yield ConditionReport(f"f{i}1-pairs-v-with-v2", str(pair_v), pair_v.is_zero())
-        odd = [K.u(k) for k in range(1, mo + 1) if k != 2]
-        odd += [K.v(k) for k in range(1, no + 1) if k != 2]
-        yield _all_zero_report(f"f{i}1-free-of-odd-jets", fi1, odd)
-        yield _all_zero_report(f"f{i}2-free-of-top-order", fi2, (K.u(mo), K.v(no)))
+        (pu, ju), (pv, jv) = (factored_violations(fi1, b, top) for b, top in (("u", mo), ("v", no)))
+        for base, pairs in (("u", pu), ("v", pv)):
+            text = "0" if pairs else str(fi1.diff(K.jet(base, 0)) + fi1.diff(K.jet(base, 2)))
+            yield ConditionReport(f"f{i}1-pairs-{base}-with-{base}2", text, pairs)
+        # each partial is decided on its own (a sum of squares can cancel
+        # over Q(i, sqrt 2)); a failure lists the nonzero ones
+        top = [c for c in (K.u(mo), K.v(no)) if not fi2.constant_along(c)]
+        for cond, e, nonzero in (("1-free-of-odd-jets", fi1, ju + jv), ("2-free-of-top-order", fi2, top)):
+            text = "; ".join(f"d/d{c} = {e.diff(c)}" for c in nonzero) or "0"
+            yield ConditionReport(f"f{i}{cond}", text, not nonzero)
 
 
 def _frame_jacobian(forms: AssociatedForms) -> ConditionReport:
@@ -115,9 +114,7 @@ def _frame_jacobian(forms: AssociatedForms) -> ConditionReport:
     dx-coefficients is nonzero.  The text is the sum of squared minors, or
     the minors themselves where that sum cancels over Q(i, sqrt 2)."""
     rows = [f[0] for f in forms.f]
-    du = [r.diff(K.u(0)) for r in rows]
-    dv = [r.diff(K.v(0)) for r in rows]
-    minors = [du[i] * dv[j] - dv[i] * du[j] for i, j in ((0, 1), (1, 2), (0, 2))]
+    minors = [wronskian(rows[i], rows[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
     nondegenerate = any(not m.is_zero() for m in minors)
     squares = minors[0] ** 2 + minors[1] ** 2 + minors[2] ** 2
     text = str(squares)
@@ -146,10 +143,8 @@ def check_lemma31(forms: AssociatedForms, sys: PdeSystem) -> Lemma31Report:
 
     if gate_ok:
         try:
-            r1, r2, r3 = structure_residuals(forms, sys)
-            conditions.append(ConditionReport("structure-residual-1", str(r1), r1.is_zero()))
-            conditions.append(ConditionReport("structure-residual-2", str(r2), r2.is_zero()))
-            conditions.append(ConditionReport("structure-residual-3", str(r3), r3.is_zero()))
+            for k, r in enumerate(structure_residuals(forms, sys), start=1):
+                conditions.append(ConditionReport(f"structure-residual-{k}", str(r), r.is_zero()))
         except IllFormedDependenceError as err:
             conditions.append(ConditionReport("structure-residuals", str(err), False))
     else:

@@ -4,7 +4,8 @@ D_x acts by jet promotion (u_k -> u_{k+1}) plus explicit x-rules for
 dependent auxiliaries; D_t is defined modulo an evolution system of the form
 u_t - u_{2,t} = F, v_t - v_{2,t} = G, and only on expressions whose u, v
 dependence factors through u - u2 and v - v2 (or through first-class m, n
-symbols carrying their own t-rules).
+symbols carrying their own t-rules).  ``factored_violations`` is the one
+test of that dependence; the Lemma 3.1 conditions in ``forms`` share it.
 
 D_x and D_t are derivations: each collects the image of every coordinate
 the expression mentions and applies them at once with ``Expr.derive``, so
@@ -116,23 +117,23 @@ def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
     return rules.close(e.derive(images))
 
 
-def _factored_violations(e: Expr, base: str, top: int) -> list[str]:
-    bad = []
-    pair = e.diff(K.jet(base, 0)) + e.diff(K.jet(base, 2))
-    if not pair.is_zero():
-        bad.append(f"{base} + {base}2 pairing fails")
-    for k in range(1, top + 1):
-        if k == 2:
-            continue
-        if not e.diff(K.jet(base, k)).is_zero():
-            bad.append(f"depends on {base}{k}")
-    return bad
+def factored_violations(e: Expr, base: str, top: int) -> tuple[bool, list[Coord]]:
+    """Whether e pairs base with base2 (its partials in them sum to zero),
+    and the jets base_k, 0 < k <= top and k != 2, that e depends on."""
+    pairs = e.constant_along(K.jet(base, 0), K.jet(base, 2))
+    jets = [K.jet(base, k) for k in range(1, top + 1) if k != 2]
+    return pairs, [c for c in jets if not e.constant_along(c)]
 
 
-def check_factored_dependence(e: Expr, orders: tuple[int, int]) -> list[str]:
+def check_factored_dependence(e: Expr) -> list[str]:
     """Why e's u, v dependence fails to factor through u - u2, v - v2."""
-    top = max(orders[0], orders[1], *(c.order for c in e.coords() if c.kind == K.KIND_JET), 2)
-    return _factored_violations(e, "u", top) + _factored_violations(e, "v", top)
+    top = max((c.order for c in e.coords() if c.kind == K.KIND_JET), default=0)
+    problems = []
+    for base in ("u", "v"):
+        pairs, jets = factored_violations(e, base, top)
+        problems += [] if pairs else [f"{base} + {base}2 pairing fails"]
+        problems += [f"depends on {c}" for c in jets]
+    return problems
 
 
 def _dt_of_mn_jet(c: Coord, rules: DerivationRules) -> Expr:
@@ -169,7 +170,7 @@ def total_dt_mod_system(
                 "bare u, v jets have no local t-image when m, n are first-class; "
                 "close the expression through the constraints first"
             )
-        problems = check_factored_dependence(e, sys.orders)
+        problems = check_factored_dependence(e)
         if problems:
             raise IllFormedDependenceError(
                 "t-derivative not locally expressible: " + "; ".join(problems)

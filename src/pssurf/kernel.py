@@ -1250,13 +1250,19 @@ class Expr:
     def diff(self, c: Coord) -> "Expr":
         return self.derive({c: ONE})
 
-    def derive(self, images: Mapping[Coord, "Expr"]) -> "Expr":
-        """Apply the derivation D = sum of images[c] * d/dc, reducing once.
+    def constant_along(self, *coords: Coord) -> bool:
+        """Whether the partials in coords sum to zero, decided on the numerator
+        Dn*d - n*Dd of their sum, which reduction only divides by a gcd."""
+        return self._derived({c: ONE for c in coords})[0].is_zero()
 
-        Every image is brought over B, the product of the distinct
-        non-constant image denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B)
-        is assembled from polynomials and normalized in one construction.
-        """
+    def derive(self, images: Mapping[Coord, "Expr"]) -> "Expr":
+        """Apply the derivation D = sum of images[c] * d/dc, reducing once."""
+        return Expr(*self._derived(images))
+
+    def _derived(self, images: Mapping[Coord, "Expr"]) -> tuple[Poly, Poly]:
+        """D(n/d) as an unreduced (numerator, denominator) pair.  Every image
+        is brought over B, the product of the distinct non-constant image
+        denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B) on polynomials."""
         n, d = self.num, self.den
         parts = []
         for c, image in images.items():
@@ -1280,8 +1286,8 @@ class Expr:
         Dn, Dd = _reduced(dn_terms, dn_den), _reduced(dd_terms, dd_den)
         common = functools.reduce(Poly.mul, dens, _POLY_ONE)
         if d.is_const():
-            return Expr(Dn, d.mul(common))
-        return Expr(Dn.mul(d).sub(n.mul(Dd)), d.mul(d).mul(common))
+            return Dn, d.mul(common)
+        return Dn.mul(d).sub(n.mul(Dd)), d.mul(d).mul(common)
 
     def substitute(self, bindings: Mapping[Coord, "Expr"]) -> "Expr":
         if not bindings:

@@ -157,8 +157,8 @@ class TestTotalDt:
             total_dt_mod_system(parse("u - u2"), None)
 
     def test_factored_dependence_report(self):
-        assert check_factored_dependence(parse("u - u2"), (2, 2)) == []
-        problems = check_factored_dependence(parse("u1"), (2, 2))
+        assert check_factored_dependence(parse("u - u2")) == []
+        problems = check_factored_dependence(parse("u1"))
         assert any("u1" in p for p in problems)
 
 
