@@ -26,6 +26,11 @@ to its third-row pattern; and the five catalog entries.  Each is also
 checked with the opposite curvature sign, where residual 3 and the zero
 curvature must fail; for ``mch-type`` that is
 ``verify example mch-type --delta 1``.
+
+The Lemma 3.1 dependence conditions on the dx- and dt-coefficients are
+decided in sympy one partial derivative at a time, on 40 seeded f11, f12
+set into ``cubic-ch2``, and compared with ``check_lemma31``'s verdicts and
+with the list of violations that the t-derivative reports.
 """
 
 import json
@@ -47,7 +52,7 @@ from pssurf.classify import (  # noqa: E402
     catalog_entry,
 )
 from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
-from pssurf.jetcalc import total_dt_mod_system, total_dx  # noqa: E402
+from pssurf.jetcalc import IllFormedDependenceError, total_dt_mod_system, total_dx  # noqa: E402
 from pssurf.kernel import Expr, parse  # noqa: E402
 from pssurf.laxzoo import from_forms, mat_is_zero, zero_curvature_residual  # noqa: E402
 
@@ -208,3 +213,82 @@ def test_constructor_verdicts_match_sympy_at_both_signs(name):
     lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
     assert kernel_zc is _oracle_zero_curvature(flipped, system) is False
+
+
+# Factored dependence (Lemma 3.1): f_i1 depends on u, u2 only through
+# u - u2 and on v, v2 only through v - v2, is free of the odd jets, and
+# f_i2 is free of the top-order jets.  Each verdict is recomputed in sympy
+# from the printed coefficient, one partial derivative at a time.
+
+_PAIRED = ("(u - u2)", "(v - v2)", "eta*(u - u2)^2", "i*(v - v2)", "s*x", "exp(eta*x)*(u - u2)",
+           "t/(1 + (v - v2)^2)", "(u - u2)/(eta + i)", "(v - v2)*(u - u2)*x")
+_BREAKS = {
+    "u": ("u", "u*u2", "u2^2*x"),
+    "v": ("v*eta", "v2*t", "s*v*(u - u2)"),
+    "odd": ("u1", "i*v3", "u1*v1*(u - u2)", "u5"),
+}
+_DT_PARTS = ("u1^2", "v2*eta", "u*v1", "i*exp(eta*x)", "1/(u1 + s)")
+_TOP = ("u3*v", "s*v3", "u3^2*v1")
+
+
+def _dependence_case(rng: random.Random) -> tuple[Expr, Expr]:
+    """An f11 and an f12, each breaking each condition with probability 0.4."""
+    f11 = rng.sample(_PAIRED, rng.randint(1, 3))
+    f12 = rng.sample(_DT_PARTS, rng.randint(1, 2))
+    f11 += [rng.choice(_BREAKS[c]) for c in ("u", "v", "odd") if rng.random() < 0.4]
+    f12 += [rng.choice(_TOP)] if rng.random() < 0.4 else []
+    return parse(" + ".join(f11)), parse(" + ".join(f12))
+
+
+def _sym(name: str):
+    return sympy.Symbol(name)
+
+
+def _oracle_dependence(f11: Expr, f12: Expr, orders: tuple[int, int]):
+    """The four Lemma 3.1 verdicts and check_factored_dependence's list."""
+    f, g = _sympy(f11), _sympy(f12)
+
+    def free_of(e, name: str) -> bool:
+        return _vanishes(sympy.diff(e, _sym(name)))
+
+    pairs = {b: _vanishes(sympy.diff(f, _sym(b)) + sympy.diff(f, _sym(f"{b}2"))) for b in "uv"}
+    mo, no = orders
+    odd = [f"u{k}" for k in range(1, mo + 1) if k != 2] + [f"v{k}" for k in range(1, no + 1) if k != 2]
+    verdicts = {
+        "f11-pairs-u-with-u2": pairs["u"],
+        "f11-pairs-v-with-v2": pairs["v"],
+        "f11-free-of-odd-jets": all(free_of(f, c) for c in odd),
+        "f12-free-of-top-order": free_of(g, f"u{mo}") and free_of(g, f"v{no}"),
+    }
+    problems = []
+    for b in "uv":
+        problems += [] if pairs[b] else [f"{b} + {b}2 pairing fails"]
+        problems += [f"depends on {b}{k}" for k in range(1, K.MAX_JET_ORDER + 1)
+                     if k != 2 and not free_of(f, f"{b}{k}")]
+    return verdicts, problems
+
+
+def _kernel_problems(f11: Expr, system) -> list[str]:
+    """check_factored_dependence's list, as the t-derivative reports it."""
+    try:
+        total_dt_mod_system(f11, system)
+    except IllFormedDependenceError as err:
+        return str(err).removeprefix("t-derivative not locally expressible: ").split("; ")
+    return []
+
+
+def test_factored_dependence_verdicts_match_sympy():
+    entry = catalog_entry("cubic-ch2")
+    _, rest2, rest3 = entry.forms.f
+    rng = random.Random(3107)
+    seen = set()
+    for _ in range(40):
+        f11, f12 = _dependence_case(rng)
+        report = check_lemma31(AssociatedForms(((f11, f12), rest2, rest3), 1), entry.system)
+        kernel = {c.condition_id: c.verdict for c in report.conditions}
+        oracle, problems = _oracle_dependence(f11, f12, entry.system.orders)
+        assert {k: kernel[k] for k in oracle} == oracle, (str(f11), str(f12))
+        assert _kernel_problems(f11, entry.system) == problems, str(f11)
+        seen |= set(oracle.items())
+    # each condition both passes and fails
+    assert len(seen) == 8
