@@ -11,16 +11,18 @@ coordinate, are opaque atoms that merge by exponent addition.
 Representation: a polynomial is int coefficients over one positive int
 `den` in lowest terms (zero over 1), so arithmetic adds and multiplies ints
 and reduces once per result; a Fraction appears only at the API edge and in
-exponent coefficients.  Parsing (each product and quotient too), powers and
-printing hold a number to MAX_DIGITS digits.  Coordinates are interned and
-compare and hash by identity.  A monomial is one int with a 9-bit field per
-atom, in the order atoms are first used: 8 exponent bits and a guard bit.
-A product is `m1 + m2`; one mask test (the guard bits, bit 1 of the `i` and
-`s` fields, which hold 0 or 1, and an exponential on both sides) sends it
-to the slow path, which applies the rewrites, folds exponentials of one
-base and rejects an exponent above MAX_EXPONENT.  Each monomial's (atom,
-power) pairs and sort key are decoded once per int; terms are ordered
-graded lexicographically, atoms with a smaller key most significant.
+exponent coefficients.  Parsing (each product, quotient and the result),
+powers and printing hold a number to MAX_DIGITS digits; parsing refuses a
+product whose operands' term counts multiply past MAX_TERMS.  Coordinates
+are interned and compare and hash by identity.  A monomial is one int with
+a 9-bit field per atom, in the order atoms are first used: 8 exponent bits
+and a guard bit.  A product is `m1 + m2`; one mask test (the guard bits,
+bit 1 of the `i` and `s` fields, which hold 0 or 1, and an exponential on
+both sides) sends it to the slow path, which applies the rewrites, folds
+exponentials of one base and rejects an exponent above MAX_EXPONENT.  Each
+monomial's (atom, power) pairs and sort key are decoded once per int; terms
+are ordered graded lexicographically, atoms with a smaller key most
+significant.
 
 Canonical form: numerator and denominator are fully expanded, share no
 polynomial factor (gcd-reduced), exponential content is shifted so that the
@@ -1441,6 +1443,14 @@ def _decimal(digits: str, offset: int) -> int:
     return int(digits)
 
 
+def _hold(e: Expr) -> Expr:
+    """e, once each coefficient is held to MAX_DIGITS digits, as printing does."""
+    for q in (e.num, e.den):
+        for c in q.terms.values():
+            _held(c, q.den)
+    return e
+
+
 def _identifier_expr(name: str, mn_mode: str, offset: int) -> Expr:
     if name in _BASE_NAMES:
         return Expr.atom(_BASE_NAMES[name])
@@ -1508,14 +1518,12 @@ def parse(text: str, mn_mode: str = "alias") -> Expr:
     def parse_term() -> Expr:
         node = parse_factor()
         while peek() in ("*", "/"):
-            if toks.pop()[0] == "*":
-                node = node * parse_factor()
-            else:
-                node = node / parse_factor()
-            # hold the coefficients a product of constants grows, as printing does
-            for q in (node.num, node.den):
-                for c in q.terms.values():
-                    _held(c, q.den)
+            times = toks.pop()[0] == "*"
+            rhs = parse_factor()
+            a, b = (rhs.num, rhs.den) if times else (rhs.den, rhs.num)
+            if max(len(node.num.terms) * len(a.terms), len(node.den.terms) * len(b.terms)) > MAX_TERMS:
+                raise BoundError(f"a product may exceed {MAX_TERMS} terms")
+            node = _hold(node * rhs if times else node / rhs)
         return node
 
     def parse_factor() -> Expr:
@@ -1562,7 +1570,7 @@ def parse(text: str, mn_mode: str = "alias") -> Expr:
             return Expr.exp(parse_group(expect("(")))
         return _identifier_expr(tok, mn_mode, offset)
 
-    result = parse_expr()
+    result = _hold(parse_expr())
     if peek():
         raise ParseError("unexpected trailing input", toks[-1][1])
     return result

@@ -176,6 +176,8 @@ def test_malformed_config_shapes_are_usage_errors(tmp_path, command, config, mes
 
 
 _NESTED = "[" * 100_000 + "]" * 100_000
+# six factors of this sum expanded to 100 947 terms
+_EIGHTEEN_ATOMS = "(x + t + z + u + u1 + u2 + u3 + u4 + u5 + u6 + v + v1 + v2 + v3 + v4 + v5 + v6 + eta)"
 
 
 def _with_long_number(config: dict) -> str:
@@ -210,6 +212,12 @@ def _with_long_number(config: dict) -> str:
         (["build", "thm35"], json.dumps(_thm35_config(expressions={
             **_thm35_config()["expressions"], "L": "*".join(["3^628"] * 1600)})),
          "a coefficient has more than 300 digits"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "3^628+3^628+3^628+3^628+u1"})),
+         "a coefficient has more than 300 digits"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "*".join([_EIGHTEEN_ATOMS] * 6)})),
+         "a product may exceed 10000 terms"),
         (["build", "thm35"], _NESTED, "config nests too deeply"),
         (["verify", "lemma31"], _NESTED, "config nests too deeply"),
         (["lax", "check"], _NESTED, "config nests too deeply"),
@@ -221,7 +229,8 @@ def _with_long_number(config: dict) -> str:
          "config number has more than 300 digits"),
     ],
     ids=["exponent-bound", "term-bound", "huge-exponent", "long-literal", "long-exponent",
-         "constant-power", "constant-power-huge", "constant-product", "nested-build", "nested-lemma31",
+         "constant-power", "constant-power-huge", "constant-product", "constant-sum",
+         "product-terms", "nested-build", "nested-lemma31",
          "nested-lax", "long-number-build", "long-number-lemma31", "long-number-lax"],
 )
 def test_configs_past_a_bound_are_quick_usage_errors(tmp_path, command, text, message):
