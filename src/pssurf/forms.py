@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import kernel as K
-from .jetcalc import (
-    IllFormedDependenceError, PdeSystem, factored_violations, total_dt_mod_system, total_dx,
-)
+from .jetcalc import IllFormedDependenceError, PdeSystem, factored_violations, total_dt_mod_system, total_dx
 from .kernel import Expr
 
 

@@ -146,6 +146,15 @@ class TestLemma31:
             ("structure-residuals", "t-derivative not locally expressible: depends on u5")
         ]
 
+    @pytest.mark.xfail(strict=True, raises=K.BoundError,
+                       reason="the printed sum of squared minors passes the term bound")
+    def test_large_minors_are_reported_not_raised(self):
+        entry = catalog_entry("cubic-ch2")
+        (_, f12), rest2, rest3 = entry.forms.f
+        f11 = parse("(u - u2)/(eta + i) + u2^2/(1 + (v - v2)^2) + u1*v1/(u - u2 + 1)")
+        report = check_lemma31(AssociatedForms(((f11, f12), rest2, rest3), 1), entry.system)
+        assert not report.passed
+
     def test_frame_jacobian_any_nonzero_minor(self):
         # rows (u, v, i*u): minor(0, 1) = 1, minor(1, 2) = -i, and the sum of
         # their squares cancels
