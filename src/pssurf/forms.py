@@ -5,12 +5,10 @@ A system u_t - u_{2,t} = F, v_t - v_{2,t} = G describes pseudospherical
 omega_i = f_i1 dx + f_i2 dt satisfy the constant-curvature structure
 equations on solutions.  A 1-form is its (dx, dt) coefficient pair and a
 2-form its dx ^ dt coefficient.  The verifier checks, for supplied f_ij:
-the dependence conditions on the dx-coefficients (jetcalc's
-``factored_violations``, the test D_t applies), the nondegeneracy of the
-frame Jacobian, the three structure residuals, and the metric
-nondegeneracy; "nonzero" conditions are certified as not-identically-zero
-in the polynomial ring.  A partial derivative is decided to vanish on its
-numerator (``Expr.constant_along``); only a failing one is built, to print.
+the dependence conditions (jetcalc's ``factored_violations``, with each
+partial decided on its numerator), the nondegeneracy of the frame Jacobian,
+the three structure residuals, and the metric nondegeneracy; "nonzero"
+conditions are certified as not-identically-zero in the polynomial ring.
 """
 
 from __future__ import annotations
@@ -19,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import kernel as K
-from .jetcalc import IllFormedDependenceError, PdeSystem, factored_violations, total_dt_mod_system, total_dx
+from .jetcalc import (
+    IllFormedDependenceError, PdeSystem, factored_violations, total_dt_mod_system, total_dx,
+)
 from .kernel import Expr
 
 
@@ -95,14 +95,16 @@ def _dx_coefficient_conditions(
 ) -> Iterable[ConditionReport]:
     mo, no = orders
     for i, (fi1, fi2) in enumerate(forms.f, start=1):
-        (pu, ju), (pv, jv) = (factored_violations(fi1, b, top) for b, top in (("u", mo), ("v", no)))
-        for base, pairs in (("u", pu), ("v", pv)):
+        odd = []
+        for base, top in (("u", mo), ("v", no)):
+            pairs, jets = factored_violations(fi1, base, top)
             text = "0" if pairs else str(fi1.diff(K.jet(base, 0)) + fi1.diff(K.jet(base, 2)))
             yield ConditionReport(f"f{i}1-pairs-{base}-with-{base}2", text, pairs)
+            odd += jets
         # each partial is decided on its own (a sum of squares can cancel
         # over Q(i, sqrt 2)); a failure lists the nonzero ones
         top = [c for c in (K.u(mo), K.v(no)) if not fi2.constant_along(c)]
-        for cond, e, nonzero in (("1-free-of-odd-jets", fi1, ju + jv), ("2-free-of-top-order", fi2, top)):
+        for cond, e, nonzero in (("1-free-of-odd-jets", fi1, odd), ("2-free-of-top-order", fi2, top)):
             text = "; ".join(f"d/d{c} = {e.diff(c)}" for c in nonzero) or "0"
             yield ConditionReport(f"f{i}{cond}", text, not nonzero)
 
