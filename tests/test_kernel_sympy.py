@@ -2,8 +2,12 @@
 
 Random rational expressions are built twice, once as a kernel ``Expr`` and
 once as a sympy expression, by the same operations.  Kernel equality must
-agree with ``sympy.cancel(A - B) == 0``; with exponential atoms, where the
-kernel's gcd is conservative by design, only numeric evaluation is compared.
+agree with ``sympy.cancel(A - B) == 0``, and equal expressions must hash
+alike.  With exponential leaves, sympy sees exp(k*x) as X**k and
+exp(k*eta*x) as Y**k: exponentials along Q-independent directions are
+algebraically independent, so the identity holds exactly when it holds for
+the rational functions in X and Y.  Numeric evaluation is compared against
+``sympy.lambdify`` as well.
 """
 
 import math
@@ -18,6 +22,7 @@ from pssurf.kernel import DivisionByZeroError, Expr, parse  # noqa: E402
 
 _NAMES = {"u": K.u(0), "u1": K.u(1), "v": K.v(0), "eta": K.eta}
 _SYMS = {name: sympy.Symbol(name) for name in (*_NAMES, "x")}
+_EXP_X, _EXP_ETA_X = sympy.Symbol("X"), sympy.Symbol("Y")
 
 
 def _leaf(rng: random.Random):
@@ -56,9 +61,9 @@ def _same(ka: Expr, kb: Expr, sa, sb) -> bool:
     return kernel_equal
 
 
-def _two_routes(rng: random.Random):
+def _two_routes(rng: random.Random, leaf=_leaf):
     """Two constructions of one value, by a randomly chosen identity."""
-    (ka, sa), (kb, sb), (kc, sc) = (_random_pair(rng, 1) for _ in range(3))
+    (ka, sa), (kb, sb), (kc, sc) = (_random_pair(rng, 1, leaf) for _ in range(3))
     route = rng.randrange(5)
     if route == 0:  # distribution
         return ka * (kb + kc), ka * kb + ka * kc, sa * (sb + sc), sa * sb + sa * sc
@@ -135,3 +140,42 @@ def test_eval_with_exponentials_matches_lambdify():
             assert math.isclose(got, expected, rel_tol=1e-12), (str(ke), vals)
             checked += 1
     assert checked > 150
+
+
+def _exp_x_leaf(rng: random.Random):
+    """exp(k*x) as X**k, one exponential direction on the base x."""
+    if rng.random() < 0.3:
+        k = rng.choice([-2, -1, 1, 2, 3])
+        return parse(f"exp({k}*x)"), _EXP_X**k
+    return _leaf(rng)
+
+
+def _two_directions_leaf(rng: random.Random):
+    """exp(k*x) as X**k and exp(k*eta*x) as Y**k: two directions on x."""
+    if rng.random() < 0.15:
+        k = rng.choice([-2, -1, 1, 2])
+        return parse(f"exp({k}*eta*x)"), _EXP_ETA_X**k
+    return _exp_x_leaf(rng)
+
+
+def _exact_two_routes(seed: int, leaf) -> int:
+    """How many seeded two-route pairs with the given leaves compare equal,
+    each checked against sympy and for equal hashes."""
+    rng = random.Random(seed)
+    equal = 0
+    for _ in range(120):
+        try:
+            ka, kb, sa, sb = _two_routes(rng, leaf)
+        except DivisionByZeroError:
+            continue
+        equal += _same(ka, kb, sa, sb)
+    return equal
+
+
+def test_two_routes_with_exponentials_of_one_direction_agree_with_sympy():
+    assert _exact_two_routes(1730, _exp_x_leaf) > 100
+
+
+@pytest.mark.xfail(strict=True, reason="exponentials of two directions on one base are not canonical")
+def test_two_routes_with_exponentials_of_two_directions_agree_with_sympy():
+    assert _exact_two_routes(1731, _two_directions_leaf) > 100

@@ -12,6 +12,12 @@ when ``expand(numer(together(r))) == 0``.  That verdict must equal the
 kernel's.  The D_t images come from ``jetcalc``, so this checks the kernel's
 algebra and the assembly in ``forms``, not the evolution rules.
 
+A second D_t is rebuilt from the system alone: a dx-coefficient f is
+rewritten with u2 = u - w and v2 = v - z, which must leave no bare u or v,
+and D_t f = f_t + F f_w + G f_z from the converted ``sys.F`` and
+``sys.G``.  It checks jetcalc's rule for D_t on the Song-Qu-Qiao structure
+residuals and on seeded exp((eta-1)*x) perturbations of its f11 and f12.
+
 The zero-curvature residual D_t X - D_x T + [X, T] of the packed Lax pair is
 rebuilt the same way, with X and T packed in sympy from the f_ij: sl(2, R)
 as (1/2) [[f2, f1 - f3], [f1 + f3, -f2]] for delta = +1, and the su(2)-style
@@ -95,13 +101,31 @@ def _derivations(system):
     return d_x, d_t
 
 
+def _system_dt(system):
+    """D_t in sympy from F and G alone, for f that depend on u, u2 and v, v2
+    only through w = u - u2 and z = v - v2: D_t f = f_t + F f_w + G f_z."""
+    F, G = _sympy(system.F), _sympy(system.G)
+    u, u2, v, v2 = (sympy.Symbol(name) for name in ("u", "u2", "v", "v2"))
+    w, z = sympy.Dummy("w"), sympy.Dummy("z")
+
+    def d_t(f):
+        g = sympy.expand(f.subs({u2: u - w, v2: v - z}))
+        assert not g.free_symbols & {u, v}, f
+        dg = sympy.diff(g, _T) + F * sympy.diff(g, w) + G * sympy.diff(g, z)
+        return dg.subs({w: u - u2, z: v - v2})
+
+    return d_t
+
+
 def _vanishes(r) -> bool:
     return sympy.expand(sympy.numer(sympy.together(r))) == 0
 
 
-def _oracle_verdicts(forms: AssociatedForms, system) -> dict[int, list[bool]]:
-    """The three verdicts for the forms' rows at either curvature sign."""
-    d_x, d_t = _derivations(system)
+def _oracle_verdicts(forms: AssociatedForms, system, d_t=None) -> dict[int, list[bool]]:
+    """The three verdicts for the forms' rows at either curvature sign, with
+    jetcalc's D_t images unless another D_t is given."""
+    d_x, jet_d_t = _derivations(system)
+    d_t = d_t or jet_d_t
     (f11, f12), (f21, f22), (f31, f32) = [[_sympy(e) for e in row] for row in forms.f]
     r1 = _vanishes(d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21))
     r2 = _vanishes(d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31))
@@ -193,6 +217,27 @@ def _thm37_mch_type():
     return build_theorem37(Thm36Input(
         g=f11, h=-f31, A=A, L1=f12 + A * f11, N1=-f32 - A * f31, M=f22, eta=K.ONE, delta=-1,
     ))
+
+
+def test_dt_rebuilt_from_the_system_agrees_with_jetcalc_on_song_qu_qiao():
+    entry = catalog_entry("song-qu-qiao")
+    system, (row1, row2, row3) = entry.system, entry.forms.f
+    d_t = _system_dt(system)
+    forms = entry.forms
+    assert _oracle_verdicts(forms, system, d_t)[1] == _oracle_verdicts(forms, system)[1] == [True] * 3
+    # seeded perturbations of f11 and f12 by exp((eta-1)*x) terms
+    rng = random.Random(2202)
+    seen = set()
+    for _ in range(2):
+        k1, k2 = rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
+        p11 = rng.choice(("(u - u2)", "(v - v2)^2", "eta", "(u - u2)*(v - v2)"))
+        p12 = rng.choice(("u1", "(v - v2)", "u*v1", "0"))
+        f1 = (row1[0] + parse(f"{k1}*exp((eta-1)*x)*{p11}"), row1[1] + parse(f"{k2}*exp((eta-1)*x)*{p12}"))
+        forms = AssociatedForms((f1, row2, row3), 1)
+        kernel = _kernel_verdicts(forms, system)
+        assert _oracle_verdicts(forms, system, d_t)[1] == kernel, [str(f) for f in f1]
+        seen.add(tuple(kernel))
+    assert seen and (True, True, True) not in seen
 
 
 _BUILDS = {"thm34-golden": _thm34_golden, "thm36-song-qu-qiao": _thm36_song_qu_qiao,
