@@ -4,42 +4,42 @@ Expressions are canonical fractions of multivariate polynomials with rational
 coefficients.  The variable universe consists of independent coordinates
 (x, t, z), jet coordinates (u, u1, ..., v, v1, ..., and in "jets" mode also
 m, m1, ..., n, n1, ...), dependent auxiliaries (phi1, phi2, phih1, phih2, p)
-and named parameters (eta, delta, eps, u0, kk, theta, ...).  Exponential
-factors exp(q * c), with q a polynomial in parameters and c a single
-coordinate, are opaque atoms that merge by exponent addition.
+and named parameters (eta, delta, eps, u0, kk, theta, ...), and exponentials
+exp(q * c), with q a polynomial in parameters and c a single coordinate.
 
 Representation: a polynomial is int coefficients over one positive int
-`den` in lowest terms (zero over 1), so arithmetic adds and multiplies ints
-and reduces once per result; a Fraction appears only at the API edge and in
-exponent coefficients.  Parsing (each product, quotient and the result),
-powers and printing hold a number to MAX_DIGITS digits; parsing refuses a
-product whose operands' term counts multiply past MAX_TERMS.  Coordinates
-are interned and compare and hash by identity.  A monomial is one int with
-a 9-bit field per atom, in the order atoms are first used: 8 exponent bits
-and a guard bit.  A product is `m1 + m2`; one mask test (the guard bits,
-bit 1 of the `i` and `s` fields, which hold 0 or 1, and an exponential on
-both sides) sends it to the slow path, which applies the rewrites, folds
-exponentials of one base and rejects an exponent above MAX_EXPONENT.  Each
-monomial's (atom, power) pairs and sort key are decoded once per int; terms
-are ordered graded lexicographically, atoms with a smaller key most
-significant.
+`den` in lowest terms (zero over 1); a Fraction appears only at the API edge
+and in exponent coefficients.  Parsing (each product, quotient and the
+result), powers and printing hold a number to MAX_DIGITS digits; parsing
+refuses a product whose operands' term counts multiply past MAX_TERMS.
+Atoms are interned and compare and hash by identity.  A monomial is one int
+with a 9-bit field per atom: 8 exponent bits and a guard bit.  A product is
+`m1 + m2`; one mask test (the guard bits and bit 1 of the `i` and `s`
+fields, which hold 0 or 1) sends it to the slow path, which applies the
+rewrites and rejects an exponent above MAX_EXPONENT.  Each base's
+exponentials are integer powers of basis atoms exp(b_j * c), bounded like
+any other power; printing, the term order, evaluation, substitution into
+exponents and pickles see the exponential exp(sum p_j b_j c) they stand for.
+Terms are ordered graded lexicographically, atoms with a smaller key most
+significant; division orders them with each basis atom as a variable.
 
-Canonical form: numerator and denominator are fully expanded, share no
-polynomial factor (gcd-reduced), exponential content is shifted so that the
-minimal exponent multiple over both is zero, and the denominator is scaled to
+Canonical form: numerator and denominator are fully expanded and share no
+polynomial factor (gcd-reduced); the basis of each base's exponentials is
+the Hermite normal form of the lattice the differences of their exponents
+span, and each basis power's least value over both is 0; the denominator is
 a primitive integer polynomial whose leading coefficient is positive.  Two
 special parameters carry rewrite rules, applied in the product and nowhere
-else: i*i -> -1 and s*s -> 2.  The gcd first splits off the atoms that occur
-in one operand only: it is the gcd of the operands' coefficients, as
+else: i*i -> -1 and s*s -> 2.  The gcd first splits off the atoms that
+occur in one operand only: it is the gcd of the operands' coefficients, as
 polynomials in the shared atoms, of their monomials in the one-sided ones.
 Operands with equal atom sets go to GCDHEU on integer polynomials over
 exponent tuples, with a primitive PRS on the same polynomials as the
-fallback; all of these take `i`, `s` and localized exponentials as free
-atoms, so the reduced form does not depend on which path finished, and a
-factor they find divides exactly under the rewrites.  Arithmetic whose result is
-canonical by construction skips normalization: sums and products over 1,
-adding zero, the first power, and scaling by a nonzero constant, which
-changes neither the gcd, the exponential shift nor the denominator's content.
+fallback; all of these take `i`, `s` and the basis exponentials, which are
+algebraically independent, as free atoms, so the reduced form does not
+depend on which path finished, and a factor they find divides exactly under
+the rewrites.  Arithmetic whose result is reduced by construction skips the
+gcd: sums and products over 1, adding zero, the first power, and scaling by
+a nonzero constant.
 
 Expressions are immutable after construction; normalization is pure, so
 values can be shared freely across threads or processes (a pickle carries
@@ -211,15 +211,15 @@ def _div(a, b):
 # exponent polynomials are stored as canonical item tuples:
 #   ((monomial, coeff), ...) sorted by the monomial's atoms and powers
 
-ExpItems = tuple
-
 
 class ExpAtom:
-    """Opaque factor exp(e) with e = (polynomial in parameters) * coordinate,
-    equal when the exponents are.  Its field holds power 1: a product of two
-    exponentials of one base folds into one."""
+    """The factor exp(e) with e = (polynomial in parameters) * coordinate,
+    equal when the exponents are.  In a canonical expression it is a basis
+    atom, exp(b * c) for one vector b of a basis of its base c's lattice, and
+    its field holds an integer power like any other atom (see `_on_lattice`);
+    printing and evaluation see the exponential the powers stand for."""
 
-    def __init__(self, items: ExpItems, base: Coord):
+    def __init__(self, items: tuple, base: Coord):
         self.items = items
         self.base = base
         self._hash = hash(items)
@@ -241,6 +241,11 @@ class ExpAtom:
     def exponent(self) -> "Poly":
         d = math.lcm(*(c.denominator for _, c in self.items))
         return Poly({m: c.numerator * (d // c.denominator) for m, c in self.items}, d)
+
+    @functools.cached_property
+    def positive(self) -> bool:
+        """Whether the exponent's `_mono_order`-leading coefficient is positive."""
+        return min(self.items, key=lambda mc: _mono_order(mc[0]))[1] > 0
 
     def __str__(self) -> str:
         return f"exp({self.exponent})"
@@ -282,15 +287,16 @@ def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
 
 # A monomial is an int of 9-bit fields, one per interned atom in `_ATOMS`:
 # exponent bits 0-7 and guard bit 8, clear in every stored monomial.  The
-# `i` and `s` fields come first and hold 0 or 1, an exponential's holds 0
-# or 1 and a monomial carries at most one exponential per base.
+# `i` and `s` fields come first and hold 0 or 1; the named coordinates
+# follow, so a monomial of coordinates stays a short int however many
+# exponentials are interned later.
 
 _FIELD = 9
 
 _ATOMS: list = []        # field index -> atom
 _SHIFTS: dict = {}       # atom -> bit offset of its field
 _GUARDS = 0              # the guard bit of every field
-_EXPS = 0                # bit 0 of every exponential's field
+_EXPS = 0                # the exponent bits of every exponential's field
 _INTERN = threading.Lock()
 _MONOS: dict = {}        # monomial -> (sort key, pairs), see `_decode`
 _MONO_CACHE = 1 << 16
@@ -310,7 +316,7 @@ def _shift(atom) -> int:
                 sh = _FIELD * len(_ATOMS)
                 _ATOMS.append(atom)
                 _GUARDS |= 0x100 << sh
-                _EXPS |= isinstance(atom, ExpAtom) << sh
+                _EXPS |= (0xFF if isinstance(atom, ExpAtom) else 0) << sh
                 _SHIFTS[atom] = sh
     return sh
 
@@ -334,32 +340,63 @@ def _pack(pairs: Iterable) -> int:
 
 
 def _decode(mono: int) -> tuple[tuple, tuple]:
-    """(sort key, (atom, power) pairs in atom key order) of a monomial.  The
-    sort key lists monomials from the greatest down in graded lex order (a
-    smaller atom `key` is more significant): (-degree, key1, -power1, ...,
-    _LAST), where _LAST sorts after every key, so a longer prefix comes
-    first."""
+    """(`_order`, (atom, power) pairs in atom key order) of a monomial, with
+    each basis atom as a plain variable."""
     info = _MONOS.get(mono)
     if info is None:
         fields = ((a, mono >> sh & 0xFF) for a, sh in zip(_ATOMS, range(0, mono.bit_length(), _FIELD)))
         pairs = tuple(sorted(((a, p) for a, p in fields if p), key=lambda ap: ap[0].key))
-        order = (-sum(p for _, p in pairs), *(k for a, p in pairs for k in (a.key, -p)), _LAST)
-        info = (order, pairs)
+        info = (_order(pairs), pairs)
         if len(_MONOS) >= _MONO_CACHE:
             _MONOS.clear()
         _MONOS[mono] = info
     return info
 
 
+def _order(pairs: Iterable) -> tuple:
+    """The graded lex sort key of (atom, power) pairs in atom key order,
+    greatest first: (-degree, key1, -power1, ..., _LAST), where _LAST sorts
+    after every key, so a longer prefix comes first."""
+    return (-sum(p for _, p in pairs), *(k for a, p in pairs for k in (a.key, -p)), _LAST)
+
+
 _LAST = (9,)
 
 
+@functools.lru_cache(maxsize=_MONO_CACHE)
+def _standing(mono: int) -> tuple[tuple, tuple]:
+    """(sort key, pairs) of the monomial a monomial with exponentials stands
+    for: each base's basis powers fold into one exponential of power 1."""
+    pairs, exps = [], {}
+    for a, p in _pairs(mono):
+        if isinstance(a, ExpAtom):
+            exps.setdefault(a.base, []).append(a.exponent.scale(p, 1))
+        else:
+            pairs.append((a, p))
+    pairs += ((e, 1) for e in (_exp_atom(functools.reduce(Poly.add, ps)) for ps in exps.values()) if e)
+    pairs.sort(key=lambda ap: ap[0].key)
+    return _order(pairs), tuple(pairs)
+
+
 def _mono_order(mono: int) -> tuple:
+    """The term order, for printing and the leading coefficient: graded lex
+    on what the monomial stands for."""
+    return _standing(mono)[0] if mono & _EXPS else _decode(mono)[0]
+
+
+def _div_order(mono: int) -> tuple:
+    """The division order, a monomial order: basis atoms are variables."""
     return _decode(mono)[0]
 
 
 def _pairs(mono: int) -> tuple:
     return _decode(mono)[1]
+
+
+def _factors(mono: int) -> tuple:
+    """The (atom, power) pairs that printing, evaluation and substitution
+    see: each base's exponentials folded into one."""
+    return _standing(mono)[1] if mono & _EXPS else _decode(mono)[1]
 
 
 def _mono_min(m1: int, m2: int) -> int:
@@ -370,17 +407,16 @@ def _mono_min(m1: int, m2: int) -> int:
 
 
 def _mono_quo(m1: int, m2: int) -> int | None:
-    """m1 / m2, or None when m2 does not divide m1 (exp atoms must match
-    exactly)."""
+    """m1 / m2, or None when m2 does not divide m1."""
     guards = _GUARDS
     q = (m1 | guards) - m2
     return q ^ guards if q & guards == guards else None
 
 
 def _mono_times(m1: int, m2: int) -> tuple[int, int]:
-    """(rational factor, monomial) of m1 * m2: rewrites i*i and s*s, folds
-    exponentials of one base and rejects an exponent past the bound.
-    `Poly.mul` calls it only for a sum that its mask test flags."""
+    """(rational factor, monomial) of m1 * m2: rewrites i*i and s*s and
+    rejects an exponent past the bound.  `Poly.mul` calls it only for a sum
+    that its mask test flags."""
     m = m1 + m2
     if m & _GUARDS:
         powers = dict(_pairs(m1))
@@ -391,19 +427,7 @@ def _mono_times(m1: int, m2: int) -> tuple[int, int]:
         if m >> sh & 2:
             m -= 2 << sh
             factor *= sq
-    if m1 & _EXPS and m2 & _EXPS:
-        exps = {a.base: a for a, _ in _pairs(m1) if isinstance(a, ExpAtom)}
-        for b, _ in _pairs(m2):
-            if isinstance(b, ExpAtom) and (a := exps.get(b.base)) is not None:
-                m += _fold_change(a, b)
     return factor, m
-
-
-@functools.cache
-def _fold_change(a: ExpAtom, b: ExpAtom) -> int:
-    """What folding exp(a) * exp(b), of one base, adds to a monomial."""
-    folded = _exp_atom(a.exponent.add(b.exponent))
-    return (1 << _shift(folded) if folded else 0) - (1 << _SHIFTS[a]) - (1 << _SHIFTS[b])
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +504,12 @@ class Poly:
             c = self.terms[_ONE_MONO]
             return other if c == 1 == self.den else other.scale(c, self.den)
         out: dict = {}
-        flag, exps = _GUARDS | _SQUARES, _EXPS
+        flag = _GUARDS | _SQUARES
         b = other.terms.items()
         for m1, c1 in self.terms.items():
-            e1 = m1 & exps
             for m2, c2 in b:
                 mono = m1 + m2
-                if mono & flag or (e1 and m2 & exps):
+                if mono & flag:
                     factor, mono = _mono_times(m1, m2)
                     c2 *= factor
                 nc = out.get(mono, 0) + c1 * c2
@@ -509,8 +532,8 @@ class Poly:
     def pow(self, n: int) -> "Poly":
         """self ** n by repeated squaring, raising BoundError before anything
         is expanded when the power may pass a bound: k terms may make
-        C(k + n - 1, n) terms, an atom's largest power p makes p * n (`i`,
-        `s` and exponentials do not grow), and with coefficients a_j / d in
+        C(k + n - 1, n) terms, an atom's largest power p makes p * n (`i`
+        and `s` do not grow), and with coefficients a_j / d in
         lowest common terms a coefficient's numerator is at most
         (w * sum |a_j|) ** n and its denominator d ** n, where w = 2 when a
         term holds `s` (|s| < 2 covers s*s -> 2) and 1 otherwise."""
@@ -523,7 +546,7 @@ class Poly:
             # a field of the union of the monomials is at least each power
             union = functools.reduce(operator.or_, terms, 0)
             for a, p in _pairs(union):
-                if p * n > MAX_EXPONENT and not isinstance(a, ExpAtom) and a not in _REWRITES:
+                if p * n > MAX_EXPONENT and a not in _REWRITES:
                     sh = _SHIFTS[a]
                     if (top := n * max(m >> sh & 0xFF for m in terms)) > MAX_EXPONENT:
                         raise BoundError(f"exponent {top} of {a} exceeds {MAX_EXPONENT}")
@@ -549,9 +572,9 @@ class Poly:
             if sh is not None and (power := mono >> sh & 0xFF):
                 den = _add_into(out, den, {mono - (1 << sh): coeff * power}, self.den)
             if mono & exps:
-                for atom, _ in _pairs(mono):
+                for atom, power in _pairs(mono):
                     if isinstance(atom, ExpAtom):
-                        term = atom.exponent.diff(c).mul(Poly({mono: coeff}, self.den))
+                        term = atom.exponent.diff(c).mul(Poly({mono: coeff * power}, self.den))
                         den = _add_into(out, den, term.terms, term.den)
         return _reduced(out, den)
 
@@ -567,9 +590,9 @@ class Poly:
             out |= {a} if isinstance(a, Coord) else a.exponent.coords()
         return out
 
-    def leading(self) -> tuple[int, int]:
+    def leading(self, order: Callable = _mono_order) -> tuple[int, int]:
         """(monomial, int coefficient over `den`) of the leading term."""
-        mono = min(self.terms, key=_mono_order)
+        mono = min(self.terms, key=order)
         return mono, self.terms[mono]
 
     def content(self) -> tuple[int, int]:
@@ -584,7 +607,7 @@ class Poly:
         den = self.den
         for mono, coeff in self.terms.items():
             term = coeff / den
-            for atom, power in _pairs(mono):
+            for atom, power in _factors(mono):
                 term *= value_of(atom) ** power
             total += term
         return total
@@ -598,7 +621,7 @@ class Poly:
         parts = []
         for mono, coeff in self.sorted_terms():
             atom_strs = []
-            for atom, power in _pairs(mono):
+            for atom, power in _factors(mono):
                 a = str(atom)
                 atom_strs.append(a if power == 1 else f"{a}^{power}")
             body = "*".join(atom_strs)
@@ -675,13 +698,12 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def _poly_div(a: Poly, b: Poly) -> Poly | None:
-    """a / b under the rewrites by leading terms; None when that leaves a
-    remainder.  On a's and b's ints A and B, A * d = B * quo + rem, scaled by
-    the part of b's leading coefficient that a quotient term lacks.  The
-    remainder's leading monomial comes from a heap of (`_mono_order`,
+    """a / b under the rewrites by leading terms in `_div_order`; None when
+    that leaves a remainder.  On a's and b's ints A and B, A * d = B * quo +
+    rem, scaled by the part of b's leading coefficient that a quotient term
+    lacks.  The remainder's leading monomial comes from a heap of (order,
     monomial) entries: a monomial is pushed only when not queued, so no two
-    entries tie, and one that has cancelled is dropped when it surfaces.  So
-    the heap yields the monomial `leading()` would pick, at every step."""
+    entries tie, and one that has cancelled is dropped when it surfaces."""
     if b.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
     if a.is_zero():
@@ -695,12 +717,12 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
             quo[q_mono] = c
         quo = Poly(quo, a.den)
         return quo if b_coeff == b.den else quo.scale(b.den, b_coeff)
-    b_mono, b_coeff = b.leading()
+    b_mono, b_coeff = b.leading(_div_order)
     tail = [(m, c) for m, c in b.terms.items() if m != b_mono]
     quo: dict = {}
     rem = dict(a.terms)
     d = 1
-    heap = [(_mono_order(m), m) for m in rem]
+    heap = [(_div_order(m), m) for m in rem]
     heapq.heapify(heap)
     queued = set(rem)
     while rem:
@@ -724,20 +746,18 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
                 rem[mono] = nc
                 if mono not in queued:
                     queued.add(mono)
-                    heapq.heappush(heap, (_mono_order(mono), mono))
+                    heapq.heappush(heap, (_div_order(mono), mono))
             else:
                 del rem[mono]
     return _reduced({m: c * b.den for m, c in quo.items() if c}, d * a.den)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd, up to a rational unit, with `i`, `s` and each `_ExpVar`
-    as free atoms, scaled to a positive `_mono_order`-leading coefficient.
-
-    Exponential atoms are not free polynomial generators (their powers fold
-    into the exponent), so once the common monomial part is stripped, any
-    remaining exponential forces the conservative answer: only the monomial
-    factor is cancelled.
+    """Primitive gcd, up to a rational unit, with `i`, `s` and each basis
+    exponential as free atoms, scaled to a positive `_mono_order`-leading
+    coefficient.  Exponentials along Q-independent directions are
+    algebraically independent, so the basis atoms of one lattice are free
+    polynomial generators and the gcd over them is exact.
 
     A common factor h holds only atoms that occur in both operands.  Over
     Z[shared atoms] the monomials in the other atoms are linearly
@@ -766,7 +786,7 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     b = Poly({m - mb: c for m, c in b.terms.items()}, b.den)
     atoms_a, atoms_b = a.atoms(), b.atoms()
     shared = atoms_a & atoms_b
-    if not shared or any(isinstance(at, ExpAtom) for at in atoms_a | atoms_b):
+    if not shared:
         return Poly({common_mono: 1})
     if atoms_a != atoms_b:
         # group each operand's terms by their fields of one-sided atoms; a
@@ -949,124 +969,96 @@ def _prs_gcd(f: dict, g: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Exponential content normalization
+# Exponential lattices
 # ---------------------------------------------------------------------------
 
 
-def _exp_ratio(items_a: ExpItems, items_b: ExpItems) -> tuple[int, int] | None:
-    """(p, r) in lowest terms with r > 0 and a == p / r * b, or None."""
-    da = dict(items_a)
-    ratios = set()
-    for m, c in items_b:
-        if m not in da:
-            return None
-        p, r = da[m].numerator * c.denominator, da[m].denominator * c.numerator
-        g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
-        ratios.add((p // g, r // g))
-    return ratios.pop() if len(items_a) == len(items_b) and len(ratios) == 1 else None
+def _on_lattice(num: Poly, den: Poly, strict: bool = True) -> tuple[Poly, Poly]:
+    """num / den with each base's exponentials on their lattice (`_rebased`),
+    or as they are when each base has one basis atom, and when `strict`, a
+    positive one whose powers have least value 0 and gcd 1.  A fraction about
+    to be reduced needs only free atoms: the gcd strips a common shift."""
+    exps = functools.reduce(operator.or_, den.terms, functools.reduce(operator.or_, num.terms, 0)) & _EXPS
+    if not exps:
+        return num, den
+    bases = set()
+    for a, _ in _pairs(exps):
+        if a.base in bases:
+            return _rebased(num, den)
+        bases.add(a.base)
+        if strict:
+            powers = [m >> _SHIFTS[a] & 0xFF for p in (num, den) for m in p.terms]
+            if not a.positive or min(powers) or math.gcd(*powers) != 1:
+                return _rebased(num, den)
+    return num, den
 
 
-@dataclass(frozen=True)
-class _ExpVar:
-    """Stand-in polynomial variable for integer powers of one exponential
-    generator; used only inside fraction reduction (its powers do not fold).
-    Its exponent generates the exponents of its base after the shift, so a
-    reduced fraction delocalizes to the same atoms whatever its history."""
-
-    base: Coord
-    items: ExpItems
-
-    @functools.cached_property
-    def key(self) -> tuple:
-        return (5, self.base.key, tuple((_mono_sort_key(m), c) for m, c in self.items))
-
-
-def _localize_exps(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
-    """Shift exponential content per base coordinate and rewrite it as integer
-    powers of one _ExpVar, so fraction reduction can treat it as ordinary
-    polynomial atoms.
-
-    A base is commensurate when its exponents are rational multiples of one
-    generator, oriented so its leading coefficient is positive.  Each such base
-    is shifted by its least power over numerator and denominator (a term
-    without the base has power 0), which pins down a shift independent of
-    construction history.  Returns (num, den, localized).  When some base is
-    incommensurate, the shifted polynomials are delocalized at once and reduce
-    on ExpAtoms.  When nothing needs a shift and either some base is
-    incommensurate or the denominator is a single term, the localized form
-    would not change the reduction, and when an _ExpVar power would pass
-    MAX_EXPONENT it cannot be built, so the polynomials come back unconverted.
-    """
-    gens: dict[Coord, ExpItems] = {}
-    ratios: dict[ExpAtom, tuple[int, int] | None] = {}
-    exps = _EXPS
-    for p in (num, den):
-        for mono in p.terms:
-            for a, _ in _pairs(mono) if mono & exps else ():
-                if isinstance(a, ExpAtom) and a not in ratios:
-                    gen = gens.get(a.base)
-                    if gen is None:
-                        gen = a.items
-                        lead = min((m for m, _ in gen), key=_mono_order)
-                        if dict(gen)[lead] < 0:
-                            gen = tuple((m, -c) for m, c in gen)
-                        gens[a.base] = gen
-                    ratios[a] = _exp_ratio(a.items, gen)
-    if not gens:
-        return num, den, False
-    skew = {a.base for a, q in ratios.items() if q is None}
-    scale = {base: 1 for base in gens if base not in skew}
-    for a, q in ratios.items():
-        if a.base in scale:
-            scale[a.base] = math.lcm(scale[a.base], q[1])
-    power = {a: q[0] * scale[a.base] // q[1] for a, q in ratios.items() if a.base in scale}
-
-    def powers(mono: int) -> dict:
-        return {a.base: power[a] for a, _ in _pairs(mono) if isinstance(a, ExpAtom) and a in power}
-
-    rows = [[(mono, c, powers(mono)) for mono, c in p.terms.items()] for p in (num, den)]
-    low = {base: min(pw.get(base, 0) for rs in rows for _, _, pw in rs) for base in scale}
-    if not any(low.values()) and (skew or len(den.terms) == 1):
-        return num, den, False
-    step = {
-        base: math.gcd(*(pw.get(base, 0) - k for rs in rows for _, _, pw in rs)) or 1
-        for base, k in low.items()
-    }
-    top = {base: max(pw.get(base, 0) for rs in rows for _, _, pw in rs) for base in low}
-    if any(top[base] - k > MAX_EXPONENT * step[base] for base, k in low.items()):
-        return num, den, False
-    variables = {
-        base: _ExpVar(base, tuple((m, _div(c * step[base], scale[base])) for m, c in gens[base]))
-        for base in low
-    }
-
-    def convert(rs: list, d: int) -> Poly:
-        out: dict = {}
-        for mono, coeff, pw in rs:
-            pairs = [(a, e) for a, e in _pairs(mono) if not (isinstance(a, ExpAtom) and a in power)]
-            pairs += [(var, (pw.get(base, 0) - low[base]) // step[base]) for base, var in variables.items()]
-            out[_pack(pairs)] = coeff
-        return Poly(out, d)
-
-    num, den = convert(rows[0], num.den), convert(rows[1], den.den)
-    if skew:
-        return _delocalize_exps(num), _delocalize_exps(den), False
-    return num, den, True
+def _rebased(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / den with each base c's exponentials rewritten as powers of
+    exp(b1 * c), ..., exp(br * c), where b1, ..., br is the Hermite normal
+    form of the lattice spanned by the differences of their exponents, over
+    the exponent's monomials in `_mono_order` (for one direction, the
+    gcd-scaled exponent with a positive leading coefficient).  Each power is
+    shifted to least value 0 over both polynomials; terms that meet add."""
+    terms = [*num.terms, *den.terms]
+    bases: dict = {}
+    for a, _ in _pairs(functools.reduce(operator.or_, terms) & _EXPS):
+        bases.setdefault(a.base, []).append(a)
+    packed = [m & ~_EXPS for m in terms]
+    for atoms in bases.values():
+        cols = sorted({m for a in atoms for m in a.exponent.terms}, key=_mono_order)
+        scale = math.lcm(*(a.exponent.den for a in atoms))
+        vectors = [(_SHIFTS[a], [a.exponent.terms.get(m, 0) * (scale // a.exponent.den) for m in cols]) for a in atoms]
+        points = [[sum((m >> sh & 0xFF) * v[k] for sh, v in vectors) for k in range(len(cols))] for m in terms]
+        points = [[x - y for x, y in zip(point, points[0])] for point in points]
+        rows = _hnf(points)
+        powers = [_coordinates(point, rows) for point in points]
+        low = [min(col) for col in zip(*powers)]
+        basis = [_exp_atom(_reduced({m: x for m, x in zip(cols, row) if x}, scale)) for row in rows]
+        for k, point in enumerate(powers):
+            packed[k] += _pack(zip(basis, (p - least for p, least in zip(point, low))))
+    out: list = []
+    for p, monos in ((num, packed[:len(num.terms)]), (den, packed[len(num.terms):])):
+        merged: dict = {}
+        for c, mono in zip(p.terms.values(), monos):
+            merged[mono] = merged.get(mono, 0) + c
+        out.append(_reduced({m: c for m, c in merged.items() if c}, p.den))
+    return out[0], out[1]
 
 
-def _delocalize_exps(p: Poly) -> Poly:
-    """Rewrite each _ExpVar power as its ExpAtom.  A localized monomial holds
-    at most one _ExpVar per base, and its `i`, `s` powers are below 2, so
-    nothing folds or rewrites."""
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        pairs = []
-        for a, pw in _pairs(mono):
-            if isinstance(a, _ExpVar):
-                a, pw = ExpAtom(tuple((m, _div(c * pw, 1)) for m, c in a.items), a.base), 1
-            pairs.append((a, pw))
-        out[_pack(pairs)] = coeff
-    return Poly(out, p.den)
+def _hnf(rows: list) -> list:
+    """The Hermite normal form of the lattice the integer rows span: rows
+    whose first nonzero entries (pivots) are positive and in strictly later
+    columns, each entry above a pivot in [0, pivot)."""
+    basis: list = []
+    rows = [r for r in rows if any(r)]
+    col = 0
+    while rows:
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:  # Euclid on the column
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            reduced = [[x - r[col] // pivot[col] * y for x, y in zip(r, pivot)] for r in live[1:]]
+            rows += [r for r in reduced if not r[col] and any(r)]
+            live = [pivot, *(r for r in reduced if r[col])]
+        if live:
+            pivot = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+            basis = [[x - b[col] // pivot[col] * y for x, y in zip(b, pivot)] for b in basis]
+            basis.append(pivot)
+        col += 1
+    return basis
+
+
+def _coordinates(point: list, rows: list) -> list:
+    """The integer coordinates of a lattice point in the `_hnf` rows."""
+    out = []
+    for row in rows:
+        col = next(k for k, x in enumerate(row) if x)
+        k = point[col] // row[col]
+        point = [x - k * y for x, y in zip(point, row)]
+        out.append(k)
+    return out
 
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -1087,18 +1079,19 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 class Expr:
-    """Canonical rational expression: a reduced fraction of Polys.
+    """Canonical rational expression: a reduced fraction of Polys, each
+    base's exponentials on the lattice of their own exponents.
 
     A constant canonical denominator is 1.  A sum or product of polynomials
-    over 1 is canonical over 1 (every exponential of a canonical
-    expression has a positive leading exponent coefficient, so no shift
-    applies) and skips the normalizing constructor.  So do x + 0, 0 + x and
-    x ** 1, which are x, and x * c, c * x and x / c for a constant c, which
-    are zero for c = 0 and otherwise keep x's denominator: scaling by a
-    nonzero rational changes neither the gcd, the exponential shift nor the
-    denominator's content.  Equal non-constant denominators take the general
-    path: with `i` and `s` free in the gcd, reducing against d instead of
-    d*d can print a different, equal fraction.
+    over 1 skips the gcd and only puts its exponentials on their lattice,
+    which a cancelled term can shrink and which a shift can give a monomial
+    denominator (coprime to the numerator, since the shift leaves a power 0
+    of each basis atom in it).  x + 0, 0 + x and x ** 1 are x, and x * c,
+    c * x and x / c for a constant c are zero for c = 0 and otherwise keep
+    x's denominator: scaling by a nonzero rational changes neither the gcd,
+    the exponents nor the denominator's content.  Equal non-constant
+    denominators take the general path: with `i` and `s` free in the gcd,
+    reducing against d instead of d*d can print a different, equal fraction.
     """
 
     __slots__ = ("num", "den")
@@ -1108,17 +1101,15 @@ class Expr:
             self.num = num
             self.den = den
             return
+        num, den = _on_lattice(num, den, den.is_const())
         if den.is_zero():
             raise DivisionByZeroError("denominator normalizes to zero")
         if num.is_zero():
             self.num = Poly.zero()
             self.den = Poly.const(1)
             return
-        num, den, localized = _localize_exps(num, den)
         if not den.is_const():
-            num, den = _reduce_fraction(num, den)
-        if localized:
-            num, den = _delocalize_exps(num), _delocalize_exps(den)
+            num, den = _on_lattice(*_reduce_fraction(num, den))
         g, d = den.content()
         if g != 1 or d != 1:
             num = num.scale(d, g)
@@ -1134,15 +1125,13 @@ class Expr:
 
     @staticmethod
     def atom(a) -> "Expr":
-        if isinstance(a, ExpAtom):
-            return Expr(Poly.atom(a), _POLY_ONE)
         return Expr._over_one(Poly.atom(a))
 
     @staticmethod
     def _over_one(num: Poly) -> "Expr":
-        """num / 1 for a polynomial that is canonical over 1: a sum or product
+        """num / 1 for a polynomial that is reduced over 1: a sum or product
         of numerators over 1, a constant or a coordinate."""
-        return Expr(num, _POLY_ONE, _normalized=True)
+        return Expr(*_on_lattice(num, _POLY_ONE), _normalized=True)
 
     @staticmethod
     def exp(arg: "Expr") -> "Expr":
@@ -1151,7 +1140,9 @@ class Expr:
         atom = _exp_atom(arg.num)
         if atom is None:
             return Expr.const(1)
-        return Expr.atom(atom)
+        if atom.positive:
+            return Expr(Poly.atom(atom), _POLY_ONE, _normalized=True)
+        return Expr(_POLY_ONE, Poly.atom(_exp_atom(arg.num.neg())), _normalized=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -1333,7 +1324,7 @@ def _subs_poly(p: Poly, bindings: Mapping[Coord, Expr]) -> Expr:
     total = Expr.const(0)
     for mono, coeff in p.terms.items():
         term = Expr._over_one(_reduced({_ONE_MONO: coeff}, p.den))
-        for atom, power in _pairs(mono):
+        for atom, power in _factors(mono):
             if isinstance(atom, ExpAtom):
                 exp_poly = atom.exponent
                 touched = exp_poly.coords() & set(bindings)
@@ -1375,7 +1366,7 @@ def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[
     def poly(p: Poly) -> str:
         terms = ["0.0"]
         for mono, coeff in p.terms.items():
-            factors = [factor(atom, power) for atom, power in _pairs(mono)]
+            factors = [factor(atom, power) for atom, power in _factors(mono)]
             if coeff != p.den or not factors:
                 factors.insert(0, repr(coeff / p.den))
             terms.append(" * ".join(factors))
@@ -1409,6 +1400,10 @@ x, t, z = (indep(name) for name in _INDEP_NAMES)
 eta, delta, eps, u0, kk, theta = (param(name) for name in ("eta", "delta", "eps", "u0", "kk", "theta"))
 iunit, sqrt2 = param("i"), param("s")
 phi1, phi2, phih1, phih2, p = (dep(name) for name in _DEP_NAMES)
+# the most used first, since a monomial's cost grows with its last field
+for _c in (eta, x, t, *(jet(b, k) for k in range(MAX_JET_ORDER + 1) for b in _JET_BASES),
+           z, delta, eps, u0, kk, theta, phi1, phi2, phih1, phih2, p):
+    _shift(_c)
 
 
 def u(k: int = 0) -> Coord:

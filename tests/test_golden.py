@@ -215,11 +215,17 @@ def test_golden_exponents_are_at_most_half_the_bound():
     # so that a later cut to the exponent bound cannot change a golden
     # without this failing first
     recorded = json.loads((GOLDEN / "parse_outcomes.json").read_text(encoding="utf-8"))
-    texts = [out for _, *outs in recorded for out in outs if "Error: " not in out]
-    texts += [(GOLDEN / f"{stem}.json").read_text(encoding="utf-8") for stem, _, _ in CASES]
+    outcomes = [out for _, *outs in recorded for out in outs if "Error: " not in out]
+    texts = outcomes + [(GOLDEN / f"{stem}.json").read_text(encoding="utf-8") for stem, _, _ in CASES]
     exponents = [int(e) for text in texts for e in re.findall(r"\^(\d+)", text)]
     assert len(texts) > 1400 and len(exponents) > 1600
     assert max(exponents) <= K.MAX_EXPONENT // 2
+    # an exponential prints as one exp(...), so its basis powers are read
+    # off the parsed outcome; jets mode reads the texts of both modes
+    parsed = [parse(out, mn_mode="jets") for out in outcomes]
+    powers = [p for e in parsed for q in (e.num, e.den) for m in q.terms
+              for a, p in K._pairs(m) if isinstance(a, K.ExpAtom)]
+    assert len(powers) > 900 and max(powers) <= K.MAX_EXPONENT // 2
 
 
 if __name__ == "__main__":

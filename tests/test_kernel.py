@@ -161,10 +161,11 @@ class TestCanonicalForm:
         assert len(K._pairs(mono)) == 2  # one exponential per base coordinate
 
     def test_exp_coefficients_after_reduction_are_canonical(self):
-        # exp(x/2)^2 leaves fraction reduction as exp(x): its exponent's
-        # coefficient is the int 1, as everywhere else, not Fraction(1, 1)
+        # exp(x/2)^2 leaves fraction reduction as exp(x/2) squared, which
+        # stands for exp(x): its exponent's coefficient is the int 1, as
+        # everywhere else, not Fraction(1, 1)
         e = parse("exp(x/2)^2/(exp(x/2) + 1)")
-        coeffs = [c for p in (e.num, e.den) for mono in p.terms for a, _ in K._pairs(mono) for _, c in a.items]
+        coeffs = [c for p in (e.num, e.den) for mono in p.terms for a, _ in K._factors(mono) for _, c in a.items]
         assert [(type(c), c) for c in coeffs] == [(int, 1), (Fraction, Fraction(1, 2))]
 
     def test_exp_fraction_canonical_across_routes(self):
@@ -181,20 +182,24 @@ class TestCanonicalForm:
         assert (a * c) / (parse("u + v") * c) == a / parse("u + v")
 
     def test_mixed_exponential_directions_zero_test(self):
-        # exponents along independent directions reduce only up to
-        # exponential units, but differences still normalize to zero
+        # exponents along independent directions are powers of two basis
+        # atoms, free in the gcd, so the common factor cancels
         r = parse("exp((eta-1)*x)") / parse("u + exp(x)")
         c = parse("u^3 + v - 2 + 1/exp((eta-1)*x)")
         r2 = (parse("exp((eta-1)*x)") * c) / (parse("u + exp(x)") * c)
         assert (r - r2).is_zero()
+        assert r == r2 and hash(r) == hash(r2)
 
     def test_shift_with_commensurate_and_incommensurate_bases(self):
-        # base x mixes eta*x with x (incommensurate, left as is) while base z
-        # is shifted by its least power over both polynomials, which is not 0
+        # base x mixes eta*x with x, a lattice of rank 2 with the basis
+        # eta*x, x; base z has the basis 1/3*z; each basis power is shifted
+        # by its least value over both polynomials
         e = parse("exp(-1/3*z)/eta*i*exp(eta*x) - exp(-x)").diff(K.x)
-        assert str(e) == "(i*exp(x*eta + 2*x) + exp(x)*exp(1/3*z))/(exp(2*x)*exp(1/3*z))"
+        assert str(e) == "(i*exp(x*eta + x) + exp(1/3*z))/(exp(x)*exp(1/3*z))"
         q = parse("exp(eta*x)*exp(2/3*z) + exp(x)*exp(1/3*z)") / parse("u*exp(1/3*z)")
         assert str(q) == "(exp(x*eta)*exp(1/3*z) + exp(x))/(u)"
+        # one direction x - eta*x: the basis is its negative, x*eta - x
+        assert str(parse("exp(x - eta*x) + u")) == "(u*exp(x*eta - x) + 1)/(exp(x*eta - x))"
 
     @pytest.mark.xfail(strict=True, reason="gcd over free i, s: reduced against d*d, not d")
     def test_equal_denominator_sum_is_canonical(self):
@@ -205,12 +210,23 @@ class TestCanonicalForm:
         assert (a - b).is_zero()
         assert a == b and hash(a) == hash(b)
 
-    @pytest.mark.xfail(strict=True, reason="incommensurate exponentials are never shifted")
     def test_exp_product_with_skew_factors_is_canonical(self):
-        # prints (exp(x*eta + x))/(exp(x*eta)); the difference is zero
         a = parse("exp((eta+1)*x)*exp(-eta*x)")
         assert (a - parse("exp(x)")).is_zero()
-        assert a == parse("exp(x)")
+        assert a == parse("exp(x)") and hash(a) == hash(parse("exp(x)"))
+        assert str(a) == "exp(x)"
+
+    def test_quotient_of_two_directions_is_canonical(self):
+        a = parse("(exp(2*x)-exp(2*eta*x))/(exp(x)-exp(eta*x))")
+        b = parse("exp(x)+exp(eta*x)")
+        assert a == b and hash(a) == hash(b)
+
+    def test_the_lattice_shrinks_when_a_sum_cancels(self):
+        # exp(x) leaves the sum, so its lattice is spanned by 2*x
+        a = parse("exp(2*x) + exp(x)") - parse("exp(x)")
+        assert a == parse("exp(2*x)") and hash(a) == hash(parse("exp(2*x)"))
+        ((atom, power),) = K._pairs(next(iter(a.num.terms)))
+        assert (str(atom), power) == ("exp(2*x)", 1)
 
     def test_jet_identity(self):
         # the bare symbol and the order-zero jet are the same coordinate
@@ -527,12 +543,6 @@ def _atom(text: str):
     return atom
 
 
-def _slot(atom) -> tuple:
-    """An atom's place in the tuple merge: its key, or for an exponential
-    its base's place, so two exponentials of one base meet."""
-    return (4, atom.base.key) if isinstance(atom, K.ExpAtom) else atom.key
-
-
 def _rational_poly(terms: dict) -> K.Poly:
     """The Poly of {monomial: rational}, over the least common denominator."""
     den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
@@ -554,26 +564,21 @@ def _assert_lowest_terms(p: K.Poly) -> None:
 def _tuple_times(m1: tuple, m2: tuple) -> tuple:
     """The tuple merge that packed monomials replaced, kept as their oracle:
     (rational factor, monomial) of m1 * m2 for (atom, power) tuples sorted by
-    atom key.  It adds the powers of equal atoms, folds exponentials of one
-    base and rewrites i*i -> -1 and s*s -> 2; it has no exponent bound."""
+    atom key.  It adds the powers of equal atoms, basis exponentials included,
+    and rewrites i*i -> -1 and s*s -> 2; it has no exponent bound."""
     factor, out = 1, []
     i = j = 0
     while i < len(m1) and j < len(m2):
         (a1, p1), (a2, p2) = m1[i], m2[j]
-        if _slot(a1) < _slot(a2):
+        if a1.key < a2.key:
             out.append(m1[i])
             i += 1
-        elif _slot(a2) < _slot(a1):
+        elif a2.key < a1.key:
             out.append(m2[j])
             j += 1
         else:
             i += 1
             j += 1
-            if isinstance(a1, K.ExpAtom):
-                exponent = a1.exponent.add(a2.exponent)
-                if not exponent.is_zero():
-                    out.append((K._exp_atom(exponent), 1))
-                continue
             p = p1 + p2
             if a1 in (K.iunit, K.sqrt2):
                 factor *= (-1 if a1 is K.iunit else 2) ** (p // 2)
@@ -592,21 +597,16 @@ class TestPackedMonomials:
     _EXPS = ("exp(x)", "exp(2*x)", "exp(eta*x - x)", "exp(eta*x)", "exp(t)", "exp(2*t)", "exp(z)")
 
     def _random_mono(self, rng: random.Random) -> tuple:
-        """(atom, power) pairs in key order: jets, parameters and x at powers
-        up to the bound, i and s, and at most one exponential per base."""
-        pairs = [(_atom(a), rng.choice((1, 2, 3, 7, 100, 127, 128, 200, 254, 255)))
-                 for a in rng.sample(self._PLAIN, rng.randint(0, 3))]
+        """(atom, power) pairs in key order: jets, parameters, x and basis
+        exponentials at powers up to the bound, and i and s."""
+        atoms = [*rng.sample(self._PLAIN, rng.randint(0, 3)), *rng.sample(self._EXPS, rng.randint(0, 2))]
+        pairs = [(_atom(a), rng.choice((1, 2, 3, 7, 100, 127, 128, 200, 254, 255))) for a in atoms]
         pairs += [(_atom(a), 1) for a in ("i", "s") if rng.random() < 0.4]
-        bases = set()
-        for a in map(_atom, rng.sample(self._EXPS, rng.randint(0, 2))):
-            if a.base not in bases:
-                bases.add(a.base)
-                pairs.append((a, 1))
         return tuple(sorted(pairs, key=lambda ap: ap[0].key))
 
     def test_packed_product_matches_the_tuple_merge(self):
         rng = random.Random(255)
-        seen = {"plain": 0, "rewrite": 0, "fold": 0, "over": 0}
+        seen = {"plain": 0, "rewrite": 0, "exps": 0, "over": 0}
         for _ in range(3000):
             t1, t2 = self._random_mono(rng), self._random_mono(rng)
             factor, want = _tuple_times(t1, t2)
@@ -622,9 +622,9 @@ class TestPackedMonomials:
             got_factor, got = K._mono_times(m1, m2)
             assert (got_factor, K._pairs(got)) == (factor, want)
             assert K.Poly({m1: 1}).mul(K.Poly({m2: 3})).terms == {got: 3 * factor}
-            folds = {a.base for a, _ in t1 if isinstance(a, K.ExpAtom)} & {
-                a.base for a, _ in t2 if isinstance(a, K.ExpAtom)}
-            seen["fold" if folds else "rewrite" if factor != 1 else "plain"] += 1
+            # exponentials multiply by the packed add, like any atom
+            exps = {a for a, _ in t1 if isinstance(a, K.ExpAtom)} & {a for a, _ in t2 if isinstance(a, K.ExpAtom)}
+            seen["exps" if exps else "rewrite" if factor != 1 else "plain"] += 1
         assert min(seen.values()) > 200, seen
 
     def test_quotient_and_common_part_are_field_wise(self):
@@ -652,9 +652,12 @@ class TestPackedMonomials:
         for text in ("u^256", "u^200*u^100", "(u^200)^2", "(u + v^128)^2", "u^255*u", "1/u^256"):
             with pytest.raises(K.BoundError):
                 parse(text)
-        # i, s and exponentials do not grow their fields
+        # i and s do not grow their fields; a basis exponential does, and
+        # exp(300*x) is power 1 of its own basis atom
         assert parse("i^1001") == parse("i") and parse("s^256") == 2**128
-        assert parse("exp(x)^300") == parse("exp(300*x)")
+        with pytest.raises(K.BoundError, match=re.escape("exponent 300 of exp(x)")):
+            parse("exp(x)^300")
+        assert str(parse("exp(300*x)")) == "exp(300*x)"
         # the power names the exponent it would make, not the first square
         # past the bound
         for text, message in (("u^99999999999999999999", "exponent 99999999999999999999 of u"),
@@ -693,13 +696,14 @@ class TestPackedMonomials:
             str(big)
         assert str(parse("(10^299 - 1)*u")) == "9" * 299 + "*u"
 
-    def test_exponential_powers_past_the_bound_reduce_on_the_exponentials(self):
-        # exp(255*x) is power 255 of the stand-in for exp(x), which fits
+    def test_exponential_powers_past_the_bound_raise(self):
+        # exp(255*x) is power 255 of the basis atom exp(x), which fits
         assert parse("(exp(255*x) - 1)/(exp(x) - 1)") == sum(parse(f"exp({k}*x)") for k in range(255))
-        # power 300 does not, so these reduce on the exponentials themselves
-        assert str(parse("exp(300*x)/(exp(x) + u)")) == "(exp(300*x))/(u + exp(x))"
-        e = parse("(exp(300*x) - 1)/(exp(x) - 1)")
-        assert (e * parse("exp(x) - 1") - parse("exp(300*x) - 1")).is_zero()
+        # power 300 does not: a value whose lattice needs it is refused
+        for text in ("exp(300*x)/(exp(x) + u)", "(exp(300*x) - 1)/(exp(x) - 1)"):
+            with pytest.raises(K.BoundError, match=re.escape("exponent 300 of exp(x) exceeds 255")):
+                parse(text)
+        assert str(parse("exp(300*x)/(exp(150*x) + u)")) == "(exp(300*x))/(u + exp(150*x))"
 
     def test_term_bound(self):
         # (u+v+eta+u1+x+t)^20 would make C(25, 20) = 53130 terms
@@ -797,7 +801,7 @@ class TestProductFolds:
         assert (prod * parse("exp(-eta*x)*exp(z)") - parse("u*v*exp(x)")).is_zero()
 
     def test_commensurate_exponential_fraction(self):
-        # reduced through integer powers of one stand-in exponential
+        # reduced as polynomials in one basis exponential
         assert parse("(exp(2*x) - 1)/(exp(x) - 1)") == parse("exp(x) + 1")
         e = parse("(exp(3*eta*x) - u^3)/(exp(eta*x) - u)")
         assert e == parse("exp(2*eta*x) + u*exp(eta*x) + u^2")
@@ -891,15 +895,24 @@ class TestExactDivisionBySingleTerm:
                 q = K.poly_exact_div(a, b.num)
                 assert q.mul(b.num) == a
 
+    def test_exponential_product_divides_by_its_factor(self):
+        # the division order takes each basis atom as a variable, so the
+        # leading term of b*q is the product of the leading terms
+        b, q = parse("exp(x) + 1"), parse("exp(x) + u")
+        assert K._poly_div((b * q).num, b.num) == q.num
+
     def test_non_divisor_raises(self):
         a = parse("u^2*v + u").num
         with pytest.raises(K.KernelError, match="not exact"):
             K.poly_exact_div(a, parse("u*v").num)
 
     def test_exp_atom_does_not_divide_its_square(self):
-        # exp(x)^2 folds into the single atom exp(2*x), which exp(x) does not divide
+        # exp(2*x) alone is power 1 of its own basis atom, which exp(x) does
+        # not divide; on one lattice exp(x) divides its square
         with pytest.raises(K.KernelError, match="not exact"):
             K.poly_exact_div(parse("exp(2*x)").num, parse("exp(x)").num)
+        square = parse("exp(2*x) + exp(x)").num
+        assert K.poly_exact_div(square, parse("exp(x)").num) == parse("exp(x) + 1").num
 
     def test_constant_divisor_matches_divide(self):
         rng = random.Random(12)

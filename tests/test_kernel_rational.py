@@ -73,8 +73,8 @@ def test_arithmetic_matches_the_loops_on_fractions():
         _assert_matches(p.pow(k), _old_pow(p, k), (context, k))
         g, d = p.content()
         assert Fraction(g, d) == _content(p) and d == p.den and math.gcd(g, d) == 1, context
-        # under the rewrites and the exponential folds, division by leading
-        # terms can leave a remainder where the loop on fractions does
+        # under the rewrites, division by leading terms can leave a
+        # remainder where the loop on fractions does
         got, want = K._poly_div(p.mul(q), q), _old_poly_div(p.mul(q), q)
         assert (got is None) == (want is None), context
         if want is not None:

@@ -176,6 +176,21 @@ def test_two_routes_with_exponentials_of_one_direction_agree_with_sympy():
     assert _exact_two_routes(1730, _exp_x_leaf) > 100
 
 
-@pytest.mark.xfail(strict=True, reason="exponentials of two directions on one base are not canonical")
 def test_two_routes_with_exponentials_of_two_directions_agree_with_sympy():
     assert _exact_two_routes(1731, _two_directions_leaf) > 100
+
+
+# The parse outcomes (tests/golden/parse_outcomes.json) that changed when
+# each base's exponentials moved onto their own lattice: (old, new) texts.
+_CHANGED_OUTCOMES = [
+    ("(-v^2*exp(x)*exp(t*eta) + 2*v*v2*exp(x)*exp(t*eta) - v2^2*exp(x)*exp(t*eta) + exp(x*eta))"
+     "/(v^2*exp(x) - 2*v*v2*exp(x) + v2^2*exp(x))",
+     "(-v^2*exp(t*eta) + 2*v*v2*exp(t*eta) - v2^2*exp(t*eta) + exp(x*eta - x))/(v^2 - 2*v*v2 + v2^2)"),
+    ("(-n^2*exp(x)*exp(t*eta) + exp(x*eta))/(n^2*exp(x))", "(-n^2*exp(t*eta) + exp(x*eta - x))/(n^2)"),
+]
+
+
+def test_changed_parse_outcomes_are_equal_in_sympy():
+    for old, new in _CHANGED_OUTCOMES:
+        assert sympy.cancel(sympy.parse_expr(old.replace("^", "**")) - sympy.parse_expr(new.replace("^", "**"))) == 0
+        assert parse(old, mn_mode="jets") == parse(new, mn_mode="jets")
