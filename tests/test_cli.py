@@ -218,6 +218,9 @@ def _with_long_number(config: dict) -> str:
         (["build", "thm35"], json.dumps(_thm35_config(expressions={
             **_thm35_config()["expressions"], "L": "*".join([_EIGHTEEN_ATOMS] * 6)})),
          "a product may exceed 10000 terms"),
+        (["build", "thm35"], json.dumps(_thm35_config(expressions={
+            **_thm35_config()["expressions"], "L": "(exp(300*x) - 1)/(exp(x) - 1)"})),
+         "exponent 300 of exp(x) exceeds 255"),
         (["build", "thm35"], _NESTED, "config nests too deeply"),
         (["verify", "lemma31"], _NESTED, "config nests too deeply"),
         (["lax", "check"], _NESTED, "config nests too deeply"),
@@ -230,7 +233,7 @@ def _with_long_number(config: dict) -> str:
     ],
     ids=["exponent-bound", "term-bound", "huge-exponent", "long-literal", "long-exponent",
          "constant-power", "constant-power-huge", "constant-product", "constant-sum",
-         "product-terms", "nested-build", "nested-lemma31",
+         "product-terms", "exponential-lattice", "nested-build", "nested-lemma31",
          "nested-lax", "long-number-build", "long-number-lemma31", "long-number-lax"],
 )
 def test_configs_past_a_bound_are_quick_usage_errors(tmp_path, command, text, message):
