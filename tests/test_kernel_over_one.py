@@ -1,7 +1,8 @@
 """Differential tests of the arithmetic that skips normalization.
 
 Sums, differences and products of two expressions over 1 are built as a
-polynomial over 1, without the normalizing constructor; ``Poly.mul`` returns
+polynomial over 1 without the gcd, only putting their exponentials on their
+lattice (which can leave a monomial denominator); ``Poly.mul`` returns
 the other operand for the constant 1 and scales for any other constant, so
 powers start from a free product; ``Poly.diff`` and ``Expr.derive`` add into
 one dict.  Adding zero, scaling by or dividing by a constant and the first
