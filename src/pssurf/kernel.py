@@ -590,9 +590,9 @@ class Poly:
             out |= {a} if isinstance(a, Coord) else a.exponent.coords()
         return out
 
-    def leading(self, order: Callable = _mono_order) -> tuple[int, int]:
+    def leading(self) -> tuple[int, int]:
         """(monomial, int coefficient over `den`) of the leading term."""
-        mono = min(self.terms, key=order)
+        mono = min(self.terms, key=_mono_order)
         return mono, self.terms[mono]
 
     def content(self) -> tuple[int, int]:
@@ -717,7 +717,8 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
             quo[q_mono] = c
         quo = Poly(quo, a.den)
         return quo if b_coeff == b.den else quo.scale(b.den, b_coeff)
-    b_mono, b_coeff = b.leading(_div_order)
+    b_mono = min(b.terms, key=_div_order)
+    b_coeff = b.terms[b_mono]
     tail = [(m, c) for m, c in b.terms.items() if m != b_mono]
     quo: dict = {}
     rem = dict(a.terms)
@@ -1073,6 +1074,15 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
+def _power(p: Poly, n: int) -> Poly:
+    """p ** n, where a single term's exponentials exp(e) become exp(n * e),
+    so a power of a value on its own lattice needs no larger basis power."""
+    if n > 1 and len(p.terms) == 1 and (mono := next(iter(p.terms))) & _EXPS:
+        exps = ((_exp_atom(a.exponent.scale(n, 1)), 1) for a, _ in _factors(mono) if isinstance(a, ExpAtom))
+        return Poly({mono & ~_EXPS: p.terms[mono]}, p.den).pow(n).mul(Poly({_pack(exps): 1}))
+    return p.pow(n)
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -1210,7 +1220,7 @@ class Expr:
             return Expr(self.den, self.num).__pow__(-n)
         if n == 1:
             return self
-        return Expr(self.num.pow(n), self.den.pow(n))
+        return Expr(_power(self.num, n), _power(self.den, n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -1312,9 +1322,7 @@ class Expr:
     def __str__(self) -> str:
         if self.den.is_const():
             return str(self.num)
-        num = str(self.num)
-        den = str(self.den)
-        return f"({num})/({den})"
+        return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
         return f"Expr({self})"
@@ -1325,14 +1333,8 @@ def _subs_poly(p: Poly, bindings: Mapping[Coord, Expr]) -> Expr:
     for mono, coeff in p.terms.items():
         term = Expr._over_one(_reduced({_ONE_MONO: coeff}, p.den))
         for atom, power in _factors(mono):
-            if isinstance(atom, ExpAtom):
-                exp_poly = atom.exponent
-                touched = exp_poly.coords() & set(bindings)
-                if touched:
-                    new_exp = _subs_poly(exp_poly, {c: bindings[c] for c in touched})
-                    term = term * Expr.exp(new_exp) ** power
-                else:
-                    term = term * Expr.atom(atom) ** power
+            if isinstance(atom, ExpAtom):  # a folded exponential, of power 1
+                term = term * Expr.exp(_subs_poly(atom.exponent, bindings))
             else:
                 term = term * bindings.get(atom, Expr.atom(atom)) ** power
         total = total + term

@@ -652,12 +652,12 @@ class TestPackedMonomials:
         for text in ("u^256", "u^200*u^100", "(u^200)^2", "(u + v^128)^2", "u^255*u", "1/u^256"):
             with pytest.raises(K.BoundError):
                 parse(text)
-        # i and s do not grow their fields; a basis exponential does, and
-        # exp(300*x) is power 1 of its own basis atom
+        # i and s do not grow their fields, and a power of one term scales
+        # its exponentials: exp(300*x) is power 1 of its own basis atom
         assert parse("i^1001") == parse("i") and parse("s^256") == 2**128
-        with pytest.raises(K.BoundError, match=re.escape("exponent 300 of exp(x)")):
-            parse("exp(x)^300")
-        assert str(parse("exp(300*x)")) == "exp(300*x)"
+        assert parse("exp(x)^300") == parse("exp(300*x)")
+        assert hash(parse("exp(x)^300")) == hash(parse("exp(300*x)"))
+        assert str(parse("(i*exp(-x))^300")) == "(1)/(exp(300*x))"
         # the power names the exponent it would make, not the first square
         # past the bound
         for text, message in (("u^99999999999999999999", "exponent 99999999999999999999 of u"),
