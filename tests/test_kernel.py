@@ -1,6 +1,7 @@
 """Kernel unit tests: grammar, canonical form, calculus, numeric evaluation."""
 
 import concurrent.futures
+import itertools
 import math
 import os
 import pickle
@@ -799,6 +800,48 @@ class TestProductFolds:
         assert len(prod.num.terms) == 1
         assert len(K._pairs(next(iter(prod.num.terms)))) == 3  # v, u, one exp per base
         assert (prod * parse("exp(-eta*x)*exp(z)") - parse("u*v*exp(x)")).is_zero()
+
+    @pytest.mark.xfail(strict=True, reason="a product adds basis powers on its operands' lattice first")
+    def test_difference_of_squares_needs_no_power_past_the_bound(self):
+        # exp(2p*x) - exp(2q*x) is on the lattice of 2*gcd(p, q)*x, with
+        # powers at most 255, whatever its factors' lattice needs
+        rng = random.Random(2301)
+        for _ in range(200):
+            p, q = rng.randint(128, 255), rng.randint(1, 127)
+            got = parse(f"(exp({p}*x) + exp({q}*x))*(exp({p}*x) - exp({q}*x))")
+            want = parse(f"exp({2 * p}*x) - exp({2 * q}*x)")
+            assert (got, hash(got), str(got)) == (want, hash(want), str(want)), (p, q)
+
+    def test_products_of_exponential_sums_match_their_expansion(self):
+        # a product and the parse of its expansion both raise BoundError,
+        # or are equal in value, hash and print; each factor has a constant
+        # term, so the product's top exponent is the sum of its factors'
+        rng = random.Random(2302)
+
+        def factor() -> dict:
+            ks = [0, *(rng.randint(1, 255) for _ in range(rng.randint(1, 2)))]
+            return {k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in ks}
+
+        def text(terms: dict) -> str:
+            return " + ".join(f"({c})*exp({k}*x)" for k, c in terms.items() if c) or "0"
+
+        def outcome(source: str):
+            try:
+                e = parse(source)
+            except K.BoundError:
+                return None
+            return e, hash(e), str(e)
+
+        seen = {"equal": 0, "raised": 0}
+        for _ in range(300):
+            a, b = factor(), factor()
+            expanded: dict = {}
+            for (k1, c1), (k2, c2) in itertools.product(a.items(), b.items()):
+                expanded[k1 + k2] = expanded.get(k1 + k2, 0) + c1 * c2
+            got = outcome(f"({text(a)})*({text(b)})")
+            assert got == outcome(text(expanded)), (a, b)
+            seen["raised" if got is None else "equal"] += 1
+        assert min(seen.values()) > 50, seen
 
     def test_commensurate_exponential_fraction(self):
         # reduced as polynomials in one basis exponential
