@@ -8,18 +8,19 @@ and named parameters (eta, delta, eps, u0, kk, theta, ...), and exponentials
 exp(q * c), with q a polynomial in parameters and c a single coordinate.
 
 Representation: a polynomial is int coefficients over one positive int
-`den` in lowest terms (zero over 1); a Fraction appears only at the API edge
-and in exponent coefficients.  Parsing (each product, quotient and the
-result), powers and printing hold a number to MAX_DIGITS digits; parsing
-refuses a product whose operands' term counts multiply past MAX_TERMS.
-Atoms are interned and compare and hash by identity.  A monomial is one int
-with a 9-bit field per atom: 8 exponent bits and a guard bit.  A product is
+`den` in lowest terms (zero over 1), exponents included; a Fraction appears
+only at the API edge.  Parsing (each product, quotient and the result),
+powers and printing hold a number to MAX_DIGITS digits; parsing refuses a
+product whose operands' term counts multiply past MAX_TERMS.  Atoms are
+interned and compare and hash by identity.  A monomial is one int with a
+9-bit field per atom: 8 exponent bits and a guard bit.  A product is
 `m1 + m2`; one mask test (the guard bits and bit 1 of the `i` and `s`
 fields, which hold 0 or 1) sends it to the slow path, which applies the
-rewrites and rejects an exponent above MAX_EXPONENT.  Each base's
-exponentials are integer powers of basis atoms exp(b_j * c), bounded like
-any other power; printing, the term order, evaluation, substitution into
-exponents and pickles see the exponential exp(sum p_j b_j c) they stand for.
+rewrites and rejects a coordinate or parameter power above MAX_EXPONENT.
+Each base's exponentials are integer powers of basis atoms exp(b_j * c);
+printing, the term order, evaluation, substitution into exponents and
+pickles see the exponential exp(sum p_j b_j c) they stand for, which a
+product whose basis power passes the bound holds instead.
 Terms are ordered graded lexicographically, atoms with a smaller key most
 significant; division orders them with each basis atom as a variable.
 
@@ -199,37 +200,27 @@ def dep(name: str) -> Coord:
 _REWRITES = {param("i"): -1, param("s"): 2}
 
 
-def _div(a, b):
-    """a / b for rationals in the one form of an exponent coefficient: an
-    int when it is integral, a Fraction otherwise."""
-    if a.__class__ is int and b.__class__ is int and not a % b:
-        return a // b
-    c = Fraction(a, b)
-    return c.numerator if c.denominator == 1 else c
-
-
-# exponent polynomials are stored as canonical item tuples:
-#   ((monomial, coeff), ...) sorted by the monomial's atoms and powers
-
-
 class ExpAtom:
     """The factor exp(e) with e = (polynomial in parameters) * coordinate,
-    equal when the exponents are.  In a canonical expression it is a basis
-    atom, exp(b * c) for one vector b of a basis of its base c's lattice, and
-    its field holds an integer power like any other atom (see `_on_lattice`);
-    printing and evaluation see the exponential the powers stand for."""
+    held with its terms in `_mono_sort_key` order and equal when the
+    exponents are.  In a canonical expression it is a basis atom, exp(b * c)
+    for one vector b of a basis of its base c's lattice, and its field holds
+    an integer power like any other atom (see `_on_lattice`); printing and
+    evaluation see the exponential the powers stand for."""
 
-    def __init__(self, items: tuple, base: Coord):
-        self.items = items
+    def __init__(self, exponent: "Poly", base: Coord):
+        self.exponent = exponent
         self.base = base
-        self._hash = hash(items)
+        self._hash = hash(exponent)
 
     @functools.cached_property
     def key(self) -> tuple:
-        return (4, self.base.key, tuple((_mono_sort_key(m), c) for m, c in self.items))
+        den = self.exponent.den
+        return (4, self.base.key, tuple((_mono_sort_key(m), c if den == 1 else Fraction(c, den))
+                                        for m, c in self.exponent.terms.items()))
 
     def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, ExpAtom) and self.items == other.items)
+        return self is other or (isinstance(other, ExpAtom) and self.exponent == other.exponent)
 
     def __hash__(self) -> int:
         return self._hash
@@ -238,14 +229,9 @@ class ExpAtom:
         return _exp_atom, (self.exponent,)
 
     @functools.cached_property
-    def exponent(self) -> "Poly":
-        d = math.lcm(*(c.denominator for _, c in self.items))
-        return Poly({m: c.numerator * (d // c.denominator) for m, c in self.items}, d)
-
-    @functools.cached_property
     def positive(self) -> bool:
         """Whether the exponent's `_mono_order`-leading coefficient is positive."""
-        return min(self.items, key=lambda mc: _mono_order(mc[0]))[1] > 0
+        return self.exponent.leading()[1] > 0
 
     def __str__(self) -> str:
         return f"exp({self.exponent})"
@@ -257,15 +243,15 @@ def _mono_sort_key(mono: int) -> tuple:
     return tuple((a.key, p) for a, p in _pairs(mono))
 
 
-def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
+def _exp_atom(exponent: "Poly") -> ExpAtom | None:
     """Build an ExpAtom from an exponent polynomial, validating its shape.
 
     Returns None for the zero exponent (the factor is 1).
     """
-    if items_poly.is_zero():
+    if exponent.is_zero():
         return None
     base = None
-    for mono in items_poly.terms:
+    for mono in exponent.terms:
         non_params = [(a, p) for a, p in _pairs(mono) if not (isinstance(a, Coord) and a.kind == KIND_PARAM)]
         if len(non_params) != 1 or non_params[0][1] != 1:
             msg = "exponent must be a polynomial in parameters times one coordinate"
@@ -277,8 +263,8 @@ def _exp_atom(items_poly: "Poly") -> ExpAtom | None:
             base = a
         elif base != a:
             raise UnsupportedExponentError("exponent mentions more than one coordinate")
-    items = ((m, _div(c, items_poly.den)) for m, c in items_poly.terms.items())
-    return ExpAtom(tuple(sorted(items, key=lambda kv: _mono_sort_key(kv[0]))), base)
+    terms = sorted(exponent.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+    return ExpAtom(_reduced(dict(terms), exponent.den), base)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +353,20 @@ _LAST = (9,)
 def _standing(mono: int) -> tuple[tuple, tuple]:
     """(sort key, pairs) of the monomial a monomial with exponentials stands
     for: each base's basis powers fold into one exponential of power 1."""
-    pairs, exps = [], {}
-    for a, p in _pairs(mono):
-        if isinstance(a, ExpAtom):
-            exps.setdefault(a.base, []).append(a.exponent.scale(p, 1))
-        else:
-            pairs.append((a, p))
-    pairs += ((e, 1) for e in (_exp_atom(functools.reduce(Poly.add, ps)) for ps in exps.values()) if e)
+    pairs = [(a, p) for a, p in _pairs(mono) if not isinstance(a, ExpAtom)] + _folded(mono)
     pairs.sort(key=lambda ap: ap[0].key)
     return _order(pairs), tuple(pairs)
+
+
+def _folded(*monos: int) -> list:
+    """(exp(e), 1) pairs, one per base: the exponential that the basis
+    powers of that base in all the monomials together stand for."""
+    exps: dict = {}
+    for mono in monos:
+        for a, p in _pairs(mono):
+            if isinstance(a, ExpAtom):
+                exps.setdefault(a.base, []).append(a.exponent.scale(p, 1))
+    return [(e, 1) for e in (_exp_atom(functools.reduce(Poly.add, ps)) for ps in exps.values()) if e]
 
 
 def _mono_order(mono: int) -> tuple:
@@ -414,14 +405,17 @@ def _mono_quo(m1: int, m2: int) -> int | None:
 
 
 def _mono_times(m1: int, m2: int) -> tuple[int, int]:
-    """(rational factor, monomial) of m1 * m2: rewrites i*i and s*s and
-    rejects an exponent past the bound.  `Poly.mul` calls it only for a sum
-    that its mask test flags."""
+    """(rational factor, monomial) of m1 * m2: rewrites i*i and s*s, and
+    when exponential fields pass the bound, folds each base's exponentials
+    into the one they stand for; any other exponent past the bound raises.
+    `Poly.mul` calls it only for a sum that its mask test flags."""
     m = m1 + m2
-    if m & _GUARDS:
-        powers = dict(_pairs(m1))
-        a, p = max(((a, p + powers.get(a, 0)) for a, p in _pairs(m2)), key=lambda ap: ap[1])
-        raise BoundError(f"exponent {p} of {a} exceeds {MAX_EXPONENT}")
+    if over := m & _GUARDS:
+        if over & ~(_EXPS << 1):
+            powers = dict(_pairs(m1))
+            a, p = max(((a, p + powers.get(a, 0)) for a, p in _pairs(m2 & ~_EXPS)), key=lambda ap: ap[1])
+            raise BoundError(f"exponent {p} of {a} exceeds {MAX_EXPONENT}")
+        m = (m ^ over) & ~_EXPS | _pack(_folded(m1, m2))
     factor = 1
     for sh, sq in _REWRITE_FIELDS:
         if m >> sh & 2:
@@ -533,10 +527,11 @@ class Poly:
         """self ** n by repeated squaring, raising BoundError before anything
         is expanded when the power may pass a bound: k terms may make
         C(k + n - 1, n) terms, an atom's largest power p makes p * n (`i`
-        and `s` do not grow), and with coefficients a_j / d in
-        lowest common terms a coefficient's numerator is at most
-        (w * sum |a_j|) ** n and its denominator d ** n, where w = 2 when a
-        term holds `s` (|s| < 2 covers s*s -> 2) and 1 otherwise."""
+        and `s` do not grow, nor do one term's exponentials, which fold),
+        and with coefficients a_j / d in lowest common terms a coefficient's
+        numerator is at most (w * sum |a_j|) ** n and its denominator d ** n,
+        where w = 2 when a term holds `s` (|s| < 2 covers s*s -> 2) and 1
+        otherwise."""
         if n < 0:
             raise KernelError("negative power on a polynomial")
         terms = self.terms
@@ -544,7 +539,7 @@ class Poly:
             if math.comb(len(terms) + n - 1, n) > MAX_TERMS:
                 raise BoundError(f"a power {n} of {len(terms)} terms may exceed {MAX_TERMS} terms")
             # a field of the union of the monomials is at least each power
-            union = functools.reduce(operator.or_, terms, 0)
+            union = functools.reduce(operator.or_, terms, 0) & ~(_EXPS if len(terms) == 1 else 0)
             for a, p in _pairs(union):
                 if p * n > MAX_EXPONENT and a not in _REWRITES:
                     sh = _SHIFTS[a]
@@ -739,10 +734,9 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
         q_coeff = r_coeff // b_coeff
         quo[q_mono] = quo.get(q_mono, 0) + q_coeff
         for m, c in tail:
-            try:
-                factor, mono = _mono_times(m, q_mono)
-            except BoundError:  # b times an exact quotient has no exponent above a's
+            if (m + q_mono) & _GUARDS:  # b times an exact quotient has no exponent above a's
                 return None
+            factor, mono = _mono_times(m, q_mono)
             if nc := rem.get(mono, 0) - q_coeff * c * factor:
                 rem[mono] = nc
                 if mono not in queued:
@@ -1074,15 +1068,6 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-def _power(p: Poly, n: int) -> Poly:
-    """p ** n, where a single term's exponentials exp(e) become exp(n * e),
-    so a power of a value on its own lattice needs no larger basis power."""
-    if n > 1 and len(p.terms) == 1 and (mono := next(iter(p.terms))) & _EXPS:
-        exps = ((_exp_atom(a.exponent.scale(n, 1)), 1) for a, _ in _factors(mono) if isinstance(a, ExpAtom))
-        return Poly({mono & ~_EXPS: p.terms[mono]}, p.den).pow(n).mul(Poly({_pack(exps): 1}))
-    return p.pow(n)
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -1148,11 +1133,7 @@ class Expr:
         if not arg.den.is_const():
             raise UnsupportedExponentError("exponent must be polynomial")
         atom = _exp_atom(arg.num)
-        if atom is None:
-            return Expr.const(1)
-        if atom.positive:
-            return Expr(Poly.atom(atom), _POLY_ONE, _normalized=True)
-        return Expr(_POLY_ONE, Poly.atom(_exp_atom(arg.num.neg())), _normalized=True)
+        return Expr.const(1) if atom is None else Expr._over_one(Poly.atom(atom))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -1220,7 +1201,7 @@ class Expr:
             return Expr(self.den, self.num).__pow__(-n)
         if n == 1:
             return self
-        return Expr(_power(self.num, n), _power(self.den, n))
+        return Expr(self.num.pow(n), self.den.pow(n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

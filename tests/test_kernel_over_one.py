@@ -198,8 +198,8 @@ def test_every_exponential_has_a_positive_leading_coefficient():
     for e in _pool():
         for a in e.num.atoms() | e.den.atoms():
             if isinstance(a, K.ExpAtom):
-                lead = min((m for m, _ in a.items), key=K._mono_order)
-                assert dict(a.items)[lead] > 0, str(e)
+                lead = min(a.exponent.terms, key=K._mono_order)
+                assert a.exponent.terms[lead] > 0, str(e)
 
 
 def test_sums_products_and_powers_over_one_match_full_construction():
