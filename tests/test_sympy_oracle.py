@@ -8,15 +8,23 @@ The Lemma 3.1 structure residuals
 
 are rebuilt in sympy from the printed form coefficients f_ij and from the
 D_x and D_t images that ``jetcalc`` gives for each jet; a residual vanishes
-when ``expand(numer(together(r))) == 0``.  That verdict must equal the
-kernel's.  The D_t images come from ``jetcalc``, so this checks the kernel's
-algebra and the assembly in ``forms``, not the evolution rules.
+when it is zero in sympy's rational function field (``sfield``) over the
+symbols and exponentials it holds, with i and sqrt(2) in the coefficient
+field.  That verdict must equal the kernel's.  The D_t images come from
+``jetcalc``, so this checks the kernel's algebra and the assembly in
+``forms``, not the evolution rules.  Residuals and verdicts are cached, so
+each is built and decided once however many tests ask for it.
 
 A second D_t is rebuilt from the system alone: a dx-coefficient f is
 rewritten with u2 = u - w and v2 = v - z, which must leave no bare u or v,
 and D_t f = f_t + F f_w + G f_z from the converted ``sys.F`` and
 ``sys.G``.  It checks jetcalc's rule for D_t on the Song-Qu-Qiao structure
 residuals and on seeded exp((eta-1)*x) perturbations of its f11 and f12.
+With symbols in place of F and G the same D_t makes the structure equations
+linear in F and G: for each constructor input below, the two whose
+dx-coefficient is not constant are solved in sympy (``linsolve``) and the
+solution must cancel against the constructor's F and G.  A seeded term
+added to F must then fail a structure residual in the kernel and in sympy.
 
 The zero-curvature residual D_t X - D_x T + [X, T] of the packed Lax pair is
 rebuilt the same way, with X and T packed in sympy from the f_ij: sl(2, R)
@@ -39,6 +47,7 @@ set into ``cubic-ch2``, and compared with ``check_lemma31``'s verdicts and
 with the list of violations that the t-derivative reports.
 """
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -46,6 +55,8 @@ from pathlib import Path
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.parsing.sympy_parser import auto_number, auto_symbol  # noqa: E402
+from sympy.polys.fields import sfield  # noqa: E402
 
 from pssurf import kernel as K  # noqa: E402
 from pssurf.classify import (  # noqa: E402
@@ -58,7 +69,7 @@ from pssurf.classify import (  # noqa: E402
     catalog_entry,
 )
 from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
-from pssurf.jetcalc import IllFormedDependenceError, total_dt_mod_system, total_dx  # noqa: E402
+from pssurf.jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system, total_dx  # noqa: E402
 from pssurf.kernel import Expr, parse  # noqa: E402
 from pssurf.laxzoo import from_forms, mat_is_zero, zero_curvature_residual  # noqa: E402
 
@@ -66,8 +77,12 @@ _LOCALS = {"i": sympy.I, "s": sympy.sqrt(2), "exp": sympy.exp}
 _X, _T = sympy.Symbol("x"), sympy.Symbol("t")
 
 
+@functools.cache
 def _sympy(e: Expr):
-    return sympy.parse_expr(str(e).replace("^", "**"), local_dict=_LOCALS)
+    # a printed expression has no decimal point or factorial, so the two
+    # transformations that parse_expr adds for those are left out
+    text = str(e).replace("^", "**")
+    return sympy.parse_expr(text, local_dict=_LOCALS, transformations=(auto_symbol, auto_number))
 
 
 def _thm35_input(seed: int, delta: int) -> Thm34Input:
@@ -80,6 +95,7 @@ def _thm35_input(seed: int, delta: int) -> Thm34Input:
     )
 
 
+@functools.cache
 def _derivations(system):
     """(D_x, D_t) in sympy.  D_t maps u and v to the images of u - u2 and
     v - v2, so it holds on dx-coefficients, which depend on u, u2 (and v, v2)
@@ -92,19 +108,24 @@ def _derivations(system):
         for base in ("u", "v")
     }
 
-    def d_x(f):
-        return sympy.diff(f, _X) + sum(sympy.diff(f, c) * img for c, img in dx_images.items())
+    def derivation(d, images: dict):
+        @functools.cache
+        def apply(f):
+            return sympy.diff(f, d) + sum(sympy.diff(f, c) * images[c] for c in f.free_symbols & images.keys())
+        return apply
 
-    def d_t(f):
-        return sympy.diff(f, _T) + sum(sympy.diff(f, c) * img for c, img in dt_images.items())
-
-    return d_x, d_t
+    return derivation(_X, dx_images), derivation(_T, dt_images)
 
 
+@functools.cache
 def _system_dt(system):
-    """D_t in sympy from F and G alone, for f that depend on u, u2 and v, v2
-    only through w = u - u2 and z = v - v2: D_t f = f_t + F f_w + G f_z."""
-    F, G = _sympy(system.F), _sympy(system.G)
+    """D_t in sympy from the system's F and G alone (see `_dt_with`)."""
+    return _dt_with(_sympy(system.F), _sympy(system.G))
+
+
+def _dt_with(F, G):
+    """D_t in sympy from F and G, for f that depend on u, u2 and v, v2 only
+    through w = u - u2 and z = v - v2: D_t f = f_t + F f_w + G f_z."""
     u, u2, v, v2 = (sympy.Symbol(name) for name in ("u", "u2", "v", "v2"))
     w, z = sympy.Dummy("w"), sympy.Dummy("z")
 
@@ -117,36 +138,48 @@ def _system_dt(system):
     return d_t
 
 
+@functools.cache
 def _vanishes(r) -> bool:
-    return sympy.expand(sympy.numer(sympy.together(r))) == 0
+    return sfield(r, extension=True)[1] == 0
 
 
-def _oracle_verdicts(forms: AssociatedForms, system, d_t=None) -> dict[int, list[bool]]:
-    """The three verdicts for the forms' rows at either curvature sign, with
-    jetcalc's D_t images unless another D_t is given."""
+@functools.cache
+def _residuals(f, system, d_t=None) -> tuple:
+    """(r1, r2, D_x f32 - D_t f31, f11 f22 - f12 f21) in sympy for the form
+    coefficients f, with jetcalc's D_t images unless another D_t is given;
+    r3 is the third minus delta times the fourth."""
     d_x, jet_d_t = _derivations(system)
     d_t = d_t or jet_d_t
-    (f11, f12), (f21, f22), (f31, f32) = [[_sympy(e) for e in row] for row in forms.f]
-    r1 = _vanishes(d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21))
-    r2 = _vanishes(d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31))
-    d3, w12 = d_x(f32) - d_t(f31), f11 * f22 - f12 * f21
-    return {delta: [r1, r2, _vanishes(d3 - delta * w12)] for delta in (1, -1)}
+    (f11, f12), (f21, f22), (f31, f32) = [[_sympy(e) for e in row] for row in f]
+    return (d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21), d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31),
+            d_x(f32) - d_t(f31), f11 * f22 - f12 * f21)
 
 
+def _oracle_verdicts(forms: AssociatedForms, system, d_t=None) -> list[bool]:
+    """The three verdicts for the forms at their curvature sign.  Residuals
+    and verdicts are cached, so forms tested at both signs, or by several
+    tests, build and test each residual once."""
+    r1, r2, d3, w12 = _residuals(forms.f, system, d_t)
+    return [_vanishes(r1), _vanishes(r2), _vanishes(d3 - forms.delta * w12)]
+
+
+@functools.cache
 def _oracle_zero_curvature(forms: AssociatedForms, system) -> bool:
     """Whether the Lax pair packed from the forms at their curvature sign
     has zero curvature."""
     d_x, d_t = _derivations(system)
     I = sympy.I
-    packed = []
-    for k in (0, 1):  # X from the dx-coefficients, T from the dt-coefficients
-        f1, f2, f3 = (_sympy(row[k]) for row in forms.f)
+
+    def packed(f1, f2, f3):
         if forms.delta == 1:
-            packed.append(sympy.Matrix([[f2, f1 - f3], [f1 + f3, -f2]]) / 2)
-        else:
-            packed.append(sympy.Matrix([[I * f2, f1 + I * f3], [-f1 + I * f3, -I * f2]]) / 2)
-    X, T = packed
-    residual = X.applyfunc(d_t) - T.applyfunc(d_x) + X * T - T * X
+            return sympy.Matrix([[f2, f1 - f3], [f1 + f3, -f2]]) / 2
+        return sympy.Matrix([[I * f2, f1 + I * f3], [-f1 + I * f3, -I * f2]]) / 2
+
+    # X from the dx-coefficients, T from the dt-coefficients; D_t and D_x
+    # are linear, so D_t X packs the D_t of each dx-coefficient
+    fx, ft = ([_sympy(row[k]) for row in forms.f] for k in (0, 1))
+    X, T = packed(*fx), packed(*ft)
+    residual = packed(*map(d_t, fx)) - packed(*map(d_x, ft)) + X * T - T * X
     return all(_vanishes(r) for r in residual)
 
 
@@ -159,10 +192,9 @@ def _kernel_verdicts(forms: AssociatedForms, system) -> list[bool]:
 @pytest.mark.parametrize("seed", range(10))
 def test_thm35_structure_verdicts_match_sympy(seed, delta):
     system, forms = build_theorem35(_thm35_input(seed, delta))
-    oracle = _oracle_verdicts(forms, system)
-    assert _kernel_verdicts(forms, system) == oracle[delta] == [True] * 3
+    assert _kernel_verdicts(forms, system) == _oracle_verdicts(forms, system) == [True] * 3
     flipped = AssociatedForms(forms.f, -delta)
-    assert _kernel_verdicts(flipped, system) == oracle[-delta] == [True, True, False]
+    assert _kernel_verdicts(flipped, system) == _oracle_verdicts(flipped, system) == [True, True, False]
 
 
 _CATALOG = ("song-qu-qiao", "cubic-ch2", "factored-ch2", "mch-type", "skew-ch2")
@@ -172,8 +204,7 @@ _CATALOG = ("song-qu-qiao", "cubic-ch2", "factored-ch2", "mch-type", "skew-ch2")
 def test_catalog_verdicts_match_sympy(name):
     entry = catalog_entry(name)
     forms, system = entry.forms, entry.system
-    oracle = _oracle_verdicts(forms, system)
-    assert _kernel_verdicts(forms, system) == oracle[forms.delta] == [True] * 3
+    assert _kernel_verdicts(forms, system) == _oracle_verdicts(forms, system) == [True] * 3
     assert entry.lax.algebra == ("sl2" if forms.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(entry.lax, system))
     assert kernel_zc is _oracle_zero_curvature(forms, system) is True
@@ -184,7 +215,7 @@ def test_catalog_at_the_opposite_sign_fails_in_both(name):
     entry = catalog_entry(name)
     flipped = AssociatedForms(entry.forms.f, -entry.forms.delta)
     oracle = _oracle_verdicts(flipped, entry.system)
-    assert _kernel_verdicts(flipped, entry.system) == oracle[flipped.delta] == [True, True, False]
+    assert _kernel_verdicts(flipped, entry.system) == oracle == [True, True, False]
     lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, entry.system))
     assert kernel_zc is _oracle_zero_curvature(flipped, entry.system) is False
@@ -224,7 +255,7 @@ def test_dt_rebuilt_from_the_system_agrees_with_jetcalc_on_song_qu_qiao():
     system, (row1, row2, row3) = entry.system, entry.forms.f
     d_t = _system_dt(system)
     forms = entry.forms
-    assert _oracle_verdicts(forms, system, d_t)[1] == _oracle_verdicts(forms, system)[1] == [True] * 3
+    assert _oracle_verdicts(forms, system, d_t) == _oracle_verdicts(forms, system) == [True] * 3
     # seeded perturbations of f11 and f12 by exp((eta-1)*x) terms
     rng = random.Random(2202)
     seen = set()
@@ -235,7 +266,7 @@ def test_dt_rebuilt_from_the_system_agrees_with_jetcalc_on_song_qu_qiao():
         f1 = (row1[0] + parse(f"{k1}*exp((eta-1)*x)*{p11}"), row1[1] + parse(f"{k2}*exp((eta-1)*x)*{p12}"))
         forms = AssociatedForms((f1, row2, row3), 1)
         kernel = _kernel_verdicts(forms, system)
-        assert _oracle_verdicts(forms, system, d_t)[1] == kernel, [str(f) for f in f1]
+        assert _oracle_verdicts(forms, system, d_t) == kernel, [str(f) for f in f1]
         seen.add(tuple(kernel))
     assert seen and (True, True, True) not in seen
 
@@ -248,16 +279,53 @@ _BUILDS = {"thm34-golden": _thm34_golden, "thm36-song-qu-qiao": _thm36_song_qu_q
 def test_constructor_verdicts_match_sympy_at_both_signs(name):
     # thm34 returns no Lax pair; its forms are packed as the CLI would
     system, forms, lax = _BUILDS[name]()
-    oracle = _oracle_verdicts(forms, system)
-    assert _kernel_verdicts(forms, system) == oracle[forms.delta] == [True] * 3
+    assert _kernel_verdicts(forms, system) == _oracle_verdicts(forms, system) == [True] * 3
     assert lax.algebra == ("sl2" if forms.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
     assert kernel_zc is _oracle_zero_curvature(forms, system) is True
     flipped = AssociatedForms(forms.f, -forms.delta)
-    assert _kernel_verdicts(flipped, system) == oracle[flipped.delta] == [True, True, False]
+    assert _kernel_verdicts(flipped, system) == _oracle_verdicts(flipped, system) == [True, True, False]
     lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
     assert kernel_zc is _oracle_zero_curvature(flipped, system) is False
+
+
+def _structure_equations(forms: AssociatedForms, system) -> tuple:
+    """(F, G, rows): sympy symbols F and G and the three structure residuals
+    at the forms' sign with D_t f = f_t + F f_w + G f_z, linear in F and G."""
+    F, G = sympy.Dummy("F"), sympy.Dummy("G")
+    r1, r2, d3, w12 = _residuals(forms.f, system, _dt_with(F, G))
+    return F, G, (r1, r2, d3 - forms.delta * w12)
+
+
+_CONSTRUCTED = [*_BUILDS, *(f"thm35-{seed}{sign}" for seed in range(10) for sign in "+-")]
+
+
+def _constructed(name: str):
+    """(system, forms) of a constructor input named in _CONSTRUCTED."""
+    if name in _BUILDS:
+        return _BUILDS[name]()[:2]
+    return build_theorem35(_thm35_input(int(name[6:-1]), 1 if name[-1] == "+" else -1))
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTED)
+def test_f_and_g_resolved_in_sympy_match_the_constructors(name):
+    system, forms = _constructed(name)
+    F, G, rows = _structure_equations(forms, system)
+    # the two equations whose dx-coefficient is not constant hold F and G
+    with_fg = [r for r in rows if r.has(F, G)]
+    assert len(with_fg) == 2
+    ((solved_f, solved_g),) = sympy.linsolve(with_fg, [F, G])
+    assert sympy.cancel(solved_f - _sympy(system.F)) == 0
+    assert sympy.cancel(solved_g - _sympy(system.G)) == 0
+    # a seeded perturbation of F fails a structure residual on both sides
+    rng = random.Random(name)
+    term = parse(f"{rng.choice((-2, -1, 1, 3))}*{rng.choice(('u1', 'v', 'u*v1', 'x', 'u2^2'))}")
+    perturbed = PdeSystem(system.orders, system.F + term, system.G)
+    kernel = _kernel_verdicts(forms, perturbed)
+    images = {F: _sympy(perturbed.F), G: _sympy(perturbed.G)}
+    assert [_vanishes(r.subs(images)) for r in rows] == kernel, str(term)
+    assert False in kernel, str(term)
 
 
 # Factored dependence (Lemma 3.1): f_i1 depends on u, u2 only through
