@@ -163,8 +163,8 @@ class TestCanonicalForm:
 
     def test_exp_coefficients_after_reduction_are_canonical(self):
         # exp(x/2)^2 leaves fraction reduction as exp(x/2) squared, which
-        # stands for exp(x): its exponent is the int 1 times x over 1, as
-        # everywhere else, not 2*x over 2
+        # stands for exp(x): its exponent is x with the int coefficient 1
+        # over 1, in lowest terms as everywhere else, not 2*x over 2
         e = parse("exp(x/2)^2/(exp(x/2) + 1)")
         exponents = [a.exponent for p in (e.num, e.den) for mono in p.terms for a, _ in K._factors(mono)]
         assert [([(type(c), c) for c in q.terms.values()], q.den) for q in exponents] == [([(int, 1)], 1),
