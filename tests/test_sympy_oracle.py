@@ -117,18 +117,19 @@ def _derivations(system):
     return derivation(_X, dx_images), derivation(_T, dt_images)
 
 
-@functools.cache
 def _system_dt(system):
     """D_t in sympy from the system's F and G alone (see `_dt_with`)."""
     return _dt_with(_sympy(system.F), _sympy(system.G))
 
 
+@functools.cache
 def _dt_with(F, G):
     """D_t in sympy from F and G, for f that depend on u, u2 and v, v2 only
     through w = u - u2 and z = v - v2: D_t f = f_t + F f_w + G f_z."""
     u, u2, v, v2 = (sympy.Symbol(name) for name in ("u", "u2", "v", "v2"))
     w, z = sympy.Dummy("w"), sympy.Dummy("z")
 
+    @functools.cache
     def d_t(f):
         g = sympy.expand(f.subs({u2: u - w, v2: v - z}))
         assert not g.free_symbols & {u, v}, f
@@ -290,14 +291,7 @@ def test_constructor_verdicts_match_sympy_at_both_signs(name):
     assert kernel_zc is _oracle_zero_curvature(flipped, system) is False
 
 
-def _structure_equations(forms: AssociatedForms, system) -> tuple:
-    """(F, G, rows): sympy symbols F and G and the three structure residuals
-    at the forms' sign with D_t f = f_t + F f_w + G f_z, linear in F and G."""
-    F, G = sympy.Dummy("F"), sympy.Dummy("G")
-    r1, r2, d3, w12 = _residuals(forms.f, system, _dt_with(F, G))
-    return F, G, (r1, r2, d3 - forms.delta * w12)
-
-
+_FG = sympy.Dummy("F"), sympy.Dummy("G")
 _CONSTRUCTED = [*_BUILDS, *(f"thm35-{seed}{sign}" for seed in range(10) for sign in "+-")]
 
 
@@ -311,8 +305,11 @@ def _constructed(name: str):
 @pytest.mark.parametrize("name", _CONSTRUCTED)
 def test_f_and_g_resolved_in_sympy_match_the_constructors(name):
     system, forms = _constructed(name)
-    F, G, rows = _structure_equations(forms, system)
-    # the two equations whose dx-coefficient is not constant hold F and G
+    # the structure residuals with symbols F and G in D_t are linear in
+    # both, and the two whose dx-coefficient is not constant hold them
+    F, G = _FG
+    r1, r2, d3, w12 = _residuals(forms.f, system, _dt_with(F, G))
+    rows = (r1, r2, d3 - forms.delta * w12)
     with_fg = [r for r in rows if r.has(F, G)]
     assert len(with_fg) == 2
     ((solved_f, solved_g),) = sympy.linsolve(with_fg, [F, G])
