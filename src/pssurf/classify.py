@@ -16,7 +16,7 @@ from . import kernel as K
 from .forms import AssociatedForms, check_lemma31, wronskian
 from .jetcalc import PdeSystem, check_factored_dependence, total_dx
 from .kernel import Expr, KernelError, parse
-from .laxzoo import MatrixForm, from_forms, mat_is_zero, zero_curvature_residual
+from .laxzoo import MatrixForm, from_forms, has_zero_curvature
 
 
 class HypothesisViolationError(KernelError):
@@ -86,9 +86,9 @@ def _max_orders(*exprs: Expr) -> tuple[int, int]:
     return mo, no
 
 
-def _solve_fg(f, delta: int, const_row: int) -> tuple[Expr, Expr]:
+def _solve_fg(f, delta: int, const_row: int, W: Expr) -> tuple[Expr, Expr]:
     """Invert the two structure equations whose dx-coefficient depends on
-    u, v for (F, G)."""
+    u, v for (F, G); W is the wronskian of those two, g and h."""
     (f11, f12), (f21, f22), (f31, f32) = f
     d = Expr.const(delta)
     rhs = {
@@ -98,19 +98,17 @@ def _solve_fg(f, delta: int, const_row: int) -> tuple[Expr, Expr]:
     }
     a, b = [r for r in (1, 2, 3) if r != const_row]
     fa1, fb1 = f[a - 1][0], f[b - 1][0]
-    W = wronskian(fa1, fb1)
-    _require_nonzero(W, "frame wronskian nonzero")
     F = (fb1.diff(K.v(0)) * rhs[a] - fa1.diff(K.v(0)) * rhs[b]) / W
     G = (-fb1.diff(K.u(0)) * rhs[a] + fa1.diff(K.u(0)) * rhs[b]) / W
     return F, G
 
 
 def _assemble(
-    f, delta: int, const_row: int, orders: tuple[int, int]
+    f, delta: int, const_row: int, orders: tuple[int, int], W: Expr
 ) -> tuple[PdeSystem, AssociatedForms]:
     """The system solved from the forms f, with its orders bounded by
     `orders`, and the forms, checked against Lemma 3.1."""
-    F, G = _solve_fg(f, delta, const_row)
+    F, G = _solve_fg(f, delta, const_row, W)
     mo, no = orders
     fo, go = _max_orders(F, G)
     if fo > mo or go > no:
@@ -129,7 +127,7 @@ def _assemble(
 def _checked_lax(sys: PdeSystem, forms: AssociatedForms) -> MatrixForm:
     """The packed Lax pair of the forms, checked to have zero curvature."""
     lax = from_forms(forms)
-    if not mat_is_zero(zero_curvature_residual(lax, sys)):
+    if not has_zero_curvature(lax, sys):
         raise HypothesisViolationError("zero curvature of constructed pair", "nonzero matrix")
     return lax
 
@@ -138,25 +136,27 @@ def build_theorem34(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
     """Pattern with f21 constant: N = (D_x M + h L) / g."""
     _require_reduced_dependence(inp.g, "g")
     _require_reduced_dependence(inp.h, "h")
-    _require_nonzero(wronskian(inp.g, inp.h), "wronskian of (g, h) nonzero")
+    W = wronskian(inp.g, inp.h)
+    _require_nonzero(W, "wronskian of (g, h) nonzero")
     N = (total_dx(inp.M) + inp.h * inp.L) / inp.g
     _require_nonzero(inp.g * inp.M - inp.eta * inp.L, "g*M - eta*L nonzero")
     f = ((inp.g, inp.L), (inp.eta, inp.M), (inp.h, N))
     _generic_condition(inp.L, N, *inp.orders)
-    return _assemble(f, inp.delta, 2, inp.orders)
+    return _assemble(f, inp.delta, 2, inp.orders, W)
 
 
 def build_theorem35(inp: Thm34Input) -> tuple[PdeSystem, AssociatedForms]:
     """Pattern with f31 constant: N = (delta * D_x M + h L) / g; M non-constant."""
     _require_reduced_dependence(inp.g, "g")
     _require_reduced_dependence(inp.h, "h")
-    _require_nonzero(wronskian(inp.g, inp.h), "wronskian of (g, h) nonzero")
+    W = wronskian(inp.g, inp.h)
+    _require_nonzero(W, "wronskian of (g, h) nonzero")
     if inp.M.is_const():
         raise HypothesisViolationError("M non-constant", inp.M)
     N = (Expr.const(inp.delta) * total_dx(inp.M) + inp.h * inp.L) / inp.g
     f = ((inp.g, inp.L), (inp.h, N), (inp.eta, inp.M))
     _generic_condition(inp.L, N, *inp.orders)
-    return _assemble(f, inp.delta, 3, inp.orders)
+    return _assemble(f, inp.delta, 3, inp.orders, W)
 
 
 def _generic_condition(L: Expr, N: Expr, mo: int, no: int):
@@ -200,7 +200,8 @@ def _third_order_constraint(inp: Thm36Input, signed: bool) -> None:
 def build_theorem36(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, MatrixForm]:
     """Third-order pattern with f21 constant."""
     _check_pointwise_data(inp)
-    _require_nonzero(wronskian(inp.g, inp.h), "wronskian of (g, h) nonzero")
+    W = wronskian(inp.g, inp.h)
+    _require_nonzero(W, "wronskian of (g, h) nonzero")
     _require_nonzero(
         inp.L1 * inp.eta - inp.g * (inp.M + inp.eta * inp.A),
         "eta*L1 - g*(M + eta*A) nonzero",
@@ -209,21 +210,22 @@ def build_theorem36(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, Matrix
     L = -inp.A * inp.g + inp.L1
     N = -inp.A * inp.h + inp.N1
     f = ((inp.g, L), (inp.eta, inp.M), (inp.h, N))
-    sys, forms = _assemble(f, inp.delta, 2, (3, 3))
+    sys, forms = _assemble(f, inp.delta, 2, (3, 3), W)
     return sys, forms, _checked_lax(sys, forms)
 
 
 def build_theorem37(inp: Thm36Input) -> tuple[PdeSystem, AssociatedForms, MatrixForm]:
     """Third-order pattern with f31 constant; M non-constant."""
     _check_pointwise_data(inp)
-    _require_nonzero(wronskian(inp.g, inp.h), "wronskian of (g, h) nonzero")
+    W = wronskian(inp.g, inp.h)
+    _require_nonzero(W, "wronskian of (g, h) nonzero")
     if inp.M.is_const():
         raise HypothesisViolationError("M non-constant", inp.M)
     _third_order_constraint(inp, signed=True)
     L = -inp.A * inp.g + inp.L1
     N = -inp.A * inp.h + inp.N1
     f = ((inp.g, L), (inp.h, N), (inp.eta, inp.M))
-    sys, forms = _assemble(f, inp.delta, 3, (3, 3))
+    sys, forms = _assemble(f, inp.delta, 3, (3, 3), W)
     return sys, forms, _checked_lax(sys, forms)
 
 

@@ -7,9 +7,9 @@ dependence factors through u - u2 and v - v2 (or through first-class m, n
 symbols carrying their own t-rules).  ``factored_violations`` is the one
 test of that dependence; the Lemma 3.1 conditions in ``forms`` share it.
 
-D_x and D_t are derivations: each collects the image of every coordinate
-the expression mentions and applies them at once with ``Expr.derive``, so
-the result is reduced as one fraction.
+D_x and D_t are derivations: ``dx_images`` and ``dt_images`` collect the
+image of every coordinate an expression mentions, which ``Expr.derive``
+applies at once (a verdict takes them to ``Expr._derived`` unreduced).
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class DerivationRules:
 EMPTY_RULES = DerivationRules()
 
 
-def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
-    """Total x-derivative: partial in x plus jet promotion plus x-rules."""
+def dx_images(e: Expr, rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr]:
+    """The D_x image of x and of every jet and dependent symbol e mentions."""
     images = {K.x: K.ONE}
     for c in sorted(e.coords(), key=lambda c: c.key):
         if c.kind == K.KIND_JET:
@@ -114,7 +114,12 @@ def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
             if rule is None:
                 raise MissingRuleError(c)
             images[c] = rule
-    return rules.close(e.derive(images))
+    return images
+
+
+def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
+    """Total x-derivative: partial in x plus jet promotion plus x-rules."""
+    return rules.close(e.derive(dx_images(e, rules)))
 
 
 def factored_violations(e: Expr, base: str, top: int) -> tuple[bool, list[Coord]]:
@@ -146,12 +151,8 @@ def _dt_of_mn_jet(c: Coord, rules: DerivationRules) -> Expr:
     return out
 
 
-def total_dt_mod_system(
-    e: Expr,
-    sys: PdeSystem | None,
-    rules: DerivationRules = EMPTY_RULES,
-) -> Expr:
-    """Total t-derivative reduced modulo the evolution system.
+def dt_images(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr]:
+    """The D_t image modulo the system of t and of every symbol e mentions.
 
     The u, v dependence must factor through u - u2 and v - v2 (then
     (u - u2)_t is replaced by F and (v - v2)_t by G); m, n jets and dependent
@@ -185,7 +186,12 @@ def total_dt_mod_system(
             if rule is None:
                 raise MissingRuleError(c)
             images[c] = rule
-    return rules.close(e.derive(images))
+    return images
+
+
+def total_dt_mod_system(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RULES) -> Expr:
+    """Total t-derivative reduced modulo the evolution system (see `dt_images`)."""
+    return rules.close(e.derive(dt_images(e, sys, rules)))
 
 
 def check_rule_compatibility(

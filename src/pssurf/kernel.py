@@ -527,11 +527,11 @@ class Poly:
         """self ** n by repeated squaring, raising BoundError before anything
         is expanded when the power may pass a bound: k terms may make
         C(k + n - 1, n) terms, an atom's largest power p makes p * n (`i`
-        and `s` do not grow, nor do one term's exponentials, which fold),
-        and with coefficients a_j / d in lowest common terms a coefficient's
-        numerator is at most (w * sum |a_j|) ** n and its denominator d ** n,
-        where w = 2 when a term holds `s` (|s| < 2 covers s*s -> 2) and 1
-        otherwise."""
+        and `s` do not grow, nor do one term's exponentials, which rise in
+        one step and fold once), and with coefficients a_j / d in lowest
+        common terms a coefficient's numerator is at most
+        (w * sum |a_j|) ** n and its denominator d ** n, where w = 2 when a
+        term holds `s` (|s| < 2 covers s*s -> 2) and 1 otherwise."""
         if n < 0:
             raise KernelError("negative power on a polynomial")
         terms = self.terms
@@ -548,6 +548,14 @@ class Poly:
             size = sum(map(abs, terms.values())) << (union >> _S_SHIFT & 1)
             if n * math.log10(max(size, self.den)) > MAX_DIGITS:
                 raise BoundError(f"a power {n} may have coefficients of more than {MAX_DIGITS} digits")
+            if len(terms) == 1 and (exps := (mono := next(iter(terms))) & _EXPS):
+                # one term's exponentials rise in one step, folded once when
+                # a power passes the bound
+                if max(p for _, p in _pairs(exps)) * n > MAX_EXPONENT:
+                    exps = _pack((_exp_atom(a.exponent.scale(n, 1)), 1) for a, _ in _folded(exps))
+                else:
+                    exps *= n
+                return Poly({mono & ~_EXPS: terms[mono]}, self.den).pow(n).mul(Poly({exps: 1}))
         result = Poly.const(1)
         base = self
         while n:
@@ -1066,6 +1074,20 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         num = poly_exact_div(num, g)
         den = poly_exact_div(den, g)
     return num, den
+
+
+def sum_vanishes(fractions: Iterable[tuple[Poly, Poly]]) -> bool:
+    """Whether a sum of unreduced num / den, each den nonzero, vanishes: over
+    equal denominators the numerators add, and the sums are cross-multiplied.
+    No gcd is needed, since Q(i, sqrt 2) is a field and the basis
+    exponentials are free atoms once `_on_lattice` puts them on one lattice."""
+    sums: dict = {}
+    for num, den in fractions:
+        sums[den] = sums[den].add(num) if den in sums else num
+    num, common = Poly.zero(), _POLY_ONE
+    for den, part in sums.items():
+        num, common = num.mul(den).add(part.mul(common)), common.mul(den)
+    return _on_lattice(num, common, False)[0].is_zero()
 
 
 # ---------------------------------------------------------------------------

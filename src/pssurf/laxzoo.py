@@ -9,7 +9,8 @@ between the two curvature signs (for delta = -1 the off-diagonal entries are
 
 Every packing is trace-free, and MatrixForm rejects a pair that is not, so
 the zero-curvature residual D_t X - D_x T + [X, T] is trace-free too: it is
-computed from the entries 00, 01 and 10, and its 11 entry is -R00.
+computed from the entries 00, 01 and 10, and its 11 entry is -R00.  A
+verdict (``has_zero_curvature``) decides them unreduced.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import kernel as K
-from .forms import AssociatedForms
+from .forms import AssociatedForms, d_is_wedge
 from .jetcalc import PdeSystem, total_dt_mod_system, total_dx
 from .kernel import Expr, KernelError
 
@@ -148,6 +149,18 @@ def zero_curvature_residual(mf: MatrixForm, sys: PdeSystem | None) -> Matrix:
         (r00, d(x01, t01) + (s - (-s))),
         (d(x10, t10) + (s2 - (-s2)), -r00),
     )
+
+
+def _curvature_equations(mf: MatrixForm) -> tuple:
+    """(omega, c, theta, phi) with R_jk = 0 iff d(omega) = c * theta ^ phi for
+    the entries 00, 01 and 10 and omega_jk = X_jk dx + T_jk dt."""
+    w00, w01, w10 = zip((*mf.X[0], mf.X[1][0]), (*mf.T[0], mf.T[1][0]))
+    return (w00, 1, w01, w10), (w01, 2, w00, w01), (w10, 2, w10, w00)
+
+
+def has_zero_curvature(mf: MatrixForm, sys: PdeSystem | None) -> bool:
+    """Whether `zero_curvature_residual` vanishes, every entry decided unreduced."""
+    return all([d_is_wedge(sys, *eq) for eq in _curvature_equations(mf)])
 
 
 def gauge_transform(mf: MatrixForm, A: Matrix) -> MatrixForm:

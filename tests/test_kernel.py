@@ -724,6 +724,17 @@ class TestPackedMonomials:
                 parse(text)
         assert str(parse("exp(300*x)/(exp(150*x) + u)")) == "(exp(300*x))/(u + exp(150*x))"
 
+    def test_a_power_of_one_exponential_term_rises_in_one_step(self):
+        # repeated squaring folded each eighth square into an exponential of
+        # its own, interning up to 10 atoms for one power; one step interns
+        # the base and the exponential the power stands for
+        for text, printed in (("exp(x)^99999999999999999999", "exp(99999999999999999999*x)"),
+                              ("exp(7*z)^1000", "exp(7000*z)"),
+                              ("(3*u*exp(2*eta*t))^200", f"{3**200}*u^200*exp(400*t*eta)")):
+            before = len(K._ATOMS)
+            assert str(parse(text)) == printed
+            assert len(K._ATOMS) - before <= 2, text
+
     def test_term_bound(self):
         # (u+v+eta+u1+x+t)^20 would make C(25, 20) = 53130 terms
         start = time.perf_counter()
