@@ -16,7 +16,7 @@ from . import kernel as K
 from .forms import AssociatedForms, check_lemma31, wronskian
 from .jetcalc import PdeSystem, check_factored_dependence, total_dx
 from .kernel import Expr, KernelError, parse
-from .laxzoo import MatrixForm, from_forms, has_zero_curvature
+from .laxzoo import MatrixForm, from_forms, mat_is_zero, zero_curvature_residual
 
 
 class HypothesisViolationError(KernelError):
@@ -127,7 +127,7 @@ def _assemble(
 def _checked_lax(sys: PdeSystem, forms: AssociatedForms) -> MatrixForm:
     """The packed Lax pair of the forms, checked to have zero curvature."""
     lax = from_forms(forms)
-    if not has_zero_curvature(lax, sys):
+    if not mat_is_zero(zero_curvature_residual(lax, sys)):
         raise HypothesisViolationError("zero curvature of constructed pair", "nonzero matrix")
     return lax
 

@@ -7,9 +7,9 @@ equations on solutions.  A 1-form is its (dx, dt) coefficient pair and a
 2-form its dx ^ dt coefficient.  The verifier checks, for supplied f_ij:
 the dependence conditions (jetcalc's ``factored_violations``, with each
 partial decided on its numerator), the nondegeneracy of the frame Jacobian,
-the three structure equations (``d_is_wedge``: reduced only to print a
-failure), and the metric nondegeneracy; "nonzero" conditions are certified
-as not-identically-zero in the polynomial ring.
+the three structure equations (``exterior_d_mod_system``: one fraction
+gives each verdict and text), and the metric nondegeneracy; "nonzero"
+conditions are certified as not-identically-zero in the polynomial ring.
 """
 
 from __future__ import annotations
@@ -18,35 +18,25 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import kernel as K
-from .jetcalc import (
-    IllFormedDependenceError, PdeSystem, dt_images, dx_images, factored_violations, total_dt_mod_system, total_dx,
-)
+from .jetcalc import IllFormedDependenceError, PdeSystem, dt_images, dx_images, factored_violations
 from .kernel import Expr
 
 
-def wedge(omega: tuple[Expr, Expr], theta: tuple[Expr, Expr]) -> Expr:
-    """The dx ^ dt coefficient of omega ^ theta."""
-    return omega[0] * theta[1] - omega[1] * theta[0]
-
-
-def exterior_d_mod_system(omega: tuple[Expr, Expr], sys: PdeSystem | None) -> Expr:
-    """d(a dx + b dt) reduced modulo the system: (D_x b - D_t a) dx ^ dt.
-
-    Valid once the dx-coefficient dependence conditions hold, so that no
-    du_k ^ dx terms survive; callers assert those separately.
-    """
-    return total_dx(omega[1]) - total_dt_mod_system(omega[0], sys)
-
-
-def d_is_wedge(sys: PdeSystem | None, omega: tuple[Expr, Expr], c: int,
-               theta: tuple[Expr, Expr], phi: tuple[Expr, Expr]) -> bool:
-    """Whether d(omega) = c * theta ^ phi modulo the system, for omega = (a, b):
-    `kernel.sum_vanishes` on the unreduced D_x b - D_t a - c * theta ^ phi."""
-    a, b = omega
-    dx, (dt_num, dt_den) = b._derived(dx_images(b)), a._derived(dt_images(a, sys))
-    products = ((-c, theta[0], phi[1]), (c, theta[1], phi[0]))
-    return K.sum_vanishes([dx, (dt_num.neg(), dt_den),
-                           *((p.num.mul(q.num).scale(k, 1), p.den.mul(q.den)) for k, p, q in products)])
+def exterior_d_mod_system(sys: PdeSystem | None, equations: Iterable[tuple]) -> list[Expr]:
+    """The dx ^ dt coefficient D_x b - D_t a - c * theta ^ phi modulo the
+    system for each (omega = (a, b), c, theta, phi) of equations, summed as
+    one fraction (`kernel.fraction_sum`) and reduced once.  Every wedge
+    product is formed before any derivative.  Valid once the dx-coefficient
+    dependence conditions hold, so that no du_k ^ dx terms survive."""
+    equations = list(equations)
+    wedges = [[(p.num.mul(q.num).scale(k, 1), p.den.mul(q.den))
+               for k, p, q in ((-c, theta[0], phi[1]), (c, theta[1], phi[0]))]
+              for _, c, theta, phi in equations]
+    out = []
+    for ((a, b), *_), products in zip(equations, wedges):
+        dx, (dt_num, dt_den) = b._derived(dx_images(b)), a._derived(dt_images(a, sys))
+        out.append(K.fraction_sum([dx, (dt_num.neg(), dt_den), *products]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,13 +134,6 @@ def _structure_equations(forms: AssociatedForms) -> tuple:
     return (w1, 1, w3, w2), (w2, 1, w1, w3), (w3, forms.delta, w1, w2)
 
 
-def structure_residuals(forms: AssociatedForms, sys: PdeSystem) -> tuple[Expr, Expr, Expr]:
-    """Residuals of d(omega1) = omega3 ^ omega2, d(omega2) = omega1 ^ omega3,
-    d(omega3) = delta * omega1 ^ omega2 reduced modulo the system."""
-    return tuple(exterior_d_mod_system(w, sys) - Expr.const(c) * wedge(theta, phi)
-                 for w, c, theta, phi in _structure_equations(forms))
-
-
 def check_lemma31(forms: AssociatedForms, sys: PdeSystem) -> Lemma31Report:
     """Full verification that (sys, forms) describes pseudospherical or
     spherical surfaces.  Failures are reported, never raised."""
@@ -161,11 +144,9 @@ def check_lemma31(forms: AssociatedForms, sys: PdeSystem) -> Lemma31Report:
 
     if gate_ok:
         try:
-            verdicts = [d_is_wedge(sys, *eq) for eq in _structure_equations(forms)]
-            # a passing residual prints 0; only a failure builds the residuals
-            texts = ["0"] * 3 if all(verdicts) else map(str, structure_residuals(forms, sys))
-            for k, (ok, text) in enumerate(zip(verdicts, texts), start=1):
-                conditions.append(ConditionReport(f"structure-residual-{k}", text, ok))
+            residuals = exterior_d_mod_system(sys, _structure_equations(forms))
+            for k, r in enumerate(residuals, start=1):
+                conditions.append(ConditionReport(f"structure-residual-{k}", str(r), r.is_zero()))
         except IllFormedDependenceError as err:
             conditions.append(ConditionReport("structure-residuals", str(err), False))
     else:

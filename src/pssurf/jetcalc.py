@@ -9,7 +9,7 @@ test of that dependence; the Lemma 3.1 conditions in ``forms`` share it.
 
 D_x and D_t are derivations: ``dx_images`` and ``dt_images`` collect the
 image of every coordinate an expression mentions, which ``Expr.derive``
-applies at once (a verdict takes them to ``Expr._derived`` unreduced).
+applies at once (a residual takes them to ``Expr._derived`` unreduced).
 """
 
 from __future__ import annotations

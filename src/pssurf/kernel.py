@@ -1076,10 +1076,10 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-def sum_vanishes(fractions: Iterable[tuple[Poly, Poly]]) -> bool:
-    """Whether a sum of unreduced num / den, each den nonzero, vanishes: over
+def fraction_sum(fractions: Iterable[tuple[Poly, Poly]]) -> "Expr":
+    """The sum of unreduced num / den, each den nonzero, reduced once: over
     equal denominators the numerators add, and the sums are cross-multiplied.
-    No gcd is needed, since Q(i, sqrt 2) is a field and the basis
+    A vanishing sum takes no gcd, since Q(i, sqrt 2) is a field and the basis
     exponentials are free atoms once `_on_lattice` puts them on one lattice."""
     sums: dict = {}
     for num, den in fractions:
@@ -1087,7 +1087,7 @@ def sum_vanishes(fractions: Iterable[tuple[Poly, Poly]]) -> bool:
     num, common = Poly.zero(), _POLY_ONE
     for den, part in sums.items():
         num, common = num.mul(den).add(part.mul(common)), common.mul(den)
-    return _on_lattice(num, common, False)[0].is_zero()
+    return Expr(num, common)
 
 
 # ---------------------------------------------------------------------------
@@ -1233,7 +1233,8 @@ class Expr:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant equals its int or Fraction value, so it hashes as one
+        return hash(self.num.const_value() if self.is_const() else (self.num, self.den))
 
     # -- queries ------------------------------------------------------------
 

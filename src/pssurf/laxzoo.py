@@ -9,8 +9,8 @@ between the two curvature signs (for delta = -1 the off-diagonal entries are
 
 Every packing is trace-free, and MatrixForm rejects a pair that is not, so
 the zero-curvature residual D_t X - D_x T + [X, T] is trace-free too: it is
-computed from the entries 00, 01 and 10, and its 11 entry is -R00.  A
-verdict (``has_zero_curvature``) decides them unreduced.
+computed from the entries 00, 01 and 10, each a residual of
+``forms.exterior_d_mod_system``, and its 11 entry is -R00.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import kernel as K
-from .forms import AssociatedForms, d_is_wedge
+from .forms import AssociatedForms, exterior_d_mod_system
 from .jetcalc import PdeSystem, total_dt_mod_system, total_dx
 from .kernel import Expr, KernelError
 
@@ -125,32 +125,6 @@ def from_forms(forms: AssociatedForms, algebra: str | None = None) -> MatrixForm
     return MatrixForm(X, T, algebra)
 
 
-def zero_curvature_residual(mf: MatrixForm, sys: PdeSystem | None) -> Matrix:
-    """D_t X - D_x T + [X, T] reduced modulo the system; the zero matrix
-    certifies the Lax pair.  It is trace-free, so R11 = -R00.
-
-    Each commutator entry is summed as the full matrix products sum it, so
-    it reduces over the same denominators (with `i` and `s` free in the gcd,
-    another order can print a different, equal fraction): the 00 entry keeps
-    X00 T00 in both products, and the 01 entry 2S, S = X00 T01 - X01 T00,
-    is S - (-S), not 2*S; likewise the 10 entry from S2 = X10 T00 - T10 X00.
-    """
-    (x00, x01), (x10, _) = mf.X
-    (t00, t01), (t10, _) = mf.T
-
-    def d(x: Expr, t: Expr) -> Expr:
-        return total_dt_mod_system(x, sys) - total_dx(t)
-
-    p = x00 * t00
-    s = x00 * t01 - x01 * t00
-    s2 = x10 * t00 - t10 * x00
-    r00 = d(x00, t00) + ((p + x01 * t10) - (p + t01 * x10))
-    return (
-        (r00, d(x01, t01) + (s - (-s))),
-        (d(x10, t10) + (s2 - (-s2)), -r00),
-    )
-
-
 def _curvature_equations(mf: MatrixForm) -> tuple:
     """(omega, c, theta, phi) with R_jk = 0 iff d(omega) = c * theta ^ phi for
     the entries 00, 01 and 10 and omega_jk = X_jk dx + T_jk dt."""
@@ -158,9 +132,12 @@ def _curvature_equations(mf: MatrixForm) -> tuple:
     return (w00, 1, w01, w10), (w01, 2, w00, w01), (w10, 2, w10, w00)
 
 
-def has_zero_curvature(mf: MatrixForm, sys: PdeSystem | None) -> bool:
-    """Whether `zero_curvature_residual` vanishes, every entry decided unreduced."""
-    return all([d_is_wedge(sys, *eq) for eq in _curvature_equations(mf)])
+def zero_curvature_residual(mf: MatrixForm, sys: PdeSystem | None) -> Matrix:
+    """D_t X - D_x T + [X, T] reduced modulo the system; the zero matrix
+    certifies the Lax pair.  R_jk is minus the residual of d(omega_jk) =
+    c * theta ^ phi (`_curvature_equations`), and R11 = -R00."""
+    r00, r01, r10 = (-r for r in exterior_d_mod_system(sys, _curvature_equations(mf)))
+    return ((r00, r01), (r10, -r00))
 
 
 def gauge_transform(mf: MatrixForm, A: Matrix) -> MatrixForm:

@@ -266,6 +266,26 @@ def test_exponent_bound_broken_in_the_mathematics_exits_one(tmp_path):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, exprs, params, message",
+    [
+        # X00*T00 = u^300/4 cancels in [X, T] and is not formed; D_t X00 fails first
+        (["lax", "check"], {"f21": "u^200", "f22": "u^100"}, {},
+         "t-derivative not locally expressible: u + u2 pairing fails"),
+        # every wedge product is formed before any derivative, so f31*f22
+        # breaks the bound before D_t f11 meets u5
+        (["verify", "lemma31"],
+         {"f11": "u - u2 + u5", "f12": "v", "f21": "v - v2", "f22": "u^100", "f31": "(u - u2)^200",
+          "f32": "v1", "F": "u", "G": "v"}, {"m": 3, "n": 3}, "exponent 300 of u exceeds 255"),
+    ],
+    ids=["lax-check-derivative-first", "lemma31-wedges-first"],
+)
+def test_first_reported_error_of_the_residuals(tmp_path, command, exprs, params, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"expressions": {**_FORMS_EXPRESSIONS, **exprs}, "params": params}))
+    assert run_cli([*command, "--config", str(path)]) == (1, "", f"error: {message}\n")
+
+
 def test_coefficient_bound_broken_in_the_mathematics_exits_one(tmp_path):
     # each form parses under the digit bound; the wedge products print a
     # coefficient 10^598, past it

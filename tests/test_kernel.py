@@ -149,6 +149,11 @@ class TestCanonicalForm:
         assert parse("i^2") == Expr.const(-1)
         assert parse("i^4") == Expr.const(1)
         assert parse("(1+i)*(1-i)") == Expr.const(2)
+        # a constant equals its int or Fraction value, so it hashes as one
+        assert parse("i^2") == -1 and hash(parse("i^2")) == hash(-1)
+        assert Expr.const(3) == 3 and len({Expr.const(3), 3}) == 1
+        assert parse("1/2") == Fraction(1, 2) and hash(parse("1/2")) == hash(Fraction(1, 2))
+        assert {parse("(s/2)*(s/2)"): "half"}[Fraction(1, 2)] == "half"
 
     def test_sqrt_two_rewrite(self):
         assert parse("s^2") == Expr.const(2)

@@ -30,8 +30,7 @@ The zero-curvature residual D_t X - D_x T + [X, T] of the packed Lax pair is
 rebuilt the same way, with X and T packed in sympy from the f_ij: sl(2, R)
 as (1/2) [[f2, f1 - f3], [f1 + f3, -f2]] for delta = +1, and the su(2)-style
 (1/2) [[I f2, f1 + I f3], [-f1 + I f3, -I f2]] for delta = -1.  Its verdict
-must equal ``laxzoo.mat_is_zero`` of the kernel's residual and
-``laxzoo.has_zero_curvature``, which decides it without reducing.
+must equal ``laxzoo.mat_is_zero`` of the kernel's residual.
 
 Inputs: ``build thm35`` (Theorem 3.5) on the configs of the benchmark's
 construct-thm35 workload, seeds 0-9 at delta = +1 and -1; ``build thm34``
@@ -72,7 +71,7 @@ from pssurf.classify import (  # noqa: E402
 from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
 from pssurf.jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system, total_dx  # noqa: E402
 from pssurf.kernel import Expr, parse  # noqa: E402
-from pssurf.laxzoo import from_forms, has_zero_curvature, mat_is_zero, zero_curvature_residual  # noqa: E402
+from pssurf.laxzoo import from_forms, mat_is_zero, zero_curvature_residual  # noqa: E402
 
 _LOCALS = {"i": sympy.I, "s": sympy.sqrt(2), "exp": sympy.exp}
 _X, _T = sympy.Symbol("x"), sympy.Symbol("t")
@@ -209,7 +208,7 @@ def test_catalog_verdicts_match_sympy(name):
     assert _kernel_verdicts(forms, system) == _oracle_verdicts(forms, system) == [True] * 3
     assert entry.lax.algebra == ("sl2" if forms.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(entry.lax, system))
-    assert kernel_zc is has_zero_curvature(entry.lax, system) is _oracle_zero_curvature(forms, system) is True
+    assert kernel_zc is _oracle_zero_curvature(forms, system) is True
 
 
 @pytest.mark.parametrize("name", _CATALOG)
@@ -220,7 +219,7 @@ def test_catalog_at_the_opposite_sign_fails_in_both(name):
     assert _kernel_verdicts(flipped, entry.system) == oracle == [True, True, False]
     lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, entry.system))
-    assert kernel_zc is has_zero_curvature(lax, entry.system) is _oracle_zero_curvature(flipped, entry.system) is False
+    assert kernel_zc is _oracle_zero_curvature(flipped, entry.system) is False
 
 
 def _thm34_golden():
@@ -284,12 +283,12 @@ def test_constructor_verdicts_match_sympy_at_both_signs(name):
     assert _kernel_verdicts(forms, system) == _oracle_verdicts(forms, system) == [True] * 3
     assert lax.algebra == ("sl2" if forms.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
-    assert kernel_zc is has_zero_curvature(lax, system) is _oracle_zero_curvature(forms, system) is True
+    assert kernel_zc is _oracle_zero_curvature(forms, system) is True
     flipped = AssociatedForms(forms.f, -forms.delta)
     assert _kernel_verdicts(flipped, system) == _oracle_verdicts(flipped, system) == [True, True, False]
     lax = from_forms(flipped, "sl2" if flipped.delta == 1 else "su2")
     kernel_zc = mat_is_zero(zero_curvature_residual(lax, system))
-    assert kernel_zc is has_zero_curvature(lax, system) is _oracle_zero_curvature(flipped, system) is False
+    assert kernel_zc is _oracle_zero_curvature(flipped, system) is False
 
 
 _FG = sympy.Dummy("F"), sympy.Dummy("G")
