@@ -205,7 +205,7 @@ def check_symmetry_residual(s: SymmetryTuple) -> tuple[Expr, Expr]:
     directions = _directions(s)
     res_m = total_dt_mod_system(s.w_m, None, rules) - linearize(sys.m_t, directions, rules)
     res_n = total_dt_mod_system(s.w_n, None, rules) - linearize(sys.n_t, directions, rules)
-    return rules.close(res_m), rules.close(res_n)
+    return res_m, res_n
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +246,10 @@ def prolongation_residuals() -> dict[str, Expr]:
                  for j in range(2)),
                 K.ZERO,
             )
-            out[f"eigenfunction-{idx + 1}-{axis}"] = rules.close(derivative(ws[idx]) - rhs)
+            out[f"eigenfunction-{idx + 1}-{axis}"] = derivative(ws[idx]) - rhs
         pd = axis_rules[K.p]
         rhs = linearize(pd, directions, rules) + pd.diff(K.phi1) * w1 + pd.diff(K.phi2) * w2
-        out[f"pseudo-potential-{axis}"] = rules.close(derivative(wp) - rhs)
+        out[f"pseudo-potential-{axis}"] = derivative(wp) - rhs
     return out
 
 
@@ -280,7 +280,7 @@ def vector_field_components() -> dict[str, Expr]:
     }
     out = {"x": xi}
     for name, (c, w) in characteristics.items():
-        out[name] = rules.close(w + xi * total_dx(c, rules))
+        out[name] = w + xi * total_dx(c, rules)
     return out
 
 
@@ -311,19 +311,10 @@ def finite_transform_symbolic() -> dict[str, Expr]:
 
 
 def _eps_derivative_at_zero(e: Expr) -> Expr:
-    """d(e)/d(eps) evaluated at eps = 0, assembled from the quotient rule
-    with eps substituted into each polynomial part before any reduction (the
-    full quotient-rule fraction never needs normalizing)."""
-    at0 = {K.eps: K.ZERO}
-
-    def part(poly) -> Expr:
-        return Expr(poly, type(poly).const(1)).substitute(at0)
-
-    n0 = part(e.num)
-    d0 = part(e.den)
-    dn0 = part(e.num.diff(K.eps))
-    dd0 = part(e.den.diff(K.eps))
-    return (dn0 * d0 - n0 * dd0) / (d0 * d0)
+    """d(e)/d(eps) at eps = 0: eps = 0 in each polynomial of the unreduced
+    derivative (`Expr._derived`), so only their quotient is reduced."""
+    num, den = (Expr(p, K.Poly.const(1)).substitute({K.eps: K.ZERO}) for p in e._derived({K.eps: K.ONE}))
+    return num / den
 
 
 def first_order_expansion_residuals() -> dict[str, Expr]:

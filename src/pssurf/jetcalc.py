@@ -10,6 +10,7 @@ test of that dependence; the Lemma 3.1 conditions in ``forms`` share it.
 D_x and D_t are derivations: ``dx_images`` and ``dt_images`` collect the
 image of every coordinate an expression mentions, which ``Expr.derive``
 applies at once (a residual takes them to ``Expr._derived`` unreduced).
+A jet whose promotion is constrained moves to the constraint's image.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class DerivationRules:
 
     m and n are first-class jet symbols when m or n has a t-rule.
     ``constraints`` maps jet coordinates to their images (e.g. u2 -> u - m in
-    contexts where m, n are first-class); it is applied after every total
-    derivative so expressions stay inside a bounded coordinate set.
+    contexts where m, n are first-class).  They enter D_x as promotion
+    images, so closed inputs have closed derivatives; ``close`` closes an
+    input once.
     """
 
     x_rules: Mapping[Coord, Expr] = field(default_factory=dict)
@@ -88,14 +90,9 @@ class DerivationRules:
                     )
 
     def close(self, e: Expr) -> Expr:
-        if not self.constraints:
-            return e
-        while True:
-            coords = e.coords()
-            pending = {c: img for c, img in self.constraints.items() if c in coords}
-            if not pending:
-                return e
+        while pending := {c: self.constraints[c] for c in e.coords() & self.constraints.keys()}:
             e = e.substitute(pending)
+        return e
 
 
 EMPTY_RULES = DerivationRules()
@@ -108,7 +105,8 @@ def dx_images(e: Expr, rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr
         if c.kind == K.KIND_JET:
             if c.order + 1 > K.MAX_JET_ORDER:
                 raise JetCalcError(f"jet order overflow promoting {c}")
-            images[c] = Expr.atom(K.jet(c.name, c.order + 1))
+            promoted = K.jet(c.name, c.order + 1)
+            images[c] = rules.constraints.get(promoted) or Expr.atom(promoted)
         elif c.kind == K.KIND_DEP:
             rule = rules.x_rules.get(c)
             if rule is None:
@@ -119,7 +117,7 @@ def dx_images(e: Expr, rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr
 
 def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
     """Total x-derivative: partial in x plus jet promotion plus x-rules."""
-    return rules.close(e.derive(dx_images(e, rules)))
+    return e.derive(dx_images(e, rules))
 
 
 def factored_violations(e: Expr, base: str, top: int) -> tuple[bool, list[Coord]]:
@@ -191,7 +189,7 @@ def dt_images(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RUL
 
 def total_dt_mod_system(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RULES) -> Expr:
     """Total t-derivative reduced modulo the evolution system (see `dt_images`)."""
-    return rules.close(e.derive(dt_images(e, sys, rules)))
+    return e.derive(dt_images(e, sys, rules))
 
 
 def check_rule_compatibility(

@@ -1269,7 +1269,8 @@ class Expr:
     def _derived(self, images: Mapping[Coord, "Expr"]) -> tuple[Poly, Poly]:
         """D(n/d) as an unreduced (numerator, denominator) pair.  Every image
         is brought over B, the product of the distinct non-constant image
-        denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B) on polynomials."""
+        denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B) on polynomials,
+        or (Dn, d*B) when Dd = 0 and d, free of `i` and `s`, reduces alike."""
         n, d = self.num, self.den
         parts = []
         for c, image in images.items():
@@ -1292,11 +1293,13 @@ class Expr:
             dd_den = _add_into(dd_terms, dd_den, dd.terms, dd.den)
         Dn, Dd = _reduced(dn_terms, dn_den), _reduced(dd_terms, dd_den)
         common = functools.reduce(Poly.mul, dens, _POLY_ONE)
-        if d.is_const():
+        if d.is_const() or Dd.is_zero() and _REWRITES.keys().isdisjoint(d.atoms()):
             return Dn, d.mul(common)
         return Dn.mul(d).sub(n.mul(Dd)), d.mul(d).mul(common)
 
     def substitute(self, bindings: Mapping[Coord, "Expr"]) -> "Expr":
+        """Bound coordinates replaced, also in exponents: numerator and
+        denominator each become one fraction (`_subs_poly`), then divide."""
         if not bindings:
             return self
         bindings = {c: Expr._coerce(v) for c, v in bindings.items()}
@@ -1304,8 +1307,7 @@ class Expr:
         for image in bindings.values():
             if image.coords() & bound:
                 raise CyclicBindingError("binding image mentions a bound coordinate")
-        num = _subs_poly(self.num, bindings)
-        den = _subs_poly(self.den, bindings)
+        num, den = (_subs_poly(p, bindings) for p in (self.num, self.den))
         if den.is_zero():
             raise DivisionByZeroError("denominator normalizes to zero after substitution")
         return num / den
@@ -1333,16 +1335,21 @@ class Expr:
 
 
 def _subs_poly(p: Poly, bindings: Mapping[Coord, Expr]) -> Expr:
-    total = Expr.const(0)
+    """p with bound atoms and folded exponentials replaced, as one `fraction_sum`: a term
+    keeps its unbound atoms and multiplies in its images' num and den in `_factors` order,
+    each (atom, power) raised once per call."""
+    bound = _EXPS | sum(0xFF << _SHIFTS[c] for c in bindings if c in _SHIFTS)
+    fractions, images = [], {}
     for mono, coeff in p.terms.items():
-        term = Expr._over_one(_reduced({_ONE_MONO: coeff}, p.den))
+        num, den = _reduced({mono & ~bound: coeff}, p.den), _POLY_ONE
         for atom, power in _factors(mono):
-            if isinstance(atom, ExpAtom):  # a folded exponential, of power 1
-                term = term * Expr.exp(_subs_poly(atom.exponent, bindings))
-            else:
-                term = term * bindings.get(atom, Expr.atom(atom)) ** power
-        total = total + term
-    return total
+            if (atom, power) not in images:
+                e = Expr.exp(_subs_poly(atom.exponent, bindings)) if isinstance(atom, ExpAtom) else bindings.get(atom)
+                images[atom, power] = None if e is None else (e.num.pow(power), e.den.pow(power))
+            if (image := images[atom, power]) is not None:
+                num, den = num.mul(image[0]), den.mul(image[1])
+        fractions.append((num, den))
+    return fraction_sum(fractions)
 
 
 def compile_numeric(exprs: Iterable[Expr], coords: Iterable[Coord]) -> Callable[..., tuple]:

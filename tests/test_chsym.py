@@ -236,6 +236,26 @@ class TestFirstOrderExpansion:
         assert list(V) == ["x", "u", "v", "ux", "vx", "p", "m", "n", "phi1", "phi2"]
 
 
+class TestClosure:
+    def test_derivatives_of_closed_inputs_stay_closed(self):
+        # the constraints enter only as promotion images, so a promotion that
+        # missed its image would leave u2 or v2 in one of these
+        constrained = set(chsym.ch2_system().constraints)
+        _, _, rules = chsym.linear_problem()
+        symmetries = [chsym.nonlocal_symmetry(reduced=r) for r in (True, False)]
+        inputs = [*rules.x_rules.values(), *rules.t_rules.values(), *chsym.prolongation()]
+        inputs += [w for s in symmetries for w in (s.w_u, s.w_v, s.w_m, s.w_n)]
+        outputs = list(chsym.vector_field_components().values())
+        for e in inputs:
+            outputs.append(total_dx(e, rules))
+            # bare u, v jets have no t-image when m and n are first-class
+            if not any(c.kind == K.KIND_JET and c.name in ("u", "v") for c in e.coords()):
+                outputs.append(total_dt_mod_system(e, None, rules))
+        assert len(outputs) == 10 + len(inputs) + 16
+        for e in outputs:
+            assert not e.coords() & constrained, e
+
+
 class TestBihamiltonian:
     def test_flow_reproduced(self):
         rm, rn = chsym.check_bihamiltonian_d1()
