@@ -329,6 +329,29 @@ class TestEnlargedStates:
             for name, a, b in zip(chsym.EnlargedState._fields, closed, flowed):
                 assert abs(a - b) / max(1.0, abs(a)) < 1e-6, (name, eps)
 
+    def test_finite_transform_restates_its_symbolic_source(self):
+        # finite_transform is written out by hand, because ch2_flow.txt pins
+        # its bits; at seeded states it must agree with the compiled
+        # finite_transform_symbolic(), x through exp(x~ - x) and each phi
+        # through its square
+        closed = chsym.finite_transform_symbolic()
+        compiled = K.compile_numeric(closed.values(), (*chsym._STATE_COORDS, K.eps))
+        rng = random.Random(4127)
+        checked = 0
+        for _ in range(300):
+            s = chsym.EnlargedState(*(rng.uniform(-1.5, 1.5) for _ in chsym._STATE_COORDS))
+            eps = rng.uniform(-1.0, 1.0)
+            try:
+                out = chsym.finite_transform(s, eps)
+                want = dict(zip(closed, compiled(*s, eps)))
+            except K.DomainError:
+                continue
+            got = {"x-shift-exp": math.exp(out.x - s.x), "t": out.t, "u": out.u, "v": out.v, "m": out.m,
+                   "n": out.n, "phi1-squared": out.phi1**2, "phi2-squared": out.phi2**2, "p": out.p}
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (s, eps)
+            checked += 1
+        assert checked > 100
+
     def test_slope_fields_match_finite_differences(self):
         # the closed forms for the transformed slopes are not printed
         # anywhere; cross-check them against difference quotients of the

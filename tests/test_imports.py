@@ -1,8 +1,12 @@
-"""Every name a program module or script imports is used in that module.
+"""Every name a program module or script imports is used in that module,
+and none is private to another pssurf module.
 
 The project runs no linter, so this walks each module's syntax tree: a name
 an import binds must be read somewhere in the module, or listed in its
-``__all__``.  ``from __future__`` imports bind nothing and are skipped.
+``__all__``.  ``from __future__`` imports bind nothing and are skipped.  A
+name with one leading underscore is private to its module: no module may
+import it from a pssurf module, or read it as an attribute of an imported
+pssurf module (``K._name`` after ``from . import kernel as K``).
 """
 
 import ast
@@ -31,12 +35,64 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _from_pssurf(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").partition(".")[0] == "pssurf"
+
+
+def private_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _from_pssurf(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: {alias.name}")
+                elif node.module in (None, "pssurf"):  # binds a module
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "pssurf":
+                    found += [f"line {node.lineno}: {part}" for part in alias.name.split(".") if _private(part)]
+                    modules.add(alias.asname or "pssurf")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found, key=lambda f: int(f.split(":")[0].removeprefix("line ")))
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=[str(p.relative_to(_ROOT)) for p in _MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[str(p.relative_to(_ROOT)) for p in _MODULES])
+def test_no_private_name_crosses_a_module(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nimport json as j\nfrom a import b, c\nprint(c)\n"
     assert unused_imports(source) == ["line 2: os", "line 3: j", "line 4: b"]
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def test_a_private_import_is_found():
+    source = (
+        "from . import kernel as K\n"
+        "from .forms import _structure_equations, check_lemma31\n"
+        "from pssurf.chsym import _flow\n"
+        "from collections import _private_elsewhere\n"
+        "import pssurf._hidden\n"
+        "from .kernel import Expr\n"
+        "x = K._DIGITS_LIMIT + K.MAX_DIGITS + K.__name__\n"
+        "y = other._attr + Expr._coerce(1)\n"
+    )
+    assert private_imports(source) == [
+        "line 2: _structure_equations", "line 3: _flow", "line 5: _hidden", "line 7: K._DIGITS_LIMIT",
+    ]
+    assert private_imports("from .forms import structure_equations\nfrom . import __version__\n") == []

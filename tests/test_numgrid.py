@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from pssurf import chsym, numgrid
+from pssurf import kernel as K
+from pssurf.classify import catalog_entry
 from pssurf.numgrid import (
     Grid,
     NonMonotoneError,
@@ -55,6 +57,37 @@ class TestStencils:
         assert np.max(np.abs(d1 - expected)) < 1e-11
         d2 = numgrid._stencil_dx(F, g.hx, 2)
         assert np.max(np.abs(d2 + 0.5)) < 1e-9
+
+
+class TestResidualBlock:
+    def test_right_hand_sides_restate_the_catalog_flow(self):
+        # _residual_block writes cubic-ch2's F and G out by hand, because the
+        # residual goldens pin its bits; on fields quadratic in x and linear
+        # in t every stencil is exact, so what it subtracts from
+        # u_t - u_{2,t} must be the compiled catalog F, and likewise for G
+        system = catalog_entry("cubic-ch2").system
+        jets = [K.u(k) for k in range(4)] + [K.v(k) for k in range(4)]
+        rhs = K.compile_numeric([system.F, system.G], jets)
+        hx, ht = 0.125, 0.0625
+        xs = -0.75 + hx * np.arange(14)
+        ts = 0.25 + ht * np.arange(5)
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        rng = np.random.default_rng(818)
+        fields = []
+        for a, b in rng.uniform(-1.0, 1.0, size=(2, 2, 3)):
+            # f = a0 + a1 x + a2 x^2 + t (b0 + b1 x + b2 x^2)
+            f = a[0] + a[1] * X + a[2] * X**2 + T * (b[0] + b[1] * X + b[2] * X**2)
+            f1 = a[1] + 2 * a[2] * X + T * (b[1] + 2 * b[2] * X)
+            f2 = 2 * a[2] + 2 * b[2] * T
+            f_t_minus_f2_t = b[0] + b[1] * X + b[2] * X**2 - 2 * b[2]
+            fields.append((f, f1, f2, np.zeros_like(X), f_t_minus_f2_t))
+        (u, *u_jets, u_flux), (v, *v_jets, v_flux) = fields
+        res1, res2 = numgrid._residual_block(u, v, hx, ht)
+        inner = (slice(3, -3), slice(1, -1))
+        F, G = np.vectorize(rhs)(*(j[inner] for j in (u, *u_jets, v, *v_jets)))
+        assert res1.shape == F.shape == (8, 3)
+        np.testing.assert_allclose(u_flux[inner] - res1, F, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(v_flux[inner] - res2, G, rtol=1e-10, atol=1e-10)
 
 
 def _bisect_grid(x_tilde_of, targets, ts, pad=4.0):

@@ -6,20 +6,18 @@ The Lemma 3.1 structure residuals
     r2 = D_x f22 - D_t f21 - (f11 f32 - f12 f31)
     r3 = D_x f32 - D_t f31 - delta (f11 f22 - f12 f21)
 
-are rebuilt in sympy from the printed form coefficients f_ij and from the
-D_x and D_t images that ``jetcalc`` gives for each jet; a residual vanishes
-when it is zero in sympy's rational function field (``sfield``) over the
-symbols and exponentials it holds, with i and sqrt(2) in the coefficient
-field.  That verdict must equal the kernel's.  The D_t images come from
-``jetcalc``, so this checks the kernel's algebra and the assembly in
-``forms``, not the evolution rules.  Residuals and verdicts are cached, so
-each is built and decided once however many tests ask for it.
+are rebuilt in sympy from the printed form coefficients f_ij; a residual
+vanishes when it is zero in sympy's rational function field (``sfield``)
+over the symbols and exponentials it holds, with i and sqrt(2) in the
+coefficient field.  That verdict must equal the kernel's.  D_x is written
+out in sympy (the partial in x plus the promotion u_k -> u_{k+1} of every
+jet).  D_t is rebuilt from the system alone: a dx-coefficient f is rewritten
+with u2 = u - w and v2 = v - z, which must leave no bare u or v, and
+D_t f = f_t + F f_w + G f_z from the converted ``sys.F`` and ``sys.G``.  So
+every verdict checks jetcalc's rule for D_t as well as the kernel's algebra
+and the assembly in ``forms``.  Residuals and verdicts are cached, so each
+is built and decided once however many tests ask for it.
 
-A second D_t is rebuilt from the system alone: a dx-coefficient f is
-rewritten with u2 = u - w and v2 = v - z, which must leave no bare u or v,
-and D_t f = f_t + F f_w + G f_z from the converted ``sys.F`` and
-``sys.G``.  It checks jetcalc's rule for D_t on the Song-Qu-Qiao structure
-residuals and on seeded exp((eta-1)*x) perturbations of its f11 and f12.
 With symbols in place of F and G the same D_t makes the structure equations
 linear in F and G: for each constructor input below, the two whose
 dx-coefficient is not constant are solved in sympy (``linsolve``) and the
@@ -41,6 +39,15 @@ checked with the opposite curvature sign, where residual 3 and the zero
 curvature must fail; for ``mch-type`` that is
 ``verify example mch-type --delta 1``.
 
+Seeded families of Theorems 3.4, 3.6 and 3.7 at both signs (the integer
+draws of ``test_constructor_texts.py``, with spectral slots eta, 2, -1, x
+and t) are decided in sympy from the constructor's hypotheses alone: the
+first one broken, in the constructor's order, must be the condition of the
+kernel's ``HypothesisViolationError``, and an input that breaks none must
+build, with F and G equal to the sympy solution.  "Constructed forms
+verify" is decided in sympy on the three structure residuals; the drawn
+slots meet every other Lemma 3.1 condition.
+
 The Lemma 3.1 dependence conditions on the dx- and dt-coefficients are
 decided in sympy one partial derivative at a time, on 40 seeded f11, f12
 set into ``cubic-ch2``, and compared with ``check_lemma31``'s verdicts and
@@ -50,6 +57,7 @@ with the list of violations that the t-derivative reports.
 import functools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -60,6 +68,7 @@ from sympy.polys.fields import sfield  # noqa: E402
 
 from pssurf import kernel as K  # noqa: E402
 from pssurf.classify import (  # noqa: E402
+    HypothesisViolationError,
     Thm34Input,
     Thm36Input,
     build_theorem34,
@@ -69,9 +78,10 @@ from pssurf.classify import (  # noqa: E402
     catalog_entry,
 )
 from pssurf.forms import AssociatedForms, check_lemma31  # noqa: E402
-from pssurf.jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system, total_dx  # noqa: E402
+from pssurf.jetcalc import IllFormedDependenceError, PdeSystem, total_dt_mod_system  # noqa: E402
 from pssurf.kernel import Expr, parse  # noqa: E402
 from pssurf.laxzoo import from_forms, mat_is_zero, zero_curvature_residual  # noqa: E402
+from test_constructor_texts import DRAWS, INTEGERS  # noqa: E402
 
 _LOCALS = {"i": sympy.I, "s": sympy.sqrt(2), "exp": sympy.exp}
 _X, _T = sympy.Symbol("x"), sympy.Symbol("t")
@@ -95,26 +105,22 @@ def _thm35_input(seed: int, delta: int) -> Thm34Input:
     )
 
 
+_JET = re.compile(r"[uv]\d*$")
+
+
+def _jets(f) -> set:
+    return {c for c in f.free_symbols if _JET.match(c.name)}
+
+
+def _order(c) -> int:
+    return int(c.name[1:] or 0)
+
+
 @functools.cache
-def _derivations(system):
-    """(D_x, D_t) in sympy.  D_t maps u and v to the images of u - u2 and
-    v - v2, so it holds on dx-coefficients, which depend on u, u2 (and v, v2)
-    only through that difference."""
-    jets = [K.u(k) for k in range(system.orders[0] + 1)]
-    jets += [K.v(k) for k in range(system.orders[1] + 1)]
-    dx_images = {sympy.Symbol(str(c)): _sympy(total_dx(Expr.atom(c))) for c in jets}
-    dt_images = {
-        sympy.Symbol(base): _sympy(total_dt_mod_system(parse(f"{base} - {base}2"), system))
-        for base in ("u", "v")
-    }
-
-    def derivation(d, images: dict):
-        @functools.cache
-        def apply(f):
-            return sympy.diff(f, d) + sum(sympy.diff(f, c) * images[c] for c in f.free_symbols & images.keys())
-        return apply
-
-    return derivation(_X, dx_images), derivation(_T, dt_images)
+def _d_x(f):
+    """D_x in sympy: the partial in x plus the promotion u_k -> u_{k+1},
+    v_k -> v_{k+1} of every jet."""
+    return sympy.diff(f, _X) + sum(sympy.diff(f, c) * _sym(f"{c.name[0]}{_order(c) + 1}") for c in _jets(f))
 
 
 def _system_dt(system):
@@ -144,16 +150,24 @@ def _vanishes(r) -> bool:
     return sfield(r, extension=True)[1] == 0
 
 
+def _sympy_rows(f) -> tuple:
+    return tuple(tuple(_sympy(e) for e in row) for row in f)
+
+
+def _rows_residuals(rows, d_t) -> tuple:
+    """(r1, r2, D_x f32 - D_t f31, f11 f22 - f12 f21) in sympy for the
+    sympy form coefficients rows; r3 is the third minus delta times the
+    fourth."""
+    (f11, f12), (f21, f22), (f31, f32) = rows
+    return (_d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21), _d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31),
+            _d_x(f32) - d_t(f31), f11 * f22 - f12 * f21)
+
+
 @functools.cache
 def _residuals(f, system, d_t=None) -> tuple:
-    """(r1, r2, D_x f32 - D_t f31, f11 f22 - f12 f21) in sympy for the form
-    coefficients f, with jetcalc's D_t images unless another D_t is given;
-    r3 is the third minus delta times the fourth."""
-    d_x, jet_d_t = _derivations(system)
-    d_t = d_t or jet_d_t
-    (f11, f12), (f21, f22), (f31, f32) = [[_sympy(e) for e in row] for row in f]
-    return (d_x(f12) - d_t(f11) - (f31 * f22 - f32 * f21), d_x(f22) - d_t(f21) - (f11 * f32 - f12 * f31),
-            d_x(f32) - d_t(f31), f11 * f22 - f12 * f21)
+    """`_rows_residuals` of the form coefficients f, with D_t from the
+    system's F and G unless another D_t is given."""
+    return _rows_residuals(_sympy_rows(f), d_t or _system_dt(system))
 
 
 def _oracle_verdicts(forms: AssociatedForms, system, d_t=None) -> list[bool]:
@@ -164,24 +178,29 @@ def _oracle_verdicts(forms: AssociatedForms, system, d_t=None) -> list[bool]:
     return [_vanishes(r1), _vanishes(r2), _vanishes(d3 - forms.delta * w12)]
 
 
-@functools.cache
-def _oracle_zero_curvature(forms: AssociatedForms, system) -> bool:
-    """Whether the Lax pair packed from the forms at their curvature sign
-    has zero curvature."""
-    d_x, d_t = _derivations(system)
+def _zero_curvature(rows, delta: int, d_t) -> bool:
+    """Whether the Lax pair packed from the sympy form coefficients rows at
+    the curvature sign delta has zero curvature."""
     I = sympy.I
 
     def packed(f1, f2, f3):
-        if forms.delta == 1:
+        if delta == 1:
             return sympy.Matrix([[f2, f1 - f3], [f1 + f3, -f2]]) / 2
         return sympy.Matrix([[I * f2, f1 + I * f3], [-f1 + I * f3, -I * f2]]) / 2
 
     # X from the dx-coefficients, T from the dt-coefficients; D_t and D_x
     # are linear, so D_t X packs the D_t of each dx-coefficient
-    fx, ft = ([_sympy(row[k]) for row in forms.f] for k in (0, 1))
+    fx, ft = ([row[k] for row in rows] for k in (0, 1))
     X, T = packed(*fx), packed(*ft)
-    residual = packed(*map(d_t, fx)) - packed(*map(d_x, ft)) + X * T - T * X
+    residual = packed(*map(d_t, fx)) - packed(*map(_d_x, ft)) + X * T - T * X
     return all(_vanishes(r) for r in residual)
+
+
+@functools.cache
+def _oracle_zero_curvature(forms: AssociatedForms, system) -> bool:
+    """`_zero_curvature` of the forms at their curvature sign, with D_t
+    from the system."""
+    return _zero_curvature(_sympy_rows(forms.f), forms.delta, _system_dt(system))
 
 
 def _kernel_verdicts(forms: AssociatedForms, system) -> list[bool]:
@@ -254,9 +273,8 @@ def _thm37_mch_type():
 def test_dt_rebuilt_from_the_system_agrees_with_jetcalc_on_song_qu_qiao():
     entry = catalog_entry("song-qu-qiao")
     system, (row1, row2, row3) = entry.system, entry.forms.f
-    d_t = _system_dt(system)
     forms = entry.forms
-    assert _oracle_verdicts(forms, system, d_t) == _oracle_verdicts(forms, system) == [True] * 3
+    assert _oracle_verdicts(forms, system) == _kernel_verdicts(forms, system) == [True] * 3
     # seeded perturbations of f11 and f12 by exp((eta-1)*x) terms
     rng = random.Random(2202)
     seen = set()
@@ -267,7 +285,7 @@ def test_dt_rebuilt_from_the_system_agrees_with_jetcalc_on_song_qu_qiao():
         f1 = (row1[0] + parse(f"{k1}*exp((eta-1)*x)*{p11}"), row1[1] + parse(f"{k2}*exp((eta-1)*x)*{p12}"))
         forms = AssociatedForms((f1, row2, row3), 1)
         kernel = _kernel_verdicts(forms, system)
-        assert _oracle_verdicts(forms, system, d_t) == kernel, [str(f) for f in f1]
+        assert _oracle_verdicts(forms, system) == kernel, [str(f) for f in f1]
         seen.add(tuple(kernel))
     assert seen and (True, True, True) not in seen
 
@@ -323,6 +341,99 @@ def test_f_and_g_resolved_in_sympy_match_the_constructors(name):
     images = {F: _sympy(perturbed.F), G: _sympy(perturbed.G)}
     assert [_vanishes(r.subs(images)) for r in rows] == kernel, str(term)
     assert False in kernel, str(term)
+
+
+_U, _U1, _U2, _V, _V1, _V2 = (sympy.Symbol(n) for n in ("u", "u1", "u2", "v", "v1", "v2"))
+_FAMILY_SLOTS = ("eta", "2", "-1", "x", "t")
+
+
+def _reduced(f, xt_allowed: bool = True) -> bool:
+    """f depends on u, u2 and v, v2 only through u - u2 and v - v2, on no
+    other jet, and, unless xt_allowed, not on x or t."""
+    w, z = sympy.Dummy("w"), sympy.Dummy("z")
+    g = sympy.cancel(f.subs({_U2: _U - w, _V2: _V - z}))
+    return not (_jets(g) | (set() if xt_allowed else {_X, _T})) & g.free_symbols
+
+
+def _pointwise(f) -> bool:
+    return (_jets(f) | (f.free_symbols & {_X, _T})) <= {_U, _U1, _V, _V1}
+
+
+def _hypotheses(theorem: str, inp) -> tuple[list, tuple]:
+    """The constructor's hypotheses before assembly, in its order, as
+    (condition, test) pairs in sympy, and the forms it assembles."""
+    g, h, eta, M = (_sympy(getattr(inp, name)) for name in ("g", "h", "eta", "M"))
+    W = sympy.diff(g, _U) * sympy.diff(h, _V) - sympy.diff(g, _V) * sympy.diff(h, _U)
+    wronskian = ("wronskian of (g, h) nonzero", lambda: not _vanishes(W))
+    if theorem == "thm34":
+        L = _sympy(inp.L)
+        N = (_d_x(M) + h * L) / g
+        return [
+            ("g reduced dependence", lambda: _reduced(g)), ("h reduced dependence", lambda: _reduced(h)),
+            wronskian, ("g*M - eta*L nonzero", lambda: not _vanishes(g * M - eta * L)),
+            ("top-order coefficients present",
+             lambda: not any(_vanishes(sympy.diff(L, c)) and _vanishes(sympy.diff(N, c)) for c in (_U2, _V2))),
+        ], ((g, L), (eta, M), (h, N))
+    A, L1, N1 = (_sympy(getattr(inp, name)) for name in ("A", "L1", "N1"))
+    lhs = g * N1 - h * L1
+    sign = inp.delta if theorem == "thm37" else 1
+    middle = (("eta*L1 - g*(M + eta*A) nonzero", lambda: not _vanishes(L1 * eta - g * (M + eta * A)))
+              if theorem == "thm36" else ("M non-constant", lambda: bool(M.free_symbols)))
+    L, N = -A * g + L1, -A * h + N1
+    return [
+        ("g reduced dependence", lambda: _reduced(g, False)), ("h reduced dependence", lambda: _reduced(h, False)),
+        *((f"{name} depends only on (u, u1, v, v1)", lambda e=e: _pointwise(e))
+          for name, e in (("A", A), ("L1", L1), ("N1", N1), ("M", M))),
+        wronskian, middle,
+        ("cross-derivative compatibility of g*N1 - h*L1",
+         lambda: _vanishes(sympy.diff(lhs, _U2, _V1) - sympy.diff(lhs, _U1, _V2))),
+        ("D_x M + h*L1 - g*N1 vanishes", lambda: _vanishes(sign * _d_x(M) + h * L1 - g * N1)),
+    ], ((g, L), (eta, M), (h, N)) if theorem == "thm36" else ((g, L), (h, N), (eta, M))
+
+
+def _oracle_build(theorem: str, inp) -> tuple:
+    """(the first hypothesis sympy finds broken, None) or (None, (F, G))
+    solved in sympy from the two structure equations that hold them."""
+    hypotheses, rows = _hypotheses(theorem, inp)
+    for condition, holds in hypotheses:
+        if not holds():
+            return condition, None
+    F, G = _FG
+    r1, r2, d3, w12 = _rows_residuals(rows, _dt_with(F, G))
+    residuals = (r1, r2, d3 - inp.delta * w12)
+    const = 1 if theorem in ("thm34", "thm36") else 2
+    ((solved_f, solved_g),) = sympy.linsolve([r for k, r in enumerate(residuals) if k != const], [F, G])
+    solved = sympy.cancel(solved_f), sympy.cancel(solved_g)
+    if max(map(_order, _jets(solved[0]) | _jets(solved[1]))) > 3:
+        return "output orders within bounds", None
+    # the two solved equations hold by construction
+    if not _vanishes(residuals[const].subs({F: solved[0], G: solved[1]})):
+        return "constructed forms verify", None
+    if theorem != "thm34" and not _zero_curvature(rows, inp.delta, _dt_with(*solved)):
+        return "zero curvature of constructed pair", None
+    return None, solved
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("theorem", ["thm34", "thm36", "thm37"])
+def test_seeded_constructor_families_match_sympy(theorem, delta):
+    draw, build = DRAWS[theorem]
+    rng = random.Random(f"sympy {theorem} {delta}")
+    seen = set()
+    for k in range(5):  # every other draw breaks a hypothesis
+        inp, breaks = draw(rng, delta, theorem, INTEGERS, _FAMILY_SLOTS, break_rate=k % 2)
+        broken, solved = _oracle_build(theorem, inp)
+        try:
+            system, _, *_ = build(inp)
+        except HypothesisViolationError as err:
+            assert err.condition == broken, breaks
+            seen.add("violation")
+            continue
+        assert broken is None and breaks is None, breaks
+        assert sympy.cancel(solved[0] - _sympy(system.F)) == 0
+        assert sympy.cancel(solved[1] - _sympy(system.G)) == 0
+        seen.add("build")
+    assert seen == {"build", "violation"}
 
 
 # Factored dependence (Lemma 3.1): f_i1 depends on u, u2 only through
