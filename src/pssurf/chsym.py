@@ -11,7 +11,9 @@ expansion checks, and the closed-form solution generated from the constant
 seed.
 
 Each stage is derived from the one before it, starting from the catalog's
-cubic-ch2 entry.
+cubic-ch2 entry.  The linear problem, its adjoint, the pseudo-potential and
+the momentum flow are one rule table, which the symmetry and prolongation
+residuals linearize.
 
 numpy loads on first array use, not at import: only the closed-form
 solution's evaluators (and numgrid, which shares this module's binding)
@@ -172,19 +174,19 @@ def nonlocal_symmetry(reduced: bool = True) -> SymmetryTuple:
 
 
 def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
-    """Directional (Frechet) derivative of rhs along jet characteristics.
+    """Directional (Frechet) derivative of rhs along characteristics.
 
-    directions maps base symbols ('u', 'v', 'm', 'n') to their
-    characteristics; the k-th jet moves along the k-th total x-derivative of
-    the characteristic.
+    directions maps base symbols ('u', 'v', 'm', 'n') and the order-0
+    dependent symbols ('phi1', 'phi2', 'p') to their characteristics; the
+    k-th jet moves along the k-th total x-derivative of its characteristic.
     """
     images = {}
     for c in sorted(rhs.coords(), key=lambda c: c.key):
-        if c.kind != K.KIND_JET:
+        if c.kind not in (K.KIND_JET, K.KIND_DEP):
             continue
         char = directions.get(c.name)
         if char is None:
-            raise KeyError(f"no direction supplied for base symbol '{c.name}'")
+            raise KeyError(f"no direction supplied for symbol '{c.name}'")
         img = char
         for _ in range(c.order):
             img = total_dx(img, rules)
@@ -198,14 +200,12 @@ def _directions(s: SymmetryTuple) -> dict[str, Expr]:
 
 
 def check_symmetry_residual(s: SymmetryTuple) -> tuple[Expr, Expr]:
-    """Both components of the linearized flow equations evaluated on the
-    characteristic; identically zero certifies the symmetry."""
-    sys = ch2_system()
+    """D_t w_c - linearize(t-rule of c) for c = m, n on the characteristic;
+    identically zero certifies the symmetry."""
     _, _, rules = linear_problem()
     directions = _directions(s)
-    res_m = total_dt_mod_system(s.w_m, None, rules) - linearize(sys.m_t, directions, rules)
-    res_n = total_dt_mod_system(s.w_n, None, rules) - linearize(sys.n_t, directions, rules)
-    return res_m, res_n
+    return tuple(total_dt_mod_system(w, None, rules) - linearize(rules.t_rules[c], directions, rules)
+                 for c, w in ((K.m(0), s.w_m), (K.n(0), s.w_n)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +228,16 @@ def prolongation() -> tuple[Expr, Expr, Expr]:
 
 
 def prolongation_residuals() -> dict[str, Expr]:
-    """Residuals of the linearized eigenfunction and pseudo-potential
-    equations (x-parts and t-parts) on the prolonged characteristic."""
-    Mmat, Nmat, rules = linear_problem()
-    directions = _directions(nonlocal_symmetry(reduced=True))
+    """Residuals D w_c - linearize(rule of c) for c = phi1, phi2, p on both
+    axes of the rule table, along the prolonged characteristic."""
+    _, _, rules = linear_problem()
     w1, w2, wp = prolongation()
-    phis = (_PHI1, _PHI2)
-    ws = (w1, w2)
-    out: dict[str, Expr] = {}
-    for axis, mat, axis_rules, derivative in (
-        ("x", Mmat, rules.x_rules, lambda e: total_dx(e, rules)),
-        ("t", Nmat, rules.t_rules, lambda e: total_dt_mod_system(e, None, rules)),
-    ):
-        for idx in range(2):
-            rhs = sum(
-                (linearize(mat[idx][j], directions, rules) * phis[j] + mat[idx][j] * ws[j]
-                 for j in range(2)),
-                K.ZERO,
-            )
-            out[f"eigenfunction-{idx + 1}-{axis}"] = derivative(ws[idx]) - rhs
-        pd = axis_rules[K.p]
-        rhs = linearize(pd, directions, rules) + pd.diff(K.phi1) * w1 + pd.diff(K.phi2) * w2
-        out[f"pseudo-potential-{axis}"] = derivative(wp) - rhs
-    return out
+    directions = {**_directions(nonlocal_symmetry(reduced=True)), "phi1": w1, "phi2": w2, "p": wp}
+    axes = (("x", rules.x_rules, lambda e: total_dx(e, rules)),
+            ("t", rules.t_rules, lambda e: total_dt_mod_system(e, None, rules)))
+    names = (("eigenfunction-1", K.phi1), ("eigenfunction-2", K.phi2), ("pseudo-potential", K.p))
+    return {f"{name}-{axis}": derivative(directions[c.name]) - linearize(axis_rules[c], directions, rules)
+            for axis, axis_rules, derivative in axes for name, c in names}
 
 
 # ---------------------------------------------------------------------------

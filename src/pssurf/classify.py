@@ -4,7 +4,9 @@ pseudospherical or spherical surfaces, plus the built-in example catalog.
 Each constructor takes the free functional data of one classification
 pattern, validates every hypothesis, and synthesizes the PDE system together
 with its associated forms (and, for the third-order patterns, the Lax pair).
-Hypothesis violations raise rich errors instead of producing invalid output.
+F and G solve the two rows of ``forms.structure_equations`` whose
+dx-coefficient depends on u, v.  Hypothesis violations raise rich errors
+instead of producing invalid output.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from . import kernel as K
-from .forms import AssociatedForms, check_lemma31, wronskian
+from .forms import AssociatedForms, check_lemma31, exterior_d_mod_system, structure_equations, wronskian
 from .jetcalc import PdeSystem, check_factored_dependence, total_dx
 from .kernel import Expr, KernelError, parse
 from .laxzoo import MatrixForm, from_forms, mat_is_zero, zero_curvature_residual
@@ -86,20 +88,20 @@ def _max_orders(*exprs: Expr) -> tuple[int, int]:
     return mo, no
 
 
-def _solve_fg(f, delta: int, const_row: int, W: Expr) -> tuple[Expr, Expr]:
-    """Invert the two structure equations whose dx-coefficient depends on
-    u, v for (F, G); W is the wronskian of those two, g and h."""
-    (f11, f12), (f21, f22), (f31, f32) = f
-    d = Expr.const(delta)
-    rhs = {
-        1: -f11.diff(K.t) + total_dx(f12) - (f31 * f22 - f32 * f21),
-        2: -f21.diff(K.t) + total_dx(f22) - (f11 * f32 - f12 * f31),
-        3: -f31.diff(K.t) + total_dx(f32) - d * (f11 * f22 - f12 * f21),
-    }
-    a, b = [r for r in (1, 2, 3) if r != const_row]
-    fa1, fb1 = f[a - 1][0], f[b - 1][0]
-    F = (fb1.diff(K.v(0)) * rhs[a] - fa1.diff(K.v(0)) * rhs[b]) / W
-    G = (-fb1.diff(K.u(0)) * rhs[a] + fa1.diff(K.u(0)) * rhs[b]) / W
+# D_t modulo F = G = 0 is the partial in t on coefficients that factor
+# through u - u2 and v - v2
+_UNFORCED = PdeSystem((2, 2), K.ZERO, K.ZERO)
+
+
+def _solve_fg(forms: AssociatedForms, const_row: int, W: Expr) -> tuple[Expr, Expr]:
+    """Invert for (F, G) the two structure equations whose dx-coefficient
+    f_a1 depends on u, v.  Each residual is r_a - F df_a1/du - G df_a1/dv,
+    where r_a is its residual under F = G = 0; W is their wronskian."""
+    a, b = [r for r in range(3) if r != const_row - 1]
+    ra, rb = exterior_d_mod_system(_UNFORCED, [structure_equations(forms)[r] for r in (a, b)])
+    fa1, fb1 = forms.f[a][0], forms.f[b][0]
+    F = (fb1.diff(K.v(0)) * ra - fa1.diff(K.v(0)) * rb) / W
+    G = (-fb1.diff(K.u(0)) * ra + fa1.diff(K.u(0)) * rb) / W
     return F, G
 
 
@@ -108,7 +110,8 @@ def _assemble(
 ) -> tuple[PdeSystem, AssociatedForms]:
     """The system solved from the forms f, with its orders bounded by
     `orders`, and the forms, checked against Lemma 3.1."""
-    F, G = _solve_fg(f, delta, const_row, W)
+    forms = AssociatedForms(f, delta)
+    F, G = _solve_fg(forms, const_row, W)
     mo, no = orders
     fo, go = _max_orders(F, G)
     if fo > mo or go > no:
@@ -116,7 +119,6 @@ def _assemble(
             "output orders within bounds", f"built orders ({fo}, {go}) exceed ({mo}, {no})"
         )
     sys = PdeSystem((mo, no), F, G)
-    forms = AssociatedForms(f, delta)
     report = check_lemma31(forms, sys)
     if not report.passed:
         failed = ", ".join(c.condition_id for c in report.failures())

@@ -119,12 +119,14 @@ def _params(config: dict) -> dict:
 
 
 def _int_param(name: str, val) -> int:
-    """A config number as an int: an int or an integral float passes, a bool
-    or any other value is a config error."""
+    """A config number as an int: an int or an integral float of at most
+    MAX_DIGITS digits passes, a bool or any other value is a config error."""
     if isinstance(val, bool) or not isinstance(val, (int, float)) or (
         isinstance(val, float) and not val.is_integer()
     ):
         raise ValueError(f"parameter '{name}' must be an integer, got {val!r}")
+    if len(str(abs(int(val)))) > MAX_DIGITS:
+        raise ValueError(f"parameter '{name}' has more than {MAX_DIGITS} digits")
     return int(val)
 
 

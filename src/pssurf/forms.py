@@ -7,7 +7,8 @@ equations on solutions.  A 1-form is its (dx, dt) coefficient pair and a
 2-form its dx ^ dt coefficient.  The verifier checks, for supplied f_ij:
 the dependence conditions (jetcalc's ``factored_violations``, with each
 partial decided on its numerator), the nondegeneracy of the frame Jacobian,
-the three structure equations (``exterior_d_mod_system``: one fraction
+the three structure equations (the table ``structure_equations``, which the
+constructors solve for F and G; ``exterior_d_mod_system``: one fraction
 gives each verdict and text), and the metric nondegeneracy; "nonzero"
 conditions are certified as not-identically-zero in the polynomial ring.
 """
@@ -128,7 +129,7 @@ def _frame_jacobian(forms: AssociatedForms) -> ConditionReport:
     return ConditionReport("frame-jacobian-nondegenerate", text, nondegenerate)
 
 
-def _structure_equations(forms: AssociatedForms) -> tuple:
+def structure_equations(forms: AssociatedForms) -> tuple:
     """(omega, c, theta, phi) of d(omega) = c * theta ^ phi for each structure equation."""
     w1, w2, w3 = forms.f
     return (w1, 1, w3, w2), (w2, 1, w1, w3), (w3, forms.delta, w1, w2)
@@ -144,7 +145,7 @@ def check_lemma31(forms: AssociatedForms, sys: PdeSystem) -> Lemma31Report:
 
     if gate_ok:
         try:
-            residuals = exterior_d_mod_system(sys, _structure_equations(forms))
+            residuals = exterior_d_mod_system(sys, structure_equations(forms))
             for k, r in enumerate(residuals, start=1):
                 conditions.append(ConditionReport(f"structure-residual-{k}", str(r), r.is_zero()))
         except IllFormedDependenceError as err:

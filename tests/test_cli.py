@@ -532,6 +532,26 @@ class TestBuild:
         assert code == 0
         assert json.loads(out)["system"]["orders"] == [3, 3]
 
+    @pytest.mark.parametrize(
+        "eta, expected",
+        [
+            (1e300, (2, "", "error: parameter 'eta' has more than 300 digits\n")),
+            ("LONG", (2, "", "error: config number has more than 300 digits\n")),
+            (1e299, 0),
+        ],
+        ids=["float-301-digits", "literal-301-digits", "float-300-digits"],
+    )
+    def test_a_spectral_constant_past_the_digit_bound_is_a_usage_error(self, tmp_path, eta, expected):
+        # 1e300 is an integral float of 301 digits: it used to become the
+        # constant and fail in the mathematics, exit 1, where the 301-digit
+        # literal is a config error; a 300-digit constant builds
+        cfg = json.loads(self._cubic_config(tmp_path).read_text())
+        cfg["params"]["eta"] = eta
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg).replace('"LONG"', "1" + "0" * 300))
+        got = run_cli(["build", "thm34", "--config", str(path)])
+        assert (got if isinstance(expected, tuple) else got[0]) == expected
+
     def test_kernel_failure_in_the_mathematics_exits_one(self, tmp_path):
         path = self._write(tmp_path, {"L": "u11", "M": "u12 + v"}, m=12)
         code, _, err = run_cli(["build", "thm35", "--config", str(path)])

@@ -4,7 +4,7 @@ import pytest
 
 from pssurf import kernel as K
 from pssurf.classify import catalog_entry
-from pssurf.forms import AssociatedForms, _structure_equations, check_lemma31, exterior_d_mod_system
+from pssurf.forms import AssociatedForms, check_lemma31, exterior_d_mod_system, structure_equations
 from pssurf.jetcalc import IllFormedDependenceError, total_dx
 from pssurf.kernel import Expr, parse
 
@@ -206,6 +206,6 @@ class TestLemma31:
     def test_structure_residuals_zero_with_symbolic_eta(self):
         for entry_name in ("cubic-ch2", "skew-ch2"):
             entry = catalog_entry(entry_name)
-            r1, r2, r3 = exterior_d_mod_system(entry.system, _structure_equations(entry.forms))
+            r1, r2, r3 = exterior_d_mod_system(entry.system, structure_equations(entry.forms))
             assert K.eta in (entry.forms.f[0][0].coords())
             assert r1.is_zero() and r2.is_zero() and r3.is_zero()

@@ -36,7 +36,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def _private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 def _from_pssurf(node: ast.ImportFrom) -> bool:
@@ -50,19 +50,19 @@ def private_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and _from_pssurf(node):
             for alias in node.names:
                 if _private(alias.name):
-                    found.append(f"line {node.lineno}: {alias.name}")
+                    found.append((node.lineno, alias.name))
                 elif node.module in (None, "pssurf"):  # binds a module
                     modules.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.partition(".")[0] == "pssurf":
-                    found += [f"line {node.lineno}: {part}" for part in alias.name.split(".") if _private(part)]
+                    found += [(node.lineno, part) for part in alias.name.split(".") if _private(part)]
                     modules.add(alias.asname or "pssurf")
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and _private(node.attr)
                 and isinstance(node.value, ast.Name) and node.value.id in modules):
-            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
-    return sorted(found, key=lambda f: int(f.split(":")[0].removeprefix("line ")))
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=[str(p.relative_to(_ROOT)) for p in _MODULES])

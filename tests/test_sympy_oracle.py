@@ -164,17 +164,17 @@ def _rows_residuals(rows, d_t) -> tuple:
 
 
 @functools.cache
-def _residuals(f, system, d_t=None) -> tuple:
+def _residuals(f, system) -> tuple:
     """`_rows_residuals` of the form coefficients f, with D_t from the
-    system's F and G unless another D_t is given."""
-    return _rows_residuals(_sympy_rows(f), d_t or _system_dt(system))
+    system's F and G."""
+    return _rows_residuals(_sympy_rows(f), _system_dt(system))
 
 
-def _oracle_verdicts(forms: AssociatedForms, system, d_t=None) -> list[bool]:
+def _oracle_verdicts(forms: AssociatedForms, system) -> list[bool]:
     """The three verdicts for the forms at their curvature sign.  Residuals
     and verdicts are cached, so forms tested at both signs, or by several
     tests, build and test each residual once."""
-    r1, r2, d3, w12 = _residuals(forms.f, system, d_t)
+    r1, r2, d3, w12 = _residuals(forms.f, system)
     return [_vanishes(r1), _vanishes(r2), _vanishes(d3 - forms.delta * w12)]
 
 
@@ -326,7 +326,7 @@ def test_f_and_g_resolved_in_sympy_match_the_constructors(name):
     # the structure residuals with symbols F and G in D_t are linear in
     # both, and the two whose dx-coefficient is not constant hold them
     F, G = _FG
-    r1, r2, d3, w12 = _residuals(forms.f, system, _dt_with(F, G))
+    r1, r2, d3, w12 = _rows_residuals(_sympy_rows(forms.f), _dt_with(F, G))
     rows = (r1, r2, d3 - forms.delta * w12)
     with_fg = [r for r in rows if r.has(F, G)]
     assert len(with_fg) == 2
