@@ -50,7 +50,8 @@ _BREAKS = {
 }
 
 
-def _pair(rng: random.Random, coeffs) -> tuple[str, str, str, str]:
+def _four(rng: random.Random, coeffs) -> tuple[str, str, str, str]:
+    """Four coefficients drawn from coeffs."""
     return tuple(rng.choice(coeffs) for _ in range(4))
 
 
@@ -66,12 +67,12 @@ def draw_thm34(rng: random.Random, delta: int, theorem: str, coeffs=INTEGERS, sl
                break_rate: float = 0.25) -> tuple[Thm34Input, str | None]:
     """A Theorem 3.4 or 3.5 input and the hypothesis it breaks, if any."""
     breaks = rng.choice(_BREAKS[theorem]) if rng.random() < break_rate else None
-    a, _, c, d = _pair(rng, coeffs)
+    a, _, c, d = _four(rng, coeffs)
     g, h = _frame(a, "0", c, d, breaks)
     if breaks == "dependence":
         g = g + parse(f"{rng.choice(coeffs)}*u1")
     eta = parse(rng.choice(slots))
-    p, q, r, t = _pair(rng, coeffs)
+    p, q, r, t = _four(rng, coeffs)
     L = parse(f"{p}*u1 + {q}*v")
     M = parse(f"{r}*u + {t}*v")
     if breaks == "M constant":
@@ -85,9 +86,9 @@ def draw_thm36(rng: random.Random, delta: int, theorem: str, coeffs=INTEGERS, sl
                break_rate: float = 0.25) -> tuple[Thm36Input, str | None]:
     """A Theorem 3.6 or 3.7 input and the hypothesis it breaks, if any."""
     breaks = rng.choice(_BREAKS[theorem]) if rng.random() < break_rate else None
-    a, b, c, d = _pair(rng, coeffs)
+    a, b, c, d = _four(rng, coeffs)
     while parse(f"{a}*{d} - {b}*{c}").is_zero():
-        a, b, c, d = _pair(rng, coeffs)
+        a, b, c, d = _four(rng, coeffs)
     g, h = _frame(a, b, c, d, breaks)
     k = [rng.choice(coeffs) for _ in _INVARIANTS]
     M = parse(f"{rng.choice(coeffs)} + " + " + ".join(f"{c_}*({inv})" for c_, inv in zip(k, _INVARIANTS)))
