@@ -102,25 +102,19 @@ def linear_problem() -> tuple[tuple, tuple, DerivationRules]:
     close = DerivationRules(constraints=sys.constraints).close
     Mmat = mat_map(close, lax.X)
     Nmat = mat_map(close, lax.T)
-    x_rules = {
-        K.phi1: Mmat[0][0] * _PHI1 + Mmat[0][1] * _PHI2,
-        K.phi2: Mmat[1][0] * _PHI1 + Mmat[1][1] * _PHI2,
-        # adjoint row vector: d(ph)/dx = -ph M
-        K.phih1: -(_PHIH1 * Mmat[0][0] + _PHIH2 * Mmat[1][0]),
-        K.phih2: -(_PHIH1 * Mmat[0][1] + _PHIH2 * Mmat[1][1]),
-        K.p: -_HALF * _ETA**2 * _M * _PHI2**2,
-    }
-    t_rules = {
-        K.phi1: Nmat[0][0] * _PHI1 + Nmat[0][1] * _PHI2,
-        K.phi2: Nmat[1][0] * _PHI1 + Nmat[1][1] * _PHI2,
-        K.phih1: -(_PHIH1 * Nmat[0][0] + _PHIH2 * Nmat[1][0]),
-        K.phih2: -(_PHIH1 * Nmat[0][1] + _PHIH2 * Nmat[1][1]),
+    # phi' = A phi, and for the adjoint row vector phih' = -phih A
+    x_rules, t_rules = ({
+        **{s: A[j][0] * _PHI1 + A[j][1] * _PHI2 for j, s in enumerate((K.phi1, K.phi2))},
+        **{s: -(_PHIH1 * A[0][j] + _PHIH2 * A[1][j]) for j, s in enumerate((K.phih1, K.phih2))},
+    } for A in (Mmat, Nmat))
+    x_rules[K.p] = -_HALF * _ETA**2 * _M * _PHI2**2
+    t_rules.update({
         K.p: -_PHI1 * _PHI2 / _ETA
         + _HALF * (_V + _V1) * _PHI1**2
         - _ETA**2 / 4 * BETA * _M * _PHI2**2,
         K.m(0): sys.m_t,
         K.n(0): sys.n_t,
-    }
+    })
     rules = DerivationRules(
         x_rules=x_rules,
         t_rules=t_rules,

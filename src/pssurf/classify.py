@@ -260,93 +260,88 @@ def _entry(name: str, description: str, system: PdeSystem, forms: AssociatedForm
     return CatalogEntry(name, description, system, forms, from_forms(forms))
 
 
+# the momentum variables m = u - u2, n = v - v2 and the constants that the
+# catalog entries are written in
+_MH, _NH = parse("u - u2"), parse("v - v2")
+_ETA = Expr.atom(K.eta)
+_HALF = K.ONE / 2
+
+
 def _entry_song_qu_qiao() -> CatalogEntry:
     Q = parse("u1*v1 - u*v + u*v1 - u1*v")
-    mh, nh = parse("u - u2"), parse("v - v2")
-    F = total_dx(mh * Q)
-    G = total_dx(nh * Q)
+    F = total_dx(_MH * Q)
+    G = total_dx(_NH * Q)
     sys = PdeSystem((3, 3), F, G)
     Ep = parse("exp((eta-1)*x)")
     Em = 1 / Ep
-    eta = Expr.atom(K.eta)
-    f11 = eta * (mh * Ep + nh * Em)
-    f12 = eta * Q * (mh * Ep + nh * Em) + (parse("u + u1") * Ep + parse("v - v1") * Em) / (2 * eta)
-    f21 = eta
-    f22 = 1 / (2 * eta**2) + Q
-    f31 = -eta * (mh * Ep - nh * Em)
-    f32 = -eta * Q * (mh * Ep - nh * Em) - (parse("u + u1") * Ep - parse("v - v1") * Em) / (2 * eta)
+    f11 = _ETA * (_MH * Ep + _NH * Em)
+    f12 = _ETA * Q * (_MH * Ep + _NH * Em) + (parse("u + u1") * Ep + parse("v - v1") * Em) / (2 * _ETA)
+    f21 = _ETA
+    f22 = 1 / (2 * _ETA**2) + Q
+    f31 = -_ETA * (_MH * Ep - _NH * Em)
+    f32 = -_ETA * Q * (_MH * Ep - _NH * Em) - (parse("u + u1") * Ep - parse("v - v1") * Em) / (2 * _ETA)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("song-qu-qiao", "coupled cubic flow with conserved exponential frame", sys, forms)
 
 
 def _entry_cubic_ch2() -> CatalogEntry:
-    mh, nh = parse("u - u2"), parse("v - v2")
     B = parse("u*v - u1*v1")
     C = parse("u*v1 - u1*v")
-    half = K.ONE / 2
-    F = half * total_dx(mh * B) - half * mh * C
-    G = half * total_dx(nh * B) + half * nh * C
+    F = _HALF * total_dx(_MH * B) - _HALF * _MH * C
+    G = _HALF * total_dx(_NH * B) + _HALF * _NH * C
     sys = PdeSystem((3, 3), F, G)
-    eta = Expr.atom(K.eta)
-    f11 = half * eta * (mh - nh)
-    f12 = eta / 4 * B * (mh - nh) + (parse("u - u1") - parse("v + v1")) / (2 * eta)
+    f11 = _HALF * _ETA * (_MH - _NH)
+    f12 = _ETA / 4 * B * (_MH - _NH) + (parse("u - u1") - parse("v + v1")) / (2 * _ETA)
     f21 = Expr.const(-1)
-    f22 = -1 / eta**2 - half * (B + C)
-    f31 = -half * eta * (mh + nh)
-    f32 = -eta / 4 * B * (mh + nh) - (parse("u - u1") + parse("v + v1")) / (2 * eta)
+    f22 = -1 / _ETA**2 - _HALF * (B + C)
+    f31 = -_HALF * _ETA * (_MH + _NH)
+    f32 = -_ETA / 4 * B * (_MH + _NH) - (parse("u - u1") + parse("v + v1")) / (2 * _ETA)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("cubic-ch2", "two-component cubic Camassa-Holm flow", sys, forms)
 
 
 def _entry_factored_ch2() -> CatalogEntry:
-    mh, nh = parse("u - u2"), parse("v - v2")
     prod = parse("(u - u1)*(v + v1)")
-    half = K.ONE / 2
-    F = -half * mh * prod
-    G = half * nh * prod
+    F = -_HALF * _MH * prod
+    G = _HALF * _NH * prod
     sys = PdeSystem((2, 2), F, G)
-    eta = Expr.atom(K.eta)
-    f11 = half * eta * (nh - mh)
-    f12 = (parse("v + v1") - parse("u - u1")) / (2 * eta)
+    f11 = _HALF * _ETA * (_NH - _MH)
+    f12 = (parse("v + v1") - parse("u - u1")) / (2 * _ETA)
     f21 = K.ONE
-    f22 = 1 / eta**2 + half * prod
-    f31 = -half * eta * (mh + nh)
-    f32 = -(parse("u - u1") + parse("v + v1")) / (2 * eta)
+    f22 = 1 / _ETA**2 + _HALF * prod
+    f31 = -_HALF * _ETA * (_MH + _NH)
+    f32 = -(parse("u - u1") + parse("v + v1")) / (2 * _ETA)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("factored-ch2", "second-order flow with factored right-hand side", sys, forms)
 
 
 def _entry_mch_type() -> CatalogEntry:
-    mh, nh = parse("u - u2"), parse("v - v2")
     R = parse("-1/2*(u^2 + v^2 - u1^2 - v1^2) - u*v1 + u1*v")
-    F = total_dx(R * mh) - 2 * Expr.atom(K.u(1))
-    G = total_dx(R * nh) - 2 * Expr.atom(K.v(1))
+    F = total_dx(R * _MH) - 2 * Expr.atom(K.u(1))
+    G = total_dx(R * _NH) - 2 * Expr.atom(K.v(1))
     sys = PdeSystem((3, 3), F, G)
-    f11 = -nh
-    f12 = -R * nh + parse("v + u1")
+    f11 = -_NH
+    f12 = -R * _NH + parse("v + u1")
     f21 = K.ONE
     f22 = R - 1
-    f31 = mh
-    f32 = R * mh - parse("u - v1")
+    f31 = _MH
+    f32 = R * _MH - parse("u - v1")
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), -1)
     return _entry("mch-type", "modified Camassa-Holm-type flow on spherical surfaces", sys, forms)
 
 
 def _entry_skew_ch2() -> CatalogEntry:
-    mh, nh = parse("u - u2"), parse("v - v2")
     Pfx = parse("u*v1 - u1*v")
     B = parse("u*v - u1*v1")
-    half = K.ONE / 2
-    F = half * total_dx(mh * Pfx) - half * mh * B
-    G = half * total_dx(nh * Pfx) + half * nh * B
+    F = _HALF * total_dx(_MH * Pfx) - _HALF * _MH * B
+    G = _HALF * total_dx(_NH * Pfx) + _HALF * _NH * B
     sys = PdeSystem((3, 3), F, G)
-    eta = Expr.atom(K.eta)
-    f11 = -half * eta * (mh - nh)
-    f12 = -eta / 4 * Pfx * (mh - nh) - (parse("u - u1") - parse("v + v1")) / (2 * eta)
+    f11 = -_HALF * _ETA * (_MH - _NH)
+    f12 = -_ETA / 4 * Pfx * (_MH - _NH) - (parse("u - u1") - parse("v + v1")) / (2 * _ETA)
     f21 = K.ONE
-    f22 = 1 / eta**2 + half * parse("(u - u1)*(v + v1)")
-    f31 = -half * eta * (mh + nh)
-    f32 = -eta / 4 * Pfx * (mh + nh) - (parse("u - u1") + parse("v + v1")) / (2 * eta)
+    f22 = 1 / _ETA**2 + _HALF * parse("(u - u1)*(v + v1)")
+    f31 = -_HALF * _ETA * (_MH + _NH)
+    f32 = -_ETA / 4 * Pfx * (_MH + _NH) - (parse("u - u1") + parse("v + v1")) / (2 * _ETA)
     forms = AssociatedForms(((f11, f12), (f21, f22), (f31, f32)), 1)
     return _entry("skew-ch2", "two-component flow with antisymmetric flux", sys, forms)
 

@@ -11,8 +11,8 @@ Representation: a polynomial is int coefficients over one positive int
 `den` in lowest terms (zero over 1), exponents included; a Fraction appears
 only at the API edge.  Parsing (each product, quotient and the result),
 powers and printing hold a number to MAX_DIGITS digits; parsing refuses a
-product whose operands' term counts multiply past MAX_TERMS.  Atoms are
-interned and compare and hash by identity.  A monomial is one int with a
+product or sum whose operands could make more than MAX_TERMS terms.  Atoms
+are interned and compare and hash by identity.  A monomial is one int with a
 9-bit field per atom: 8 exponent bits and a guard bit.  A product is
 `m1 + m2`; one mask test (the guard bits and bit 1 of the `i` and `s`
 fields, which hold 0 or 1) sends it to the slow path, which applies the
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -284,7 +285,6 @@ _SHIFTS: dict = {}       # atom -> bit offset of its field
 _GUARDS = 0              # the guard bit of every field
 _EXPS = 0                # the exponent bits of every exponential's field
 _INTERN = threading.Lock()
-_MONOS: dict = {}        # monomial -> (sort key, pairs), see `_decode`
 _MONO_CACHE = 1 << 16
 
 _ONE_MONO = 0
@@ -325,18 +325,13 @@ def _pack(pairs: Iterable) -> int:
     return mono
 
 
+@functools.lru_cache(maxsize=_MONO_CACHE)
 def _decode(mono: int) -> tuple[tuple, tuple]:
     """(`_order`, (atom, power) pairs in atom key order) of a monomial, with
     each basis atom as a plain variable."""
-    info = _MONOS.get(mono)
-    if info is None:
-        fields = ((a, mono >> sh & 0xFF) for a, sh in zip(_ATOMS, range(0, mono.bit_length(), _FIELD)))
-        pairs = tuple(sorted(((a, p) for a, p in fields if p), key=lambda ap: ap[0].key))
-        info = (_order(pairs), pairs)
-        if len(_MONOS) >= _MONO_CACHE:
-            _MONOS.clear()
-        _MONOS[mono] = info
-    return info
+    fields = ((a, mono >> sh & 0xFF) for a, sh in zip(_ATOMS, range(0, mono.bit_length(), _FIELD)))
+    pairs = tuple(sorted(((a, p) for a, p in fields if p), key=lambda ap: ap[0].key))
+    return _order(pairs), pairs
 
 
 def _order(pairs: Iterable) -> tuple:
@@ -1490,9 +1485,13 @@ _MAX_NESTING = 50
 def parse(text: str, mn_mode: str = "alias") -> Expr:
     """Parse an expression.  mn_mode: "alias" expands m, n to u - u2, v - v2;
     "jets" treats m, n as first-class jet symbols."""
-    # (token, offset) pairs as a stack: the next token last, above an end marker
+    # (token, UTF-8 byte offset) pairs as a stack: the next token last, above
+    # an end marker
     toks = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
     toks = [("", len(text)), *reversed(toks)]
+    if not text.isascii():
+        at = list(itertools.accumulate((len(c.encode("utf-8", "surrogatepass")) for c in text), initial=0))
+        toks = [(tok, at[offset]) for tok, offset in toks]
     depth = 0
 
     def peek() -> str:
@@ -1517,10 +1516,11 @@ def parse(text: str, mn_mode: str = "alias") -> Expr:
     def parse_expr() -> Expr:
         node = parse_term()
         while peek() in ("+", "-"):
-            if toks.pop()[0] == "+":
-                node = node + parse_term()
-            else:
-                node = node - parse_term()
+            rhs = parse_term() if toks.pop()[0] == "+" else -parse_term()
+            n1, d1, n2, d2 = (len(p.terms) for p in (node.num, node.den, rhs.num, rhs.den))
+            if max(n1 * d2 + n2 * d1, d1 * d2) > MAX_TERMS:
+                raise BoundError(f"a sum may exceed {MAX_TERMS} terms")
+            node = node + rhs
         return node
 
     def parse_term() -> Expr:

@@ -1,5 +1,4 @@
-"""2x2 matrix-valued 1-forms, trace-free packings, gauge transformations and
-zero-curvature checks.
+"""2x2 matrix-valued 1-forms, trace-free packings and zero-curvature checks.
 
 The sl(2, R) packing puts the three associated 1-forms into
 (1/2) [[w2, w1 - w3], [w1 + w3, -w2]].  The su(2)-style packings carry a
@@ -20,18 +19,12 @@ from typing import Callable
 
 from . import kernel as K
 from .forms import AssociatedForms, exterior_d_mod_system
-from .jetcalc import PdeSystem, total_dt_mod_system, total_dx
-from .kernel import Expr, KernelError
+from .jetcalc import PdeSystem
+from .kernel import Expr
 
 Matrix = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
 I = Expr.atom(K.iunit)
-
-
-class NonUnimodularError(KernelError):
-    def __init__(self, det: Expr):
-        super().__init__(f"gauge matrix determinant is {det}, not +-1")
-        self.det = det
 
 
 def mat(a, b, c, d) -> Matrix:
@@ -61,18 +54,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 def mat_scale(c, A: Matrix) -> Matrix:
     c = Expr._coerce(c)
     return mat_map(lambda e: c * e, A)
-
-
-def mat_det(A: Matrix) -> Expr:
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
-def mat_inv(A: Matrix) -> Matrix:
-    det = mat_det(A)
-    if det.is_zero():
-        raise KernelError("matrix is singular")
-    adj = mat(A[1][1], -A[0][1], -A[1][0], A[0][0])
-    return mat_map(lambda e: e / det, adj)
 
 
 def mat_is_zero(A: Matrix) -> bool:
@@ -108,20 +89,19 @@ def from_forms(forms: AssociatedForms, algebra: str | None = None) -> MatrixForm
     formal-i one for their curvature sign.  By default the sign picks sl2 (delta = 1) or su2."""
     if algebra is None:
         algebra = "sl2" if forms.delta == 1 else "su2"
-    (f11, f12), (f21, f22), (f31, f32) = forms.f
-    half = Expr.const(1) / 2
-    if algebra == "sl2":
-        X = mat_scale(half, mat(f21, f11 - f31, f11 + f31, -f21))
-        T = mat_scale(half, mat(f22, f12 - f32, f12 + f32, -f22))
-    elif algebra == "su2":
-        if forms.delta == 1:
-            X = mat_scale(half, mat(I * f31, f11 - I * f21, f11 + I * f21, -(I * f31)))
-            T = mat_scale(half, mat(I * f32, f12 - I * f22, f12 + I * f22, -(I * f32)))
-        else:
-            X = mat_scale(half, mat(I * f21, f11 + I * f31, -f11 + I * f31, -(I * f21)))
-            T = mat_scale(half, mat(I * f22, f12 + I * f32, -f12 + I * f32, -(I * f22)))
-    else:
+    if algebra not in ("sl2", "su2"):
         raise ValueError(f"unknown algebra tag '{algebra}'")
+    half = Expr.const(1) / 2
+
+    def pack(w1: Expr, w2: Expr, w3: Expr) -> Matrix:
+        if algebra == "sl2":
+            return mat(w2, w1 - w3, w1 + w3, -w2)
+        if forms.delta == 1:
+            return mat(I * w3, w1 - I * w2, w1 + I * w2, -(I * w3))
+        return mat(I * w2, w1 + I * w3, -w1 + I * w3, -(I * w2))
+
+    # X packs the dx coefficients (f11, f21, f31), T the dt coefficients
+    X, T = (mat_scale(half, pack(*column)) for column in zip(*forms.f))
     return MatrixForm(X, T, algebra)
 
 
@@ -138,17 +118,3 @@ def zero_curvature_residual(mf: MatrixForm, sys: PdeSystem | None) -> Matrix:
     c * theta ^ phi (`_curvature_equations`), and R11 = -R00."""
     r00, r01, r10 = (-r for r in exterior_d_mod_system(sys, _curvature_equations(mf)))
     return ((r00, r01), (r10, -r00))
-
-
-def gauge_transform(mf: MatrixForm, A: Matrix) -> MatrixForm:
-    """Omega' = dA A^-1 + A Omega A^-1, for A with det A = +-1 whose entries
-    depend on x, t and the parameters only."""
-    det = mat_det(A)
-    if not (det - 1).is_zero() and not (det + 1).is_zero():
-        raise NonUnimodularError(det)
-    Ainv = mat_inv(A)
-    dxA = mat_map(total_dx, A)
-    dtA = mat_map(lambda e: total_dt_mod_system(e, None), A)
-    X = mat_add(mat_mul(dxA, Ainv), mat_mul(mat_mul(A, mf.X), Ainv))
-    T = mat_add(mat_mul(dtA, Ainv), mat_mul(mat_mul(A, mf.T), Ainv))
-    return MatrixForm(X, T, mf.algebra)

@@ -4,12 +4,10 @@ One test per acceptance criterion; each prints a single PASS/FAIL line.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import math
 import random
 import time
 
 import numpy as np
-import pytest
 
 from pssurf import chsym
 from pssurf import kernel as K

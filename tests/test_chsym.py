@@ -386,8 +386,6 @@ class TestExactSolution:
 
     def test_matches_transformed_seed(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
-        import numpy as np
-
         for xv in (-2.0, 0.0, 1.3):
             for tv in (-0.4, 0.0, 0.9):
                 tr = chsym.finite_transform(chsym.seed_state(0.75, 1.0, x=xv, t=tv), 1.0)

@@ -14,7 +14,6 @@ from pssurf.classify import (
     catalog,
     catalog_entry,
     check_corollary33,
-    wronskian,
 )
 from pssurf.forms import check_lemma31
 from pssurf.jetcalc import PdeSystem, total_dx

@@ -396,6 +396,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: parameter 'delta' must be 1 or -1, got 0\n"
 
+    def test_lemma31_parse_error_offset_counts_bytes(self, tmp_path):
+        # the no-break space is one character and two UTF-8 bytes
+        cfg = tmp_path / "forms.json"
+        exprs = {**dict.fromkeys(["f11", "f12", "f21", "f22", "f31", "f32", "F", "G"], "u"), "f12": "x\u00a0*("}
+        cfg.write_text(json.dumps({"expressions": exprs, "params": {"delta": 1}}))
+        code, out, err = run_cli(["verify", "lemma31", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == "error: expected expression (at byte 5)\n"
+
     @pytest.mark.parametrize("name, value", [("delta", 1.9), ("m", 3.7), ("n", True)])
     def test_lemma31_non_integral_parameter_is_usage_error(self, tmp_path, name, value):
         # int() used to truncate 1.9 to 1 and take true as 1

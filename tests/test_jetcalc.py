@@ -1,6 +1,5 @@
 """Total-derivative tests: promotion, rules, evolution substitution."""
 
-import math
 import random
 
 import pytest

@@ -89,6 +89,16 @@ class TestParse:
             parse("u + ")
         assert exc.value.offset == 4
 
+    def test_offsets_count_utf8_bytes(self):
+        # a no-break space is 2 bytes and so is each Arabic-Indic digit, which
+        # the tokenizer reads as digits; ASCII offsets are character offsets
+        with pytest.raises(ParseError, match=r"expected expression \(at byte 5\)") as exc:
+            parse("x\u00a0*(")
+        assert exc.value.offset == 5
+        with pytest.raises(ParseError, match=r"expected expression \(at byte 7\)") as exc:
+            parse("\u0663\u0663 + )")
+        assert exc.value.offset == 7
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("u u")
@@ -768,6 +778,22 @@ class TestPackedMonomials:
         assert len(parse("*".join([S] * 3)).num.terms) == 1140
         assert len(parse(f"{S}^3*u*(1/u1)").den.terms) == 1
         assert len(parse(f"{S}^2*{S}/u").num.terms) == 1140
+
+    def test_sum_term_bound(self):
+        # each + copies the sum so far, and 16 000 distinct summands took
+        # 6.5 s; a sum is refused once its operands could make more than
+        # 10000 terms
+        summands = [f"u^{a}*v^{b}*x^{c}" for a in range(22) for b in range(22) for c in range(21)]
+        with pytest.raises(K.BoundError, match="a sum may exceed 10000 terms"):
+            parse(" + ".join(summands[:10_001]))
+        # 5000 + 5000 terms pass (1 is in both) and 5000 + 5001 do not; over
+        # two-term denominators, 5000*2 + 1*2 does not
+        A = "(" + " + ".join(f"x^{k}" for k in range(100)) + ")*(" + " + ".join(f"t^{k}" for k in range(50)) + ")"
+        B = "(" + " + ".join(f"z^{k}" for k in range(100)) + ")*(" + " + ".join(f"u1^{k}" for k in range(50)) + ")"
+        assert len(parse(f"{A} + {B}").num.terms) == 9999
+        for text in (f"{A} + ({B} + u)", f"{A}/(u + 1) - 1/(v + 1)", f"1/(u + 1) + {A}/(v + 1)"):
+            with pytest.raises(K.BoundError, match="a sum may exceed 10000 terms"):
+                parse(text)
 
     def test_interning_from_threads_gives_each_atom_one_field(self):
         # each thread builds products of exponentials no other code has used,

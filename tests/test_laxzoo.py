@@ -1,4 +1,4 @@
-"""Matrix packings, gauge transformations, zero-curvature residuals."""
+"""Matrix packings and zero-curvature residuals."""
 
 import random
 
@@ -11,12 +11,9 @@ from pssurf.jetcalc import total_dt_mod_system, total_dx
 from pssurf.kernel import Expr, parse
 from pssurf.laxzoo import (
     MatrixForm,
-    NonUnimodularError,
     from_forms,
-    gauge_transform,
     mat,
     mat_add,
-    mat_inv,
     mat_is_zero,
     mat_map,
     mat_mul,
@@ -27,7 +24,6 @@ from pssurf.laxzoo import (
 )
 
 I = Expr.atom(K.iunit)
-S = Expr.atom(K.sqrt2)
 
 
 class TestPackings:
@@ -83,6 +79,15 @@ class TestZeroCurvature:
         for entry in (catalog_entry(n) for n in ("cubic-ch2", "mch-type")):
             res = zero_curvature_residual(entry.lax, entry.system)
             assert mat_is_zero(res)
+
+    @pytest.mark.parametrize("algebra", ["sl2", "su2"])
+    @pytest.mark.parametrize("name", ["song-qu-qiao", "cubic-ch2", "factored-ch2", "skew-ch2", "mch-type"])
+    def test_packings_close_on_the_catalog(self, name, algebra):
+        # both packings close for the pseudospherical entries (delta = 1);
+        # the spherical mch-type closes only in su2, its default packing
+        entry = catalog_entry(name)
+        closes = mat_is_zero(zero_curvature_residual(from_forms(entry.forms, algebra), entry.system))
+        assert closes == (algebra == "su2" or entry.forms.delta == 1)
 
     def test_negated_flow_breaks_curvature_linearly(self):
         entry = catalog_entry("cubic-ch2")
@@ -167,53 +172,6 @@ class TestThreeEntryResidual:
             assert _outcome(zero_curvature_residual, mf, entry.system) == want
             nonzero += want != [["0", "0"], ["0", "0"]]
         assert nonzero > 10
-
-
-class TestGauge:
-    def _su2_rotation(self):
-        half_s = S / 2
-        return mat(-I * half_s, half_s, half_s, -I * half_s)
-
-    def test_identity_gauge(self):
-        entry = catalog_entry("cubic-ch2")
-        out = gauge_transform(entry.lax, mat(1, 0, 0, 1))
-        assert out.X == entry.lax.X and out.T == entry.lax.T
-
-    def test_su2_rotation_reaches_su2_packing(self):
-        # the pseudospherical su2 packing is the constant-rotation gauge
-        # image of the sl2 packing
-        entry = catalog_entry("cubic-ch2")
-        A = self._su2_rotation()
-        rotated = gauge_transform(entry.lax, A)
-        su2 = from_forms(entry.forms, "su2")
-        assert rotated.X == su2.X
-        assert rotated.T == su2.T
-
-    def test_non_unimodular_rejected(self):
-        entry = catalog_entry("cubic-ch2")
-        with pytest.raises(NonUnimodularError):
-            gauge_transform(entry.lax, mat(2, 0, 0, 1))
-
-    def test_gauge_covariance_of_residual(self):
-        entry = catalog_entry("cubic-ch2")
-        from pssurf.jetcalc import PdeSystem
-
-        broken = PdeSystem(entry.system.orders, -entry.system.F, entry.system.G)
-        A = mat(1, Expr.atom(K.eta), 0, 1)
-        res_direct = zero_curvature_residual(entry.lax, broken)
-        res_gauged = zero_curvature_residual(gauge_transform(entry.lax, A), broken)
-        Ainv = mat_inv(A)
-        expected = mat_mul(mat_mul(A, res_direct), Ainv)
-        assert mat_is_zero(mat_sub(res_gauged, expected))
-
-    def test_time_dependent_gauge_is_covariant(self):
-        # dA = A_x dx + A_t dt also where A is free of x
-        entry = catalog_entry("cubic-ch2")
-        A = mat(1, Expr.atom(K.t), 0, 1)
-        rotated = gauge_transform(entry.lax, A)
-        assert rotated.T != mat_mul(mat_mul(A, entry.lax.T), mat_inv(A))
-        res = zero_curvature_residual(rotated, entry.system)
-        assert mat_is_zero(res)
 
 
 def _structure_verdicts(forms, system):
