@@ -265,52 +265,39 @@ def vector_field_components() -> dict[str, Expr]:
     return out
 
 
-def finite_transform_symbolic() -> dict[str, Expr]:
-    """The finite transformation as symbolic expressions in the state and
-    the group parameter.  The x entry is exp(x_tilde - x); the phi entries
-    are squared (their closed forms involve a square root)."""
+def finite_transform_symbolic() -> dict[str, tuple[tuple[K.Poly, K.Poly], ...]]:
+    """The finite transformation in the state and eps, each entry a sum of unreduced
+    (numerator, denominator) polynomial pairs.  The x entry is exp(x_tilde - x); the
+    phi entries are squared (their closed forms hold a square root)."""
     d1 = 1 - _EPS * _PP
-    d2 = 1 - _EPS * _PP - _EPS * _ETA * _PHI1 * _PHI2
-    den = d2 * (2 * d1 - _EPS * _ETA**2 * (_M * _PHI2**2 - _N * _PHI1**2)) + (
-        _EPS**2 * _ETA**3 * _N * _PHI1**3 * _PHI2
-    )
-    return {
-        "x-shift-exp": d2 / d1,
-        "t": Expr.atom(K.t),
-        "u": (_U + _U1) * d2 / (2 * d1)
-        - (_U1 - _U) * d1 / (2 * d2)
-        - _EPS * _PHI1**2 / d2,
-        "v": (_V + _V1) * d2 / (2 * d1)
-        - (_V1 - _V) * d1 / (2 * d2)
-        + _EPS * _PHI2**2 / d1,
-        "m": 2 * _M * d2**2 / den,
-        "n": 2 * _N * d1**2 / den,
-        "phi1-squared": _PHI1**2 / (d1 * d2),
-        "phi2-squared": _PHI2**2 / (d1 * d2),
-        "p": _PP / d1,
+    d2 = d1 - _EPS * _ETA * _PHI1 * _PHI2
+    den = d2 * (2 * d1 - _EPS * _ETA**2 * (_M * _PHI2**2 - _N * _PHI1**2)) + _EPS**2 * _ETA**3 * _N * _PHI1**3 * _PHI2
+    # polynomials over 1, so nothing is reduced
+    sums = {
+        "x-shift-exp": ((d2, d1),), "t": ((Expr.atom(K.t), K.ONE),),
+        "u": (((_U + _U1) * d2, 2 * d1), ((_U - _U1) * d1, 2 * d2), (-_EPS * _PHI1**2, d2)),
+        "v": (((_V + _V1) * d2, 2 * d1), ((_V - _V1) * d1, 2 * d2), (_EPS * _PHI2**2, d1)),
+        "m": ((2 * _M * d2**2, den),), "n": ((2 * _N * d1**2, den),),
+        "phi1-squared": ((_PHI1**2, d1 * d2),), "phi2-squared": ((_PHI2**2, d1 * d2),),
+        "p": ((_PP, d1),),
     }
-
-
-def _eps_derivative_at_zero(e: Expr) -> Expr:
-    """d(e)/d(eps) at eps = 0: eps = 0 in each polynomial of the unreduced
-    derivative (`Expr._derived`), so only their quotient is reduced."""
-    num, den = (Expr(p, K.Poly.const(1)).substitute({K.eps: K.ZERO}) for p in e._derived({K.eps: K.ONE}))
-    return num / den
+    return {name: tuple((a.num, b.num) for a, b in pairs) for name, pairs in sums.items()}
 
 
 def first_order_expansion_residuals() -> dict[str, Expr]:
-    """Per-component residuals between d/deps of the finite transformation
-    at eps = 0 and the generator coefficients.  The squared eigenfunction
-    entries are compared through d(phi~^2)/deps = 2 phi V^phi."""
+    """Residuals of d/deps at eps = 0 of each closed form against its generator
+    coefficient, 2 phi V^phi for phi^2.  A pair a/b moves at (a1*b0 - a0*b1)/b0^2 from
+    its eps^0 and eps^1 coefficients; a residual is one `fraction_sum` of its rates
+    and the negated coefficient, so a vanishing one takes no gcd."""
     V = vector_field_components()
-    closed = finite_transform_symbolic()
-    out: dict[str, Expr] = {}
-    out["x"] = _eps_derivative_at_zero(closed["x-shift-exp"]) - V["x"]
-    out["t"] = _eps_derivative_at_zero(closed["t"])
-    for name in ("u", "v", "m", "n", "p"):
-        out[name] = _eps_derivative_at_zero(closed[name]) - V[name]
-    out["phi1"] = _eps_derivative_at_zero(closed["phi1-squared"]) - 2 * _PHI1 * V["phi1"]
-    out["phi2"] = _eps_derivative_at_zero(closed["phi2-squared"]) - 2 * _PHI2 * V["phi2"]
+    compared = {"x-shift-exp": ("x", V["x"]), "t": ("t", K.ZERO),
+                "phi1-squared": ("phi1", 2 * _PHI1 * V["phi1"]), "phi2-squared": ("phi2", 2 * _PHI2 * V["phi2"])}
+    out = {}
+    for name, pairs in finite_transform_symbolic().items():
+        component, rate = compared.get(name) or (name, V[name])
+        coefficients = [[(q.coefficient(K.eps, 0), q.coefficient(K.eps, 1)) for q in pair] for pair in pairs]
+        rates = [(a1.mul(b0).sub(a0.mul(b1)), b0.mul(b0)) for (a0, a1), (b0, b1) in coefficients]
+        out[component] = K.fraction_sum([*rates, (rate.num.neg(), rate.den)])
     return out
 
 

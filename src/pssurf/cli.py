@@ -248,6 +248,8 @@ def cmd_build(args) -> int:
 def cmd_lax_check(args) -> int:
     config = _load_config(args.config)
     if "example" in config:
+        if extra := sorted(config.keys() - {"example"}):
+            raise ValueError(f"config 'example' takes no other keys, got {', '.join(map(repr, extra))}")
         entry = catalog_entry(_shaped(config["example"], str, "config 'example'"))
         mf, sys_ = entry.lax, entry.system
     else:

@@ -576,6 +576,11 @@ class Poly:
                         den = _add_into(out, den, term.terms, term.den)
         return _reduced(out, den)
 
+    def coefficient(self, c: Coord, k: int) -> "Poly":
+        """The coefficient of c**k, for a coordinate c outside every exponential."""
+        sh = _shift(c)
+        return _reduced({m - (k << sh): v for m, v in self.terms.items() if m >> sh & 0xFF == k}, self.den)
+
     def atoms(self) -> set:
         # a field is nonzero in the union of the monomials where it is in one
         return {a for a, _ in _pairs(functools.reduce(operator.or_, self.terms, 0))}
@@ -1513,15 +1518,26 @@ def parse(text: str, mn_mode: str = "alias") -> Expr:
         depth -= 1
         return node
 
+    def plain(e: Expr) -> bool:
+        return e.den.is_const() and not functools.reduce(operator.or_, e.num.terms, 0) & _EXPS
+
     def parse_expr() -> Expr:
+        # plain summands (polynomials over 1 free of exponentials) from the
+        # first on add into one term dict, which `Poly.add` would copy at each
+        # "+"; from the first other summand on, the sum takes `node + rhs`,
+        # which puts exponentials on their lattice
         node = parse_term()
+        terms, den = (dict(node.num.terms), node.num.den) if plain(node) else (None, 1)
         while peek() in ("+", "-"):
             rhs = parse_term() if toks.pop()[0] == "+" else -parse_term()
-            n1, d1, n2, d2 = (len(p.terms) for p in (node.num, node.den, rhs.num, rhs.den))
-            if max(n1 * d2 + n2 * d1, d1 * d2) > MAX_TERMS:
+            n1, d1 = (len(node.num.terms), len(node.den.terms)) if terms is None else (len(terms), 1)
+            if max(n1 * len(rhs.den.terms) + len(rhs.num.terms) * d1, d1 * len(rhs.den.terms)) > MAX_TERMS:
                 raise BoundError(f"a sum may exceed {MAX_TERMS} terms")
-            node = node + rhs
-        return node
+            if terms is not None and plain(rhs):
+                den = _add_into(terms, den, rhs.num.terms, rhs.num.den)
+            else:
+                node, terms = (node if terms is None else Expr._over_one(_reduced(terms, den))) + rhs, None
+        return node if terms is None else Expr._over_one(_reduced(terms, den))
 
     def parse_term() -> Expr:
         node = parse_factor()

@@ -215,7 +215,8 @@ def _oracle_expansion_residuals(closed: dict) -> dict:
     V = _oracle_generator()
 
     def rate(name):
-        return sympy.diff(_sympy(closed[name]), _EPS).subs(_EPS, 0)
+        entry = sum(_sympy(a) / _sympy(b) for a, b in closed[name])
+        return sympy.diff(entry, _EPS).subs(_EPS, 0)
 
     out = {"x": rate("x-shift-exp") - V["x"], "t": rate("t")}
     out |= {name: rate(name) - V[name] for name in ("u", "v", "m", "n", "p")}
@@ -239,14 +240,93 @@ def test_first_order_expansion_vanishes_in_sympy():
         assert r.is_zero() and _vanishes(oracle[name]), name
 
 
+def _perturbed(closed: dict, name: str, delta: Expr) -> dict:
+    """closed with delta added to one entry as one more pair."""
+    return {**closed, name: (*closed[name], (delta.num, delta.den))}
+
+
 def test_perturbed_transformation_fails_in_both(monkeypatch):
-    closed = chsym.finite_transform_symbolic()
-    bad = {**closed, "m": closed["m"] + Expr.atom(K.eps) * _perturbation(3)}
+    bad = _perturbed(chsym.finite_transform_symbolic(), "m", Expr.atom(K.eps) * _perturbation(3))
     monkeypatch.setattr(chsym, "finite_transform_symbolic", lambda: bad)
     kernel = chsym.first_order_expansion_residuals()
     oracle = _oracle_expansion_residuals(bad)
     verdicts = {name: (r.is_zero(), _vanishes(oracle[name])) for name, r in kernel.items()}
     assert verdicts == {name: (name != "m", name != "m") for name in kernel}
+
+
+def _expr_closed_forms() -> dict:
+    """The nine closed forms as `Expr` arithmetic, each quotient reduced as
+    it is formed: the statement the pair table replaced."""
+    eps, p, eta = Expr.atom(K.eps), Expr.atom(K.p), Expr.atom(K.eta)
+    u, u1, v, v1, m, n, phi1, phi2 = (parse(name, mn_mode="jets")
+                                      for name in ("u", "u1", "v", "v1", "m", "n", "phi1", "phi2"))
+    d1 = 1 - eps * p
+    d2 = 1 - eps * p - eps * eta * phi1 * phi2
+    den = d2 * (2 * d1 - eps * eta**2 * (m * phi2**2 - n * phi1**2)) + eps**2 * eta**3 * n * phi1**3 * phi2
+    return {
+        "x-shift-exp": d2 / d1,
+        "t": Expr.atom(K.t),
+        "u": (u + u1) * d2 / (2 * d1) - (u1 - u) * d1 / (2 * d2) - eps * phi1**2 / d2,
+        "v": (v + v1) * d2 / (2 * d1) - (v1 - v) * d1 / (2 * d2) + eps * phi2**2 / d1,
+        "m": 2 * m * d2**2 / den,
+        "n": 2 * n * d1**2 / den,
+        "phi1-squared": phi1**2 / (d1 * d2),
+        "phi2-squared": phi2**2 / (d1 * d2),
+        "p": p / d1,
+    }
+
+
+def _reduce_as_you_go(closed: dict) -> dict:
+    """The first-order residuals on the reduce-as-you-go path: the
+    eps-derivative of each `Expr` closed form from `Expr._derived`, eps = 0
+    in both of its polynomials, then `/` and `-`."""
+    V = chsym.vector_field_components()
+
+    def rate(name):
+        num, den = (Expr(q, K.Poly.const(1)).substitute({K.eps: K.ZERO})
+                    for q in closed[name]._derived({K.eps: K.ONE}))
+        return num / den
+
+    out = {"x": rate("x-shift-exp") - V["x"], "t": rate("t")}
+    out |= {name: rate(name) - V[name] for name in ("u", "v", "m", "n", "p")}
+    out |= {f"phi{k}": rate(f"phi{k}-squared") - 2 * parse(f"phi{k}") * V[f"phi{k}"] for k in (1, 2)}
+    return out
+
+
+def test_pair_table_states_the_expr_closed_forms():
+    closed = chsym.finite_transform_symbolic()
+    assert {name: K.fraction_sum(pairs) for name, pairs in closed.items()} == _expr_closed_forms()
+    assert {name: str(r) for name, r in _reduce_as_you_go(_expr_closed_forms()).items()} == dict.fromkeys(
+        chsym.first_order_expansion_residuals(), "0")
+
+
+def _fractional_perturbation(seed: int) -> Expr:
+    """eps times a seeded perturbation over a seeded denominator free of eps."""
+    den = random.Random(seed).choice(("1 + eta*phi1*phi2", "2 - m*phi2^2", "eta + n1", "u*v - u1*v1"))
+    return Expr.atom(K.eps) * _perturbation(seed) / parse(den, mn_mode="jets")
+
+
+_ENTRIES = {"x-shift-exp": "x", "t": "t", "u": "u", "v": "v", "m": "m", "n": "n",
+            "phi1-squared": "phi1", "phi2-squared": "phi2", "p": "p"}
+
+
+@pytest.mark.parametrize("seed, entry", enumerate(_ENTRIES, start=10), ids=list(_ENTRIES))
+def test_each_perturbed_entry_fails_alone(monkeypatch, seed, entry):
+    # the perturbed component alone fails in the kernel and in sympy, and
+    # every residual prints as on the reduce-as-you-go path; the
+    # perturbation's denominator survives eps = 0, so the failing residual
+    # is a fraction that only the gcd brings to lowest terms
+    delta = _fractional_perturbation(seed)
+    bad = _perturbed(chsym.finite_transform_symbolic(), entry, delta)
+    monkeypatch.setattr(chsym, "finite_transform_symbolic", lambda: bad)
+    kernel = chsym.first_order_expansion_residuals()
+    oracle = _oracle_expansion_residuals(bad)
+    component = _ENTRIES[entry]
+    verdicts = {name: (r.is_zero(), _vanishes(oracle[name])) for name, r in kernel.items()}
+    assert verdicts == {name: (name != component, name != component) for name in _ENTRIES.values()}
+    old = _expr_closed_forms()
+    old_path = _reduce_as_you_go({**old, entry: old[entry] + delta})
+    assert {name: str(r) for name, r in kernel.items()} == {name: str(r) for name, r in old_path.items()}
 
 
 # -- the bi-Hamiltonian identity ------------------------------------------------

@@ -218,6 +218,33 @@ class TestFirstOrderExpansion:
         for name, r in res.items():
             assert r.is_zero(), name
 
+    def test_warm_call_takes_no_gcd_and_no_substitution(self, monkeypatch):
+        # once the generator's table is built, each component is decided on
+        # one combined numerator; only a failing one is reduced, once
+        chsym.first_order_expansion_residuals()
+        delta = P("eps*phi1/(1 + eta*phi1*phi2)")
+        closed = chsym.finite_transform_symbolic()
+        bad = {**closed, "m": (*closed["m"], (delta.num, delta.den))}
+        calls = {"poly_gcd": 0, "substitute": 0}
+        gcd, substitute = K.poly_gcd, Expr.substitute
+
+        def counted_gcd(a, b):
+            calls["poly_gcd"] += 1
+            return gcd(a, b)
+
+        def counted_substitute(self, bindings):
+            calls["substitute"] += 1
+            return substitute(self, bindings)
+
+        monkeypatch.setattr(K, "poly_gcd", counted_gcd)
+        monkeypatch.setattr(Expr, "substitute", counted_substitute)
+        assert all(r.is_zero() for r in chsym.first_order_expansion_residuals().values())
+        assert calls == {"poly_gcd": 0, "substitute": 0}
+        monkeypatch.setattr(chsym, "finite_transform_symbolic", lambda: bad)
+        res = chsym.first_order_expansion_residuals()
+        assert str(res["m"]) == "(phi1)/(phi1*phi2*eta + 1)"
+        assert calls == {"poly_gcd": 1, "substitute": 0}
+
     def test_generator_values(self):
         # literal oracle: every component but x is derived from the symmetry
         V = chsym.vector_field_components()
@@ -335,7 +362,7 @@ class TestEnlargedStates:
         # finite_transform_symbolic(), x through exp(x~ - x) and each phi
         # through its square
         closed = chsym.finite_transform_symbolic()
-        compiled = K.compile_numeric(closed.values(), (*chsym._STATE_COORDS, K.eps))
+        compiled = K.compile_numeric(map(K.fraction_sum, closed.values()), (*chsym._STATE_COORDS, K.eps))
         rng = random.Random(4127)
         checked = 0
         for _ in range(300):

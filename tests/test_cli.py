@@ -159,9 +159,15 @@ _FORMS_EXPRESSIONS = dict.fromkeys(["f11", "f12", "f21", "f22", "f31", "f32", "F
         (["verify", "lemma31"], {"expressions": _FORMS_EXPRESSIONS, "params": []},
          "config 'params' must be an object"),
         (["lax", "check"], {"example": ["a"]}, "config 'example' must be a string"),
+        # an example's own packing and curvature sign are used, so a key
+        # beside it would be ignored
+        (["lax", "check"], {"example": "mch-type", "algebra": "foo"},
+         "config 'example' takes no other keys, got 'algebra'"),
+        (["lax", "check"], {"params": {"delta": -1}, "example": "mch-type", "a\nb": 1},
+         "config 'example' takes no other keys, got 'a\\nb', 'params'"),
     ],
     ids=["top-level-array", "expressions-array", "expression-number", "params-array",
-         "lemma31-params-array", "example-array"],
+         "lemma31-params-array", "example-array", "example-extra-key", "example-extra-keys"],
 )
 def test_malformed_config_shapes_are_usage_errors(tmp_path, command, config, message):
     # shapes are checked where the config is read, so no AttributeError or

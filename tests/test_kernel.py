@@ -133,6 +133,23 @@ class TestParse:
         with pytest.raises(UnknownIdentifierError):
             parse("u²")
 
+    def test_a_sum_parses_as_the_fold_of_its_summands(self):
+        # plain summands add into one term dict; the sum must be the left
+        # fold of `Expr` additions, down to its term order and denominator
+        rng = random.Random(2718)
+        atoms = ("u", "v1", "x", "eta", "i", "s", "1/2", "3", "2/3*v", "exp(x)", "exp(-2*x)", "1/(u + 1)",
+                 "(u - i)/(v + s)")
+        for _ in range(300):
+            summands = ["*".join(rng.choice(atoms) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(2, 9))]
+            signs = [rng.choice("+-") for _ in summands[1:]]
+            want = parse(summands[0])
+            for sign, summand in zip(signs, summands[1:]):
+                want = want + (parse(summand) if sign == "+" else -parse(summand))
+            text = summands[0] + "".join(f" {sign} {summand}" for sign, summand in zip(signs, summands[1:]))
+            got = parse(text)
+            for a, b in ((got.num, want.num), (got.den, want.den)):
+                assert (list(a.terms.items()), a.den) == (list(b.terms.items()), b.den), text
+
     def test_exp_shape_rejections(self):
         with pytest.raises(UnsupportedExponentError):
             parse("exp(u*v)")
