@@ -37,7 +37,7 @@ def main() -> int:
     _, _, rules = chsym.linear_problem()
     res = check_rule_compatibility(rules, None)
     ok &= stage("rule compatibility", all(r.is_zero() for r in res.values()))
-    s = chsym.nonlocal_symmetry(reduced=True)
+    s = chsym.nonlocal_symmetry()
     rm, rn = chsym.check_symmetry_residual(s)
     ok &= stage("nonlocal symmetry", rm.is_zero() and rn.is_zero())
     pres = chsym.prolongation_residuals()

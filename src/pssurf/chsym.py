@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import kernel as K
 from .classify import catalog_entry
-from .jetcalc import DerivationRules, PdeSystem, total_dx, total_dt_mod_system
+from .jetcalc import DerivationRules, PdeSystem, dt_images, dx_images, total_dx
 from .kernel import DomainError, Expr, parse
 from .laxzoo import mat_map
 
@@ -151,24 +151,17 @@ class SymmetryTuple:
 
 
 @functools.cache
-def nonlocal_symmetry(reduced: bool = True) -> SymmetryTuple:
-    """The characteristic generated by the spectral-parameter gradient.
-
-    reduced=True substitutes the adjoint solution (phih1, phih2) =
-    (phi2, -phi1); reduced=False keeps independent adjoint eigenfunctions.
-    """
+def nonlocal_symmetry() -> SymmetryTuple:
+    """The characteristic generated by the spectral-parameter gradient, with
+    the adjoint solution (phih1, phih2) = (phi2, -phi1) substituted."""
     _, _, rules = linear_problem()
-    grad = spectral_gradient()
-    w_m, w_n = apply_d1(grad, rules)
-    ws = (_PHI1 * _PHIH2, _PHIH1 * _PHI2, w_m, w_n)
-    if reduced:
-        sub = reduction_to_adjoint()
-        ws = tuple(w.substitute(sub) for w in ws)
-    return SymmetryTuple(*ws)
+    w_m, w_n = apply_d1(spectral_gradient(), rules)
+    sub = reduction_to_adjoint()
+    return SymmetryTuple(*(w.substitute(sub) for w in (_PHI1 * _PHIH2, _PHIH1 * _PHI2, w_m, w_n)))
 
 
-def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
-    """Directional (Frechet) derivative of rhs along characteristics.
+def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> tuple[K.Poly, K.Poly]:
+    """Directional (Frechet) derivative of rhs along characteristics, an unreduced (num, den) pair.
 
     directions maps base symbols ('u', 'v', 'm', 'n') and the order-0
     dependent symbols ('phi1', 'phi2', 'p') to their characteristics; the
@@ -185,7 +178,7 @@ def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> Expr:
         for _ in range(c.order):
             img = total_dx(img, rules)
         images[c] = img
-    return rhs.derive(images)
+    return rhs._derived(images)
 
 
 def _directions(s: SymmetryTuple) -> dict[str, Expr]:
@@ -193,12 +186,18 @@ def _directions(s: SymmetryTuple) -> dict[str, Expr]:
     return {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}
 
 
+def _residual(w: Expr, images: dict, linearized: tuple[K.Poly, K.Poly]) -> Expr:
+    """D w - linearized for the derivation D of `images`, one `fraction_sum` reduced once."""
+    num, den = linearized
+    return K.fraction_sum([w._derived(images), (num.neg(), den)])
+
+
 def check_symmetry_residual(s: SymmetryTuple) -> tuple[Expr, Expr]:
     """D_t w_c - linearize(t-rule of c) for c = m, n on the characteristic;
     identically zero certifies the symmetry."""
     _, _, rules = linear_problem()
     directions = _directions(s)
-    return tuple(total_dt_mod_system(w, None, rules) - linearize(rules.t_rules[c], directions, rules)
+    return tuple(_residual(w, dt_images(w, None, rules), linearize(rules.t_rules[c], directions, rules))
                  for c, w in ((K.m(0), s.w_m), (K.n(0), s.w_n)))
 
 
@@ -226,12 +225,12 @@ def prolongation_residuals() -> dict[str, Expr]:
     axes of the rule table, along the prolonged characteristic."""
     _, _, rules = linear_problem()
     w1, w2, wp = prolongation()
-    directions = {**_directions(nonlocal_symmetry(reduced=True)), "phi1": w1, "phi2": w2, "p": wp}
-    axes = (("x", rules.x_rules, lambda e: total_dx(e, rules)),
-            ("t", rules.t_rules, lambda e: total_dt_mod_system(e, None, rules)))
-    names = (("eigenfunction-1", K.phi1), ("eigenfunction-2", K.phi2), ("pseudo-potential", K.p))
-    return {f"{name}-{axis}": derivative(directions[c.name]) - linearize(axis_rules[c], directions, rules)
-            for axis, axis_rules, derivative in axes for name, c in names}
+    directions = {**_directions(nonlocal_symmetry()), "phi1": w1, "phi2": w2, "p": wp}
+    axes = (("x", rules.x_rules, lambda e: dx_images(e, rules)),
+            ("t", rules.t_rules, lambda e: dt_images(e, None, rules)))
+    rows = (("eigenfunction-1", K.phi1, w1), ("eigenfunction-2", K.phi2, w2), ("pseudo-potential", K.p, wp))
+    return {f"{name}-{axis}": _residual(w, images(w), linearize(axis_rules[c], directions, rules))
+            for axis, axis_rules, images in axes for name, c, w in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def vector_field_components() -> dict[str, Expr]:
     table is built once; callers only read it.
     """
     _, _, rules = linear_problem()
-    s = nonlocal_symmetry(reduced=True)
+    s = nonlocal_symmetry()
     w1, w2, wp = prolongation()
     xi = -_ETA * _PHI1 * _PHI2
     characteristics = {

@@ -177,9 +177,9 @@ def cmd_verify_example(args) -> int:
     report = check_lemma31(forms, entry.system)
     payload = {"example": entry.name, "delta": forms.delta, **report.as_dict()}
     if args.delta is None:
-        zc_ok = mat_is_zero(zero_curvature_residual(entry.lax, entry.system))
-        payload["zero_curvature"] = "pass" if zc_ok else "fail"
-        payload["passed"] = payload["passed"] and zc_ok
+        # a passing report holds three vanishing structure residuals, so
+        # "passed" already implies zero curvature
+        payload["zero_curvature"] = "pass" if report.zero_curvature else "fail"
     config = {"name": args.name, "delta": args.delta}
     envelope = _report_envelope("verify example", config, payload)
     _emit(envelope, args.format, args.out, report.to_table())
@@ -280,7 +280,7 @@ def cmd_ch2(args) -> int:
         "rungs": getattr(args, "rungs", None),
     }
     if args.subcommand == "symmetry":
-        tup = chsym.nonlocal_symmetry(reduced=True)
+        tup = chsym.nonlocal_symmetry()
         rm, rn = chsym.check_symmetry_residual(tup)
         payload = {
             "residual_m": str(rm),

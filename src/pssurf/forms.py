@@ -70,6 +70,12 @@ class Lemma31Report:
     def __post_init__(self):
         object.__setattr__(self, "passed", all(c.verdict for c in self.conditions))
 
+    @property
+    def zero_curvature(self) -> bool:
+        """Whether the pair `laxzoo.from_forms` packs at the forms' sign is flat: its curvature
+        is -1/2 pack(r1, r2, r3), so True only when all three residuals were computed and vanish."""
+        return [c.verdict for c in self.conditions if c.condition_id.startswith("structure-residual-")] == [True] * 3
+
     def failures(self) -> list[ConditionReport]:
         return [c for c in self.conditions if not c.verdict]
 

@@ -10,6 +10,11 @@ Every packing is trace-free, and MatrixForm rejects a pair that is not, so
 the zero-curvature residual D_t X - D_x T + [X, T] is trace-free too: it is
 computed from the entries 00, 01 and 10, each a residual of
 ``forms.exterior_d_mod_system``, and its 11 entry is -R00.
+
+With ``from_forms``' packing at the forms' own sign, R = -1/2 pack(r1, r2,
+r3) of the structure residuals, and pack is invertible over Q(i, sqrt 2), so
+``verify example`` reads R = 0 off ``forms.Lemma31Report.zero_curvature``.
+Only ``lax check``, whose packing need not match the sign, computes R.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def test_criterion_4_symbolic_suite():
         rules.close(sys.uv_system.F) == sys.m_t and rules.close(sys.uv_system.G) == sys.n_t
     )
     # (b) the momentum characteristic is the (1 - D_x^2) image
-    s = chsym.nonlocal_symmetry(reduced=True)
+    s = chsym.nonlocal_symmetry()
     img = s.w_u - total_dx(total_dx(s.w_u, rules), rules)
     parts["momentum image"] = (img - s.w_m).is_zero()
     # (c) the linearized flow annihilates the characteristic

@@ -137,14 +137,14 @@ def _oracle_symmetry_residual(s: chsym.SymmetryTuple) -> tuple:
 
 
 def test_symmetry_residual_vanishes_in_sympy():
-    s = chsym.nonlocal_symmetry(reduced=True)
+    s = chsym.nonlocal_symmetry()
     kernel = chsym.check_symmetry_residual(s)
     oracle = _oracle_symmetry_residual(s)
     assert [r.is_zero() for r in kernel] == [_vanishes(r) for r in oracle] == [True, True]
 
 
 def test_perturbed_symmetry_fails_in_both():
-    s = chsym.nonlocal_symmetry(reduced=True)
+    s = chsym.nonlocal_symmetry()
     bad = chsym.SymmetryTuple(s.w_u, s.w_v, s.w_m, s.w_n + _perturbation(1))
     kernel = chsym.check_symmetry_residual(bad)
     oracle = _oracle_symmetry_residual(bad)
@@ -158,7 +158,7 @@ def test_perturbed_symmetry_fails_in_both():
 def _oracle_prolongation_residuals(ws: tuple) -> dict:
     Mmat, Nmat, _ = chsym.linear_problem()
     x_rules, t_rules = _rules()
-    directions = _directions(chsym.nonlocal_symmetry(reduced=True))
+    directions = _directions(chsym.nonlocal_symmetry())
     w1, w2, wp = map(_sympy, ws)
     phis, eigen = (_PHI1, _PHI2), (w1, w2)
     out = {}
@@ -198,7 +198,7 @@ def test_perturbed_prolongation_fails_in_both(monkeypatch):
 def _oracle_generator() -> dict:
     """The generator rebuilt from the symmetry: xi = -eta*phi1*phi2 and
     V[c] = w_c + xi * D_x c."""
-    s = chsym.nonlocal_symmetry(reduced=True)
+    s = chsym.nonlocal_symmetry()
     w1, w2, wp = map(_sympy, chsym.prolongation())
     w_u, w_v = _sympy(s.w_u), _sympy(s.w_v)
     xi = -_SYM("eta") * _PHI1 * _PHI2

@@ -125,9 +125,18 @@ class TestSpectralGradient:
         assert out[1] == a - dxx(a)
 
 
+def _unreduced_symmetry() -> chsym.SymmetryTuple:
+    """The characteristic before the adjoint solution is substituted, with
+    independent adjoint eigenfunctions phih1, phih2."""
+    _, _, rules = chsym.linear_problem()
+    w_m, w_n = chsym.apply_d1(chsym.spectral_gradient(), rules)
+    phi1, phi2, phih1, phih2 = (Expr.atom(c) for c in (K.phi1, K.phi2, K.phih1, K.phih2))
+    return chsym.SymmetryTuple(phi1 * phih2, phih1 * phi2, w_m, w_n)
+
+
 class TestNonlocalSymmetry:
     def test_reduced_characteristics(self):
-        s = chsym.nonlocal_symmetry(reduced=True)
+        s = chsym.nonlocal_symmetry()
         assert s.w_u == P("-phi1^2")
         assert s.w_v == P("phi2^2")
         assert s.w_m == P(
@@ -140,31 +149,31 @@ class TestNonlocalSymmetry:
     def test_momentum_consistency(self):
         # w_m = (1 - D_x^2) w_u under the linear-problem rules
         _, _, rules = chsym.linear_problem()
-        s = chsym.nonlocal_symmetry(reduced=True)
+        s = chsym.nonlocal_symmetry()
         lhs = s.w_u - total_dx(total_dx(s.w_u, rules), rules)
         assert (lhs - s.w_m).is_zero()
         lhs_n = s.w_v - total_dx(total_dx(s.w_v, rules), rules)
         assert (lhs_n - s.w_n).is_zero()
 
     def test_unreduced_reduces_to_reduced(self):
-        un = chsym.nonlocal_symmetry(reduced=False)
-        red = chsym.nonlocal_symmetry(reduced=True)
+        un = _unreduced_symmetry()
+        red = chsym.nonlocal_symmetry()
         sub = chsym.reduction_to_adjoint()
         assert un.w_m.substitute(sub) == red.w_m
         assert un.w_n.substitute(sub) == red.w_n
 
     def test_reduced_residual_vanishes(self):
-        s = chsym.nonlocal_symmetry(reduced=True)
+        s = chsym.nonlocal_symmetry()
         rm, rn = chsym.check_symmetry_residual(s)
         assert rm.is_zero() and rn.is_zero()
 
     def test_unreduced_residual_vanishes(self):
-        s = chsym.nonlocal_symmetry(reduced=False)
+        s = _unreduced_symmetry()
         rm, rn = chsym.check_symmetry_residual(s)
         assert rm.is_zero() and rn.is_zero()
 
     def test_perturbed_characteristic_fails(self):
-        s = chsym.nonlocal_symmetry(reduced=True)
+        s = chsym.nonlocal_symmetry()
         bad = chsym.SymmetryTuple(s.w_u, s.w_v, s.w_m + P("m"), s.w_n)
         rm, rn = chsym.check_symmetry_residual(bad)
         assert not rm.is_zero()
@@ -196,14 +205,14 @@ class TestProlongation:
     def test_dropping_potential_term_breaks_linearization(self):
         sys = chsym.ch2_system()
         Mmat, _, rules = chsym.linear_problem()
-        s = chsym.nonlocal_symmetry(reduced=True)
+        s = chsym.nonlocal_symmetry()
         w1, w2, _ = chsym.prolongation()
         w1_bad = w1 - P("phi1*p")
         lhs = total_dx(w1_bad, rules)
         rhs = (
-            chsym.linearize(Mmat[0][0], {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules)
+            Expr(*chsym.linearize(Mmat[0][0], {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules))
             * P("phi1")
-            + chsym.linearize(Mmat[0][1], {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules)
+            + Expr(*chsym.linearize(Mmat[0][1], {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules))
             * P("phi2")
             + Mmat[0][0] * w1_bad
             + Mmat[0][1] * w2
@@ -269,7 +278,7 @@ class TestClosure:
         # missed its image would leave u2 or v2 in one of these
         constrained = set(chsym.ch2_system().constraints)
         _, _, rules = chsym.linear_problem()
-        symmetries = [chsym.nonlocal_symmetry(reduced=r) for r in (True, False)]
+        symmetries = [chsym.nonlocal_symmetry(), _unreduced_symmetry()]
         inputs = [*rules.x_rules.values(), *rules.t_rules.values(), *chsym.prolongation()]
         inputs += [w for s in symmetries for w in (s.w_u, s.w_v, s.w_m, s.w_n)]
         outputs = list(chsym.vector_field_components().values())
