@@ -178,7 +178,7 @@ def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> tuple[K.Po
         for _ in range(c.order):
             img = total_dx(img, rules)
         images[c] = img
-    return rhs._derived(images)
+    return rhs.derive_pair(images)
 
 
 def _directions(s: SymmetryTuple) -> dict[str, Expr]:
@@ -189,7 +189,7 @@ def _directions(s: SymmetryTuple) -> dict[str, Expr]:
 def _residual(w: Expr, images: dict, linearized: tuple[K.Poly, K.Poly]) -> Expr:
     """D w - linearized for the derivation D of `images`, one `fraction_sum` reduced once."""
     num, den = linearized
-    return K.fraction_sum([w._derived(images), (num.neg(), den)])
+    return K.fraction_sum([w.derive_pair(images), (num.neg(), den)])
 
 
 def check_symmetry_residual(s: SymmetryTuple) -> tuple[Expr, Expr]:

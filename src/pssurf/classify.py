@@ -15,8 +15,8 @@ import functools
 from dataclasses import dataclass
 
 from . import kernel as K
-from .forms import AssociatedForms, check_lemma31, exterior_d_mod_system, structure_equations, wronskian
-from .jetcalc import PdeSystem, check_factored_dependence, total_dx
+from .forms import AssociatedForms, check_lemma31, structure_equations, wronskian
+from .jetcalc import PdeSystem, check_factored_dependence, exterior_d_mod_system, total_dx
 from .kernel import Expr, KernelError, parse
 from .laxzoo import MatrixForm, from_forms
 

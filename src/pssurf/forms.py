@@ -8,9 +8,9 @@ equations on solutions.  A 1-form is its (dx, dt) coefficient pair and a
 the dependence conditions (jetcalc's ``factored_violations``, with each
 partial decided on its numerator), the nondegeneracy of the frame Jacobian,
 the three structure equations (the table ``structure_equations``, which the
-constructors solve for F and G; ``exterior_d_mod_system``: one fraction
-gives each verdict and text), and the metric nondegeneracy; "nonzero"
-conditions are certified as not-identically-zero in the polynomial ring.
+constructors solve for F and G; jetcalc's ``exterior_d_mod_system`` gives
+each verdict and text from one fraction), and the metric nondegeneracy;
+"nonzero" conditions are certified as nonzero in the polynomial ring.
 """
 
 from __future__ import annotations
@@ -19,25 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import kernel as K
-from .jetcalc import IllFormedDependenceError, PdeSystem, dt_images, dx_images, factored_violations
+from .jetcalc import IllFormedDependenceError, PdeSystem, exterior_d_mod_system, factored_violations
 from .kernel import Expr
-
-
-def exterior_d_mod_system(sys: PdeSystem | None, equations: Iterable[tuple]) -> list[Expr]:
-    """The dx ^ dt coefficient D_x b - D_t a - c * theta ^ phi modulo the
-    system for each (omega = (a, b), c, theta, phi) of equations, summed as
-    one fraction (`kernel.fraction_sum`) and reduced once.  Every wedge
-    product is formed before any derivative.  Valid once the dx-coefficient
-    dependence conditions hold, so that no du_k ^ dx terms survive."""
-    equations = list(equations)
-    wedges = [[(p.num.mul(q.num).scale(k, 1), p.den.mul(q.den))
-               for k, p, q in ((-c, theta[0], phi[1]), (c, theta[1], phi[0]))]
-              for _, c, theta, phi in equations]
-    out = []
-    for ((a, b), *_), products in zip(equations, wedges):
-        dx, (dt_num, dt_den) = b._derived(dx_images(b)), a._derived(dt_images(a, sys))
-        out.append(K.fraction_sum([dx, (dt_num.neg(), dt_den), *products]))
-    return out
 
 
 @dataclass(frozen=True)

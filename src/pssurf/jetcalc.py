@@ -8,16 +8,17 @@ symbols carrying their own t-rules).  ``factored_violations`` is the one
 test of that dependence; the Lemma 3.1 conditions in ``forms`` share it.
 
 D_x and D_t are derivations: ``dx_images`` and ``dt_images`` collect the
-image of every coordinate an expression mentions, which ``Expr.derive``
-applies at once (a residual takes them to ``Expr._derived`` unreduced).
-A jet whose promotion is constrained moves to the constraint's image.
+image of every coordinate an expression mentions (a jet whose promotion is
+constrained moves to the constraint's image), which ``Expr.derive`` applies
+at once; ``exterior_d_mod_system`` sums every flatness residual (Lemma 3.1,
+zero curvature, rule compatibility) over ``Expr.derive_pair``, reduced once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import kernel as K
 from .kernel import Coord, Expr, KernelError
@@ -192,6 +193,25 @@ def total_dt_mod_system(e: Expr, sys: PdeSystem | None, rules: DerivationRules =
     return e.derive(dt_images(e, sys, rules))
 
 
+def exterior_d_mod_system(
+    sys: PdeSystem | None, equations: Iterable[tuple], rules: DerivationRules = EMPTY_RULES
+) -> list[Expr]:
+    """The dx ^ dt coefficient D_x b - D_t a - c * theta ^ phi modulo the
+    system for each (omega = (a, b), c, theta, phi) of equations, summed as
+    one fraction (`kernel.fraction_sum`) and reduced once.  Every wedge
+    product is formed before any derivative.  Valid once the dx-coefficient
+    dependence conditions hold, so that no du_k ^ dx terms survive."""
+    equations = list(equations)
+    wedges = [[(p.num.mul(q.num).scale(k, 1), p.den.mul(q.den))
+               for k, p, q in ((-c, theta[0], phi[1]), (c, theta[1], phi[0]))]
+              for _, c, theta, phi in equations]
+    out = []
+    for ((a, b), *_), products in zip(equations, wedges):
+        dx, (dt_num, dt_den) = b.derive_pair(dx_images(b, rules)), a.derive_pair(dt_images(a, sys, rules))
+        out.append(K.fraction_sum([dx, (dt_num.neg(), dt_den), *products]))
+    return out
+
+
 def check_rule_compatibility(
     rules: DerivationRules, sys: PdeSystem | None = None
 ) -> dict[Coord, Expr]:
@@ -200,11 +220,7 @@ def check_rule_compatibility(
     All-zero residuals certify that the x- and t-rules are consistent on
     solutions of the system.
     """
-    out: dict[Coord, Expr] = {}
-    for coord in rules.x_rules:
-        if coord not in rules.t_rules:
-            continue
-        lhs = total_dt_mod_system(rules.x_rules[coord], sys, rules)
-        rhs = total_dx(rules.t_rules[coord], rules)
-        out[coord] = lhs - rhs
-    return out
+    coords = [c for c in rules.x_rules if c in rules.t_rules]
+    zero_form = (K.ZERO, K.ZERO)
+    omegas = [((rules.x_rules[c], rules.t_rules[c]), 1, zero_form, zero_form) for c in coords]
+    return {c: -r for c, r in zip(coords, exterior_d_mod_system(sys, omegas, rules))}

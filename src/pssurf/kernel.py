@@ -1078,14 +1078,16 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def fraction_sum(fractions: Iterable[tuple[Poly, Poly]]) -> "Expr":
     """The sum of unreduced num / den, each den nonzero, reduced once: over
-    equal denominators the numerators add, and the sums are cross-multiplied.
+    equal denominators the numerators add in one dict; the sums cross-multiply.
     A vanishing sum takes no gcd, since Q(i, sqrt 2) is a field and the basis
     exponentials are free atoms once `_on_lattice` puts them on one lattice."""
     sums: dict = {}
     for num, den in fractions:
-        sums[den] = sums[den].add(num) if den in sums else num
-    num, common = Poly.zero(), _POLY_ONE
-    for den, part in sums.items():
+        acc = sums.setdefault(den, [{}, 1])
+        acc[1] = _add_into(acc[0], acc[1], num.terms, num.den)
+    parts = [(_reduced(*acc), den) for den, acc in sums.items()] or [(Poly.zero(), _POLY_ONE)]
+    num, common = parts[0]
+    for part, den in parts[1:]:
         num, common = num.mul(den).add(part.mul(common)), common.mul(den)
     return Expr(num, common)
 
@@ -1160,7 +1162,7 @@ class Expr:
     # -- arithmetic ---------------------------------------------------------
 
     @staticmethod
-    def _coerce(v) -> "Expr":
+    def coerce(v) -> "Expr":
         if isinstance(v, Expr):
             return v
         if isinstance(v, (int, Fraction)):
@@ -1170,7 +1172,7 @@ class Expr:
         raise TypeError(f"cannot coerce {v!r} to Expr")
 
     def __add__(self, other) -> "Expr":
-        other = Expr._coerce(other)
+        other = Expr.coerce(other)
         if other.num.is_zero():
             return self
         if self.num.is_zero():
@@ -1186,13 +1188,13 @@ class Expr:
         return Expr(self.num.neg(), self.den, _normalized=True)
 
     def __sub__(self, other) -> "Expr":
-        return self + (-Expr._coerce(other))
+        return self + (-Expr.coerce(other))
 
     def __rsub__(self, other) -> "Expr":
-        return Expr._coerce(other) - self
+        return Expr.coerce(other) - self
 
     def __mul__(self, other) -> "Expr":
-        other = Expr._coerce(other)
+        other = Expr.coerce(other)
         if self.den.is_const() and other.den.is_const():
             return Expr._over_one(self.num.mul(other.num))
         for x, c in ((self, other), (other, self)):
@@ -1203,7 +1205,7 @@ class Expr:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Expr":
-        other = Expr._coerce(other)
+        other = Expr.coerce(other)
         if other.num.is_zero():
             raise DivisionByZeroError("division by zero expression")
         if other.is_const():
@@ -1212,7 +1214,7 @@ class Expr:
         return Expr(self.num.mul(other.den), self.den.mul(other.num))
 
     def __rtruediv__(self, other) -> "Expr":
-        return Expr._coerce(other) / self
+        return Expr.coerce(other) / self
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -1260,13 +1262,13 @@ class Expr:
     def constant_along(self, *coords: Coord) -> bool:
         """Whether the partials in coords sum to zero, decided on the numerator
         Dn*d - n*Dd of their sum, which reduction only divides by a gcd."""
-        return self._derived({c: ONE for c in coords})[0].is_zero()
+        return self.derive_pair({c: ONE for c in coords})[0].is_zero()
 
     def derive(self, images: Mapping[Coord, "Expr"]) -> "Expr":
         """Apply the derivation D = sum of images[c] * d/dc, reducing once."""
-        return Expr(*self._derived(images))
+        return Expr(*self.derive_pair(images))
 
-    def _derived(self, images: Mapping[Coord, "Expr"]) -> tuple[Poly, Poly]:
+    def derive_pair(self, images: Mapping[Coord, "Expr"]) -> tuple[Poly, Poly]:
         """D(n/d) as an unreduced (numerator, denominator) pair.  Every image
         is brought over B, the product of the distinct non-constant image
         denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B) on polynomials,
@@ -1302,7 +1304,7 @@ class Expr:
         denominator each become one fraction (`_subs_poly`), then divide."""
         if not bindings:
             return self
-        bindings = {c: Expr._coerce(v) for c, v in bindings.items()}
+        bindings = {c: Expr.coerce(v) for c, v in bindings.items()}
         bound = set(bindings)
         for image in bindings.values():
             if image.coords() & bound:

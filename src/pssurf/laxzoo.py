@@ -9,7 +9,7 @@ between the two curvature signs (for delta = -1 the off-diagonal entries are
 Every packing is trace-free, and MatrixForm rejects a pair that is not, so
 the zero-curvature residual D_t X - D_x T + [X, T] is trace-free too: it is
 computed from the entries 00, 01 and 10, each a residual of
-``forms.exterior_d_mod_system``, and its 11 entry is -R00.
+``jetcalc.exterior_d_mod_system``, and its 11 entry is -R00.
 
 With ``from_forms``' packing at the forms' own sign, R = -1/2 pack(r1, r2,
 r3) of the structure residuals, and pack is invertible over Q(i, sqrt 2), so
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import kernel as K
-from .forms import AssociatedForms, exterior_d_mod_system
-from .jetcalc import PdeSystem
+from .forms import AssociatedForms
+from .jetcalc import PdeSystem, exterior_d_mod_system
 from .kernel import Expr
 
 Matrix = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -33,8 +33,7 @@ I = Expr.atom(K.iunit)
 
 
 def mat(a, b, c, d) -> Matrix:
-    cv = Expr._coerce
-    return ((cv(a), cv(b)), (cv(c), cv(d)))
+    return mat_map(Expr.coerce, ((a, b), (c, d)))
 
 
 def mat_map(fn: Callable[[Expr], Expr], A: Matrix) -> Matrix:
@@ -57,7 +56,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_scale(c, A: Matrix) -> Matrix:
-    c = Expr._coerce(c)
     return mat_map(lambda e: c * e, A)
 
 

@@ -1,7 +1,7 @@
 """Bounded work on small inputs: the quotient rule skips d^2 when it can,
 and a seeded fuzzer of small CLI configs finishes with an exact exit code.
 
-``Expr._derived`` returns (Dn, d*B) when the denominator d does not depend on
+``Expr.derive_pair`` returns (Dn, d*B) when the denominator d does not depend on
 the differentiated coordinates and holds no `i` or `s`; the full quotient
 rule (Dn*d - n*Dd, d^2*B) made the reduction take a gcd against d^2, which
 for the 40th power below ran for minutes.  Each case runs under a generous

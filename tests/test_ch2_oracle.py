@@ -278,13 +278,13 @@ def _expr_closed_forms() -> dict:
 
 def _reduce_as_you_go(closed: dict) -> dict:
     """The first-order residuals on the reduce-as-you-go path: the
-    eps-derivative of each `Expr` closed form from `Expr._derived`, eps = 0
+    eps-derivative of each `Expr` closed form from `Expr.derive_pair`, eps = 0
     in both of its polynomials, then `/` and `-`."""
     V = chsym.vector_field_components()
 
     def rate(name):
         num, den = (Expr(q, K.Poly.const(1)).substitute({K.eps: K.ZERO})
-                    for q in closed[name]._derived({K.eps: K.ONE}))
+                    for q in closed[name].derive_pair({K.eps: K.ONE}))
         return num / den
 
     out = {"x": rate("x-shift-exp") - V["x"], "t": rate("t")}

@@ -14,6 +14,7 @@ or the error raised.  The one fraction must print them byte for byte.  Run
 this file as a script to re-record them.
 """
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -72,6 +73,20 @@ class TestFractionSum:
         num, den = parse("u^2 - v^2").num, parse("u - v").num
         got = K.fraction_sum([(num, den.mul(den)), (parse("-v").num, den)])
         assert got == parse("u/(u - v)") and str(got) == "(u)/(u - v)"
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_one_denominator_sums_without_poly_add(self, monkeypatch, n):
+        # numerators over one denominator add into one term dict, reduced
+        # once; a Poly.add per fraction copied the partial sum every time
+        den = parse("u - v").num
+        nums = [parse(f"{k}*u1^{k} + v/{k + 1} - u").num for k in range(1, n + 1)] + [parse(f"{n}*u").num]
+        adds, handed = [], []
+        add = Poly.add
+        monkeypatch.setattr(Poly, "add", lambda p, q: adds.append(q) or add(p, q))
+        monkeypatch.setattr(K, "Expr", lambda num, den: handed.append((num, den)))
+        K.fraction_sum([(p, den) for p in nums])
+        monkeypatch.undo()
+        assert adds == [] and handed == [(functools.reduce(Poly.add, nums), den)]
 
     def test_a_vanishing_sum_takes_no_gcd(self, monkeypatch):
         def no_gcd(a, b):

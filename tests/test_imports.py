@@ -7,9 +7,12 @@ an import binds must be read somewhere in the module, or listed in its
 ``__all__``.  ``from __future__`` imports bind nothing and are skipped.  A
 name with one leading underscore is private to its module: no module may
 import it from a pssurf module, or read it as an attribute of an imported
-pssurf module (``K._name`` after ``from . import kernel as K``).  Tests
-are exempt from that rule: they read private names such as ``K._mono_min``
-on purpose.
+pssurf module (``K._name`` after ``from . import kernel as K``).  Nor may
+it read ``x._name`` off any object unless the module itself defines
+``_name`` (as a function, class, variable or assigned attribute) or ``x``
+is ``self`` or ``cls``; namedtuple's public ``_fields``, ``_make``,
+``_replace`` and ``_asdict`` are exempt.  Tests are exempt from both rules:
+they read private names such as ``K._mono_min`` on purpose.
 """
 
 import ast
@@ -69,6 +72,28 @@ def private_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+_NAMEDTUPLE_API = {"_fields", "_make", "_replace", "_asdict"}
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = set(_NAMEDTUPLE_API)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    found = [
+        (node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and _private(node.attr) and node.attr not in defined
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 @pytest.mark.parametrize("path", _MODULES + _TESTS, ids=[str(p.relative_to(_ROOT)) for p in _MODULES + _TESTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -77,6 +102,11 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", _MODULES, ids=[str(p.relative_to(_ROOT)) for p in _MODULES])
 def test_no_private_name_crosses_a_module(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[str(p.relative_to(_ROOT)) for p in _MODULES])
+def test_no_foreign_private_attribute_is_read(path):
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_an_unused_import_is_found():
@@ -100,3 +130,23 @@ def test_a_private_import_is_found():
         "line 2: _structure_equations", "line 3: _flow", "line 5: _hidden", "line 7: K._DIGITS_LIMIT",
     ]
     assert private_imports("from .forms import structure_equations\nfrom . import __version__\n") == []
+
+
+def test_a_foreign_private_read_is_found():
+    source = (
+        "from .kernel import Expr\n"
+        "def _helper(e):\n"
+        "    return e._derived({})\n"
+        "cv = Expr._coerce\n"
+        "class Box:\n"
+        "    def __init__(self, e):\n"
+        "        self._cache = e\n"
+        "    def get(self, other):\n"
+        "        return self._cache, other._cache, cls._hidden, _helper(self._made)\n"
+        "row = Row._make([1])._replace(a=2)._asdict(), Row._fields, Expr.__name__\n"
+        "other._held = 1\n"
+        "x = other._held + K._DIGITS_LIMIT\n"
+    )
+    assert foreign_private_reads(source) == [
+        "line 3: e._derived", "line 4: Expr._coerce", "line 12: K._DIGITS_LIMIT",
+    ]

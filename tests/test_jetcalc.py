@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pssurf import chsym, kernel as K
+from pssurf import chsym, jetcalc, kernel as K
 from pssurf.classify import catalog
 from pssurf.jetcalc import (
     EMPTY_RULES,
@@ -184,6 +184,61 @@ class TestRuleCompatibility:
     def test_rule_closure_validation(self):
         with pytest.raises(ValueError):
             DerivationRules(x_rules={K.phi1: parse("phi2")})
+
+
+def _reduced_compatibility(rules: DerivationRules, sys: PdeSystem | None) -> dict:
+    """The earlier path: D_t(x-rule) and D_x(t-rule) each reduced, then subtracted."""
+    return {c: total_dt_mod_system(rules.x_rules[c], sys, rules) - total_dx(rules.t_rules[c], rules)
+            for c in rules.x_rules if c in rules.t_rules}
+
+
+def _texts(residuals: dict) -> dict:
+    return {str(c): str(r) for c, r in residuals.items()}
+
+
+class TestCompatibilityIsOneExteriorDerivative:
+    """check_rule_compatibility is minus d(omega_s), omega_s = x_rule(s) dx +
+    t_rule(s) dt, as one fraction; it must print what the reduced path printed."""
+
+    _PERTURBATIONS = ("phi1", "m*phi2", "eta*n*phih1", "p*phi2", "m", "phih2/eta")
+
+    def test_ch2_rule_table(self):
+        _, _, rules = chsym.linear_problem()
+        got, want = check_rule_compatibility(rules, None), _reduced_compatibility(rules, None)
+        assert got == want and _texts(got) == _texts(want)
+        assert set(_texts(got).values()) == {"0"}
+
+    def test_perturbed_t_rules(self):
+        _, _, rules = chsym.linear_problem()
+        doubly_ruled = sorted((c for c in rules.x_rules if c in rules.t_rules), key=lambda c: c.key)
+        rng = random.Random(20)
+        for _ in range(8):
+            coord = rng.choice(doubly_ruled)
+            term = rng.randint(-3, 3) or 1
+            term *= parse(rng.choice(self._PERTURBATIONS), mn_mode="jets")
+            bad = DerivationRules(rules.x_rules, {**rules.t_rules, coord: rules.t_rules[coord] + term},
+                                  rules.constraints)
+            got, want = check_rule_compatibility(bad, None), _reduced_compatibility(bad, None)
+            assert got == want and _texts(got) == _texts(want), (coord, term)
+            assert not got[coord].is_zero(), (coord, term)
+
+    def test_one_call_and_no_total_derivative(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(jetcalc, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("exterior_d_mod_system", "total_dt_mod_system", "total_dx"):
+            monkeypatch.setattr(jetcalc, name, counted(name))
+        _, _, rules = chsym.linear_problem()
+        jetcalc.check_rule_compatibility(rules, None)
+        assert calls == ["exterior_d_mod_system"]
+
+    def test_forms_keeps_the_name(self):
+        from pssurf import forms
+
+        assert forms.exterior_d_mod_system is jetcalc.exterior_d_mod_system
 
 
 class TestConstraints:
