@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pssurf import chsym, jetcalc, kernel as K
+from pssurf import chsym, forms, jetcalc, kernel as K
 from pssurf.classify import catalog
 from pssurf.jetcalc import (
     EMPTY_RULES,
@@ -229,15 +229,13 @@ class TestCompatibilityIsOneExteriorDerivative:
             fn = getattr(jetcalc, name)
             return lambda *args: calls.append(name) or fn(*args)
 
+        _, _, rules = chsym.linear_problem()
         for name in ("exterior_d_mod_system", "total_dt_mod_system", "total_dx"):
             monkeypatch.setattr(jetcalc, name, counted(name))
-        _, _, rules = chsym.linear_problem()
         jetcalc.check_rule_compatibility(rules, None)
         assert calls == ["exterior_d_mod_system"]
 
     def test_forms_keeps_the_name(self):
-        from pssurf import forms
-
         assert forms.exterior_d_mod_system is jetcalc.exterior_d_mod_system
 
 
