@@ -4,8 +4,8 @@ D_x acts by jet promotion (u_k -> u_{k+1}) plus explicit x-rules for
 dependent auxiliaries; D_t is defined modulo an evolution system of the form
 u_t - u_{2,t} = F, v_t - v_{2,t} = G, and only on expressions whose u, v
 dependence factors through u - u2 and v - v2 (or through first-class m, n
-symbols carrying their own t-rules).  ``factored_violations`` is the one
-test of that dependence; the Lemma 3.1 conditions in ``forms`` share it.
+symbols carrying their own t-rules).  ``factored_violations`` decides that
+dependence, also for Lemma 3.1 in ``forms``, on the jets an expression holds.
 
 D_x and D_t are derivations: ``dx_images`` and ``dt_images`` collect the
 image of every coordinate an expression mentions (a jet whose promotion is
@@ -124,17 +124,23 @@ def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
 def factored_violations(e: Expr, base: str, top: int) -> tuple[bool, list[Coord]]:
     """Whether e pairs base with base2 (its partials in them sum to zero),
     and the jets base_k, 0 < k <= top and k != 2, that e depends on."""
-    pairs = e.constant_along(K.jet(base, 0), K.jet(base, 2))
-    jets = [K.jet(base, k) for k in range(1, top + 1) if k != 2]
-    return pairs, [c for c in jets if not e.constant_along(c)]
+    return _held_violations(e, e.coords(), base, top)
+
+
+def _held_violations(e: Expr, held: set, base: str, top: int) -> tuple[bool, list[Coord]]:
+    # a partial in a jet e does not hold (held = e.coords()) is exactly zero
+    pair = [c for c in (K.jet(base, 0), K.jet(base, 2)) if c in held]
+    jets = [c for c in (K.jet(base, k) for k in range(1, top + 1) if k != 2) if c in held]
+    return not pair or e.constant_along(*pair), [c for c in jets if not e.constant_along(c)]
 
 
 def check_factored_dependence(e: Expr) -> list[str]:
     """Why e's u, v dependence fails to factor through u - u2, v - v2."""
-    top = max((c.order for c in e.coords() if c.kind == K.KIND_JET), default=0)
+    held = e.coords()
+    top = max((c.order for c in held if c.kind == K.KIND_JET), default=0)
     problems = []
     for base in ("u", "v"):
-        pairs, jets = factored_violations(e, base, top)
+        pairs, jets = _held_violations(e, held, base, top)
         problems += [] if pairs else [f"{base} + {base}2 pairing fails"]
         problems += [f"depends on {c}" for c in jets]
     return problems

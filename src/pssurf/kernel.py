@@ -561,19 +561,24 @@ class Poly:
         return result
 
     def diff(self, c: Coord) -> "Poly":
-        # a coordinate sorts before every exponential, so its term goes first
+        # a coordinate sorts before every exponential, so its term goes first;
+        # each exponential's exponent partial is taken once, and a zero one
+        # adds nothing
         out: dict = {}
         den = self.den
         sh = _SHIFTS.get(c)
         exps = _EXPS
+        inner: dict = {}
         for mono, coeff in self.terms.items():
             if sh is not None and (power := mono >> sh & 0xFF):
                 den = _add_into(out, den, {mono - (1 << sh): coeff * power}, self.den)
             if mono & exps:
                 for atom, power in _pairs(mono):
                     if isinstance(atom, ExpAtom):
-                        term = atom.exponent.diff(c).mul(Poly({mono: coeff * power}, self.den))
-                        den = _add_into(out, den, term.terms, term.den)
+                        dq = inner[atom] if atom in inner else inner.setdefault(atom, atom.exponent.diff(c))
+                        if dq.terms:
+                            term = dq.mul(Poly({mono: coeff * power}, self.den))
+                            den = _add_into(out, den, term.terms, term.den)
         return _reduced(out, den)
 
     def coefficient(self, c: Coord, k: int) -> "Poly":
@@ -1092,6 +1097,21 @@ def fraction_sum(fractions: Iterable[tuple[Poly, Poly]]) -> "Expr":
     return Expr(num, common)
 
 
+def _partial_sum(p: Poly, coords: Iterable[Coord]) -> Poly:
+    """The sum of p's partials in coords; one coordinate adds nothing."""
+    return functools.reduce(Poly.add, [p.diff(c) for c in coords] or [Poly.zero()])
+
+
+def _quotient(n: Poly, d: Poly, Dn: Poly, Dd: Poly) -> tuple[Poly, Poly]:
+    """D(n/d) as an unreduced pair from the images Dn and Dd: (Dn, d) if d is
+    constant, or Dd = 0 and d is free of `i` and `s`; else (Dn*d - n*Dd, d*d)."""
+    # Dn/d reduces as Dn*d/d^2 does unless `i` or `s`, free in the gcd, lets
+    # the longer form print a different, equal fraction
+    if d.is_const() or Dd.is_zero() and _REWRITES.keys().isdisjoint(d.atoms()):
+        return Dn, d
+    return Dn.mul(d).sub(n.mul(Dd)), d.mul(d)
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -1257,22 +1277,31 @@ class Expr:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, c: Coord) -> "Expr":
-        return self.derive({c: ONE})
+        """The partial in c from the `Poly.diff` partials, reduced once."""
+        return Expr(*self._partials((c,)))
 
     def constant_along(self, *coords: Coord) -> bool:
-        """Whether the partials in coords sum to zero, decided on the numerator
-        Dn*d - n*Dd of their sum, which reduction only divides by a gcd."""
-        return self.derive_pair({c: ONE for c in coords})[0].is_zero()
+        """Whether the partials in coords sum to zero, decided on the unreduced
+        numerator (`_partials`), which reduction only divides by a gcd."""
+        return self._partials(coords)[0].is_zero()
+
+    def _partials(self, coords: tuple[Coord, ...]) -> tuple[Poly, Poly]:
+        """The sum of the partials in coords as an unreduced pair: the quotient
+        step `derive_pair` ends in, over the sums of the `Poly.diff` partials
+        Dn and Dd (a constant d has none), with no image or weight."""
+        n, d = self.num, self.den
+        Dd = Poly.zero() if d.is_const() else _partial_sum(d, coords)
+        return _quotient(n, d, _partial_sum(n, coords), Dd)
 
     def derive(self, images: Mapping[Coord, "Expr"]) -> "Expr":
         """Apply the derivation D = sum of images[c] * d/dc, reducing once."""
         return Expr(*self.derive_pair(images))
 
     def derive_pair(self, images: Mapping[Coord, "Expr"]) -> tuple[Poly, Poly]:
-        """D(n/d) as an unreduced (numerator, denominator) pair.  Every image
-        is brought over B, the product of the distinct non-constant image
-        denominators, so D(n/d) = (Dn*d - n*Dd) / (d^2*B) on polynomials,
-        or (Dn, d*B) when Dd = 0 and d, free of `i` and `s`, reduces alike."""
+        """D(n/d) as an unreduced (numerator, denominator) pair, for D_x, D_t
+        and linearizations: every image is brought over B, the product of the
+        distinct non-constant image denominators, and D(n/d) = num / (den*B)
+        for (num, den) the quotient step over the weighted sums Dn and Dd."""
         n, d = self.num, self.den
         parts = []
         for c, image in images.items():
@@ -1293,11 +1322,8 @@ class Expr:
             dn, dd = weight.mul(dn), weight.mul(dd)
             dn_den = _add_into(dn_terms, dn_den, dn.terms, dn.den)
             dd_den = _add_into(dd_terms, dd_den, dd.terms, dd.den)
-        Dn, Dd = _reduced(dn_terms, dn_den), _reduced(dd_terms, dd_den)
-        common = functools.reduce(Poly.mul, dens, _POLY_ONE)
-        if d.is_const() or Dd.is_zero() and _REWRITES.keys().isdisjoint(d.atoms()):
-            return Dn, d.mul(common)
-        return Dn.mul(d).sub(n.mul(Dd)), d.mul(d).mul(common)
+        num, den = _quotient(n, d, _reduced(dn_terms, dn_den), _reduced(dd_terms, dd_den))
+        return num, den.mul(functools.reduce(Poly.mul, dens, _POLY_ONE))
 
     def substitute(self, bindings: Mapping[Coord, "Expr"]) -> "Expr":
         """Bound coordinates replaced, also in exponents: numerator and

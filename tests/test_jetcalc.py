@@ -18,6 +18,7 @@ from pssurf.jetcalc import (
     total_dx,
 )
 from pssurf.kernel import Expr, parse
+from test_kernel import _count_calls, _dependence_exprs
 
 
 def _partial(e: Expr, c: K.Coord) -> Expr:
@@ -159,6 +160,47 @@ class TestTotalDt:
         assert check_factored_dependence(parse("u - u2")) == []
         problems = check_factored_dependence(parse("u1"))
         assert any("u1" in p for p in problems)
+
+
+def _every_jet_violations(e: Expr, base: str, top: int) -> tuple:
+    """`factored_violations` deciding every jet, also those e does not hold."""
+    pairs = e.constant_along(K.jet(base, 0), K.jet(base, 2))
+    jets = [K.jet(base, k) for k in range(1, top + 1) if k != 2]
+    return pairs, [c for c in jets if not e.constant_along(c)]
+
+
+def _every_jet_dependence(e: Expr) -> list:
+    top = max((c.order for c in e.coords() if c.kind == K.KIND_JET), default=0)
+    problems = []
+    for base in ("u", "v"):
+        pairs, jets = _every_jet_violations(e, base, top)
+        problems += [] if pairs else [f"{base} + {base}2 pairing fails"]
+        problems += [f"depends on {c}" for c in jets]
+    return problems
+
+
+class TestFactoredDependenceSkipsAbsentJets:
+    """A partial in a jet the expression does not hold is zero, so only the
+    held jets are decided; deciding every jet is the oracle."""
+
+    def test_matches_every_jet_decided(self):
+        exprs = _dependence_exprs()
+        exprs += [f for entry in catalog() for pair in entry.forms.f for f in pair]
+        failed = 0
+        for e in exprs:
+            for base in ("u", "v"):
+                for top in (1, 2, 3, 4):
+                    want = _every_jet_violations(e, base, top)
+                    assert jetcalc.factored_violations(e, base, top) == want, (str(e), base, top)
+                    failed += not want[0] or bool(want[1])
+            assert check_factored_dependence(e) == _every_jet_dependence(e), str(e)
+        assert failed > 1000
+
+    def test_one_decision_for_u_minus_u2(self, monkeypatch):
+        e = parse("u - u2")
+        calls = _count_calls(monkeypatch, Expr, "constant_along")
+        assert check_factored_dependence(e) == []
+        assert len(calls) == 1
 
 
 class TestRuleCompatibility:
