@@ -13,7 +13,7 @@ seed.
 Each stage is derived from the one before it, starting from the catalog's
 cubic-ch2 entry.  The linear problem, its adjoint, the pseudo-potential and
 the momentum flow are one rule table, which the symmetry and prolongation
-residuals linearize.
+residuals linearize along characteristics from `jetcalc.prolonged_images`.
 
 numpy loads on first array use, not at import: only the closed-form
 solution's evaluators (and numgrid, which shares this module's binding)
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import kernel as K
 from .classify import catalog_entry
-from .jetcalc import DerivationRules, PdeSystem, dt_images, dx_images, total_dx
+from .jetcalc import DerivationRules, PdeSystem, dt_images, dx_images, prolonged_images, total_dx
 from .kernel import DomainError, Expr, parse
 from .laxzoo import mat_map
 
@@ -160,30 +160,19 @@ def nonlocal_symmetry() -> SymmetryTuple:
     return SymmetryTuple(*(w.substitute(sub) for w in (_PHI1 * _PHIH2, _PHIH1 * _PHI2, w_m, w_n)))
 
 
-def linearize(rhs: Expr, directions: dict, rules: DerivationRules) -> tuple[K.Poly, K.Poly]:
+def linearize(rhs: Expr, directions: dict[K.Coord, Expr], rules: DerivationRules) -> tuple[K.Poly, K.Poly]:
     """Directional (Frechet) derivative of rhs along characteristics, an unreduced (num, den) pair.
 
-    directions maps base symbols ('u', 'v', 'm', 'n') and the order-0
-    dependent symbols ('phi1', 'phi2', 'p') to their characteristics; the
-    k-th jet moves along the k-th total x-derivative of its characteristic.
+    directions maps u0, v0, m0, n0, phi1, phi2 and p to their characteristics,
+    which `prolonged_images` prolongs to the jets rhs holds.
     """
-    images = {}
-    for c in sorted(rhs.coords(), key=lambda c: c.key):
-        if c.kind not in (K.KIND_JET, K.KIND_DEP):
-            continue
-        char = directions.get(c.name)
-        if char is None:
-            raise KeyError(f"no direction supplied for symbol '{c.name}'")
-        img = char
-        for _ in range(c.order):
-            img = total_dx(img, rules)
-        images[c] = img
-    return rhs.derive_pair(images)
+    moving = [c for c in rhs.coords() if c.kind in (K.KIND_JET, K.KIND_DEP)]
+    return rhs.derive_pair(prolonged_images(sorted(moving, key=lambda c: c.key), directions, rules))
 
 
-def _directions(s: SymmetryTuple) -> dict[str, Expr]:
-    """The characteristic of each base symbol, as `linearize` takes them."""
-    return {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}
+def _directions(s: SymmetryTuple) -> dict[K.Coord, Expr]:
+    """The characteristic of each order-0 jet, as `linearize` takes them."""
+    return {K.u(0): s.w_u, K.v(0): s.w_v, K.m(0): s.w_m, K.n(0): s.w_n}
 
 
 def _residual(w: Expr, images: dict, linearized: tuple[K.Poly, K.Poly]) -> Expr:
@@ -225,7 +214,7 @@ def prolongation_residuals() -> dict[str, Expr]:
     axes of the rule table, along the prolonged characteristic."""
     _, _, rules = linear_problem()
     w1, w2, wp = prolongation()
-    directions = {**_directions(nonlocal_symmetry()), "phi1": w1, "phi2": w2, "p": wp}
+    directions = {**_directions(nonlocal_symmetry()), K.phi1: w1, K.phi2: w2, K.p: wp}
     axes = (("x", rules.x_rules, lambda e: dx_images(e, rules)),
             ("t", rules.t_rules, lambda e: dt_images(e, None, rules)))
     rows = (("eigenfunction-1", K.phi1, w1), ("eigenfunction-2", K.phi2, w2), ("pseudo-potential", K.p, wp))
@@ -245,22 +234,20 @@ def vector_field_components() -> dict[str, Expr]:
     The x-coefficient xi = -eta*phi1*phi2 is the one free choice.  Every
     other coefficient is the closed characteristic of its coordinate c plus
     xi * D_x c: the reduced nonlocal symmetry for u, v, m, n, its total
-    x-derivative for ux, vx, and the prolongation for phi1, phi2, p.  The
-    table is built once; callers only read it.
+    x-derivative for ux, vx, and the prolongation for phi1, phi2, p, all
+    from one `prolonged_images` call.  The table is built once; callers
+    only read it.
     """
     _, _, rules = linear_problem()
-    s = nonlocal_symmetry()
     w1, w2, wp = prolongation()
+    directions = {**_directions(nonlocal_symmetry()), K.phi1: w1, K.phi2: w2, K.p: wp}
     xi = -_ETA * _PHI1 * _PHI2
-    characteristics = {
-        "u": (_U, s.w_u), "v": (_V, s.w_v),
-        "ux": (_U1, total_dx(s.w_u, rules)), "vx": (_V1, total_dx(s.w_v, rules)),
-        "p": (_PP, wp), "m": (_M, s.w_m), "n": (_N, s.w_n),
-        "phi1": (_PHI1, w1), "phi2": (_PHI2, w2),
-    }
+    coords = {"u": K.u(0), "v": K.v(0), "ux": K.u(1), "vx": K.v(1), "p": K.p,
+              "m": K.m(0), "n": K.n(0), "phi1": K.phi1, "phi2": K.phi2}
+    characteristics = prolonged_images(coords.values(), directions, rules)
     out = {"x": xi}
-    for name, (c, w) in characteristics.items():
-        out[name] = w + xi * total_dx(c, rules)
+    for name, c in coords.items():
+        out[name] = characteristics[c] + xi * total_dx(Expr.atom(c), rules)
     return out
 
 
@@ -574,15 +561,10 @@ _EULER_TOP = 6  # highest jet order the Euler operator differentiates in
 
 
 def euler_operator(density: Expr, base: str) -> Expr:
-    """Variational derivative sum_k (-D_x)^k d(density)/d(base_k)."""
+    """Variational derivative d0 - D_x(d1 - D_x(d2 - ...)), dk = d(density)/d(base_k)."""
     out = K.ZERO
-    sign = 1
-    for k in range(_EULER_TOP + 1):
-        d = density.diff(K.jet(base, k))
-        for _ in range(k):
-            d = total_dx(d)
-        out = out + Expr.const(sign) * d
-        sign = -sign
+    for k in range(_EULER_TOP, -1, -1):
+        out = density.diff(K.jet(base, k)) - total_dx(out)
     return out
 
 

@@ -10,8 +10,10 @@ dependence, also for Lemma 3.1 in ``forms``, on the jets an expression holds.
 D_x and D_t are derivations: ``dx_images`` and ``dt_images`` collect the
 image of every coordinate an expression mentions (a jet whose promotion is
 constrained moves to the constraint's image), which ``Expr.derive`` applies
-at once; ``exterior_d_mod_system`` sums every flatness residual (Lemma 3.1,
-zero curvature, rule compatibility) over ``Expr.derive_pair``, reduced once.
+at once; ``prolonged_images`` moves the k-th jet along D_x^k of a
+characteristic; ``exterior_d_mod_system`` sums every flatness residual
+(Lemma 3.1, zero curvature, rule compatibility) over ``Expr.derive_pair``,
+reduced once.
 """
 
 from __future__ import annotations
@@ -121,6 +123,23 @@ def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
     return e.derive(dx_images(e, rules))
 
 
+def prolonged_images(coords: Iterable[Coord], characteristics: Mapping[Coord, Expr],
+                     rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr]:
+    """Each jet or dependent symbol c of coords, in order, maps to D_x^k of
+    its base's characteristic, k = c.order; a jet's base is its order-0 jet.
+    Each base's chain of total x-derivatives is built once per call."""
+    images, chains = {}, {}
+    for c in coords:
+        base = K.jet(c.name, 0) if c.kind == K.KIND_JET else c
+        if base not in characteristics:
+            raise MissingRuleError(c)
+        chain = chains.setdefault(base, [characteristics[base]])
+        while len(chain) <= c.order:
+            chain.append(total_dx(chain[-1], rules))
+        images[c] = chain[c.order]
+    return images
+
+
 def factored_violations(e: Expr, base: str, top: int) -> tuple[bool, list[Coord]]:
     """Whether e pairs base with base2 (its partials in them sum to zero),
     and the jets base_k, 0 < k <= top and k != 2, that e depends on."""
@@ -146,22 +165,12 @@ def check_factored_dependence(e: Expr) -> list[str]:
     return problems
 
 
-def _dt_of_mn_jet(c: Coord, rules: DerivationRules) -> Expr:
-    base_rule = rules.t_rules.get(K.jet(c.name, 0))
-    if base_rule is None:
-        raise MissingRuleError(c)
-    out = base_rule
-    for _ in range(c.order):
-        out = total_dx(out, rules)
-    return out
-
-
 def dt_images(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr]:
     """The D_t image modulo the system of t and of every symbol e mentions.
 
     The u, v dependence must factor through u - u2 and v - v2 (then
     (u - u2)_t is replaced by F and (v - v2)_t by G); m, n jets and dependent
-    auxiliaries are handled through their t-rules.
+    auxiliaries follow as the `prolonged_images` of their t-rules.
     """
     coords = e.coords()
     images = {K.t: K.ONE}
@@ -183,14 +192,8 @@ def dt_images(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RUL
             )
         images[K.u(0)] = sys.F
         images[K.v(0)] = sys.G
-    for c in sorted(coords, key=lambda c: c.key):
-        if c.kind == K.KIND_JET and c.name in ("m", "n"):
-            images[c] = _dt_of_mn_jet(c, rules)
-        elif c.kind == K.KIND_DEP:
-            rule = rules.t_rules.get(c)
-            if rule is None:
-                raise MissingRuleError(c)
-            images[c] = rule
+    moving = [c for c in coords if c.kind == K.KIND_DEP or c.kind == K.KIND_JET and c.name in ("m", "n")]
+    images.update(prolonged_images(sorted(moving, key=lambda c: c.key), rules.t_rules, rules))
     return images
 
 

@@ -1305,7 +1305,8 @@ class Expr:
         n, d = self.num, self.den
         parts = []
         for c, image in images.items():
-            dn, dd = n.diff(c), d.diff(c)
+            # as in `_partials`, a constant d has no partials to take
+            dn, dd = n.diff(c), Poly.zero() if d.is_const() else d.diff(c)
             if not image.is_zero() and not (dn.is_zero() and dd.is_zero()):
                 parts.append((image, dn, dd))
         # a canonical constant denominator is 1, so only the others enter B

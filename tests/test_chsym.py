@@ -10,11 +10,14 @@ from pssurf import kernel as K
 from pssurf.classify import catalog_entry
 from pssurf.jetcalc import (
     IllFormedDependenceError,
+    MissingRuleError,
     check_rule_compatibility,
     total_dt_mod_system,
     total_dx,
 )
 from pssurf.kernel import Expr, parse
+from test_jetcalc import _seeded_fractions
+from test_kernel import _count_calls
 
 
 def P(s: str) -> Expr:
@@ -210,9 +213,9 @@ class TestProlongation:
         w1_bad = w1 - P("phi1*p")
         lhs = total_dx(w1_bad, rules)
         rhs = (
-            Expr(*chsym.linearize(Mmat[0][0], {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules))
+            Expr(*chsym.linearize(Mmat[0][0], {K.u(0): s.w_u, K.v(0): s.w_v, K.m(0): s.w_m, K.n(0): s.w_n}, rules))
             * P("phi1")
-            + Expr(*chsym.linearize(Mmat[0][1], {"u": s.w_u, "v": s.w_v, "m": s.w_m, "n": s.w_n}, rules))
+            + Expr(*chsym.linearize(Mmat[0][1], {K.u(0): s.w_u, K.v(0): s.w_v, K.m(0): s.w_m, K.n(0): s.w_n}, rules))
             * P("phi2")
             + Mmat[0][0] * w1_bad
             + Mmat[0][1] * w2
@@ -290,6 +293,81 @@ class TestClosure:
         assert len(outputs) == 10 + len(inputs) + 16
         for e in outputs:
             assert not e.coords() & constrained, e
+
+
+# every symbol the prolonged symmetry moves
+_LINEARIZED_LEAVES = ("u", "u1", "v", "v1", "m", "m1", "m2", "m3", "n", "n1", "n2", "phi1", "phi2", "p", "eta", "3")
+
+
+def _jet_by_jet_linearize(rhs: Expr, directions: dict, rules) -> tuple:
+    """The earlier `linearize`: directions keyed by name, and each jet's
+    characteristic prolonged from its base on its own."""
+    images = {}
+    for c in sorted(rhs.coords(), key=lambda c: c.key):
+        if c.kind in (K.KIND_JET, K.KIND_DEP):
+            image = directions[c.name]
+            for _ in range(c.order):
+                image = total_dx(image, rules)
+            images[c] = image
+    return rhs.derive_pair(images)
+
+
+def _prolonged_directions() -> dict:
+    w1, w2, wp = chsym.prolongation()
+    s = chsym.nonlocal_symmetry()
+    return {K.u(0): s.w_u, K.v(0): s.w_v, K.m(0): s.w_m, K.n(0): s.w_n, K.phi1: w1, K.phi2: w2, K.p: wp}
+
+
+class TestLinearizeProlongsOnce:
+    """`linearize` takes its images from `jetcalc.prolonged_images`; the
+    jet-by-jet loop it replaced is the oracle."""
+
+    def test_matches_the_jet_by_jet_loop(self):
+        _, _, rules = chsym.linear_problem()
+        directions = _prolonged_directions()
+        by_name = {c.name: w for c, w in directions.items()}
+        # the rule table's images, apart from the adjoint's, which nothing moves
+        rule_images = [*rules.x_rules.values(), *rules.t_rules.values()]
+        inputs = [*_seeded_fractions(_LINEARIZED_LEAVES, 10, 3502), *(e for e in rule_images if not e.coords() & {K.phih1, K.phih2})]
+        for e in inputs:
+            got, want = chsym.linearize(e, directions, rules), _jet_by_jet_linearize(e, by_name, rules)
+            assert got == want and str(Expr(*got)) == str(Expr(*want)), str(e)
+
+    def test_missing_direction_names_the_jet(self):
+        _, _, rules = chsym.linear_problem()
+        directions = {c: w for c, w in _prolonged_directions().items() if c != K.m(0)}
+        with pytest.raises(MissingRuleError, match="'m2'") as err:
+            chsym.linearize(P("u*m2 + phi1"), directions, rules)
+        assert err.value.coord == K.m(2)
+
+
+_BIHAMILTONIAN_DENSITY = "1/4*(u^2*v1 + u1^2*v1 - 2*u*u1*v)*(v - v2)"
+
+
+def _summed_euler(density: Expr, base: str) -> Expr:
+    """The earlier Euler operator: sum_k (-1)^k D_x^k of each partial, each
+    power of D_x taken anew."""
+    out = K.ZERO
+    for k in range(chsym._EULER_TOP + 1):
+        d = density.diff(K.jet(base, k))
+        for _ in range(k):
+            d = total_dx(d)
+        out = out + Expr.const((-1) ** k) * d
+    return out
+
+
+class TestEulerByHorner:
+    def test_matches_the_summed_operator(self):
+        leaves = ("u", "u1", "u2", "u3", "v", "v1", "v2", "v3", "eta", "2")
+        for density in [parse(_BIHAMILTONIAN_DENSITY), *_seeded_fractions(leaves, 12, 3503, "alias")]:
+            for base in ("u", "v"):
+                got, want = chsym.euler_operator(density, base), _summed_euler(density, base)
+                assert got == want and str(got) == str(want), (str(density), base)
+
+    def test_one_total_derivative_per_order(self, monkeypatch):
+        calls = _count_calls(monkeypatch, chsym, "total_dx")
+        chsym.euler_operator(parse(_BIHAMILTONIAN_DENSITY), "u")
+        assert len(calls) <= chsym._EULER_TOP + 1
 
 
 class TestBihamiltonian:

@@ -13,9 +13,14 @@ it read ``x._name`` off any object unless the module itself defines
 is ``self`` or ``cls``; namedtuple's public ``_fields``, ``_make``,
 ``_replace`` and ``_asdict`` are exempt.  Tests are exempt from both rules:
 they read private names such as ``K._mono_min`` on purpose.
+
+Nor may a program module define a function or class that no program
+module, script or benchmark reaches, apart from the few kept on purpose as
+test oracles (``_KEPT_FOR_TESTS``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,7 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 _MODULES = sorted([*(_ROOT / "src" / "pssurf").glob("*.py"), *(_ROOT / "scripts").glob("*.py")])
 _TESTS = sorted((_ROOT / "tests").glob("*.py"))
+_PROGRAM = sorted(p for d in ("src", "scripts", "perfbench") for p in (_ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -150,3 +156,60 @@ def test_a_foreign_private_read_is_found():
     assert foreign_private_reads(source) == [
         "line 3: e._derived", "line 4: Expr._coerce", "line 12: K._DIGITS_LIMIT",
     ]
+
+
+def defined_names(source: str) -> set[str]:
+    """Every non-dunder function and class the source defines, methods included."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+_DOTTED = re.compile(r"\w+(?:\.\w+)+")
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a `Name` or an `Attribute` reads, and every part of a
+    dotted string constant such as perfbench's ``"kernel.Expr.eval"``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+# reached only by tests: the Corollary 3.3 oracle and the matrix algebra of
+# the zero-curvature oracle
+_KEPT_FOR_TESTS = {"check_corollary33", "mat_add", "mat_sub", "mat_mul"}
+
+
+def test_every_definition_is_reached():
+    sources = {p: p.read_text(encoding="utf-8") for p in _PROGRAM}
+    defined = set().union(*(defined_names(src) for p, src in sources.items() if p.parent.name == "pssurf"))
+    referenced = set().union(*map(referenced_names, sources.values()))
+    assert defined - referenced == _KEPT_FOR_TESTS
+
+
+def test_an_unreached_definition_is_found():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.open()\n"
+        "    def open(self):\n"
+        "        pass\n"
+        "    def shut(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return Box()\n"
+        "def unused():\n"
+        '    "Calls helper. Not a dotted name."\n'
+        "SPANS = ['mod.Box.spanned']\n"
+    )
+    assert defined_names(source) == {"Box", "open", "shut", "helper", "unused"}
+    # a docstring's words are not references
+    assert defined_names(source) - referenced_names(source) == {"shut", "helper", "unused"}
+    assert {"Box", "open", "spanned", "mod"} <= referenced_names(source)

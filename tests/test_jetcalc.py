@@ -203,6 +203,73 @@ class TestFactoredDependenceSkipsAbsentJets:
         assert len(calls) == 1
 
 
+def _seeded_fractions(leaves: tuple, count: int, seed: int, mn_mode: str = "jets") -> list:
+    """Seeded sums of products of leaves over (leaf + k); the first is the sum
+    of every leaf, so it holds them all."""
+    rng = random.Random(seed)
+    texts = [" + ".join(leaves)]
+    for _ in range(count - 1):
+        terms = ["*".join(rng.choices(leaves, k=rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        texts.append(f"({' + '.join(terms)})/({rng.choice(leaves)} + {rng.randint(1, 4)})")
+    return [parse(text, mn_mode=mn_mode) for text in texts]
+
+
+# the m, n jets and auxiliaries that the CH2 rule table moves
+_MOVING_LEAVES = ("m", "m1", "m2", "m3", "n", "n1", "n2", "phi1", "phi2", "p", "eta", "2", "1/3")
+
+
+def _jet_by_jet_dt_images(e: Expr, rules: DerivationRules) -> dict:
+    """The earlier D_t images of m, n jets and auxiliaries, each jet's t-rule
+    prolonged from its base on its own."""
+    images = {K.t: K.ONE}
+    for c in sorted(e.coords(), key=lambda c: c.key):
+        if c.kind == K.KIND_JET and c.name in ("m", "n"):
+            image = rules.t_rules[K.jet(c.name, 0)]
+            for _ in range(c.order):
+                image = total_dx(image, rules)
+            images[c] = image
+        elif c.kind == K.KIND_DEP:
+            images[c] = rules.t_rules[c]
+    return images
+
+
+class TestProlongedImages:
+    """`prolonged_images` builds each base's chain of total x-derivatives once;
+    the jet-by-jet prolongation it replaced in `dt_images` is the oracle."""
+
+    def test_dt_images_match_the_jet_by_jet_prolongation(self):
+        _, _, rules = chsym.linear_problem()
+        for e in _seeded_fractions(_MOVING_LEAVES, 12, 3501):
+            got, want = jetcalc.dt_images(e, None, rules), _jet_by_jet_dt_images(e, rules)
+            assert list(got) == list(want) and got == want, str(e)
+            assert [str(v) for v in got.values()] == [str(v) for v in want.values()], str(e)
+            derived, oracle = e.derive(got), e.derive(want)
+            assert derived == oracle and str(derived) == str(oracle), str(e)
+
+    def test_images_follow_the_given_order(self):
+        _, _, rules = chsym.linear_problem()
+        coords = [K.m(2), K.phi1, K.m(0), K.n(1)]
+        images = jetcalc.prolonged_images(coords, rules.t_rules, rules)
+        assert list(images) == coords
+        assert images[K.m(0)] is rules.t_rules[K.m(0)] and images[K.phi1] is rules.t_rules[K.phi1]
+        assert images[K.m(2)] == total_dx(total_dx(rules.t_rules[K.m(0)], rules), rules)
+        assert images[K.n(1)] == total_dx(rules.t_rules[K.n(0)], rules)
+
+    def test_one_total_derivative_per_order(self, monkeypatch):
+        _, _, rules = chsym.linear_problem()
+        calls = _count_calls(monkeypatch, jetcalc, "total_dx")
+        jetcalc.dt_images(parse("m + m1*m2 + m3", mn_mode="jets"), None, rules)
+        assert len(calls) == 3
+        jetcalc.prolonged_images([K.m(1)], rules.t_rules, rules)
+        assert len(calls) == 4
+
+    def test_missing_t_rule_names_the_jet(self):
+        rules = DerivationRules(t_rules={K.n(0): parse("n1", mn_mode="jets")})
+        with pytest.raises(MissingRuleError, match="'m2'") as err:
+            jetcalc.dt_images(parse("m2*n", mn_mode="jets"), None, rules)
+        assert err.value.coord == K.m(2)
+
+
 class TestRuleCompatibility:
     def test_consistent_rules(self):
         # w plays the role of an exponential integrating factor:

@@ -426,6 +426,14 @@ class TestPartialsSkipTheDerivation:
         assert p.diff(K.x) == want
         assert len(calls) == 2
 
+    def test_derivation_takes_no_partial_of_a_constant_denominator(self, monkeypatch):
+        # a polynomial is over 1, so each image costs one numerator partial
+        e = parse("u^2*v + 3*u1")
+        images = {K.u(0): parse("u1"), K.v(0): parse("v1/eta")}
+        calls = _count_calls(monkeypatch, K.Poly, "diff")
+        assert e.derive(images) == parse("2*u*v*u1 + u^2*v1/eta")
+        assert len(calls) == 2
+
 
 class TestSubstitute:
     def test_adjoint_reduction(self):
