@@ -167,7 +167,8 @@ def linearize(rhs: Expr, directions: dict[K.Coord, Expr], rules: DerivationRules
     which `prolonged_images` prolongs to the jets rhs holds.
     """
     moving = [c for c in rhs.coords() if c.kind in (K.KIND_JET, K.KIND_DEP)]
-    return rhs.derive_pair(prolonged_images(sorted(moving, key=lambda c: c.key), directions, rules))
+    images = prolonged_images(sorted(moving, key=lambda c: c.key), directions, rules, kind="direction")
+    return rhs.derive_pair(images)
 
 
 def _directions(s: SymmetryTuple) -> dict[K.Coord, Expr]:
@@ -244,7 +245,7 @@ def vector_field_components() -> dict[str, Expr]:
     xi = -_ETA * _PHI1 * _PHI2
     coords = {"u": K.u(0), "v": K.v(0), "ux": K.u(1), "vx": K.v(1), "p": K.p,
               "m": K.m(0), "n": K.n(0), "phi1": K.phi1, "phi2": K.phi2}
-    characteristics = prolonged_images(coords.values(), directions, rules)
+    characteristics = prolonged_images(coords.values(), directions, rules, kind="direction")
     out = {"x": xi}
     for name, c in coords.items():
         out[name] = characteristics[c] + xi * total_dx(Expr.atom(c), rules)

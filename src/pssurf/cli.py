@@ -344,8 +344,6 @@ def cmd_ch2(args) -> int:
                 f"masked fraction {report.masked_fraction}\n"
             )
         return 0 if passed else MATH_FAILURE
-    else:  # pragma: no cover
-        return USAGE_ERROR
     envelope = _report_envelope(f"ch2 {args.subcommand}", config, payload)
     _emit(envelope, args.format, args.out, table)
     return 0 if payload["passed"] else MATH_FAILURE

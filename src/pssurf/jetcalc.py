@@ -31,8 +31,12 @@ class JetCalcError(KernelError):
 
 
 class MissingRuleError(JetCalcError):
-    def __init__(self, coord: Coord):
-        super().__init__(f"no derivation rule for dependent symbol '{coord}'")
+    """No `kind` (an x-rule, a t-rule, a direction) is given for `base`;
+    `coord`, the symbol that needed it, is base or one of base's jets."""
+
+    def __init__(self, kind: str, base: Coord, coord: Coord):
+        needed = "" if coord == base else f", which '{coord}' needs"
+        super().__init__(f"no {kind} of '{base}'{needed}")
         self.coord = coord
 
 
@@ -113,7 +117,7 @@ def dx_images(e: Expr, rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr
         elif c.kind == K.KIND_DEP:
             rule = rules.x_rules.get(c)
             if rule is None:
-                raise MissingRuleError(c)
+                raise MissingRuleError("x-rule", c, c)
             images[c] = rule
     return images
 
@@ -124,15 +128,17 @@ def total_dx(e: Expr, rules: DerivationRules = EMPTY_RULES) -> Expr:
 
 
 def prolonged_images(coords: Iterable[Coord], characteristics: Mapping[Coord, Expr],
-                     rules: DerivationRules = EMPTY_RULES) -> dict[Coord, Expr]:
+                     rules: DerivationRules = EMPTY_RULES, *, kind: str) -> dict[Coord, Expr]:
     """Each jet or dependent symbol c of coords, in order, maps to D_x^k of
     its base's characteristic, k = c.order; a jet's base is its order-0 jet.
-    Each base's chain of total x-derivatives is built once per call."""
+    Each base's chain of total x-derivatives is built once per call.  A
+    base without a characteristic raises MissingRuleError, which names the
+    characteristics' `kind` (a t-rule, a direction)."""
     images, chains = {}, {}
     for c in coords:
         base = K.jet(c.name, 0) if c.kind == K.KIND_JET else c
         if base not in characteristics:
-            raise MissingRuleError(c)
+            raise MissingRuleError(kind, base, c)
         chain = chains.setdefault(base, [characteristics[base]])
         while len(chain) <= c.order:
             chain.append(total_dx(chain[-1], rules))
@@ -193,7 +199,7 @@ def dt_images(e: Expr, sys: PdeSystem | None, rules: DerivationRules = EMPTY_RUL
         images[K.u(0)] = sys.F
         images[K.v(0)] = sys.G
     moving = [c for c in coords if c.kind == K.KIND_DEP or c.kind == K.KIND_JET and c.name in ("m", "n")]
-    images.update(prolonged_images(sorted(moving, key=lambda c: c.key), rules.t_rules, rules))
+    images.update(prolonged_images(sorted(moving, key=lambda c: c.key), rules.t_rules, rules, kind="t-rule"))
     return images
 
 

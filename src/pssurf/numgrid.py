@@ -9,6 +9,12 @@ field evaluators) are masked from the norms and counted.  The inversion,
 the field evaluation and the stencils sweep the grid in row blocks, with
 results bit-identical to one whole-grid sweep.
 
+A rung holds at most three full-grid float64 arrays, about 26 bytes a
+node: x and its bracket in the inversion (the bracket's side in float16),
+then x and the residuals, since rungs after the first evaluate the fields
+per haloed row block in the residual sweep.  The solution CSV is likewise
+evaluated and written a row block at a time.
+
 numpy is chsym's binding, which executes numpy on first array use: the
 import of this module does not load it.
 """
@@ -75,10 +81,10 @@ _PAD = 4.0  # initial bracket half-width, and its growth per bracketing round
 _BLOCK_NODES = 2**15
 
 
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Consecutive row slices of about _BLOCK_NODES nodes each (at least
-    one row), covering rows 0..rows-1."""
-    step = max(1, _BLOCK_NODES // cols)
+def _row_blocks(rows: int, cols: int, nodes: int | None = None) -> list[slice]:
+    """Consecutive row slices of about `nodes` (by default _BLOCK_NODES)
+    nodes each, at least one row, covering rows 0..rows-1."""
+    step = max(1, (_BLOCK_NODES if nodes is None else nodes) // cols)
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
@@ -107,7 +113,10 @@ def invert_grid(map_of, targets: np.ndarray, ts: np.ndarray) -> np.ndarray:
     TT = ts[None, :]
     x = np.repeat(T, ts.size, axis=1)
     lo, hi = x - _PAD, x + _PAD
-    lo_side = np.empty_like(x)  # -1 where x_tilde rises through the target, +1 where it falls
+    # -1 where x_tilde rises through the target, +1 where it falls (or 0 or
+    # NaN); float16 holds each exactly, so comparing with it and multiplying
+    # by it give the bits float64 would, at 2 bytes a node
+    lo_side = np.empty(x.shape, dtype=np.float16)
     blocks = _row_blocks(*x.shape)
     monotone = True
     for b in blocks:
@@ -247,14 +256,21 @@ def _residual_block(u: np.ndarray, v: np.ndarray, hx: float, ht: float):
     return ut - uxxt - F_rhs, vt - vxxt - G_rhs
 
 
-def _residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid):
-    """Interior fields and both equation residuals from haloed samples,
-    computed in row blocks: output rows [a, b) read input rows [a, b + 6)."""
-    shape = (u.shape[0] - 6, u.shape[1] - 2)
+def _residual_sweep(fields_of, rows: int, cols: int, grid: Grid, nodes: int | None = None):
+    """Both equation residuals on the interior of a haloed rows x cols
+    grid, in row blocks of about `nodes` nodes: output rows [a, b) are
+    computed from fields_of(slice(a, b + 6)), the haloed fields (u, v) on
+    input rows [a, b + 6)."""
+    shape = (rows - 6, cols - 2)
     res1, res2 = np.empty(shape), np.empty(shape)
-    for b in _row_blocks(*shape):
-        halo = slice(b.start, b.stop + 6)
-        res1[b], res2[b] = _residual_block(u[halo], v[halo], grid.hx, grid.ht)
+    for b in _row_blocks(*shape, nodes):
+        res1[b], res2[b] = _residual_block(*fields_of(slice(b.start, b.stop + 6)), grid.hx, grid.ht)
+    return res1, res2
+
+
+def _residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid):
+    """Interior fields and both equation residuals from haloed samples."""
+    res1, res2 = _residual_sweep(lambda rows: (u[rows], v[rows]), *u.shape, grid)
     return u[3:-3, 1:-1], v[3:-3, 1:-1], res1, res2
 
 
@@ -265,6 +281,27 @@ def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualRepo
     returned norms cover the interior grid.
     """
     _, _, res1, res2 = _residual_arrays(u, v, grid)
+    return _residual_report(res1, res2, grid)
+
+
+def _sampled_residuals(sampler, grid: Grid) -> ResidualReport:
+    """fd_residual_arrays(*sampler.sample(grid)[:2], grid), bit for bit,
+    without the full-grid fields: one sweep evaluates sampler.fields on
+    each haloed row block of the inverted grid and writes that block's
+    residual rows."""
+    X = sampler.invert(grid)
+    ts = grid.axes(halo_x=3, halo_t=1)[1][None, :]
+    # a block's fields and stencils hold about 20 temporaries of its size
+    res1, res2 = _residual_sweep(
+        lambda rows: sampler.fields(X[rows], ts), *X.shape, grid, _BLOCK_NODES // 4
+    )
+    del X
+    return _residual_report(res1, res2, grid)
+
+
+def _residual_report(res1: np.ndarray, res2: np.ndarray, grid: Grid) -> ResidualReport:
+    """The rung's report: norms over the nodes where both residuals are
+    finite.  Overwrites res1 and res2."""
     mask = np.isfinite(res1) & np.isfinite(res2)
     kept = np.count_nonzero(mask)
     masked_fraction = 1.0 - float(kept) / res1.size
@@ -274,7 +311,12 @@ def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualRepo
         vals = r.ravel() if kept == r.size else r[mask]
         if vals.size == 0:
             return math.inf, math.inf
-        return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals**2)))
+        # in place, the values of np.abs(vals) and then of vals**2: the same
+        # max and pairwise sum; abs makes -0.0 into 0.0 before the max
+        np.abs(vals, out=vals)
+        top = float(vals.max())
+        np.square(vals, out=vals)
+        return top, float(np.sqrt(np.mean(vals)))
 
     (m1, l1), (m2, l2) = norms(res1), norms(res2)
     return ResidualReport(grid, (m1, m2), (l1, l2), masked_fraction)
@@ -283,14 +325,25 @@ def fd_residual_arrays(u: np.ndarray, v: np.ndarray, grid: Grid) -> ResidualRepo
 @dataclass
 class SolutionSampler:
     """Samples the transformed fields on a rectangular grid in the
-    transformed coordinates by inverting the coordinate map per node."""
+    transformed coordinates by inverting the coordinate map per node.
+
+    A sampler is two pieces: `invert`, the untransformed x of each node of
+    the haloed grid, and `fields`, u and v at (x, t).  `sample` composes
+    them; the ladder's later rungs use them apart (_sampled_residuals)."""
 
     sol: ExactSolution
 
-    def sample(self, grid: Grid, halo_x: int = 3, halo_t: int = 1):
+    def invert(self, grid: Grid, halo_x: int = 3, halo_t: int = 1) -> np.ndarray:
         xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
-        X = invert_grid(self.sol.coordinate_map, xs, ts)
-        u, v = _evaluate(self.sol.fields, X, ts)
+        return invert_grid(self.sol.coordinate_map, xs, ts)
+
+    def fields(self, x, t):
+        return self.sol.fields(x, t)
+
+    def sample(self, grid: Grid, halo_x: int = 3, halo_t: int = 1):
+        X = self.invert(grid, halo_x, halo_t)
+        _, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
+        u, v = _evaluate(self.fields, X, ts)
         return u, v, X, np.broadcast_to(ts, X.shape)
 
 
@@ -304,9 +357,10 @@ def _evaluate(pair_of, X: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 # nodes one sampling may hold, halo included; the default ladder's finest
-# rung holds 2055 x 259.  The memory is the arrays a sampling holds (x and
-# its bracket in the inversion, then the fields), a few float64 arrays of
-# this size; the sweeps' temporaries are one row block each.
+# rung holds 2055 x 259.  The memory is at most three full-grid float64
+# arrays (x and its bracket in the inversion, then x and the residuals)
+# and the float16 bracket side, about 26 bytes a node or 109 MB at the
+# limit; the sweeps' temporaries are one row block each.
 MAX_LADDER_NODES = 2**22
 
 
@@ -337,14 +391,12 @@ def convergence_ladder(
 ) -> tuple[ResidualReport, tuple[np.ndarray, np.ndarray]]:
     """Run the residual oracle over a refinement ladder and fit the observed
     order from the l2 norms.  Returns the ResidualReport and rung 1's haloed
-    samples (u, v), the only arrays kept past their rung."""
-    reports = []
-    for grid in _ladder_grids(base_grid, rungs):
-        u, v, _, _ = sampler.sample(grid)
-        reports.append(fd_residual_arrays(u, v, grid))
-        if len(reports) == 1:
-            base_samples = u, v
-        del u, v
+    samples (u, v), the only arrays kept past their rung; the later rungs
+    never hold their fields whole (_sampled_residuals)."""
+    first, *finer = _ladder_grids(base_grid, rungs)
+    u, v, _, _ = sampler.sample(first)
+    reports = [fd_residual_arrays(u, v, first)]
+    reports += [_sampled_residuals(sampler, grid) for grid in finer]
     order = None
     if len(reports) >= 3:
         hs = np.array([r.grid.hx for r in reports])
@@ -358,7 +410,7 @@ def convergence_ladder(
     report = ResidualReport(
         top.grid, top.max_norms, top.l2_norms, masked, rungs=tuple(reports), order_estimate=order
     )
-    return report, base_samples
+    return report, (u, v)
 
 
 def _write_rows(fh, xs: np.ndarray, ts: np.ndarray, fields) -> None:
@@ -383,15 +435,18 @@ def write_residual_csv(path: str, u: np.ndarray, v: np.ndarray, grid: Grid, head
 
 def write_solution_csv(path: str, sol: ExactSolution, grid: Grid) -> None:
     """Fields on the grid in transformed coordinates, one row per node.  A
-    grid over the node limit is rejected before anything is sampled."""
+    grid over the node limit is rejected before anything is sampled.  The
+    fields and momenta are evaluated on one row block of the inverted grid
+    at a time, and that block's rows written."""
     _check_node_limit(grid, 0, 0, "solution grid")
-    u, v, X, _ = SolutionSampler(sol).sample(grid, halo_x=0, halo_t=0)
+    X = SolutionSampler(sol).invert(grid, halo_x=0, halo_t=0)
     xs, ts = grid.axes()
-    m, n = _evaluate(sol.momenta, X, ts)
+    t = ts[None, :]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# u0={sol.u0} eta={sol.eta} eps={sol.eps} k={sol.k} speed={sol.speed} "
             f"grid={grid.x_min}:{grid.x_max}:{grid.hx},{grid.t_min}:{grid.t_max}:{grid.ht}\n"
         )
         fh.write("x,t,u,v,m,n\n")
-        _write_rows(fh, xs, ts, (u, v, m, n))
+        for b in _row_blocks(*X.shape):
+            _write_rows(fh, xs[b], ts, (*sol.fields(X[b], t), *sol.momenta(X[b], t)))

@@ -75,8 +75,9 @@ class TestTotalDx:
         assert total_dx(e) == parse("u + x*u1 + (eta-1)*exp((eta-1)*x)")
 
     def test_missing_rule(self):
-        with pytest.raises(MissingRuleError):
+        with pytest.raises(MissingRuleError, match=r"^no x-rule of 'phi1'$") as err:
             total_dx(parse("phi1"))
+        assert err.value.coord == K.phi1
 
     def test_derivation_property_randomized(self):
         rng = random.Random(99)
@@ -249,7 +250,7 @@ class TestProlongedImages:
     def test_images_follow_the_given_order(self):
         _, _, rules = chsym.linear_problem()
         coords = [K.m(2), K.phi1, K.m(0), K.n(1)]
-        images = jetcalc.prolonged_images(coords, rules.t_rules, rules)
+        images = jetcalc.prolonged_images(coords, rules.t_rules, rules, kind="t-rule")
         assert list(images) == coords
         assert images[K.m(0)] is rules.t_rules[K.m(0)] and images[K.phi1] is rules.t_rules[K.phi1]
         assert images[K.m(2)] == total_dx(total_dx(rules.t_rules[K.m(0)], rules), rules)
@@ -260,12 +261,12 @@ class TestProlongedImages:
         calls = _count_calls(monkeypatch, jetcalc, "total_dx")
         jetcalc.dt_images(parse("m + m1*m2 + m3", mn_mode="jets"), None, rules)
         assert len(calls) == 3
-        jetcalc.prolonged_images([K.m(1)], rules.t_rules, rules)
+        jetcalc.prolonged_images([K.m(1)], rules.t_rules, rules, kind="t-rule")
         assert len(calls) == 4
 
     def test_missing_t_rule_names_the_jet(self):
         rules = DerivationRules(t_rules={K.n(0): parse("n1", mn_mode="jets")})
-        with pytest.raises(MissingRuleError, match="'m2'") as err:
+        with pytest.raises(MissingRuleError, match=r"^no t-rule of 'm', which 'm2' needs$") as err:
             jetcalc.dt_images(parse("m2*n", mn_mode="jets"), None, rules)
         assert err.value.coord == K.m(2)
 

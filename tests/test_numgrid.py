@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,11 +115,9 @@ def _bisect_grid(x_tilde_of, targets, ts, pad=4.0):
 class BisectionSampler(SolutionSampler):
     """SolutionSampler with the coordinate inversion done by the oracle."""
 
-    def sample(self, grid, halo_x=3, halo_t=1):
+    def invert(self, grid, halo_x=3, halo_t=1):
         xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
-        X = _bisect_grid(self.sol.x_tilde, xs, ts)
-        TT = np.meshgrid(xs, ts, indexing="ij")[1]
-        return *self.sol.fields(X, TT), X, TT
+        return _bisect_grid(self.sol.x_tilde, xs, ts)
 
 
 def _newton_grid(x_tilde_of, dx_tilde_of, targets, ts):
@@ -177,6 +176,12 @@ def _tanh_map(x, t):
     return np.tanh(x), 1.0 / np.cosh(x) ** 2
 
 
+def _holed_map(x, t):
+    # the identity, undefined (NaN, as at a masked pole) for |x - 4.5| < 0.25
+    hole = np.abs(x - 4.5) < 0.25
+    return np.where(hole, np.nan, x), np.where(hole, np.nan, 1.0)
+
+
 def _invert_point(map_of, t, target):
     return float(invert_grid(map_of, np.array([target]), np.array([t]))[0, 0])
 
@@ -215,6 +220,15 @@ class TestInversion:
         assert np.allclose(X[:, 0], np.tan(targets / 10.0), rtol=1e-12, atol=0.0)
         atan10 = lambda x, t: _atan10_map(x, t)[0]
         assert np.allclose(X, _bisect_grid(atan10, targets, ts), rtol=1e-12, atol=0.0)
+
+    def test_bracket_end_at_a_pole(self):
+        # targets 0.5 and 0.4 have their upper bracket end in the hole, so
+        # their bracket side is NaN; the monotonicity checks skip it
+        targets, ts = np.array([0.5, 1.0, 0.4]), np.array([0.0, 0.5])
+        X = invert_grid(_holed_map, targets, ts)
+        map_slopes = (lambda x, t: _holed_map(x, t)[0], lambda x, t: _holed_map(x, t)[1])
+        assert X.tobytes() == _newton_grid(*map_slopes, targets, ts).tobytes()
+        assert np.array_equal(X, np.repeat(targets[:, None], ts.size, axis=1))
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneError):
@@ -293,7 +307,9 @@ class TestRowBlocks:
         grid = _base_grid()
         u, v, X, TT = SolutionSampler(sol).sample(grid)
         m, n = numgrid._evaluate(sol.momenta, X, TT[0])
-        return (u, v, m, n, X, *numgrid._residual_arrays(u, v, grid))
+        fused = numgrid._sampled_residuals(SolutionSampler(sol), grid)
+        norms = np.array([*fused.max_norms, *fused.l2_norms, fused.masked_fraction])
+        return (u, v, m, n, X, *numgrid._residual_arrays(u, v, grid), norms)
 
     def test_default_grid_spans_several_blocks(self):
         grid = _base_grid()
@@ -358,16 +374,14 @@ class TestConvergence:
 
     def test_perturbed_field_breaks_order(self):
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
-        sampler = SolutionSampler(sol)
 
-        class Perturbed:
-            def sample(self, grid, halo_x=3, halo_t=1):
-                u, v, X, T = sampler.sample(grid, halo_x, halo_t)
-                xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
-                XX = np.meshgrid(xs, ts, indexing="ij")[0]
-                return u + 0.01 * np.sin(XX), v, X, T
+        class Perturbed(SolutionSampler):
+            # u + 0.01 sin(x~) on every rung, x~ being the grid coordinate
+            def fields(self, x, t):
+                u, v = super().fields(x, t)
+                return u + 0.01 * np.sin(self.sol.x_tilde(x, t)), v
 
-        report, _ = convergence_ladder(Perturbed(), _base_grid(), rungs=3)
+        report, _ = convergence_ladder(Perturbed(sol), _base_grid(), rungs=3)
         assert abs(report.order_estimate) < 0.5
 
     def test_untransformed_coordinates_are_not_a_solution(self):
@@ -375,13 +389,13 @@ class TestConvergence:
         # coordinate does not satisfy the flow, and the residual plateaus
         sol = chsym.exact_solution(0.75, 1.0, 1.0)
 
-        class Raw:
-            def sample(self, grid, halo_x=3, halo_t=1):
+        class Raw(SolutionSampler):
+            # every node's x is its grid coordinate: no inversion
+            def invert(self, grid, halo_x=3, halo_t=1):
                 xs, ts = grid.axes(halo_x=halo_x, halo_t=halo_t)
-                X, T = np.meshgrid(xs, ts, indexing="ij")
-                return *sol.fields(X, T), X, T
+                return np.repeat(xs[:, None], ts.size, axis=1)
 
-        report, _ = convergence_ladder(Raw(), _base_grid(), rungs=3)
+        report, _ = convergence_ladder(Raw(sol), _base_grid(), rungs=3)
         assert abs(report.order_estimate) < 0.5
         assert max(report.l2_norms) > 1e-3
 
@@ -422,6 +436,104 @@ class TestConvergence:
             assert data["max_norms"] == data["l2_norms"] == [None, None]
             assert data["rungs"][0]["l2_norms"] == [None, None]
             json.dumps(data, allow_nan=False)
+
+
+class TestFusedSweep:
+    """Rungs after the first evaluate the fields on each haloed row block of
+    the inverted grid (numgrid._sampled_residuals); the report must be the
+    one fd_residual_arrays gives on whole-grid samples, bit for bit."""
+
+    # at u0 = 0.6, eps = 0.5 some blocks converge iterations before others
+    @pytest.mark.parametrize("u0, eps", [(0.75, 1.0), (0.6, 0.5)])
+    def test_matches_whole_grid_samples(self, u0, eps):
+        sampler = SolutionSampler(chsym.exact_solution(u0, 1.0, eps))
+        for grid in numgrid._ladder_grids(_base_grid(), 3):
+            u, v, _, _ = sampler.sample(grid)
+            whole = fd_residual_arrays(u, v, grid)
+            fused = numgrid._sampled_residuals(sampler, grid)
+            assert fused == whole
+            assert json.dumps(fused.as_dict()) == json.dumps(whole.as_dict())
+
+
+class TestNorms:
+    """The rung norms are taken in place; they must equal the norms of
+    fresh arrays, np.max(np.abs(r)) and np.sqrt(np.mean(r**2)), over the
+    nodes where both residuals are finite."""
+
+    GRID = Grid(-2.0, 2.0, -1.0, 1.0, 0.25, 0.125)
+
+    @staticmethod
+    def _norms_of_copies(res1, res2):
+        mask = np.isfinite(res1) & np.isfinite(res2)
+        return [(float(np.max(np.abs(r[mask]))), float(np.sqrt(np.mean(r[mask] ** 2))))
+                for r in (res1, res2)]
+
+    def _check(self, res1, res2):
+        expected = self._norms_of_copies(res1, res2)
+        report = numgrid._residual_report(res1.copy(), res2.copy(), self.GRID)
+        got = list(zip(report.max_norms, report.l2_norms))
+        assert repr(got) == repr(expected)
+        return got
+
+    @staticmethod
+    def _residuals(seed):
+        rng = np.random.default_rng(seed)
+        shape = (97, 61)
+        return [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape) for _ in range(2)]
+
+    def test_all_finite(self):
+        # every node kept: the norms read the raveled arrays
+        self._check(*self._residuals(5))
+
+    def test_with_nan(self):
+        # some nodes masked: the norms read r[mask]
+        res1, res2 = self._residuals(6)
+        res1[3, 4] = res2[50, 7] = res1[96, 60] = np.nan
+        self._check(res1, res2)
+
+    def test_signed_zeros_print_as_zero(self):
+        res1 = np.zeros((97, 61))
+        res1[::3] = -0.0
+        got = self._check(res1, -res1)
+        assert repr(got) == repr([(0.0, 0.0), (0.0, 0.0)])
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Traced peaks in full-grid float64 arrays: a rung holds at most three
+    (x and its bracket in the inversion, then x and the residuals), plus
+    the float16 bracket side, row-block temporaries and rung 1's samples."""
+
+    def test_ladder_peak(self):
+        sampler = SolutionSampler(chsym.exact_solution(0.75, 1.0, 1.0))
+        # a small run first, so that numpy's set-up is not traced
+        convergence_ladder(sampler, Grid(-2.0, 2.0, -1.0, 1.0, 0.25, 0.125), rungs=1)
+        finest = numgrid._ladder_grids(_base_grid(), 3)[-1]
+        array = (finest.nx + 6) * (finest.nt + 2) * 8
+        peak = _traced_peak(lambda: convergence_ladder(sampler, _base_grid(), rungs=3))
+        assert peak <= 4.5 * array
+
+    def test_solution_csv_peak(self, tmp_path, monkeypatch):
+        # blocks far smaller than the grid, as on a large --grid, so that
+        # the count is of full-grid arrays: x and its bracket, not the
+        # fields and momenta as well
+        monkeypatch.setattr(numgrid, "_BLOCK_NODES", 2**10)
+        sol = chsym.exact_solution(0.75, 1.0, 1.0)
+        small = Grid(-2.0, 2.0, -1.0, 1.0, 0.25, 0.125)
+        numgrid.write_solution_csv(str(tmp_path / "warm.csv"), sol, small)
+        grid = Grid(-8.0, 8.0, -1.0, 1.0, 2**-5, 2**-6)
+        path = str(tmp_path / "sol.csv")
+        peak = _traced_peak(lambda: numgrid.write_solution_csv(path, sol, grid))
+        assert peak <= 4.0 * grid.nx * grid.nt * 8
 
 
 class TestLadderLimits:
